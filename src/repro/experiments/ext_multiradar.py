@@ -29,11 +29,17 @@ from repro.eavesdropper.multi_radar import (
 )
 from repro.experiments.artifacts import place_ghost_in_room, trained_gan
 from repro.experiments.environments import Environment, office_environment
+from repro.gan.sampling import TrajectorySampler
 from repro.radar import ChannelModel, FmcwRadar, RadarConfig
 from repro.radar.radar import SensingResult
+from repro.reflector.controller import ReflectorController, SpoofSchedule
 from repro.types import Trajectory
 
 __all__ = ["ExtMultiRadarResult", "run"]
+
+#: The attack needs two movers per radar view: time-aligned, the ghost must
+#: keep at least this far from the walker for at least half the window.
+MIN_SEPARATION_M = 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,6 +86,35 @@ def _side_radar(environment: Environment) -> FmcwRadar:
     return FmcwRadar(config)
 
 
+def _place_resolvable_ghost(environment: Environment,
+                            controller: ReflectorController,
+                            sampler: TrajectorySampler,
+                            rng: np.random.Generator, human: Trajectory,
+                            times: np.ndarray, *,
+                            max_attempts: int = 10) -> SpoofSchedule:
+    """Draw a ghost the radars can tell apart from the walker.
+
+    Both the walker's path and a placed GAN shape cross the middle of the
+    room, so an unlucky shape traces the walker for the whole window and
+    every radar sees one mover where the attack needs two. Such draws are
+    rejected (median time-aligned separation below
+    :data:`MIN_SEPARATION_M`) and redrawn from the same generator.
+    """
+    walker = np.array([human.position_at(float(t)) for t in times])
+    for _ in range(max_attempts):
+        schedule = place_ghost_in_room(environment, controller, sampler, rng)
+        ghost = schedule.intended_trajectory()
+        path = np.array([ghost.position_at(float(t) - schedule.start_time)
+                         for t in times])
+        separation = np.linalg.norm(path - walker, axis=1)
+        if np.median(separation) >= MIN_SEPARATION_M:
+            return schedule
+    raise ExperimentError(
+        f"no ghost in {max_attempts} draws kept {MIN_SEPARATION_M} m from "
+        f"the walker"
+    )
+
+
 def run(*, environment: Environment | None = None, duration: float = 10.0,
         gan_quality: str = "fast", seed: int = 0) -> ExtMultiRadarResult:
     """Run the dual-radar attack against one human + one ghost."""
@@ -98,8 +133,9 @@ def run(*, environment: Environment | None = None, duration: float = 10.0,
         dt=duration / 49.0,
     )
     # One ghost, compiled (as always) for the tag's nominal radar-A geometry.
-    schedule = place_ghost_in_room(environment, controller,
-                                   artifacts.sampler, rng)
+    schedule = _place_resolvable_ghost(environment, controller,
+                                       artifacts.sampler, rng, human,
+                                       radar_a.frame_times(duration))
     tag = environment.make_tag()
     tag.deploy(schedule)
 

@@ -2,9 +2,10 @@
 
 The paper evaluates RF-Protect against a custom 6--7 GHz FMCW radar with a
 7-antenna array (Sec. 9.1). This package reproduces that radar in software:
-beat-signal synthesis from a scene of reflectors (`frontend`), the paper's
-range/angle processing pipeline with background subtraction (`processing`),
-and the trajectory extraction stage with Kalman tracking (`tracker`).
+scene emission as packed path columns (`emit`), beat-signal synthesis
+(`frontend`, `batch`), the paper's range/angle processing pipeline with
+background subtraction (`processing`), and the trajectory extraction stage
+with Kalman tracking (`tracker`).
 
 Every sense path — FMCW, pulsed, the serving engine, the experiments
 runner — executes through the stage-graph executor in `stages`: a typed
@@ -27,10 +28,11 @@ from repro.radar.frontend import (
 from repro.radar.batch import (
     PackedComponents,
     pack_components,
-    synthesize_frame_batches,
     synthesize_frame_vectorized,
     synthesize_frames,
+    synthesize_packed,
 )
+from repro.radar.emit import Emission, emit_paths
 from repro.radar.pipeline import (
     SweepProcessingResult,
     batched_background_subtract,
@@ -85,6 +87,7 @@ from repro.radar.tracker import (
 
 __all__ = [
     "ChannelModel",
+    "Emission",
     "ExecutionContext",
     "Fan",
     "FmcwRadar",
@@ -118,6 +121,7 @@ __all__ = [
     "ZERO_PAD_FACTOR",
     "backend_overrides",
     "default_backend",
+    "emit_paths",
     "execute",
     "frame_synthesizer",
     "stage_metrics",
@@ -137,9 +141,9 @@ __all__ = [
     "range_keep_mask",
     "synthesis_backend",
     "synthesize_frame",
-    "synthesize_frame_batches",
     "synthesize_frame_naive",
     "synthesize_frame_vectorized",
     "synthesize_frames",
+    "synthesize_packed",
     "track_detections",
 ]

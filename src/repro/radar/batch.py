@@ -37,9 +37,9 @@ from repro.signal.chirp import ChirpConfig
 __all__ = [
     "PackedComponents",
     "pack_components",
-    "synthesize_frame_batches",
     "synthesize_frame_vectorized",
     "synthesize_frames",
+    "synthesize_packed",
 ]
 
 
@@ -63,8 +63,8 @@ class PackedComponents:
         return self.distances.shape[0]
 
 
-def pack_components(components: Sequence[PathComponent]) -> PackedComponents:
-    """Pack a component list into flat per-field arrays."""
+def _pack_rows(components: Sequence[PathComponent]) -> np.ndarray:
+    """A component list as a ``(6, C)`` array, rows in field order."""
     n = len(components)
     fields = np.empty((6, n), dtype=float)
     for i, c in enumerate(components):
@@ -74,7 +74,12 @@ def pack_components(components: Sequence[PathComponent]) -> PackedComponents:
         fields[3, i] = c.beat_offset_hz
         fields[4, i] = c.phase_offset
         fields[5, i] = c.extra_delay_s
-    return PackedComponents(*fields)
+    return fields
+
+
+def pack_components(components: Sequence[PathComponent]) -> PackedComponents:
+    """Pack a component list into flat per-field arrays."""
+    return PackedComponents(*_pack_rows(components))
 
 
 def _beat_and_carrier(packed: PackedComponents, chirp: ChirpConfig,
@@ -181,7 +186,8 @@ def synthesize_frame_vectorized(
             len(packed), int(len(packed) - np.count_nonzero(keep)),
             "vectorized")
     if rng is not None and config.noise_std > 0:
-        frame = frame + thermal_noise(config, rng, frame.shape)
+        frame = frame + thermal_noise(config.noise_std, rng,
+                                      np.empty_like(frame))
     return frame
 
 
@@ -190,21 +196,41 @@ def synthesize_frames(components_per_frame: Sequence[Sequence[PathComponent]],
                       rng: np.random.Generator | None = None) -> np.ndarray:
     """Synthesize a whole sweep of frames at once, ``(F, K, N)``.
 
-    All components across all frames are packed into one flat batch; beat
-    frequencies, phases, and steering phasors are computed in a single
-    broadcasted pass, then contracted frame-by-frame (components arrive
-    grouped by frame, so each frame is one contiguous matmul slice). Noise,
-    when requested, is drawn frame-by-frame in sweep order so the generator
-    stream matches ``F`` successive single-frame calls exactly.
+    Packs the per-frame component lists and runs :func:`synthesize_packed`.
+    Noise, when requested, is drawn frame-by-frame in sweep order so the
+    generator stream matches ``F`` successive single-frame calls exactly.
     """
-    num_frames = len(components_per_frame)
-    frames = np.zeros((num_frames, config.num_antennas,
-                       config.chirp.num_samples), dtype=complex)
-    counts = [len(c) for c in components_per_frame]
-    flat: list[PathComponent] = [c for frame in components_per_frame
-                                 for c in frame]
-    if flat:
-        packed = pack_components(flat)
+    counts = np.array([len(c) for c in components_per_frame], dtype=np.int64)
+    rows = _pack_rows([c for frame in components_per_frame for c in frame])
+    frames = synthesize_packed(rows, counts, config, array)
+    if rng is not None and config.noise_std > 0:
+        noise = np.empty(frames.shape[1:], dtype=complex)
+        for frame in frames:
+            frame += thermal_noise(config.noise_std, rng, noise)
+    return frames
+
+
+def synthesize_packed(columns: np.ndarray, counts: np.ndarray,
+                      config: RadarConfig, array: UniformLinearArray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Synthesize packed components of a whole sweep, ``(F, K, N)``.
+
+    ``columns`` is the ``(6, C)`` packed form emitted by
+    :mod:`repro.radar.emit` (rows in ``PathComponent`` field order) and
+    ``counts`` the per-frame component counts. Beat frequencies, phases,
+    and steering phasors are computed in a single broadcasted pass, then
+    contracted frame-by-frame (components arrive grouped by frame, so each
+    frame is one contiguous matmul slice). With ``out`` (e.g. an emitted
+    noise cube) the tones are added into it in place; otherwise they land
+    in a fresh zero cube.
+    """
+    num_frames = counts.shape[0]
+    fresh = out is None
+    if out is None:
+        out = np.zeros((num_frames, config.num_antennas,
+                        config.chirp.num_samples), dtype=complex)
+    if columns.shape[1]:
+        packed = PackedComponents(*columns)
         beat, carrier, keep = _beat_and_carrier(packed, config.chirp)
         # Zero the amplitude of dropped tones instead of slicing them out:
         # frame boundaries stay intact, so each frame below is a plain
@@ -218,67 +244,25 @@ def synthesize_frames(components_per_frame: Sequence[Sequence[PathComponent]],
         # run, so grouping only removes per-frame dispatch overhead.
         starts = np.concatenate(([0], np.cumsum(counts)))
         groups: dict[int, list[int]] = {}
-        for f, count in enumerate(counts):
+        for f, count in enumerate(counts.tolist()):
             if count:
                 groups.setdefault(count, []).append(f)
         for count, frame_ids in groups.items():
             # (F_g, C) gather indices into the flat component batch.
             index = (starts[frame_ids][:, None]
                      + np.arange(count)[None, :])
-            frames[frame_ids] = _contract_frames_batched(
+            tones = _contract_frames_batched(
                 amplitudes[index], beat[index], carrier[index],
                 steering[:, index].transpose(1, 0, 2), config.chirp)
-
-        start = 0
-        for f, count in enumerate(counts):
-            stop = start + count
-            if count:
-                SYNTH_STATS.record_frame(
-                    count, int(count - np.count_nonzero(keep[start:stop])),
-                    "vectorized")
+            if fresh:
+                out[frame_ids] = tones
             else:
-                SYNTH_STATS.record_frame(0, 0, "vectorized")
-            start = stop
+                out[frame_ids] += tones
+        lost = np.concatenate(([0], np.cumsum(~keep)))
+        dropped = lost[starts[1:]] - lost[starts[:-1]]
+        for count, num_dropped in zip(counts.tolist(), dropped.tolist()):
+            SYNTH_STATS.record_frame(count, num_dropped, "vectorized")
     else:
         for _ in range(num_frames):
             SYNTH_STATS.record_frame(0, 0, "vectorized")
-
-    if rng is not None and config.noise_std > 0:
-        for f in range(num_frames):
-            frames[f] += thermal_noise(config, rng, frames[f].shape)
-    return frames
-
-
-def synthesize_frame_batches(
-        sweeps: Sequence[Sequence[Sequence[PathComponent]]],
-        config: RadarConfig, array: UniformLinearArray,
-        ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Synthesize several sweeps (one per request) in a single fused batch.
-
-    The batch-entry hook behind the micro-batching sensing service
-    (:mod:`repro.serve`): every request's per-frame component lists are
-    concatenated into one flat frame sequence, synthesized with a single
-    :func:`synthesize_frames` pass (one packed-component batch, one
-    beat/carrier/steering computation for *all* requests), and split back
-    into per-request ``(F_r, K, N)`` views. Because each frame's
-    contraction only reads its own contiguous component slice, every
-    returned view is bitwise identical to what a standalone
-    ``synthesize_frames`` call on that request alone would produce — the
-    fusion is pure batching, never a numerical change. Noise is left to the
-    caller (it is drawn from per-request generators; adding it in place to
-    a view updates the fused cube too, since the views are disjoint
-    windows into it).
-
-    Returns the fused ``(sum F_r, K, N)`` cube and the per-request views.
-    """
-    frame_counts = [len(sweep) for sweep in sweeps]
-    flat_frames: list[Sequence[PathComponent]] = [
-        frame for sweep in sweeps for frame in sweep
-    ]
-    fused = synthesize_frames(flat_frames, config, array, rng=None)
-    cubes: list[np.ndarray] = []
-    start = 0
-    for count in frame_counts:
-        cubes.append(fused[start:start + count])
-        start += count
-    return fused, cubes
+    return out

@@ -1,4 +1,4 @@
-"""Propagation channel: path amplitudes, thermal noise, and multipath.
+"""Propagation channel: path amplitudes and multipath.
 
 Amplitudes follow the monostatic radar equation shape: received amplitude is
 proportional to ``sqrt(rcs) / distance^2`` (power falls as the fourth power
@@ -48,7 +48,7 @@ class MultipathSpec:
 
 
 class ChannelModel:
-    """Amplitude, noise, and multipath generation for the frontend."""
+    """Amplitude and multipath generation for the frontend."""
 
     def __init__(self, *, reference_amplitude: float = 1.0,
                  reference_distance: float = 1.0,
@@ -69,39 +69,49 @@ class ChannelModel:
 
     def path_amplitude(self, distance: float | np.ndarray,
                        rcs: float | np.ndarray = 1.0) -> float | np.ndarray:
-        """Received amplitude of a reflector at ``distance`` with ``rcs``."""
+        """Received amplitude of a reflector at ``distance`` with ``rcs``.
+
+        The square goes through ``float_power`` (libm ``pow``), so a row of
+        distances gets exactly the per-row scalar result — ``d ** 2`` on a
+        float64 array rounds differently from a scalar in the last ulp.
+        """
         d = np.maximum(np.asarray(distance, dtype=float), 1e-3)
         scale = self.reference_amplitude * self.reference_distance ** 2
-        return scale * np.sqrt(np.asarray(rcs, dtype=float)) / d ** 2
+        return (scale * np.sqrt(np.asarray(rcs, dtype=float))
+                / np.float_power(d, 2.0))
 
-    def thermal_noise(self, shape: tuple[int, ...], noise_std: float,
-                      rng: np.random.Generator) -> np.ndarray:
-        """Complex circular Gaussian noise of the given shape."""
-        if noise_std < 0:
-            raise ConfigurationError("noise_std must be >= 0")
-        if noise_std == 0:
-            return np.zeros(shape, dtype=complex)
-        scale = noise_std / np.sqrt(2.0)
-        return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    def draw_bounces(self, rng: np.random.Generator,
+                     out: list[float]) -> int:
+        """Draw one path's secondary bounces, in generator order.
 
-    def sample_multipath(self, distance: float, angle: float, amplitude: float,
-                         rng: np.random.Generator) -> list[tuple[float, float, float]]:
-        """Draw secondary (distance, angle, amplitude) bounces for one path.
-
-        Returns an empty list when multipath is disabled. Bounce count is
-        Poisson with the configured mean; each bounce adds excess distance
-        and a small angular offset, at reduced amplitude.
+        The bounce count is Poisson with the configured mean; each bounce
+        then draws its excess distance, angular offset and amplitude
+        factor, appended to ``out`` in that order. Returns the count (0,
+        drawing nothing, when multipath is disabled).
         """
-        if self.multipath is None or self.multipath.mean_paths == 0:
-            return []
         spec = self.multipath
+        if spec is None or spec.mean_paths == 0:
+            return 0
         count = int(rng.poisson(spec.mean_paths))
-        bounces = []
         for _ in range(count):
-            excess = abs(rng.normal(spec.excess_distance_mean,
-                                    spec.excess_distance_std))
-            bounce_angle = angle + rng.normal(0.0, spec.angle_spread)
-            bounce_angle = float(np.clip(bounce_angle, 1e-3, np.pi - 1e-3))
-            bounce_amp = amplitude * spec.relative_amplitude * rng.uniform(0.5, 1.0)
-            bounces.append((distance + excess, bounce_angle, bounce_amp))
-        return bounces
+            out.append(rng.normal(spec.excess_distance_mean,
+                                  spec.excess_distance_std))
+            out.append(rng.normal(0.0, spec.angle_spread))
+            out.append(rng.uniform(0.5, 1.0))
+        return count
+
+    def bounce_paths(self, distance: float | np.ndarray,
+                     angle: float | np.ndarray,
+                     amplitude: float | np.ndarray, draws: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(distance, angle, amplitude) of bounces from their raw draws.
+
+        ``draws`` is ``(B, 3)`` as :meth:`draw_bounces` appends them; the
+        source path's values broadcast against it. A bounce adds its
+        excess distance and a small angular offset, at reduced amplitude.
+        """
+        if self.multipath is None:
+            raise ConfigurationError("channel has no multipath")
+        return (distance + np.abs(draws[:, 0]),
+                np.clip(angle + draws[:, 1], 1e-3, np.pi - 1e-3),
+                amplitude * self.multipath.relative_amplitude * draws[:, 2])

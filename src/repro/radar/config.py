@@ -83,6 +83,11 @@ class RadarConfig:
         return 1.0 / self.frame_rate
 
     @property
+    def frame_shape(self) -> tuple[int, int]:
+        """Shape of one captured frame: (antennas, beat samples)."""
+        return (self.num_antennas, self.chirp.num_samples)
+
+    @property
     def angular_resolution(self) -> float:
         """Approximate array angular resolution pi/K (Sec. 5.2), radians."""
         return np.pi / self.num_antennas

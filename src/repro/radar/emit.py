@@ -1,0 +1,515 @@
+"""Emit: a scene's propagation paths for whole sweeps, as packed columns.
+
+Every frame of a sweep sees the same entities, so their deterministic
+geometry — trajectory interpolation, polar coordinates, breathing, path
+amplitudes, the tag's active commands and switching harmonics, occlusion —
+is computed once per call as arrays over the concatenated frame times of
+every request sharing the scene. Each entity describes its paths on that
+grid as a :class:`SlotPlan`: one *slot* per direct path (a human's body
+echo, one tag harmonic line, ...) plus which random draws the slot takes.
+
+The random part is replayed on a **draw tape**: for each request, frame by
+frame in time order, the request's own generator makes exactly the scalar
+call sequence of the historical per-frame loop — RCS normal, Poisson bounce
+count, bounce normal/normal/uniform, bounce phases, delay-tag dither, then
+the frame's thermal noise written straight into the caller's cube — so a
+seed reproduces bit for bit however requests are batched. Only runs of
+same-distribution draws with nothing in between (a slot's bounce phases,
+a frame's real and imaginary noise) merge into one sized call, which
+yields the identical stream.
+
+Components come out as a packed ``(6, C)`` float64 array whose rows follow
+:class:`~repro.radar.frontend.PathComponent`'s fields (see the row
+constants below) plus per-frame counts, in the historical within-frame
+order: entities in scene order, each slot followed by its bounces.
+
+Row-wise 2-vector norms and dots go through stacked ``np.matmul``, which
+reproduces the BLAS dot behind ``np.linalg.norm`` and 1-D ``@`` bit for
+bit (``norm(axis=1)``, ``np.hypot`` and ``sqrt(x*x + y*y)`` do not).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING, Protocol, cast, runtime_checkable
+
+import numpy as np
+
+from repro.errors import ConfigurationError
+from repro.radar.antenna import UniformLinearArray
+from repro.radar.channel import ChannelModel
+from repro.radar.frontend import PathComponent, thermal_noise
+
+if TYPE_CHECKING:
+    from repro.radar.scene import OcclusionSpec
+
+__all__ = [
+    "AMPLITUDE",
+    "ANGLE",
+    "BEAT_OFFSET",
+    "DISTANCE",
+    "EXTRA_DELAY",
+    "Emission",
+    "Failure",
+    "MIN_ANGLE",
+    "NUM_ROWS",
+    "OneFrameEmission",
+    "PHASE_OFFSET",
+    "Predraw",
+    "SceneEntity",
+    "SlotPlan",
+    "center_failure",
+    "emit_paths",
+    "failure",
+    "first_failure",
+    "merge_runs",
+    "polar_rows",
+    "row_failure",
+]
+
+#: Rows of the packed component array, in ``PathComponent`` field order.
+DISTANCE, ANGLE, AMPLITUDE, BEAT_OFFSET, PHASE_OFFSET, EXTRA_DELAY = range(6)
+NUM_ROWS = 6
+
+#: Rows ``PathComponent`` requires to be non-negative.
+_CHECKED_ROWS = [DISTANCE, AMPLITUDE, EXTRA_DELAY]
+
+MIN_ANGLE = 1e-3
+TWO_PI = 2.0 * np.pi
+
+#: ``(sort key, error)``: where in the historical per-frame order a check
+#: fails — frame index first, then entity-local tie-breakers.
+Failure = tuple[tuple[int, ...], BaseException]
+
+
+class Predraw(enum.IntEnum):
+    """The draw a slot takes before its multipath draws (if any)."""
+
+    NONE = 0
+    #: ``rng.standard_normal()`` — a human's RCS fluctuation.
+    NORMAL = 1
+    #: ``rng.uniform(0, 2 pi)`` — a delay-line tag's phase dither.
+    UNIFORM = 2
+
+
+@dataclasses.dataclass
+class SlotPlan:
+    """One entity's direct paths over a frame grid, before any draw.
+
+    Attributes:
+        counts: ``(F,)`` slots the entity contributes to each frame.
+        columns: ``(6, S)`` direct-path rows, frame-major and in the
+            entity's historical order within a frame. Entries that depend
+            on the slot's predraw are filled in by ``finish``.
+        predraw: the draw every slot of this entity takes first.
+        multipath: ``(S,)`` slots the channel dresses with bounces (only
+            honoured when the channel has multipath).
+        finish: fills ``columns`` in place from the ``(S,)`` predraw values.
+        body: ``(F, 2)`` positions of a body that shadows and is shadowed
+            by other bodies under the scene's occlusion model.
+        failure: the first check the per-frame path would fail, if any.
+    """
+
+    counts: np.ndarray
+    columns: np.ndarray
+    predraw: Predraw = Predraw.NONE
+    multipath: np.ndarray | None = None
+    finish: Callable[[np.ndarray, np.ndarray], None] | None = None
+    body: np.ndarray | None = None
+    failure: Failure | None = None
+
+
+@runtime_checkable
+class SceneEntity(Protocol):
+    """Anything that reflects radar energy: plans its paths over a grid.
+
+    The RF-Protect tag implements the same protocol as a human, so the
+    radar cannot tell them apart by construction.
+    """
+
+    def emission_plan(self, times: np.ndarray, array: UniformLinearArray,
+                      channel: ChannelModel) -> SlotPlan:
+        """This entity's :class:`SlotPlan` over frame ``times``."""
+        ...
+
+
+@dataclasses.dataclass(frozen=True)
+class Emission:
+    """One request's emitted paths: packed columns plus per-frame counts."""
+
+    columns: np.ndarray
+    counts: np.ndarray
+
+    def components(self) -> list[PathComponent]:
+        """The columns as :class:`PathComponent` objects, flat."""
+        return [PathComponent(*row) for row in self.columns.T.tolist()]
+
+    def frame_components(self) -> list[list[PathComponent]]:
+        """The columns as one :class:`PathComponent` list per frame."""
+        flat = self.components()
+        bounds = np.concatenate(([0], np.cumsum(self.counts))).tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class OneFrameEmission:
+    """Mixin: the public one-frame form of the Emit kernel for an entity."""
+
+    def path_components(self, t: float, array: UniformLinearArray,
+                        channel: ChannelModel,
+                        rng: np.random.Generator) -> list[PathComponent]:
+        """Paths this entity contributes to the frame captured at ``t``."""
+        entity = cast(SceneEntity, self)
+        times = np.array([t], dtype=float)
+        return emit_paths([entity], channel, array, [times],
+                          [rng])[0].components()
+
+
+# --------------------------------------------------------------------------
+# Geometry helpers shared by the entity plans
+# --------------------------------------------------------------------------
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dots of an ``(n, 2)`` stack with ``(n, 2)`` rows or one
+    ``(2,)`` vector, as the BLAS ``ddot`` behind 1-D ``@`` computes them."""
+    other = b[:, :, None] if b.ndim == 2 else b[:, None]
+    dots: np.ndarray = np.matmul(a[:, None, :], other)[:, 0, 0]
+    return dots
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of an ``(n, 2)`` stack, bit for bit."""
+    return np.sqrt(_row_dots(rows, rows))
+
+
+def _clip_angle(angle: np.ndarray) -> np.ndarray:
+    """Keep arrival angles off the array axis (``np.clip`` to the open range)."""
+    return np.minimum(np.maximum(angle, MIN_ANGLE), np.pi - MIN_ANGLE)
+
+
+def polar_rows(array: UniformLinearArray, points: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise :meth:`UniformLinearArray.polar_of` with the angle clipped.
+
+    Returns ``(distance, angle, at_center)``: the clipped angle is what
+    every entity emits, and ``at_center`` flags the rows where
+    :meth:`~UniformLinearArray.angle_to` raises (their angle is NaN).
+    """
+    rel = points - array.position
+    distance = _row_norms(rel)
+    at_center = distance == 0
+    along = _row_dots(rel, array.axis)
+    if at_center.any():
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosine = along / distance
+    else:
+        cosine = along / distance
+    return distance, _clip_angle(np.arccos(np.minimum(np.maximum(
+        cosine, -1.0), 1.0))), at_center
+
+
+def row_failure(bad: np.ndarray, frames: np.ndarray | None,
+                key: Sequence[int], check: Callable[..., object],
+                values: np.ndarray) -> Failure | None:
+    """The error ``check`` raises on the first flagged row, if any.
+
+    ``frames`` maps rows to frame indices (rows are frames when ``None``);
+    ``key`` appends entity-local tie-breakers after the frame index.
+    """
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    frame = row if frames is None else int(frames[row])
+    return failure((frame, *key), check, values[row])
+
+
+def center_failure(array: UniformLinearArray, points: np.ndarray,
+                   at_center: np.ndarray, frames: np.ndarray | None = None,
+                   key: Sequence[int] = ()) -> Failure | None:
+    """:meth:`~UniformLinearArray.angle_to`'s error for the first centred row."""
+    return row_failure(at_center, frames, key, array.angle_to, points)
+
+
+def failure(key: Sequence[int], check: Callable[..., object],
+            *args: object) -> Failure:
+    """The error ``check(*args)`` raises, tagged with its sort ``key``.
+
+    Entity plans rebuild the exact exception the per-frame path raised by
+    re-running the same validation on the first offending value.
+    """
+    try:
+        check(*args)
+    except Exception as error:  # the check's own typed error
+        return tuple(key), error
+    raise AssertionError(f"{check!r} accepted {args!r}")
+
+
+def first_failure(candidates: Sequence[Failure | None]) -> Failure | None:
+    """The earliest of ``candidates`` (ties keep the first listed)."""
+    found = [c for c in candidates if c is not None]
+    if not found:
+        return None
+    return min(found, key=lambda c: c[0])
+
+
+def merge_runs(counts: Sequence[np.ndarray],
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Interleave frame-major runs of slots into one frame-major order.
+
+    Run ``i`` contributes ``counts[i][f]`` consecutive slots to frame
+    ``f``; within a frame the runs follow list order. Returns the per-frame
+    totals and, for each run, the merged position of each of its slots.
+    """
+    if len(counts) == 1:
+        return counts[0], [np.arange(int(counts[0].sum()))]
+    stacked = np.stack(counts)
+    num_runs, num_frames = stacked.shape
+    # Each slot's frame, runs one after another: a stable sort by frame
+    # is the merged order (runs stay in list order inside a frame).
+    frames = np.repeat(np.tile(np.arange(num_frames), num_runs),
+                       stacked.reshape(-1))
+    order = np.argsort(frames, kind="stable")
+    positions = np.empty(order.shape[0], dtype=np.int64)
+    positions[order] = np.arange(order.shape[0])
+    sizes = np.cumsum(stacked.sum(axis=1))[:-1]
+    return stacked.sum(axis=0), np.split(positions, sizes)
+
+
+# --------------------------------------------------------------------------
+# The kernel
+# --------------------------------------------------------------------------
+
+
+def _occlusion_factors(bodies: list[tuple[int, np.ndarray]],
+                       array: UniformLinearArray,
+                       occlusion: "OcclusionSpec") -> dict[int, np.ndarray]:
+    """Per-frame amplitude factor of each body shadowed by the others.
+
+    A body blocks when its circle (``body_radius``) crosses the
+    radar→subject segment strictly between the endpoints; each blocker
+    multiplies in one ``attenuation_linear``. Pure geometry, no draws.
+    """
+    origin = array.position
+    offsets = [body - origin for _, body in bodies]
+    powers = [occlusion.attenuation_linear ** k for k in range(len(bodies))]
+    factors: dict[int, np.ndarray] = {}
+    for i, (entity_index, _) in enumerate(bodies):
+        segment = offsets[i]
+        length = _row_norms(segment)
+        # A subject at the array centre fails emission before this is used.
+        direction = segment / np.where(length > 0.0, length, 1.0)[:, None]
+        blockers = np.zeros(length.shape[0], dtype=np.int64)
+        for j, offset in enumerate(offsets):
+            if j == i:
+                continue
+            along = _row_dots(offset, direction)
+            lateral = _row_norms(offset - along[:, None] * direction)
+            blockers += ((along > 0.0) & (along < length)
+                         & (lateral < occlusion.body_radius))
+        blockers[length <= 0.0] = 0
+        factors[entity_index] = np.asarray(powers, dtype=float)[blockers]
+    return factors
+
+
+def emit_paths(entities: Sequence[SceneEntity], channel: ChannelModel,
+               array: UniformLinearArray, times: Sequence[np.ndarray],
+               rngs: Sequence[np.random.Generator | None], *,
+               occlusion: "OcclusionSpec | None" = None,
+               noise: Sequence[np.ndarray] | None = None,
+               noise_std: float = 0.0) -> list[Emission]:
+    """Emit every request sharing one scene in a single pass.
+
+    Args:
+        entities: the scene's entities, in scene order.
+        channel: the scene's channel (path amplitudes, multipath).
+        array: the sensing radar's array geometry.
+        times: one frame-time array per request.
+        rngs: one generator per request; its draws follow the historical
+            per-frame sequence for that request's frames.
+        occlusion: the scene's inter-person occlusion model, if any.
+        noise: one preallocated ``(F_r, K, N)`` complex cube per request
+            to receive its thermal noise, drawn after each frame's paths;
+            ``None`` draws no noise.
+        noise_std: per-sample noise deviation written into ``noise``.
+
+    Returns:
+        One :class:`Emission` per request (views into shared arrays).
+
+    Raises:
+        The first error the per-frame path would raise, of the same type.
+    """
+    frames_per_request = [int(np.shape(t)[0]) for t in times]
+    grid = np.concatenate([np.asarray(t, dtype=float) for t in times])
+    num_frames = grid.shape[0]
+    plans = [entity.emission_plan(grid, array, channel)
+             for entity in entities]
+    _raise_first_failure(plans)
+
+    multipath = (channel.multipath is not None
+                 and channel.multipath.mean_paths != 0)
+    if plans:
+        per_frame, positions = merge_runs([plan.counts for plan in plans])
+    else:
+        per_frame, positions = np.zeros(num_frames, dtype=np.int64), []
+    num_slots = int(per_frame.sum())
+    codes = np.zeros(num_slots, dtype=np.int64)
+    for plan, pos in zip(plans, positions):
+        code = np.full(pos.shape[0], int(plan.predraw) << 1, dtype=np.int64)
+        if multipath and plan.multipath is not None:
+            code |= plan.multipath
+        codes[pos] = code
+
+    tape = _replay(codes, per_frame, frames_per_request, rngs, channel,
+                   noise, noise_std)
+
+    columns = np.empty((NUM_ROWS, num_slots), dtype=float)
+    predrawn = np.flatnonzero(codes >> 1)
+    for plan, pos in zip(plans, positions):
+        if plan.finish is not None and plan.predraw:
+            plan.finish(plan.columns,
+                        tape.predraws[np.searchsorted(predrawn, pos)])
+        columns[:, pos] = plan.columns
+
+    bounce_slots = np.flatnonzero(codes & 1)
+    bounce_counts = tape.bounce_counts
+    parents = np.repeat(bounce_slots, bounce_counts)
+    bounces = columns[:, parents]
+    if parents.shape[0]:
+        (bounces[DISTANCE], bounces[ANGLE],
+         bounces[AMPLITUDE]) = channel.bounce_paths(
+            bounces[DISTANCE], bounces[ANGLE], bounces[AMPLITUDE],
+            tape.bounce_draws)
+        bounces[PHASE_OFFSET] += tape.bounce_phases
+
+    if occlusion is not None:
+        bodies = [(i, plan.body) for i, plan in enumerate(plans)
+                  if plan.body is not None]
+        factors = _occlusion_factors(bodies, array, occlusion)
+        slot_factor = np.ones(num_slots, dtype=float)
+        for i, factor in factors.items():
+            slot_factor[positions[i]] = np.repeat(factor, plans[i].counts)
+        columns[AMPLITUDE] *= slot_factor
+        bounces[AMPLITUDE] *= slot_factor[parents]
+
+    per_slot = np.ones(num_slots, dtype=np.int64)
+    per_slot[bounce_slots] += bounce_counts
+    slot_end = np.cumsum(per_slot)
+    main_at = slot_end - per_slot
+    packed = np.empty((NUM_ROWS, int(slot_end[-1]) if num_slots else 0),
+                      dtype=float)
+    packed[:, main_at] = columns
+    first_bounce = np.cumsum(bounce_counts) - bounce_counts
+    packed[:, np.repeat(main_at[bounce_slots] + 1 - first_bounce,
+                        bounce_counts)
+           + np.arange(parents.shape[0])] = bounces
+    _check_components(packed)
+
+    frame_end = np.concatenate(([0], np.cumsum(per_frame)))
+    component_end = np.concatenate(([0], slot_end))[frame_end]
+    counts = np.diff(component_end)
+    emissions = []
+    start = 0
+    for size in frames_per_request:
+        lo, hi = int(component_end[start]), int(component_end[start + size])
+        emissions.append(Emission(packed[:, lo:hi], counts[start:start + size]))
+        start += size
+    return emissions
+
+
+def _raise_first_failure(plans: Sequence[SlotPlan]) -> None:
+    """Raise what the per-frame path would have raised first, if anything.
+
+    Besides each plan's own checks, a direct path with a negative
+    distance, amplitude or delay fails ``PathComponent`` validation at its
+    frame (predraw-dependent amplitudes are filled later and are never
+    negative for the built-in entities).
+    """
+    candidates: list[tuple[tuple[int, ...], BaseException]] = []
+    for index, plan in enumerate(plans):
+        found = plan.failure
+        negative = (plan.columns[_CHECKED_ROWS] < 0).any(axis=0)
+        if negative.any():
+            slot = int(np.argmax(negative))
+            frame = int(np.searchsorted(np.cumsum(plan.counts), slot,
+                                        side="right"))
+            found = first_failure([found, failure(
+                (frame, 1 << 30), PathComponent,
+                *plan.columns[:, slot].tolist())])
+        if found is not None:
+            key, error = found
+            candidates.append(((key[0], index, *key[1:]), error))
+    if candidates:
+        raise min(candidates, key=lambda c: c[0])[1]
+
+
+def _check_components(packed: np.ndarray) -> None:
+    """``PathComponent``'s invariants over every emitted path."""
+    negative = (packed[_CHECKED_ROWS] < 0).any(axis=0)
+    if negative.any():
+        PathComponent(*packed[:, int(np.argmax(negative))].tolist())
+
+
+@dataclasses.dataclass
+class _Tape:
+    """What the generators drew, in global slot order."""
+
+    predraws: np.ndarray
+    bounce_counts: np.ndarray
+    bounce_draws: np.ndarray
+    bounce_phases: np.ndarray
+
+
+def _replay(codes: np.ndarray, per_frame: np.ndarray,
+            frames_per_request: Sequence[int],
+            rngs: Sequence[np.random.Generator | None],
+            channel: ChannelModel, noise: Sequence[np.ndarray] | None,
+            noise_std: float) -> _Tape:
+    """Drive each request's generator through the historical call sequence.
+
+    Slot codes are ``predraw << 1 | multipath``; slots without draws are
+    skipped. After each frame's slots, the frame's thermal noise is drawn
+    into the request's cube.
+    """
+    drawing = np.flatnonzero(codes)
+    slot_frame = np.repeat(np.arange(per_frame.shape[0]), per_frame)
+    bounds = np.searchsorted(slot_frame[drawing],
+                             np.arange(per_frame.shape[0] + 1)).tolist()
+    frame_codes = codes[drawing].tolist()
+    draw_bounces = channel.draw_bounces
+    predraws: list[float] = []
+    bounce_counts: list[int] = []
+    bounce_draws: list[float] = []
+    bounce_phases: list[float] = []
+    frame = 0
+    for request, size in enumerate(frames_per_request):
+        rng = rngs[request]
+        cube = noise[request] if noise is not None else None
+        if rng is None:
+            if cube is not None or bounds[frame] != bounds[frame + size]:
+                raise ConfigurationError(
+                    "emitting this scene needs a random generator")
+            frame += size
+            continue
+        for local in range(size):
+            for code in frame_codes[bounds[frame]:bounds[frame + 1]]:
+                if code & 2:
+                    predraws.append(rng.standard_normal())
+                elif code & 4:
+                    predraws.append(rng.uniform(0.0, TWO_PI))
+                if code & 1:
+                    count = draw_bounces(rng, bounce_draws)
+                    bounce_counts.append(count)
+                    if count:
+                        bounce_phases.extend(
+                            rng.uniform(0.0, TWO_PI, count).tolist())
+            if cube is not None:
+                thermal_noise(noise_std, rng, cube[local])
+            frame += 1
+    return _Tape(
+        predraws=np.asarray(predraws, dtype=float),
+        bounce_counts=np.asarray(bounce_counts, dtype=np.int64),
+        bounce_draws=np.asarray(bounce_draws, dtype=float).reshape(-1, 3),
+        bounce_phases=np.asarray(bounce_phases, dtype=float),
+    )

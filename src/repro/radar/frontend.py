@@ -40,6 +40,7 @@ __all__ = [
     "synthesis_backend",
     "synthesize_frame",
     "synthesize_frame_naive",
+    "thermal_noise",
 ]
 
 logger = logging.getLogger(__name__)
@@ -141,17 +142,22 @@ def apparent_distance(component: PathComponent, config: RadarConfig) -> float:
                  + config.chirp.offset_for_switch_frequency(component.beat_offset_hz))
 
 
-def thermal_noise(config: RadarConfig, rng: np.random.Generator,
-                  shape: tuple[int, ...]) -> np.ndarray:
-    """Complex thermal noise with ``config.noise_std`` per-sample deviation.
+def thermal_noise(noise_std: float, rng: np.random.Generator,
+                  out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with complex thermal noise, ``noise_std`` per sample.
 
-    Both kernels (and the batched sweep path) draw noise through this one
-    helper with identical generator calls, so a fixed-seed ``rng`` yields a
-    bit-identical noise stream regardless of which backend synthesized the
-    tones.
+    The one noise draw of every radar family: the real parts, then the
+    imaginary parts, from ``rng.normal(0, noise_std / sqrt(2))`` — one
+    sized call, which yields the stream of the historical two calls —
+    written straight into the caller's (complex) cube slice. The values
+    are bit-identical to ``a + 1j * b`` without its complex temporaries.
+    Returns ``out``.
     """
-    scale = config.noise_std / np.sqrt(2.0)
-    return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    scale = noise_std / np.sqrt(2.0)
+    parts = rng.normal(0.0, scale, (2, *out.shape))
+    out.real = parts[0]
+    out.imag = parts[1]
+    return out
 
 
 def synthesize_frame_naive(components: list[PathComponent], config: RadarConfig,
@@ -188,7 +194,7 @@ def synthesize_frame_naive(components: list[PathComponent], config: RadarConfig,
     SYNTH_STATS.record_frame(len(components), dropped, "naive")
 
     if rng is not None and config.noise_std > 0:
-        frame = frame + thermal_noise(config, rng, frame.shape)
+        frame += thermal_noise(config.noise_std, rng, np.empty_like(frame))
     return frame
 
 

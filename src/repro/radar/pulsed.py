@@ -28,8 +28,9 @@ from repro import constants
 from repro.errors import ConfigurationError, TrackingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
-from repro.radar.batch import pack_components
-from repro.radar.frontend import PathComponent
+from repro.radar.batch import PackedComponents, pack_components
+from repro.radar.emit import Emission
+from repro.radar.frontend import PathComponent, thermal_noise
 from repro.radar.processing import RangeAngleProfile
 from repro.radar.scene import Scene
 from repro.radar.stages import (
@@ -110,6 +111,11 @@ class PulsedRadarConfig:
         window = 2.0 * self.max_range / constants.SPEED_OF_LIGHT
         return int(np.ceil(window * self.sample_rate)) + 1
 
+    @property
+    def frame_shape(self) -> tuple[int, int]:
+        """Shape of one captured frame: (antennas, fast-time samples)."""
+        return (self.num_antennas, self.num_samples)
+
     def pulse_sigma(self) -> float:
         """Gaussian pulse width (seconds) matching the bandwidth."""
         return 1.0 / (2.0 * np.pi * self.bandwidth / 2.355)  # FWHM ~ B
@@ -164,7 +170,7 @@ class PulsedRadar:
         delays = np.arange(self.config.num_samples) / self.config.sample_rate
         return constants.SPEED_OF_LIGHT * delays / 2.0
 
-    def _echo_profile(self, components: list[PathComponent],
+    def _echo_profile(self, components: list[PathComponent] | PackedComponents,
                       rng: np.random.Generator | None) -> np.ndarray:
         """Matched-filtered echoes per antenna, ``(K, num_samples)``.
 
@@ -175,8 +181,9 @@ class PulsedRadar:
         config = self.config
         delays = np.arange(config.num_samples) / config.sample_rate
         sigma = config.pulse_sigma()
-        if components:
-            packed = pack_components(components)
+        packed = (components if isinstance(components, PackedComponents)
+                  else pack_components(components))
+        if len(packed):
             # kHz on/off switching cannot shift a ~ns pulse in delay; it
             # only gates pulses, scaling the echo by the duty cycle. The
             # echo stays at the PHYSICAL distance — the FMCW distance
@@ -197,39 +204,18 @@ class PulsedRadar:
             profile = np.zeros((config.num_antennas, config.num_samples),
                                dtype=complex)
         if rng is not None and config.noise_std > 0:
-            scale = config.noise_std / np.sqrt(2.0)
-            profile = profile + (rng.normal(0.0, scale, profile.shape)
-                                 + 1j * rng.normal(0.0, scale, profile.shape))
+            profile = profile + thermal_noise(config.noise_std, rng,
+                                              np.empty_like(profile))
         return profile
-
-    def _emit_stage(self, ctx: ExecutionContext) -> None:
-        """Emit kernel: scene components + noise draws, frame by frame.
-
-        The scene query and the noise draw hit the generator in the same
-        time order as the historical per-frame loop, so a fixed seed
-        reproduces bit-for-bit.
-        """
-        config = self.config
-        rng = ctx.rng
-        add_noise = rng is not None and config.noise_std > 0
-        scale = config.noise_std / np.sqrt(2.0)
-        shape = (config.num_antennas, config.num_samples)
-        emitter = ctx.scene.sweep_emitter(self.array)
-        components_per_frame: list[list[PathComponent]] = []
-        noise: list[np.ndarray] = []
-        for t in ctx.times:
-            components_per_frame.append(emitter.components_at(float(t), rng))
-            if add_noise and rng is not None:
-                noise.append(rng.normal(0.0, scale, shape)
-                             + 1j * rng.normal(0.0, scale, shape))
-        ctx.workspace["components"] = components_per_frame
-        ctx.workspace["noise"] = np.stack(noise) if add_noise else None
 
     def _synthesize_stage(self, ctx: ExecutionContext) -> None:
         """Synthesize kernel: deterministic echoes, then the noise stack."""
+        emission: Emission = ctx.workspace["components"]
+        bounds = np.concatenate(([0], np.cumsum(emission.counts))).tolist()
         frames = np.stack([
-            self._echo_profile(frame_components, None)
-            for frame_components in ctx.workspace["components"]
+            self._echo_profile(PackedComponents(*emission.columns[:, a:b]),
+                               None)
+            for a, b in zip(bounds, bounds[1:])
         ])
         noise = ctx.workspace.get("noise")
         if noise is not None:
@@ -272,8 +258,7 @@ class PulsedRadar:
             overrides=backend_overrides(pipeline=pipeline),
         )
         execute((
-            StageBinding(Stage.EMIT, backend="pulsed",
-                         kernel=self._emit_stage),
+            StageBinding(Stage.EMIT),
             StageBinding(Stage.SYNTHESIZE, backend="pulsed",
                          kernel=self._synthesize_stage),
             StageBinding(Stage.RANGE_FFT, backend="pulsed",

@@ -17,7 +17,6 @@ import numpy as np
 from repro.errors import TrackingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
-from repro.radar.frontend import PathComponent
 from repro.radar.processing import ZERO_PAD_FACTOR, RangeAngleProfile
 from repro.radar.scene import Scene
 from repro.radar.stages import (
@@ -27,7 +26,6 @@ from repro.radar.stages import (
     StageBinding,
     TrackedResultMixin,
     backend_overrides,
-    emit_sweep,
     execute,
 )
 from repro.signal.spectral import range_axis
@@ -110,28 +108,6 @@ class FmcwRadar:
         return float(
             np.linalg.norm(corners - self.array.position, axis=1).max()
         ) + 0.5
-
-    def sweep_components(self, scene: Scene, times: np.ndarray,
-                         rng: np.random.Generator,
-                         ) -> tuple[list[list[PathComponent]],
-                                    np.ndarray | None]:
-        """Per-frame scene components and thermal noise for a whole sweep.
-
-        The scene is queried and noise is drawn frame-by-frame in time
-        order — exactly the generator call sequence of the historical
-        per-frame loop — so a fixed seed reproduces bit-for-bit whether the
-        frames are then synthesized one by one, as one batched sweep, or
-        fused into a larger multi-request batch by the serving engine.
-
-        Thin delegation to :func:`repro.radar.stages.emit_sweep`, the Emit
-        stage's kernel (the serving engine calls this per request before
-        fusing the sweeps into one batch).
-
-        Returns the per-frame component lists and, when the config has a
-        positive noise floor, the matching ``(F, K, N)`` noise stack
-        (``None`` otherwise).
-        """
-        return emit_sweep(scene, times, self.config, self.array, rng)
 
     def sense(self, scene: Scene, duration: float, *,
               rng: np.random.Generator | None = None,

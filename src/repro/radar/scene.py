@@ -1,30 +1,43 @@
 """Scene graph: the room, its humans, static clutter, and deployed tags.
 
-Every entity implements :class:`SceneEntity` — given a frame time it yields
-the :class:`~repro.radar.frontend.PathComponent` tones it contributes to the
-dechirped signal. The RF-Protect tag (`repro.reflector.tag`) implements the
-same protocol, so the radar cannot tell humans and phantoms apart by
-construction, which is the point of the paper.
+Every entity implements :class:`SceneEntity` — given the frame times of a
+sweep it plans the :class:`~repro.radar.frontend.PathComponent` tones it
+contributes to the dechirped signal (see :mod:`repro.radar.emit`). The
+RF-Protect tag (`repro.reflector.tag`) implements the same protocol, so the
+radar cannot tell humans and phantoms apart by construction, which is the
+point of the paper.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
-from repro.errors import SceneError
+from repro.errors import ConfigurationError, SceneError
 from repro.geometry import Rectangle
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.channel import ChannelModel
+from repro.radar.emit import (
+    AMPLITUDE,
+    ANGLE,
+    DISTANCE,
+    MIN_ANGLE,
+    NUM_ROWS,
+    OneFrameEmission,
+    Predraw,
+    SceneEntity,
+    SlotPlan,
+    center_failure,
+    emit_paths,
+    polar_rows,
+)
 from repro.radar.frontend import PathComponent
 from repro.types import Trajectory
 
 __all__ = ["BreathingSpec", "Fan", "HumanTarget", "OcclusionSpec", "Scene",
-           "SceneEntity", "StaticReflector", "SweepEmitter"]
-
-_MIN_ANGLE = 1e-3
+           "SceneEntity", "StaticReflector"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,23 +71,6 @@ class OcclusionSpec:
         return float(10.0 ** (-self.attenuation_db / 20.0))
 
 
-@runtime_checkable
-class SceneEntity(Protocol):
-    """Anything that reflects radar energy at a given frame time."""
-
-    def path_components(self, t: float, array: UniformLinearArray,
-                        channel: ChannelModel,
-                        rng: np.random.Generator) -> list[PathComponent]:
-        """Paths this entity contributes to the frame captured at time ``t``.
-
-        An entity whose components depend neither on ``t`` nor on ``rng``
-        may additionally declare a class attribute ``time_invariant = True``;
-        sweep emission then evaluates it once per sweep instead of once per
-        frame (see :class:`SweepEmitter`).
-        """
-        ...
-
-
 @dataclasses.dataclass(frozen=True)
 class BreathingSpec:
     """Chest-motion parameters of a (real) breathing human.
@@ -97,10 +93,16 @@ class BreathingSpec:
 
     def displacement(self, t: float) -> float:
         """Radial chest displacement at time ``t``, meters."""
-        return self.amplitude * np.sin(2.0 * np.pi * self.frequency * t + self.phase)
+        return float(self.displacements(np.array([t], dtype=float))[0])
+
+    def displacements(self, times: np.ndarray) -> np.ndarray:
+        """Row-wise :meth:`displacement` over ``times``, meters."""
+        moved: np.ndarray = self.amplitude * np.sin(
+            2.0 * np.pi * self.frequency * times + self.phase)
+        return moved
 
 
-class HumanTarget:
+class HumanTarget(OneFrameEmission):
     """A walking (or stationary) human reflector.
 
     The body is modelled as a dominant scatter point following ``trajectory``
@@ -125,37 +127,44 @@ class HumanTarget:
         """Body position at time ``t`` (trajectory clamped at its ends)."""
         return self.trajectory.position_at(t)
 
-    def path_components(self, t: float, array: UniformLinearArray,
-                        channel: ChannelModel,
-                        rng: np.random.Generator) -> list[PathComponent]:
-        position = self.position_at(t)
-        distance, angle = array.polar_of(position)
-        angle = float(np.clip(angle, _MIN_ANGLE, np.pi - _MIN_ANGLE))
-        distance += self.breathing.displacement(t)
-        rcs = self.rcs * (1.0 + self.rcs_fluctuation * rng.standard_normal())
-        rcs = max(rcs, 0.05 * self.rcs)
-        amplitude = float(channel.path_amplitude(distance, rcs))
-        components = [PathComponent(distance, angle, amplitude)]
-        for bounce_distance, bounce_angle, bounce_amp in channel.sample_multipath(
-                distance, angle, amplitude, rng):
-            components.append(
-                PathComponent(bounce_distance, bounce_angle, bounce_amp,
-                              phase_offset=float(rng.uniform(0.0, 2.0 * np.pi)))
-            )
-        return components
+    def positions_at(self, times: np.ndarray) -> np.ndarray:
+        """Row-wise :meth:`position_at` over ``times``, shape ``(F, 2)``."""
+        trajectory = self.trajectory
+        clamped = np.minimum(np.maximum(times, 0.0), trajectory.duration)
+        knots = trajectory.times
+        return np.stack([np.interp(clamped, knots, trajectory.points[:, 0]),
+                         np.interp(clamped, knots, trajectory.points[:, 1])],
+                        axis=1)
+
+    def emission_plan(self, times: np.ndarray, array: UniformLinearArray,
+                      channel: ChannelModel) -> SlotPlan:
+        """One body echo per frame; its RCS draw sets the amplitude."""
+        body = self.positions_at(times)
+        distance, angle, at_center = polar_rows(array, body)
+        columns = np.zeros((NUM_ROWS, times.shape[0]), dtype=float)
+        columns[DISTANCE] = distance + self.breathing.displacements(times)
+        columns[ANGLE] = angle
+
+        def finish(columns: np.ndarray, normals: np.ndarray) -> None:
+            rcs = self.rcs * (1.0 + self.rcs_fluctuation * normals)
+            rcs = np.maximum(rcs, 0.05 * self.rcs)
+            columns[AMPLITUDE] = channel.path_amplitude(columns[DISTANCE], rcs)
+
+        every_frame = np.ones(times.shape[0], dtype=np.int64)
+        return SlotPlan(counts=every_frame, columns=columns,
+                        predraw=Predraw.NORMAL,
+                        multipath=every_frame.astype(bool), finish=finish,
+                        body=body,
+                        failure=center_failure(array, body, at_center))
 
 
-class StaticReflector:
+class StaticReflector(OneFrameEmission):
     """Furniture, walls, appliances: constant reflections.
 
     These produce identical tones in every frame, so background subtraction
     (Sec. 3, "Addressing Static Reflectors") removes them exactly; they are
     included to make that stage do real work.
     """
-
-    # Components ignore both ``t`` and ``rng``: sweep emission may evaluate
-    # this entity once and reuse the result for every frame.
-    time_invariant = True
 
     def __init__(self, position: tuple[float, float] | np.ndarray, *,
                  rcs: float = 1.0) -> None:
@@ -165,17 +174,46 @@ class StaticReflector:
         if self.position.shape != (2,):
             raise SceneError("static reflector position must be (x, y)")
         self.rcs = rcs
+        self._memo: tuple[tuple[object, ...],
+                          tuple[float, float, float]] | None = None
 
-    def path_components(self, t: float, array: UniformLinearArray,
-                        channel: ChannelModel,
-                        rng: np.random.Generator) -> list[PathComponent]:
-        distance, angle = array.polar_of(self.position)
-        angle = float(np.clip(angle, _MIN_ANGLE, np.pi - _MIN_ANGLE))
-        amplitude = float(channel.path_amplitude(distance, self.rcs))
-        return [PathComponent(distance, angle, amplitude)]
+    def _echo(self, array: UniformLinearArray,
+              channel: ChannelModel) -> tuple[float, float, float]:
+        """(distance, clipped angle, amplitude) of the one echo.
+
+        Scalar geometry, memoized for the last (array, channel, position,
+        rcs) it was asked about — every sweep of a scene repeats it.
+        Raises :class:`ConfigurationError` at the array centre.
+        """
+        key = (self.position.tobytes(), self.rcs, array.position.tobytes(),
+               array.axis.tobytes(), channel.reference_amplitude,
+               channel.reference_distance)
+        if self._memo is None or self._memo[0] != key:
+            distance, angle = array.polar_of(self.position)
+            self._memo = key, (
+                distance, min(max(angle, MIN_ANGLE), np.pi - MIN_ANGLE),
+                float(channel.path_amplitude(distance, self.rcs)))
+        return self._memo[1]
+
+    def emission_plan(self, times: np.ndarray, array: UniformLinearArray,
+                      channel: ChannelModel) -> SlotPlan:
+        """The same echo in every frame."""
+        num_frames = times.shape[0]
+        columns = np.zeros((NUM_ROWS, num_frames), dtype=float)
+        counts = np.ones(num_frames, dtype=np.int64)
+        if not num_frames:
+            return SlotPlan(counts=counts, columns=columns)
+        try:
+            echo = self._echo(array, channel)
+        except ConfigurationError as error:  # at the array centre
+            return SlotPlan(counts=counts, columns=columns,
+                            failure=((0,), error))
+        columns[[DISTANCE, ANGLE, AMPLITUDE]] = np.array(echo,
+                                                         dtype=float)[:, None]
+        return SlotPlan(counts=counts, columns=columns)
 
 
-class Fan:
+class Fan(OneFrameEmission):
     """A ceiling/desk fan: a small reflector in fast periodic motion.
 
     The threat model's canonical non-human mover (Sec. 2): blades sweep a
@@ -203,19 +241,28 @@ class Fan:
 
     def blade_position(self, t: float) -> np.ndarray:
         """Dominant blade-reflection point at time ``t``."""
-        phase = 2.0 * np.pi * self.rotation_hz * t
-        return self.position + self.blade_radius * np.array(
-            [np.cos(phase), np.sin(phase)]
-        )
+        point: np.ndarray = self.blade_positions(np.array([t], dtype=float))[0]
+        return point
 
-    def path_components(self, t: float, array: UniformLinearArray,
-                        channel: ChannelModel,
-                        rng: np.random.Generator) -> list[PathComponent]:
-        blade = self.blade_position(t)
-        distance, angle = array.polar_of(blade)
-        angle = float(np.clip(angle, _MIN_ANGLE, np.pi - _MIN_ANGLE))
-        amplitude = float(channel.path_amplitude(distance, self.rcs))
-        return [PathComponent(distance, angle, amplitude)]
+    def blade_positions(self, times: np.ndarray) -> np.ndarray:
+        """Row-wise :meth:`blade_position` over ``times``, shape ``(F, 2)``."""
+        phase = 2.0 * np.pi * self.rotation_hz * times
+        points: np.ndarray = self.position + self.blade_radius * np.stack(
+            [np.cos(phase), np.sin(phase)], axis=1)
+        return points
+
+    def emission_plan(self, times: np.ndarray, array: UniformLinearArray,
+                      channel: ChannelModel) -> SlotPlan:
+        """One blade echo per frame."""
+        blade = self.blade_positions(times)
+        distance, angle, at_center = polar_rows(array, blade)
+        columns = np.zeros((NUM_ROWS, times.shape[0]), dtype=float)
+        columns[DISTANCE] = distance
+        columns[ANGLE] = angle
+        columns[AMPLITUDE] = channel.path_amplitude(distance, self.rcs)
+        return SlotPlan(counts=np.ones(times.shape[0], dtype=np.int64),
+                        columns=columns,
+                        failure=center_failure(array, blade, at_center))
 
 
 class Scene:
@@ -233,7 +280,7 @@ class Scene:
         """Register any entity implementing the :class:`SceneEntity` protocol."""
         if not isinstance(entity, SceneEntity):
             raise SceneError(
-                f"{type(entity).__name__} does not implement path_components()"
+                f"{type(entity).__name__} does not implement emission_plan()"
             )
         self.entities.append(entity)
 
@@ -260,112 +307,10 @@ class Scene:
 
     def path_components(self, t: float, array: UniformLinearArray,
                         rng: np.random.Generator) -> list[PathComponent]:
-        """All paths visible at frame time ``t``."""
-        components: list[PathComponent] = []
-        for entity in self.entities:
-            components.extend(self.entity_components(entity, t, array, rng))
-        return components
+        """All paths visible at frame time ``t``, occlusion applied.
 
-    def entity_components(self, entity: SceneEntity, t: float,
-                          array: UniformLinearArray,
-                          rng: np.random.Generator) -> list[PathComponent]:
-        """One entity's paths at ``t``, with inter-person occlusion applied.
-
-        The single emission point both the per-frame and sweep paths go
-        through: the entity is queried exactly as before (identical RNG
-        stream), then — only when the scene has an :class:`OcclusionSpec`
-        and the entity is a human shadowed by another — its components are
-        scaled by the deterministic occlusion factor.
+        The one-frame form of :func:`repro.radar.emit.emit_paths`.
         """
-        components = entity.path_components(t, array, self.channel, rng)
-        if self.occlusion is None or not isinstance(entity, HumanTarget):
-            return components
-        factor = self._occlusion_factor(entity, t, array)
-        if factor >= 1.0:
-            return components
-        return [dataclasses.replace(c, amplitude=c.amplitude * factor)
-                for c in components]
-
-    def _occlusion_factor(self, entity: HumanTarget, t: float,
-                          array: UniformLinearArray) -> float:
-        """Amplitude factor for ``entity`` given who stands in its way.
-
-        A body blocks when its circle (``body_radius``) intersects the
-        radar→subject segment strictly between the endpoints; each blocker
-        multiplies in one ``attenuation_linear``. Pure geometry, no RNG.
-        """
-        assert self.occlusion is not None
-        subject = entity.position_at(t)
-        origin = array.position
-        segment = subject - origin
-        length = float(np.linalg.norm(segment))
-        if length <= 0.0:
-            return 1.0
-        direction = segment / length
-        blockers = 0
-        for other in self.entities:
-            if other is entity or not isinstance(other, HumanTarget):
-                continue
-            offset = other.position_at(t) - origin
-            along = float(offset @ direction)
-            if not 0.0 < along < length:
-                continue
-            lateral = float(np.linalg.norm(offset - along * direction))
-            if lateral < self.occlusion.body_radius:
-                blockers += 1
-        return self.occlusion.attenuation_linear ** blockers
-
-    def sweep_emitter(self, array: UniformLinearArray) -> SweepEmitter:
-        """A per-sweep emission cursor over this scene (memoized statics)."""
-        return SweepEmitter(self, array)
-
-    def path_components_sweep(self, times: np.ndarray,
-                              array: UniformLinearArray,
-                              rng: np.random.Generator,
-                              ) -> list[list[PathComponent]]:
-        """Per-frame component lists for a whole sweep, in frame order.
-
-        The batch-friendly emission used by the vectorized radar path:
-        entities are queried frame-by-frame in time order, so the ``rng``
-        stream is identical to calling :meth:`path_components` once per
-        frame — seeds reproduce bit-for-bit across the naive and batched
-        sensing paths.
-        """
-        emitter = self.sweep_emitter(array)
-        return [emitter.components_at(float(t), rng) for t in times]
-
-
-class SweepEmitter:
-    """Per-sweep emission cursor that memoizes time-invariant entities.
-
-    Static clutter contributes the identical tones to every frame (its
-    ``path_components`` ignores both ``t`` and ``rng``), so a sweep only
-    needs to evaluate it once; entities opt in by declaring
-    ``time_invariant = True``. Everything else is still queried frame by
-    frame in entity order, so the generator stream — and therefore every
-    synthesized sample — is bit-identical to the memo-free per-frame loop.
-    """
-
-    def __init__(self, scene: Scene, array: UniformLinearArray) -> None:
-        self._scene = scene
-        self._array = array
-        self._memo: dict[int, list[PathComponent]] = {}
-
-    def components_at(self, t: float,
-                      rng: np.random.Generator) -> list[PathComponent]:
-        """All paths visible at frame time ``t``."""
-        scene = self._scene
-        components: list[PathComponent] = []
-        for index, entity in enumerate(scene.entities):
-            if getattr(entity, "time_invariant", False):
-                cached = self._memo.get(index)
-                if cached is None:
-                    cached = scene.entity_components(entity, t, self._array,
-                                                     rng)
-                    self._memo[index] = cached
-                components.extend(cached)
-            else:
-                components.extend(
-                    scene.entity_components(entity, t, self._array, rng)
-                )
-        return components
+        times = np.array([t], dtype=float)
+        return emit_paths(self.entities, self.channel, array, [times], [rng],
+                          occlusion=self.occlusion)[0].components()

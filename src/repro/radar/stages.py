@@ -29,7 +29,8 @@ explicit and singular:
 
 Workspace slots (the inter-stage contract)::
 
-    components   list[list[PathComponent]]  Emit -> Synthesize
+    components   Emission                   Emit -> Synthesize
+                 ((6, C) packed paths + (F,) per-frame counts)
     noise        (F, K, N) complex | None   Emit -> Synthesize
     frames       (F, K, N) complex          Synthesize -> RangeFFT
     raw_profiles (F, K, B) complex          RangeFFT -> BackgroundSubtract
@@ -61,12 +62,9 @@ import numpy as np
 from repro.config import get_pipeline_backend, get_synth_backend
 from repro.errors import ConfigurationError, TrackingError
 from repro.radar.antenna import UniformLinearArray
-from repro.radar.batch import synthesize_frame_vectorized, synthesize_frames
-from repro.radar.frontend import (
-    PathComponent,
-    synthesize_frame_naive,
-    thermal_noise,
-)
+from repro.radar.batch import synthesize_frame_vectorized, synthesize_packed
+from repro.radar.emit import Emission, emit_paths
+from repro.radar.frontend import synthesize_frame_naive
 from repro.radar.pipeline import (
     batched_background_subtract,
     batched_beamform_power,
@@ -106,7 +104,6 @@ __all__ = [
     "TrackedResultMixin",
     "backend_overrides",
     "default_backend",
-    "emit_sweep",
     "execute",
     "frame_synthesizer",
     "stage_metrics",
@@ -439,37 +436,26 @@ def execute(plan: Sequence[StageBinding],
 # --------------------------------------------------------------------------
 
 
-def emit_sweep(scene: Any, times: np.ndarray, config: Any,
-               array: UniformLinearArray, rng: np.random.Generator | None,
-               ) -> tuple[list[list[PathComponent]], np.ndarray | None]:
-    """Per-frame scene components and thermal noise for a whole FMCW sweep.
-
-    The scene is queried and noise is drawn frame-by-frame in time order —
-    exactly the generator call sequence of the historical per-frame loop —
-    so a fixed seed reproduces bit-for-bit whether the frames are then
-    synthesized one by one, as one batched sweep, or fused into a larger
-    multi-request batch by the serving engine. Time-invariant entities are
-    memoized per sweep (:class:`~repro.radar.scene.SweepEmitter`), which
-    consumes no generator draws.
-    """
-    shape = (config.num_antennas, config.chirp.num_samples)
-    add_noise = rng is not None and config.noise_std > 0
-    emitter = scene.sweep_emitter(array)
-    components_per_frame: list[list[PathComponent]] = []
-    noise: list[np.ndarray] = []
-    for t in times:
-        components_per_frame.append(emitter.components_at(float(t), rng))
-        if add_noise:
-            noise.append(thermal_noise(config, rng, shape))
-    return components_per_frame, (np.stack(noise) if add_noise else None)
-
-
 @KERNELS.register(Stage.EMIT, SHARED_BACKEND)
-def _emit_fmcw(ctx: ExecutionContext) -> None:
-    """Emit kernel: scene components + noise stack into the workspace."""
-    components, noise = emit_sweep(ctx.scene, ctx.times, ctx.config,
-                                   ctx.array, ctx.rng)
-    ctx.workspace["components"] = components
+def _emit(ctx: ExecutionContext) -> None:
+    """Emit kernel: the one-request case of :func:`~repro.radar.emit.emit_paths`.
+
+    Packed scene paths land in ``workspace["components"]``; with a
+    generator and a positive noise floor, the sweep's thermal noise is
+    drawn frame by frame (after each frame's paths, as historically) into
+    a fresh ``(F, K, N)`` cube in ``workspace["noise"]``.
+    """
+    config = ctx.config
+    noise: np.ndarray | None = None
+    if ctx.rng is not None and config.noise_std > 0:
+        noise = np.empty((ctx.times.shape[0], *config.frame_shape),
+                         dtype=complex)
+    scene = ctx.scene
+    ctx.workspace["components"] = emit_paths(
+        scene.entities, scene.channel, ctx.array, [ctx.times], [ctx.rng],
+        occlusion=scene.occlusion,
+        noise=None if noise is None else [noise],
+        noise_std=config.noise_std)[0]
     ctx.workspace["noise"] = noise
 
 
@@ -482,10 +468,10 @@ def _emit_fmcw(ctx: ExecutionContext) -> None:
                   frame_fn=synthesize_frame_naive)
 def _synthesize_naive(ctx: ExecutionContext) -> None:
     """Reference per-frame synthesis loop over the emitted components."""
-    components = ctx.workspace["components"]
+    emission: Emission = ctx.workspace["components"]
     frames = np.stack([
         synthesize_frame_naive(frame_components, ctx.config, ctx.array, None)
-        for frame_components in components
+        for frame_components in emission.frame_components()
     ])
     noise = ctx.workspace.get("noise")
     if noise is not None:
@@ -496,13 +482,15 @@ def _synthesize_naive(ctx: ExecutionContext) -> None:
 @KERNELS.register(Stage.SYNTHESIZE, "vectorized",
                   frame_fn=synthesize_frame_vectorized)
 def _synthesize_vectorized(ctx: ExecutionContext) -> None:
-    """Batched sweep synthesis (PR 1 engine) over the emitted components."""
-    frames = synthesize_frames(ctx.workspace["components"], ctx.config,
-                               ctx.array, rng=None)
-    noise = ctx.workspace.get("noise")
-    if noise is not None:
-        frames += noise
-    ctx.workspace["frames"] = frames
+    """Batched sweep synthesis over the packed emitted components.
+
+    The tones are added into the emitted noise cube when there is one
+    (the sum is the same either way round).
+    """
+    emission: Emission = ctx.workspace["components"]
+    ctx.workspace["frames"] = synthesize_packed(
+        emission.columns, emission.counts, ctx.config, ctx.array,
+        out=ctx.workspace.get("noise"))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,9 @@ distance along that antenna's ray (Eq. 3). The output is a time-indexed
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 
@@ -21,7 +23,8 @@ from repro.reflector.panel import ReflectorPanel
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
 
-__all__ = ["ReflectorController", "SpoofCommand", "SpoofSchedule"]
+__all__ = ["CommandTimeline", "ReflectorController", "SpoofCommand",
+           "SpoofSchedule"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,7 +58,61 @@ class SpoofCommand:
             raise ReflectorError("amplitude_scale must be positive")
 
 
-class SpoofSchedule:
+class CommandTimeline:
+    """Time lookup shared by command schedules (FMCW and delay-line).
+
+    Subclasses hold ``commands`` sorted by ``time`` and a positive
+    ``command_interval``; a schedule is not mutated after construction, so
+    the command times and per-field arrays are cached on first use.
+    """
+
+    commands: list[Any]
+    command_interval: float
+
+    def __len__(self) -> int:
+        return len(self.commands)
+
+    @property
+    def start_time(self) -> float:
+        return float(self.commands[0].time)
+
+    @property
+    def end_time(self) -> float:
+        """Time the last command stops being executed."""
+        return float(self.commands[-1].time + self.command_interval)
+
+    @functools.cached_property
+    def _fields(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def command_field(self, name: str) -> np.ndarray:
+        """Attribute ``name`` of every command as a read-only array."""
+        values = self._fields.get(name)
+        if values is None:
+            values = np.array([getattr(c, name) for c in self.commands])
+            values.flags.writeable = False
+            self._fields[name] = values
+        return values
+
+    def command_indices(self, times: np.ndarray) -> np.ndarray:
+        """Index of the command active at each of ``times``; -1 outside.
+
+        One ``searchsorted`` over the cached command times serves a whole
+        frame grid.
+        """
+        times = np.asarray(times, dtype=float)
+        index = np.searchsorted(self.command_field("time"), times,
+                                side="right") - 1
+        outside = (times < self.start_time) | (times >= self.end_time)
+        return np.where(outside, -1, np.maximum(index, 0))
+
+    def command_at(self, t: float) -> Any:
+        """The command active at time ``t``, or ``None`` outside the schedule."""
+        index = int(self.command_indices(np.array([t]))[0])
+        return None if index < 0 else self.commands[index]
+
+
+class SpoofSchedule(CommandTimeline):
     """A time-ordered sequence of spoofing commands for one ghost."""
 
     def __init__(self, commands: Sequence[SpoofCommand], *,
@@ -68,30 +125,11 @@ class SpoofSchedule:
         times = [c.time for c in ordered]
         if any(b - a <= 0 for a, b in zip(times, times[1:])):
             raise ReflectorError("command times must be strictly increasing")
-        self.commands = list(ordered)
+        self.commands: list[SpoofCommand] = list(ordered)
         self.command_interval = float(command_interval)
-
-    def __len__(self) -> int:
-        return len(self.commands)
 
     def __iter__(self):
         return iter(self.commands)
-
-    @property
-    def start_time(self) -> float:
-        return self.commands[0].time
-
-    @property
-    def end_time(self) -> float:
-        """Time the last command stops being executed."""
-        return self.commands[-1].time + self.command_interval
-
-    def command_at(self, t: float) -> SpoofCommand | None:
-        """The command active at time ``t``, or ``None`` outside the schedule."""
-        if t < self.start_time or t >= self.end_time:
-            return None
-        index = int(np.searchsorted([c.time for c in self.commands], t, side="right")) - 1
-        return self.commands[max(index, 0)]
 
     def intended_trajectory(self, label: int | None = None) -> Trajectory:
         """The ghost positions this schedule encodes, as a trajectory."""
@@ -102,7 +140,7 @@ class SpoofSchedule:
 
     def switch_frequencies(self) -> np.ndarray:
         """Per-command switching frequencies, Hz."""
-        return np.array([c.switch_frequency for c in self.commands])
+        return self.command_field("switch_frequency").copy()
 
 
 class ReflectorController:

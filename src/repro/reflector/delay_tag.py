@@ -23,14 +23,27 @@ from repro import constants
 from repro.errors import ReflectorError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.channel import ChannelModel
-from repro.radar.frontend import PathComponent
+from repro.radar.emit import (
+    AMPLITUDE,
+    ANGLE,
+    DISTANCE,
+    EXTRA_DELAY,
+    NUM_ROWS,
+    PHASE_OFFSET,
+    Failure,
+    OneFrameEmission,
+    Predraw,
+    SlotPlan,
+    first_failure,
+    row_failure,
+)
+from repro.reflector.controller import CommandTimeline
 from repro.reflector.hardware import AntennaSwitchModel, LnaModel
 from repro.reflector.panel import ReflectorPanel
+from repro.reflector.tag import merged_plan, panel_paths
 from repro.types import Trajectory
 
 __all__ = ["DelayLineCommand", "DelayLineSchedule", "DelayLineTag"]
-
-_MIN_ANGLE = 1e-3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,7 +56,7 @@ class DelayLineCommand:
     ghost_position: tuple[float, float]
 
 
-class DelayLineSchedule:
+class DelayLineSchedule(CommandTimeline):
     """Time-ordered delay-line commands for one ghost."""
 
     def __init__(self, commands: list[DelayLineCommand], *,
@@ -52,26 +65,9 @@ class DelayLineSchedule:
             raise ReflectorError("a schedule needs at least one command")
         if command_interval <= 0:
             raise ReflectorError("command interval must be positive")
-        self.commands = sorted(commands, key=lambda c: c.time)
+        self.commands: list[DelayLineCommand] = sorted(commands,
+                                                       key=lambda c: c.time)
         self.command_interval = float(command_interval)
-
-    def __len__(self) -> int:
-        return len(self.commands)
-
-    @property
-    def start_time(self) -> float:
-        return self.commands[0].time
-
-    @property
-    def end_time(self) -> float:
-        return self.commands[-1].time + self.command_interval
-
-    def command_at(self, t: float) -> DelayLineCommand | None:
-        if t < self.start_time or t >= self.end_time:
-            return None
-        times = [c.time for c in self.commands]
-        index = int(np.searchsorted(times, t, side="right")) - 1
-        return self.commands[max(index, 0)]
 
     def intended_trajectory(self) -> Trajectory:
         points = np.array([c.ghost_position for c in self.commands])
@@ -80,7 +76,7 @@ class DelayLineSchedule:
         return Trajectory(points, dt=self.command_interval)
 
 
-class DelayLineTag:
+class DelayLineTag(OneFrameEmission):
     """A switched-antenna, switched-delay-line reflector.
 
     Args:
@@ -187,29 +183,40 @@ class DelayLineTag:
         self.schedules.append(schedule)
         return len(self.schedules) - 1
 
-    def path_components(self, t: float, array: UniformLinearArray,
-                        channel: ChannelModel,
-                        rng: np.random.Generator) -> list[PathComponent]:
-        """Scene-entity protocol: delayed echoes from the panel antennas."""
-        components: list[PathComponent] = []
-        for schedule in self.schedules:
-            command = schedule.command_at(t)
-            if command is None:
-                continue
-            antenna = self.panel.antenna_position(
-                self.antenna_switch.check_port(command.antenna_index)
-            )
-            distance, angle = array.polar_of(antenna)
-            angle = float(np.clip(angle, _MIN_ANGLE, np.pi - _MIN_ANGLE))
-            amplitude = float(channel.path_amplitude(distance,
-                                                     self.effective_rcs))
-            dither = (float(rng.uniform(0.0, 2.0 * np.pi))
-                      if self.phase_dither else 0.0)
-            components.append(PathComponent(
-                distance=distance,
-                angle=angle,
-                amplitude=amplitude,
-                extra_delay_s=self.line_delay(command.line_index),
-                phase_offset=dither,
-            ))
-        return components
+    def emission_plan(self, times: np.ndarray, array: UniformLinearArray,
+                      channel: ChannelModel) -> SlotPlan:
+        """Scene-entity protocol: delayed echoes from the panel antennas.
+
+        One echo per active schedule per frame; with ``phase_dither`` each
+        echo's carrier phase is a fresh uniform draw.
+        """
+        rcs = self.effective_rcs
+        runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        failures: list[Failure | None] = []
+        for index, schedule in enumerate(self.schedules):
+            frames, command, distance, angle, found = panel_paths(
+                schedule, index, times, array, self.panel,
+                self.antenna_switch)
+            lines = schedule.command_field("line_index")[command]
+            bad_line = (lines < 0) | (lines >= self.num_lines)
+            failures.append(first_failure([found, row_failure(
+                bad_line, frames, (index, 3), self.line_delay, lines)]))
+            echoes = np.zeros((NUM_ROWS, frames.shape[0]), dtype=float)
+            echoes[DISTANCE] = distance
+            echoes[ANGLE] = angle
+            echoes[AMPLITUDE] = channel.path_amplitude(distance, rcs)
+            echoes[EXTRA_DELAY] = (2.0 * ((lines + 1) * self.line_spacing_m)
+                                   / constants.SPEED_OF_LIGHT)
+            counts = np.zeros(times.shape[0], dtype=np.int64)
+            counts[frames] = 1
+            runs.append((counts, echoes,
+                         np.zeros(frames.shape[0], dtype=bool)))
+        plan = merged_plan(runs, times.shape[0], first_failure(failures))
+        if self.phase_dither:
+            plan.predraw = Predraw.UNIFORM
+            plan.finish = _set_dither
+        return plan
+
+
+def _set_dither(columns: np.ndarray, dither: np.ndarray) -> None:
+    columns[PHASE_OFFSET] = dither

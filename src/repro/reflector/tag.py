@@ -21,8 +21,24 @@ import numpy as np
 from repro.errors import ReflectorError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.channel import ChannelModel
-from repro.radar.frontend import PathComponent
-from repro.reflector.controller import SpoofSchedule
+from repro.radar.emit import (
+    AMPLITUDE,
+    ANGLE,
+    BEAT_OFFSET,
+    DISTANCE,
+    EXTRA_DELAY,
+    NUM_ROWS,
+    PHASE_OFFSET,
+    Failure,
+    OneFrameEmission,
+    SlotPlan,
+    center_failure,
+    first_failure,
+    merge_runs,
+    polar_rows,
+    row_failure,
+)
+from repro.reflector.controller import CommandTimeline, SpoofSchedule
 from repro.reflector.hardware import (
     AntennaSwitchModel,
     LnaModel,
@@ -32,9 +48,7 @@ from repro.reflector.hardware import (
 from repro.reflector.panel import ReflectorPanel
 from repro.types import Trajectory
 
-__all__ = ["GhostReport", "RfProtectTag"]
-
-_MIN_ANGLE = 1e-3
+__all__ = ["GhostReport", "RfProtectTag", "merged_plan", "panel_paths"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,7 +65,7 @@ class GhostReport:
     start_time: float
 
 
-class RfProtectTag:
+class RfProtectTag(OneFrameEmission):
     """The RF-Protect reflector deployed in a scene.
 
     Args:
@@ -116,64 +130,106 @@ class RfProtectTag:
             for i, schedule in enumerate(self.schedules)
         ]
 
-    def path_components(self, t: float, array: UniformLinearArray,
-                        channel: ChannelModel,
-                        rng: np.random.Generator) -> list[PathComponent]:
-        """Spectral lines the tag contributes to the frame at time ``t``.
+    def emission_plan(self, times: np.ndarray, array: UniformLinearArray,
+                      channel: ChannelModel) -> SlotPlan:
+        """Spectral lines the tag contributes to the frames at ``times``.
 
         Implements the :class:`~repro.radar.scene.SceneEntity` protocol, so
         a tag is added to a scene exactly like a human — the radar frontend
-        cannot tell the difference, by construction.
+        cannot tell the difference, by construction. Per frame, each active
+        schedule emits one line per switching harmonic; the ``±1`` lines
+        (the ghost and its mirror) are dressed by the environment's dynamic
+        multipath like any other reflection — Fig. 10b notes these
+        "secondary reflections around the phantom".
         """
-        components: list[PathComponent] = []
-        for schedule in self.schedules:
-            command = schedule.command_at(t)
-            if command is None:
-                continue
-            antenna = self.panel.antenna_position(
-                self.antenna_switch.check_port(command.antenna_index)
-            )
-            distance, angle = array.polar_of(antenna)
-            angle = float(np.clip(angle, _MIN_ANGLE, np.pi - _MIN_ANGLE))
-            amplitude = float(channel.path_amplitude(distance, self.effective_rcs))
-            amplitude *= command.amplitude_scale
-            commanded_phase = float(self.phase_shifter.quantize(command.phase_shift))
+        harmonics = self.switch.harmonics()
+        orders = np.array([h.order for h in harmonics], dtype=float)
+        line_scale = np.array([h.amplitude for h in harmonics])
+        line_phase = np.array([h.phase for h in harmonics])
+        dressed = np.abs(orders) == 1
+        rcs = self.effective_rcs
+        runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        failures: list[Failure | None] = []
+        for index, schedule in enumerate(self.schedules):
+            frames, command, distance, angle, found = panel_paths(
+                schedule, index, times, array, self.panel,
+                self.antenna_switch)
+            failures.append(found)
+            amplitude = (channel.path_amplitude(distance, rcs)
+                         * schedule.command_field("amplitude_scale")[command])
+            commanded = self.phase_shifter.quantize(
+                schedule.command_field("phase_shift")[command])
+            frequency = schedule.command_field("switch_frequency")[command]
             # The switching oscillator runs continuously; its phase at frame
             # time t is 2*pi*f*t. Frame-coherent frequencies (multiples of
             # the frame rate) make this wrap to the same value every frame,
             # which is what keeps spoofed breathing readable in phase.
-            switching_phase = 2.0 * np.pi * command.switch_frequency * t
-            for harmonic in self.switch.harmonics():
-                line_amplitude = amplitude * harmonic.amplitude
-                line_offset = harmonic.order * command.switch_frequency
-                line_phase = (harmonic.order * switching_phase
-                              + harmonic.phase + commanded_phase)
-                components.append(
-                    PathComponent(
-                        distance=distance,
-                        angle=angle,
-                        amplitude=line_amplitude,
-                        beat_offset_hz=line_offset,
-                        phase_offset=line_phase,
-                    )
-                )
-                if abs(harmonic.order) != 1:
-                    continue
-                # The tag's re-radiated signal bounces off the room like any
-                # other reflection, so the environment's dynamic multipath
-                # dresses the ghost's main lines too — Fig. 10b notes these
-                # "secondary reflections around the phantom".
-                for bounce_distance, bounce_angle, bounce_amp in (
-                        channel.sample_multipath(distance, angle,
-                                                 line_amplitude, rng)):
-                    components.append(
-                        PathComponent(
-                            distance=bounce_distance,
-                            angle=bounce_angle,
-                            amplitude=bounce_amp,
-                            beat_offset_hz=line_offset,
-                            phase_offset=(line_phase
-                                          + float(rng.uniform(0.0, 2.0 * np.pi))),
-                        )
-                    )
-        return components
+            switching = 2.0 * np.pi * frequency * times[frames]
+            lines = np.empty((NUM_ROWS, frames.shape[0], orders.shape[0]),
+                             dtype=float)
+            lines[DISTANCE] = distance[:, None]
+            lines[ANGLE] = angle[:, None]
+            lines[AMPLITUDE] = amplitude[:, None] * line_scale
+            lines[BEAT_OFFSET] = orders * frequency[:, None]
+            lines[PHASE_OFFSET] = (orders * switching[:, None] + line_phase
+                                   + commanded[:, None])
+            lines[EXTRA_DELAY] = 0.0
+            counts = np.zeros(times.shape[0], dtype=np.int64)
+            counts[frames] = orders.shape[0]
+            runs.append((counts, lines.reshape(NUM_ROWS, -1),
+                         np.tile(dressed, frames.shape[0])))
+        return merged_plan(runs, times.shape[0], first_failure(failures))
+
+
+def panel_paths(schedule: CommandTimeline, index: int, times: np.ndarray,
+                array: UniformLinearArray, panel: ReflectorPanel,
+                antenna_switch: AntennaSwitchModel,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                           Failure | None]:
+    """Where a schedule's selected panel antenna sits, frame by frame.
+
+    Returns the frames with an active command, those commands' indices,
+    the radar→antenna distance and clipped angle per active frame, and the
+    first error the per-frame path raised (bad switch port, antenna off
+    the panel, antenna at the array centre), keyed ``(frame, index, check)``.
+    """
+    active = schedule.command_indices(times)
+    frames = np.flatnonzero(active >= 0)
+    command = active[frames]
+    ports = schedule.command_field("antenna_index")[command]
+    bad_port = (ports < 0) | (ports >= antenna_switch.num_ports)
+    bad_panel = ~bad_port & (ports >= panel.num_antennas)
+    positions = panel.antenna_positions()[
+        np.clip(ports, 0, panel.num_antennas - 1)]
+    distance, angle, at_center = polar_rows(array, positions)
+    at_center &= ~(bad_port | bad_panel)
+    found = first_failure([
+        row_failure(bad_port, frames, (index, 0), antenna_switch.check_port,
+                    ports),
+        row_failure(bad_panel, frames, (index, 1), panel.antenna_position,
+                    ports),
+        center_failure(array, positions, at_center, frames, (index, 2)),
+    ])
+    return frames, command, distance, angle, found
+
+
+def merged_plan(runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                num_frames: int, found: Failure | None) -> SlotPlan:
+    """One entity plan from per-schedule ``(counts, columns, multipath)``
+    runs, schedules in order within each frame."""
+    if not runs:
+        return SlotPlan(counts=np.zeros(num_frames, dtype=np.int64),
+                        columns=np.zeros((NUM_ROWS, 0), dtype=float),
+                        failure=found)
+    if len(runs) == 1:
+        counts, columns, multipath = runs[0]
+        return SlotPlan(counts=counts, columns=columns, multipath=multipath,
+                        failure=found)
+    counts, positions = merge_runs([run[0] for run in runs])
+    columns = np.empty((NUM_ROWS, int(counts.sum())), dtype=float)
+    multipath = np.zeros(columns.shape[1], dtype=bool)
+    for (_, run_columns, run_multipath), pos in zip(runs, positions):
+        columns[:, pos] = run_columns
+        multipath[pos] = run_multipath
+    return SlotPlan(counts=counts, columns=columns, multipath=multipath,
+                    failure=found)

@@ -5,14 +5,17 @@ lives in :mod:`repro.serve.service`); workers call :func:`execute_batch`
 from the executor thread pool. The fused path rides the PR 1/PR 3
 vectorized engines end to end:
 
-1. **Emission** — each request's scene components and thermal noise are
-   drawn frame-by-frame from that request's *own* seeded generator, in the
-   exact draw order of a direct ``FmcwRadar.sense`` call, so batching can
-   never perturb a request's random stream.
-2. **Fused synthesis** — all requests' frames go through *one*
-   :func:`~repro.radar.batch.synthesize_frame_batches` call: one packed
-   component batch, one beat/carrier/steering pass, per-frame contractions
-   that each read only their own slice.
+1. **Emission** — requests are grouped by scene object and each group is
+   emitted in one :func:`~repro.radar.emit.emit_paths` pass: the scene's
+   geometry is computed once over every member's frames, while each
+   request's draws and thermal noise come from its *own* seeded generator
+   in the exact order of a direct ``FmcwRadar.sense`` call, so batching
+   can never perturb a request's random stream. Noise lands straight in
+   the batch's frame cube.
+2. **Fused synthesis** — all requests' packed paths go through *one*
+   :func:`~repro.radar.batch.synthesize_packed` call: one beat/carrier/
+   steering pass, per-frame contractions that each read only their own
+   slice, added into the noise cube.
 3. **Fused receive** — one blocked range FFT over the concatenated cube,
    one shared range-crop mask (equal ``BatchKey`` guarantees equal crop),
    one shifted-difference background subtraction with each request's first
@@ -44,8 +47,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.radar.batch import synthesize_frame_batches
+from repro.radar.batch import synthesize_packed
 from repro.radar.config import RadarConfig
+from repro.radar.emit import Emission, emit_paths
 from repro.radar.pipeline import (
     SweepProcessingResult,
     batched_background_subtract,
@@ -106,47 +110,72 @@ def radar_for(config: RadarConfig) -> FmcwRadar:
 
 
 def _fused_emit(ctx: ExecutionContext) -> None:
-    """Per-request emission, each from its own seeded generator.
+    """Emit every request, one pass per distinct scene.
 
-    Draw order inside a request is exactly that of a direct
-    ``FmcwRadar.sense`` call, so batching can never perturb a request's
-    random stream.
+    Geometry is shared by the requests of a scene; draws are not — each
+    request replays its own seeded generator in the exact order of a
+    direct ``FmcwRadar.sense`` call, so batching can never perturb a
+    request's random stream. Noise is drawn into the batch's cube.
     """
     radar: FmcwRadar = ctx.workspace["radar"]
-    sweeps = []
-    noises = []
+    items = ctx.workspace["items"]
+    config = ctx.config
+    grids: dict[tuple[float, float], np.ndarray] = {}
     times_list = []
-    for item in ctx.workspace["items"]:
-        request = item.request
-        rng = np.random.default_rng(request.seed)
-        times = radar.frame_times(request.duration, request.start_time)
-        components, noise = radar.sweep_components(request.scene, times, rng)
-        sweeps.append(components)
-        noises.append(noise)
-        times_list.append(times)
-    ctx.workspace["sweeps"] = sweeps
-    ctx.workspace["noises"] = noises
+    for item in items:
+        grid = (item.request.duration, item.request.start_time)
+        if grid not in grids:
+            grids[grid] = radar.frame_times(*grid)
+        times_list.append(grids[grid])
+    frame_counts = [len(times) for times in times_list]
+    offsets = np.concatenate(([0], np.cumsum(frame_counts))).tolist()
+    noise: np.ndarray | None = None
+    if config.noise_std > 0:
+        noise = np.empty((offsets[-1], *config.frame_shape), dtype=complex)
+    by_scene: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        by_scene.setdefault(id(item.request.scene), []).append(i)
+    emissions: dict[int, Emission] = {}
+    for members in by_scene.values():
+        scene = items[members[0]].request.scene
+        emitted = emit_paths(
+            scene.entities, scene.channel, radar.array,
+            [times_list[i] for i in members],
+            [np.random.default_rng(items[i].request.seed) for i in members],
+            occlusion=scene.occlusion,
+            noise=(None if noise is None else
+                   [noise[offsets[i]:offsets[i + 1]] for i in members]),
+            noise_std=config.noise_std)
+        emissions.update(zip(members, emitted))
+    ordered = [emissions[i] for i in range(len(items))]
+    ctx.workspace["components"] = Emission(
+        np.concatenate([e.columns for e in ordered], axis=1),
+        np.concatenate([e.counts for e in ordered]))
+    ctx.workspace["noise"] = noise
     ctx.workspace["times_list"] = times_list
-    ctx.workspace["frame_counts"] = [len(times) for times in times_list]
+    ctx.workspace["frame_counts"] = frame_counts
     ctx.times = np.concatenate(times_list)
 
 
 def _fused_synthesize(ctx: ExecutionContext) -> None:
-    """One packed synthesis pass over every request's sweep."""
-    radar: FmcwRadar = ctx.workspace["radar"]
-    fused, cubes = synthesize_frame_batches(ctx.workspace["sweeps"],
-                                            ctx.config, radar.array)
-    for cube, noise in zip(cubes, ctx.workspace["noises"]):
-        if noise is not None:
-            cube += noise  # disjoint views: writes land in `fused`
-    ctx.workspace["frames"] = fused
+    """One packed synthesis pass over every request's paths."""
+    emission: Emission = ctx.workspace["components"]
+    ctx.workspace["frames"] = synthesize_packed(
+        emission.columns, emission.counts, ctx.config, ctx.array,
+        out=ctx.workspace["noise"])
 
 
 def _fused_range_fft(ctx: ExecutionContext) -> None:
-    """One blocked range FFT over the concatenated beat cube."""
-    ctx.workspace["raw_profiles"] = batched_range_profiles(
-        ctx.workspace["frames"], ctx.config
-    )
+    """One blocked range FFT over the concatenated beat cube.
+
+    The beat cube (the emitted noise cube with the tones added in) is
+    dropped from the workspace here: nothing downstream reads it, and a
+    worker holding it through Beamform raises the service's peak memory.
+    """
+    frames = ctx.workspace.pop("frames")
+    del ctx.workspace["noise"]
+    ctx.workspace["raw_profiles"] = batched_range_profiles(frames,
+                                                           ctx.config)
     ctx.workspace["ranges_full"] = range_axis(
         ctx.config.chirp, zero_pad_factor=ZERO_PAD_FACTOR
     )

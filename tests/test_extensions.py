@@ -6,6 +6,7 @@ import pytest
 from repro.errors import TrackingError
 from repro.eavesdropper import classify_by_consistency, cross_view_distance
 from repro.experiments import run_experiment
+from repro.experiments.runner import run_experiments
 from repro.experiments.ext_floorplan import apartment_floor_plan
 from repro.reflector import ReflectorController, ReflectorPanel, RfProtectTag
 from repro.signal import ChirpConfig
@@ -71,6 +72,18 @@ class TestExtMultiRadarExperiment:
         assert (result.ghost_cross_view_distance_m
                 > result.human_cross_view_distance_m)
         assert result.report.num_judged_real >= 1
+
+    @pytest.mark.parametrize("option", ["seed", "base_seed"])
+    @pytest.mark.parametrize("seed", [5, 19])
+    def test_ghost_tracing_the_walker_is_redrawn(self, seed, option):
+        # With these seeds (as `--seed`, or spawned from a runner base
+        # seed) the first GAN ghost walks on top of the human for the whole
+        # window, so radar A saw a single mover.
+        (run,) = run_experiments(["ext-multiradar"], fast=True,
+                                 **{option: seed})
+        assert run.result.radar_a_targets == 2
+        assert run.result.radar_b_targets >= 1
+        assert run.result.ghost_exposed()
 
 
 class TestExtPulsedExperiment:

@@ -5,10 +5,21 @@ import pytest
 
 from repro.errors import ConfigurationError, SceneError
 from repro.geometry import Rectangle
-from repro.radar import ChannelModel, HumanTarget, Scene, StaticReflector
+from repro.radar import (
+    ChannelModel,
+    ExecutionContext,
+    Fan,
+    HumanTarget,
+    Scene,
+    Stage,
+    StageBinding,
+    StaticReflector,
+    execute,
+)
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.channel import MultipathSpec
 from repro.radar.config import RadarConfig
+from repro.radar.frontend import thermal_noise
 from repro.radar.scene import BreathingSpec
 from repro.types import Trajectory
 
@@ -41,38 +52,67 @@ class TestChannelModel:
         with pytest.raises(ConfigurationError):
             ChannelModel(reference_amplitude=0.0)
 
-    def test_thermal_noise_statistics(self, rng):
-        channel = ChannelModel()
-        noise = channel.thermal_noise((20000,), 0.1, rng)
-        rms = np.sqrt(np.mean(np.abs(noise) ** 2))
-        assert rms == pytest.approx(0.1, rel=0.05)
-        assert noise.real.mean() == pytest.approx(0.0, abs=0.01)
-
-    def test_zero_noise(self, rng):
-        channel = ChannelModel()
-        assert np.all(channel.thermal_noise((5,), 0.0, rng) == 0)
-
     def test_multipath_disabled_by_default(self, rng):
         channel = ChannelModel()
-        assert channel.sample_multipath(5.0, 1.0, 0.1, rng) == []
+        draws: list[float] = []
+        state = rng.bit_generator.state
+        assert channel.draw_bounces(rng, draws) == 0
+        assert draws == [] and rng.bit_generator.state == state
 
     def test_multipath_bounces_behind_source(self, rng):
         spec = MultipathSpec(mean_paths=3.0)
         channel = ChannelModel(multipath=spec)
-        bounces = []
-        for _ in range(50):
-            bounces.extend(channel.sample_multipath(5.0, 1.5, 0.1, rng))
-        assert bounces, "expected some bounces with mean_paths=3"
-        for distance, angle, amplitude in bounces:
-            assert distance > 5.0            # excess path only adds distance
-            assert 0 < angle < np.pi
-            assert amplitude < 0.1           # always weaker than the source
+        draws: list[float] = []
+        count = sum(channel.draw_bounces(rng, draws) for _ in range(50))
+        assert count, "expected some bounces with mean_paths=3"
+        distances, angles, amplitudes = channel.bounce_paths(
+            5.0, 1.5, 0.1, np.reshape(draws, (count, 3)))
+        assert np.all(distances > 5.0)       # excess path only adds distance
+        assert np.all((0 < angles) & (angles < np.pi))
+        assert np.all(amplitudes < 0.1)      # always weaker than the source
 
     def test_multipath_spec_validation(self):
         with pytest.raises(ConfigurationError):
             MultipathSpec(relative_amplitude=1.5)
         with pytest.raises(ConfigurationError):
             MultipathSpec(mean_paths=-1.0)
+
+
+class TestThermalNoise:
+    def test_thermal_noise_statistics(self, rng):
+        noise = thermal_noise(0.1, rng, np.empty(20000, dtype=complex))
+        rms = np.sqrt(np.mean(np.abs(noise) ** 2))
+        assert rms == pytest.approx(0.1, rel=0.05)
+        assert noise.real.mean() == pytest.approx(0.0, abs=0.01)
+
+    def test_matches_complex_sum_bitwise(self):
+        shape = (7, 64)
+        scale = 0.1 / np.sqrt(2.0)
+        reference_rng = np.random.default_rng(5)
+        reference = (reference_rng.normal(0.0, scale, shape)
+                     + 1j * reference_rng.normal(0.0, scale, shape))
+        rng = np.random.default_rng(5)
+        cube = np.zeros((3, *shape), dtype=complex)
+        thermal_noise(0.1, rng, cube[1])
+        assert np.array_equal(cube[1].view(np.uint64),
+                              reference.view(np.uint64))
+        assert not cube[0].any() and not cube[2].any()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_zero_noise_std_draws_nothing(self, array):
+        scene = Scene(Rectangle.from_size(10.0, 6.6))
+        scene.add_static((2.0, 2.0))
+        scene.add(Fan((6.0, 4.0)))
+        config = RadarConfig(position=(0.0, 0.0), axis_angle=0.0,
+                             facing_angle=np.pi / 2, noise_std=0.0)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        ctx = ExecutionContext(array=array, times=np.arange(4) * 0.1,
+                               config=config, scene=scene, rng=rng)
+        execute((StageBinding(Stage.EMIT),), ctx)
+        assert ctx.workspace["noise"] is None
+        assert ctx.workspace["components"].counts.tolist() == [2] * 4
+        assert rng.bit_generator.state == before
 
 
 class TestBreathingSpec:

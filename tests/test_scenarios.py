@@ -219,6 +219,16 @@ class TestReflectorStrategies:
             register_reflector_strategy("none")(lambda *args: None)
 
 
+def _direct_amplitudes(scene: Scene, array: UniformLinearArray) -> list[float]:
+    """Amplitudes of the humans' direct paths at t=0, in scene order.
+
+    A human's direct path carries no phase offset; its multipath bounces
+    carry a uniform random one.
+    """
+    components = scene.path_components(0.0, array, np.random.default_rng(0))
+    return [c.amplitude for c in components if c.phase_offset == 0.0]
+
+
 class TestOcclusion:
     def _blocked_scene(self, occlusion: OcclusionSpec | None) -> Scene:
         spec = make_spec(
@@ -240,12 +250,8 @@ class TestOcclusion:
         spec = OcclusionSpec(attenuation_db=6.0)
         clear = self._blocked_scene(None)
         shadowed = self._blocked_scene(spec)
-        far_clear, far_shadowed = clear.entities[0], shadowed.entities[0]
-        rng_a, rng_b = (np.random.default_rng(0) for _ in range(2))
-        amp_clear = clear.entity_components(far_clear, 0.0, array,
-                                            rng_a)[0].amplitude
-        amp_shadowed = shadowed.entity_components(far_shadowed, 0.0, array,
-                                                  rng_b)[0].amplitude
+        amp_clear = _direct_amplitudes(clear, array)[0]
+        amp_shadowed = _direct_amplitudes(shadowed, array)[0]
         np.testing.assert_allclose(
             amp_shadowed, amp_clear * spec.attenuation_linear)
 
@@ -254,12 +260,8 @@ class TestOcclusion:
         array = UniformLinearArray(config)
         clear = self._blocked_scene(None)
         shadowed = self._blocked_scene(OcclusionSpec())
-        near_clear, near_shadowed = clear.entities[1], shadowed.entities[1]
-        rng_a, rng_b = (np.random.default_rng(0) for _ in range(2))
-        amp_clear = clear.entity_components(near_clear, 0.0, array,
-                                            rng_a)[0].amplitude
-        amp_shadowed = shadowed.entity_components(near_shadowed, 0.0,
-                                                  array, rng_b)[0].amplitude
+        amp_clear = _direct_amplitudes(clear, array)[1]
+        amp_shadowed = _direct_amplitudes(shadowed, array)[1]
         np.testing.assert_allclose(amp_shadowed, amp_clear)
 
     def test_occlusion_spec_validation(self):

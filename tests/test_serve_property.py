@@ -13,16 +13,32 @@ prove the conservation laws the service relies on:
   was held at least ``window_s`` (for positive windows);
 - the same event sequence always produces the identical batch sequence
   (the scheduler itself is deterministic).
+
+Downstream of the scheduler, the fused engine must make grouping
+invisible: a request's result is bitwise the direct ``FmcwRadar.sense``
+result however the batch around it was cut — including batches that mix
+scenes, which the engine emits one scene at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import Rectangle
+from repro.radar import FmcwRadar, RadarConfig, Scene
+from repro.radar.channel import ChannelModel, MultipathSpec
+from repro.radar.scene import Fan, OcclusionSpec
+from repro.reflector import ReflectorPanel, RfProtectTag
+from repro.reflector.controller import SpoofCommand, SpoofSchedule
 from repro.serve.batcher import Batch, MicroBatcher
+from repro.serve.engine import ExecutionItem, execute_batch
+from repro.serve.request import BACKEND_VECTORIZED, BatchKey, SenseRequest
+from repro.signal.chirp import ChirpConfig
+from repro.types import Trajectory
 
 KEYS = ("alpha", "beta", "gamma")
 
@@ -157,3 +173,74 @@ def test_next_due_at_tracks_earliest_open_batch():
     assert batcher.next_due_at() == 1.5
     assert [b.key for b in batcher.due(1.5)] == ["alpha"]
     assert batcher.next_due_at() == 1.7
+
+
+# --------------------------------------------------------------------------
+# Engine: grouping independence over batches that mix scenes
+# --------------------------------------------------------------------------
+
+RADAR_CONFIG = RadarConfig(chirp=ChirpConfig(duration=3.2e-5),
+                           position=(3.0, 0.1), facing_angle=np.pi / 2.0)
+RADAR = FmcwRadar(RADAR_CONFIG)
+KEY = BatchKey(config=RADAR_CONFIG, max_range=8.0)
+
+
+def _mixed_scenes() -> list[Scene]:
+    """Three scenes sharing one radar config: clutter, crowd, ghost."""
+    room = Rectangle.from_size(6.0, 6.0)
+    clutter = Scene(room)
+    clutter.add_static((1.0, 4.0), rcs=3.0)
+    clutter.add(Fan((4.5, 3.0)))
+    crowd = Scene(room, channel=ChannelModel(multipath=MultipathSpec()),
+                  occlusion=OcclusionSpec())
+    crowd.add_static((5.0, 5.0))
+    crowd.add_human(Trajectory(np.array([[3.0, 4.5], [3.1, 4.0]]), dt=1.0))
+    crowd.add_human(Trajectory(np.array([[3.0, 2.0], [2.0, 2.5]]), dt=1.0))
+    ghost = Scene(room, channel=ChannelModel(multipath=MultipathSpec()))
+    tag = RfProtectTag(ReflectorPanel((3.0, 0.6)))
+    tag.deploy(SpoofSchedule(
+        [SpoofCommand(0.1 * k, k % 6, 2.0e4 + 1.0e3 * k, 0.3 * k, (0.0, 0.0))
+         for k in range(8)], command_interval=0.1))
+    ghost.add(tag)
+    ghost.add_human(Trajectory(np.array([[1.0, 3.0], [2.0, 3.5]]), dt=1.0))
+    return [clutter, crowd, ghost]
+
+
+SCENES = _mixed_scenes()
+
+requests = st.lists(
+    st.tuples(st.integers(0, len(SCENES) - 1), st.integers(0, 2**31),
+              st.sampled_from([0.2, 0.3, 0.5]),
+              st.sampled_from([0.0, 0.2])),
+    min_size=1, max_size=6)
+
+
+@given(plan=requests, cuts=st.lists(st.booleans(), min_size=6, max_size=6))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_grouping_independence_with_mixed_scenes(plan, cuts):
+    items = [ExecutionItem(request_id=i, key=KEY, request=SenseRequest(
+        scene=SCENES[scene], duration=duration, seed=seed,
+        config=RADAR_CONFIG, start_time=start, max_range=KEY.max_range))
+        for i, (scene, seed, duration, start) in enumerate(plan)]
+    batches, current = [], [items[0]]
+    for item, cut in zip(items[1:], cuts):
+        if cut:
+            batches.append(current)
+            current = []
+        current.append(item)
+    batches.append(current)
+    outcomes = [outcome for batch in batches
+                for outcome in execute_batch(batch)]
+    for item, outcome in zip(items, outcomes):
+        assert outcome.backend == BACKEND_VECTORIZED
+        request = item.request
+        direct = RADAR.sense(request.scene, request.duration,
+                             rng=np.random.default_rng(request.seed),
+                             start_time=request.start_time,
+                             max_range=KEY.max_range)
+        assert outcome.result is not None
+        assert np.array_equal(outcome.result.raw_profiles,
+                              direct.raw_profiles)
+        for got, want in zip(outcome.result.profiles, direct.profiles):
+            assert np.array_equal(got.power, want.power)
