@@ -84,11 +84,15 @@ class TrajectoryDiscriminator(Module):
         return self.output_layer(self.features(steps, labels))
 
     def score(self, steps: Tensor | np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Probability-of-real per trajectory (sigmoid of the logits)."""
+        """Probability-of-real per trajectory (sigmoid of the logits).
+
+        Runs in eval mode with the parameters frozen, so no graph is built.
+        """
         was_training = self.training
         self.eval()
         try:
-            logits = self.forward(steps, labels)
+            with self.frozen():
+                logits = self.forward(steps, labels)
         finally:
             if was_training:
                 self.train()

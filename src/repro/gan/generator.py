@@ -103,11 +103,16 @@ class TrajectoryGenerator(Module):
 
     def generate_steps(self, batch_size: int, labels: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
-        """Inference helper: normalized steps as a plain numpy array."""
+        """Inference helper: normalized steps as a plain numpy array.
+
+        Runs in eval mode with the parameters frozen, so no graph is built.
+        """
         was_training = self.training
         self.eval()
         try:
-            output = self.forward(self.sample_noise(batch_size, rng), labels)
+            with self.frozen():
+                output = self.forward(self.sample_noise(batch_size, rng),
+                                      labels)
         finally:
             if was_training:
                 self.train()

@@ -7,6 +7,14 @@ returns the paper's full configuration for completeness.
 
 Stability aids, all standard: one-sided label smoothing on real targets,
 gradient-norm clipping, and fresh noise for the generator step.
+
+Each step runs only the recurrent work whose result it trains on. The
+network a step does not update is frozen (:meth:`Module.frozen`): the D
+step samples its fake batch without building a generator graph and scores
+the real, fake and mismatched-label batches in one discriminator pass over
+their concatenation; the G step reads the logits off the same fake-batch
+features that feature matching compares, and back-propagates through the
+discriminator into its input only.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.gan.discriminator import TrajectoryDiscriminator
 from repro.gan.generator import TrajectoryGenerator
-from repro.nn.functional import bce_with_logits
+from repro.nn.functional import bce_with_logits, concat
 from repro.nn.metrics import observe_op
 from repro.nn.optim import Adam
 from repro.nn.recurrent import active_sequence_backend
+from repro.nn.tensor import as_tensor
 from repro.trajectories.dataset import TrajectoryDataset
 
 __all__ = ["GanConfig", "GanTrainer", "TrainingHistory"]
@@ -164,30 +173,38 @@ class GanTrainer:
                             labels: np.ndarray) -> tuple[float, float, float]:
         started = time.perf_counter()
         batch_size = real_steps.shape[0]
-        fake_labels = self.rng.integers(0, self.config.num_classes, batch_size)
+        num_classes = self.config.num_classes
+        fake_labels = self.rng.integers(0, num_classes, batch_size)
         noise = self.generator.sample_noise(batch_size, self.rng)
-        fake_steps = self.generator(noise, fake_labels).detach()
-
-        self.discriminator_optimizer.zero_grad()
-        real_logits = self.discriminator(real_steps, labels)
-        fake_logits = self.discriminator(fake_steps, fake_labels)
-        real_targets = np.full(real_logits.shape, self.config.label_smoothing,
-                               dtype=real_logits.data.dtype)
-        fake_targets = np.zeros(fake_logits.shape,
-                                dtype=fake_logits.data.dtype)
-        loss = (bce_with_logits(real_logits, real_targets)
-                + bce_with_logits(fake_logits, fake_targets))
-        if self.config.mismatched_label_weight > 0:
+        with self.generator.frozen():
+            fake_steps = self.generator(noise, fake_labels)
+        real = as_tensor(real_steps)
+        parts, part_labels = [real, fake_steps], [labels, fake_labels]
+        mismatched = self.config.mismatched_label_weight > 0
+        if mismatched:
             # Real trajectories with WRONG labels are negatives too: this
             # is what forces the discriminator to check label/range
             # consistency, and hence the generator to honor the condition.
             wrong_labels = (labels + self.rng.integers(
-                1, self.config.num_classes, batch_size)) % self.config.num_classes
-            mismatched_logits = self.discriminator(real_steps, wrong_labels)
+                1, num_classes, batch_size)) % num_classes
+            parts.append(real)
+            part_labels.append(wrong_labels)
+
+        self.discriminator_optimizer.zero_grad()
+        # Scoring is row-independent, so one pass over the concatenated
+        # batch gives each part the logits a pass of its own would.
+        logits = self.discriminator(concat(parts, axis=0),
+                                    np.concatenate(part_labels))
+        real_logits = logits[:batch_size]
+        fake_logits = logits[batch_size: 2 * batch_size]
+        real_targets = np.full(real_logits.shape, self.config.label_smoothing,
+                               dtype=logits.data.dtype)
+        fake_targets = np.zeros(fake_logits.shape, dtype=logits.data.dtype)
+        loss = (bce_with_logits(real_logits, real_targets)
+                + bce_with_logits(fake_logits, fake_targets))
+        if mismatched:
             loss = loss + self.config.mismatched_label_weight * bce_with_logits(
-                mismatched_logits,
-                np.zeros(mismatched_logits.shape,
-                         dtype=mismatched_logits.data.dtype))
+                logits[2 * batch_size:], fake_targets)
         loss.backward()
         self.discriminator_optimizer.clip_gradients(self.config.clip_norm)
         self.discriminator_optimizer.step()
@@ -209,21 +226,24 @@ class GanTrainer:
 
         self.generator_optimizer.zero_grad()
         self.discriminator.zero_grad()
-        fake_steps = self.generator(noise, labels)
-        logits = self.discriminator(fake_steps, labels)
-        # Non-saturating generator loss: maximize log D(G(z)).
-        loss = bce_with_logits(
-            logits, np.ones(logits.shape, dtype=logits.data.dtype))
-        if self.config.feature_matching_weight > 0:
-            # Feature matching (Salimans et al. 2016): align the mean
-            # discriminator features of fake and real batches. Keeps the
-            # generator improving after the adversarial signal saturates.
+        with self.discriminator.frozen():
+            fake_steps = self.generator(noise, labels)
             fake_features = self.discriminator.features(fake_steps, labels)
-            real_features = self.discriminator.features(real_steps, labels)
-            matching = (fake_features.mean(axis=0)
-                        - real_features.detach().mean(axis=0)).pow(2.0).sum()
-            loss = loss + self.config.feature_matching_weight * matching
-        loss.backward()
+            logits = self.discriminator.output_layer(fake_features)
+            # Non-saturating generator loss: maximize log D(G(z)).
+            loss = bce_with_logits(
+                logits, np.ones(logits.shape, dtype=logits.data.dtype))
+            if self.config.feature_matching_weight > 0:
+                # Feature matching (Salimans et al. 2016): align the mean
+                # discriminator features of fake and real batches. Keeps
+                # the generator improving after the adversarial signal
+                # saturates. The real features are a constant here.
+                real_features = self.discriminator.features(real_steps,
+                                                            labels)
+                matching = (fake_features.mean(axis=0)
+                            - real_features.mean(axis=0)).pow(2.0).sum()
+                loss = loss + self.config.feature_matching_weight * matching
+            loss.backward()
         self.generator_optimizer.clip_gradients(self.config.clip_norm)
         self.generator_optimizer.step()
         observe_op("gan.generator_step", active_sequence_backend(),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from repro.errors import ConfigurationError
 
@@ -62,7 +62,9 @@ def chi_square_independence(table: np.ndarray) -> TestResult:
 
     statistic = float(((observed - expected) ** 2 / expected).sum())
     dof = (observed.shape[0] - 1) * (observed.shape[1] - 1)
-    p_value = float(scipy.stats.chi2.sf(statistic, dof))
+    # The chi-square survival function, as ``scipy.stats.chi2.sf``
+    # evaluates it, without importing ``scipy.stats`` at load.
+    p_value = float(scipy.special.chdtrc(dof, statistic))
     return TestResult(statistic=statistic, p_value=p_value,
                       degrees_of_freedom=dof)
 
@@ -73,6 +75,8 @@ def ks_two_sample(sample_a: np.ndarray, sample_b: np.ndarray) -> TestResult:
     b = np.asarray(sample_b, dtype=float).reshape(-1)
     if a.size < 2 or b.size < 2:
         raise ConfigurationError("KS test needs >= 2 samples per side")
+    import scipy.stats  # deferred: slow to import, and only this test uses it
+
     result = scipy.stats.ks_2samp(a, b)
     return TestResult(statistic=float(result.statistic),
                       p_value=float(result.pvalue),

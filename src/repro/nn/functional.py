@@ -332,18 +332,25 @@ def lstm_sequence(inputs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
             d_gates[t, :, 3 * hidden:] = dh * tanh_c[t] * o * (1.0 - o)
             dc_next = dc * f
             dh_next = d_gates[t] @ w_hh_t
+        # The three whole-sequence GEMMs run only for operands that take a
+        # gradient: a frozen layer (weights constant) back-propagates into
+        # its inputs alone.
         flat_gates = d_gates.reshape(seq_len * batch, 4 * hidden)
-        flat_inputs = inputs.data.reshape(seq_len * batch, in_dim)
-        inputs._accumulate(
-            (flat_gates @ w_ih.data.T).reshape(seq_len, batch, in_dim)
-        )
-        w_ih._accumulate(flat_inputs.T @ flat_gates)
-        # h_prev over the sequence is h_all shifted right by one, h0 first.
-        h_prev = np.concatenate(
-            [np.asarray(h0.data, dtype=dtype)[None], h_all[:-1]], axis=0
-        )
-        w_hh._accumulate(h_prev.reshape(seq_len * batch, hidden).T
-                         @ flat_gates)
+        if inputs.requires_grad:
+            inputs._accumulate(
+                (flat_gates @ w_ih.data.T).reshape(seq_len, batch, in_dim)
+            )
+        if w_ih.requires_grad:
+            flat_inputs = inputs.data.reshape(seq_len * batch, in_dim)
+            w_ih._accumulate(flat_inputs.T @ flat_gates)
+        if w_hh.requires_grad:
+            # h_prev over the sequence is h_all shifted right by one, h0
+            # first.
+            h_prev = np.concatenate(
+                [np.asarray(h0.data, dtype=dtype)[None], h_all[:-1]], axis=0
+            )
+            w_hh._accumulate(h_prev.reshape(seq_len * batch, hidden).T
+                             @ flat_gates)
         bias._accumulate(flat_gates.sum(axis=0))
         h0._accumulate(dh_next)
         c0._accumulate(dc_next)

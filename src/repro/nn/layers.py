@@ -1,13 +1,15 @@
 """Module system and feed-forward layers.
 
 :class:`Module` provides parameter discovery (recursing through attributes
-that are modules, parameter tensors, or lists of either) and train/eval mode
-propagation — the minimal surface the GAN needs, modelled on the PyTorch
-API so the paper's architecture description maps one-to-one.
+that are modules, parameter tensors, or lists of either), train/eval mode
+propagation, and a scoped freeze — the minimal surface the GAN needs,
+modelled on the PyTorch API so the paper's architecture description maps
+one-to-one.
 """
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Iterator
 from typing import Any
 
@@ -56,6 +58,28 @@ class Module:
         """Clear gradients on all parameters."""
         for parameter in self.parameters():
             parameter.zero_grad()
+
+    @contextlib.contextmanager
+    def frozen(self) -> Iterator["Module"]:
+        """Treat every parameter as a constant within a ``with`` block.
+
+        Forward values are unchanged. Results that depend only on frozen
+        parameters and plain inputs record no graph, and a backward pass
+        through the module computes gradients for its inputs alone, so
+        the parameters receive none. Run that backward pass inside the
+        block too: gradients are routed by each tensor's flag at the time
+        they flow. ``requires_grad`` is restored on exit, exceptions
+        included. Inside the block :meth:`parameters` is empty, which makes
+        a nested freeze a no-op.
+        """
+        parameters = list(self.parameters())
+        for parameter in parameters:
+            parameter.requires_grad = False
+        try:
+            yield self
+        finally:
+            for parameter in parameters:
+                parameter.requires_grad = True
 
     def train(self) -> "Module":
         """Enable training mode (dropout active) on the whole tree."""

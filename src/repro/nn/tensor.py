@@ -117,6 +117,10 @@ def _is_basic_index(key: Any) -> bool:
     )
 
 
+def _no_backward() -> None:
+    """The gradient step of a leaf or a constant: nothing to push."""
+
+
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` by summing over broadcast axes."""
     if grad.shape == shape:
@@ -135,7 +139,8 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """An array with an optional gradient and a recorded history."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_parents",
+                 "_op")
 
     def __init__(self, data: TensorLike, *, requires_grad: bool = False,
                  dtype: str | type | np.dtype | None = None,
@@ -149,7 +154,7 @@ class Tensor:
             self.data = np.asarray(data, dtype=default_dtype())
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] = lambda: None
+        self._backward_fn: Callable[[], None] = _no_backward
         self._parents = _parents
         self._op = _op
 
@@ -213,7 +218,25 @@ class Tensor:
     def _result(data: np.ndarray, parents: tuple["Tensor", ...],
                 op: str) -> "Tensor":
         requires = any(p.requires_grad for p in parents)
-        return Tensor(data, requires_grad=requires, _parents=parents, _op=op)
+        out = Tensor(data, requires_grad=requires, _parents=parents, _op=op)
+        if not requires:
+            # No gradient can flow through this result: it is a constant
+            # and records no history (see the ``_backward`` setter).
+            out._parents = ()
+        return out
+
+    @property
+    def _backward(self) -> Callable[[], None]:
+        """This node's gradient step: pushes ``grad`` into its parents."""
+        return self._backward_fn
+
+    @_backward.setter
+    def _backward(self, backward: Callable[[], None]) -> None:
+        # Only a node a gradient can flow through keeps its closure. A
+        # constant result drops it, and with it every buffer the closure
+        # saved, so a pass over frozen parameters builds no graph.
+        if self.requires_grad:
+            self._backward_fn = backward
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -541,10 +564,15 @@ class Tensor:
                 other._accumulate(unbroadcast(np.expand_dims(a, -1)
                                               * np.expand_dims(grad, -2), b.shape))
             else:
-                grad_a = grad @ np.swapaxes(b, -1, -2)
-                grad_b = np.swapaxes(a, -1, -2) @ grad
-                self._accumulate(unbroadcast(grad_a, a.shape))
-                other._accumulate(unbroadcast(grad_b, b.shape))
+                # Each product costs as much as the forward GEMM, so an
+                # operand that takes no gradient (a frozen weight, or the
+                # data it is applied to) skips its own.
+                if self.requires_grad:
+                    self._accumulate(unbroadcast(
+                        grad @ np.swapaxes(b, -1, -2), a.shape))
+                if other.requires_grad:
+                    other._accumulate(unbroadcast(
+                        np.swapaxes(a, -1, -2) @ grad, b.shape))
 
         out._backward = backward
         return out

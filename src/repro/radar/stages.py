@@ -639,6 +639,10 @@ def _detect_tracks_streaming(ctx: ExecutionContext) -> None:
         tracker = StreamingTracker(ctx.array,
                                    ctx.workspace.get("tracker_config"))
         ctx.workspace["tracker"] = tracker
+    else:
+        # Locate these profiles with the array of the radar that sensed
+        # them, not whichever array the tracker was built or restored with.
+        tracker.array = ctx.array
     for profile in ctx.workspace["profiles"]:
         tracker.ingest(profile)
     ctx.workspace["tracks"] = tracker.tracks()
@@ -683,7 +687,8 @@ class TrackedResultMixin:
         ingesting later profiles, or checkpoint it. Pass ``tracker`` to
         continue an existing session instead of starting fresh;
         ``tracker_config`` is ignored in that case (the tracker already
-        owns its config).
+        owns its config), and the tracker adopts this result's ``array``,
+        which sensed the profiles it is about to locate.
         """
         ctx = ExecutionContext(array=self.array, times=self.times)
         ctx.workspace["profiles"] = self.profiles

@@ -405,8 +405,8 @@ class SenseService:
             ))
             sensed_at = loop.time()
             before = tracker.frames_ingested
-            if tracker.array is None:
-                tracker.array = response.result.array
+            # The tracker locates the new frames with the sensing radar's
+            # array, whether it stayed live or was restored from a parking.
             response.result.stream_tracks(tracker=tracker)
             frames_added = tracker.frames_ingested - before
             now = loop.time()

@@ -317,19 +317,22 @@ class SessionStore:
         """Apply the live and total retention bounds, LRU-first.
 
         ``exempt`` (the session being created/restored) is never parked or
-        dropped — bounds are enforced against everything else.
+        dropped — bounds are enforced against everything else. Parking
+        runs first, so a session it parks can be dropped in the same pass;
+        otherwise a store with ``max_live == max_sessions`` and every
+        session live would keep one session too many.
         """
         by_idle = sorted(
             (s for s in self._sessions.values() if s.session_id != exempt),
             key=lambda s: s.last_active,
         )
-        overflow = len(self._sessions) - self.config.max_sessions
-        for session in [s for s in by_idle if not s.live][:max(overflow, 0)]:
-            self._sessions.pop(session.session_id)
-            self.metrics.inc("sessions.dropped")
         live_overflow = self.live_count - self.config.max_live
         if live_overflow > 0:
             for session in [s for s in by_idle
                             if s.live and not s.lock.locked()][:live_overflow]:
                 self.park(session.session_id)
+        overflow = len(self._sessions) - self.config.max_sessions
+        for session in [s for s in by_idle if not s.live][:max(overflow, 0)]:
+            self._sessions.pop(session.session_id)
+            self.metrics.inc("sessions.dropped")
         self._update_gauges()

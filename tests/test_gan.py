@@ -56,6 +56,32 @@ class TestGenerator:
         generator.generate_steps(2, np.zeros(2, dtype=int), rng)
         assert generator.training  # mode restored afterwards
 
+    def test_generate_steps_builds_no_graph(self, generator, monkeypatch):
+        labels = np.array([0, 2, 4])
+        generator.eval()
+        expected = generator(
+            generator.sample_noise(3, np.random.default_rng(7)), labels)
+        assert expected.requires_grad
+        generator.train()
+        before = list(generator.named_parameters())
+        outputs = []
+        forward = generator.forward
+
+        def spy(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(generator, "forward", spy)
+        steps = generator.generate_steps(3, labels,
+                                         np.random.default_rng(7))
+        assert np.array_equal(steps, expected.data)
+        (output,) = outputs
+        assert not output.requires_grad and output._parents == ()
+        # Trainable again afterwards, in train mode.
+        assert list(generator.named_parameters()) == before
+        assert all(p.requires_grad for _name, p in before)
+        assert generator.training
+
     def test_rejects_bad_shapes(self, generator, rng):
         with pytest.raises(ConfigurationError):
             generator(Tensor(np.zeros((2, 99))), np.zeros(2, dtype=int))
@@ -80,6 +106,29 @@ class TestDiscriminator:
         steps = rng.standard_normal((4, 15, 2))
         scores = discriminator.score(steps, np.zeros(4, dtype=int))
         assert np.all((scores > 0) & (scores < 1))
+
+    def test_score_builds_no_graph(self, discriminator, rng, monkeypatch):
+        steps = rng.standard_normal((4, 15, 2))
+        labels = np.array([0, 1, 3, 4])
+        discriminator.eval()
+        expected = discriminator(steps, labels).sigmoid().data.reshape(-1)
+        discriminator.train()
+        before = list(discriminator.named_parameters())
+        outputs = []
+        forward = discriminator.forward
+
+        def spy(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(discriminator, "forward", spy)
+        scores = discriminator.score(steps, labels)
+        assert np.array_equal(scores, expected)
+        (logits,) = outputs
+        assert not logits.requires_grad and logits._parents == ()
+        assert list(discriminator.named_parameters()) == before
+        assert all(p.requires_grad for _name, p in before)
+        assert discriminator.training
 
     def test_features_shape(self, discriminator, rng):
         steps = rng.standard_normal((3, 15, 2))

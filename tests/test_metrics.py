@@ -1,5 +1,10 @@
 """Tests for repro.metrics: FID, alignment errors, CDFs, statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,8 @@ from repro.metrics import (
 )
 from repro.trajectories import HumanMotionSimulator, TrajectoryDataset
 from repro.types import Trajectory
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestTrajectoryFeatures:
@@ -220,6 +227,43 @@ class TestChiSquare:
             chi_square_independence(np.array([[1, -2], [3, 4]]))
         with pytest.raises(ConfigurationError):
             chi_square_independence(np.zeros((2, 2)))
+
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 6, 9, 16])
+    def test_survival_function_is_bitwise_scipy_chi2_sf(self, dof):
+        """``chdtrc`` is what ``scipy.stats.chi2.sf`` evaluates."""
+        import scipy.special
+        import scipy.stats
+
+        grid = np.concatenate([[0.0], np.logspace(-9, 3, 200),
+                               np.linspace(0.0, 60.0, 241)])
+        assert np.array_equal(scipy.special.chdtrc(dof, grid),
+                              scipy.stats.chi2.sf(grid, dof))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 4), (5, 5)])
+    def test_p_value_is_bitwise_scipy_chi2_sf(self, shape, rng):
+        import scipy.stats
+
+        proportional = np.outer(np.arange(1, shape[0] + 1),
+                                np.arange(2, shape[1] + 2))
+        tables = [proportional] + [rng.integers(1, 60, shape)
+                                   for _ in range(20)]
+        for table in tables:
+            result = chi_square_independence(table)
+            assert result.p_value == float(scipy.stats.chi2.sf(
+                result.statistic, result.degrees_of_freedom))
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+            ).rstrip(os.pathsep)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
 
 
 class TestKsTest:

@@ -233,6 +233,43 @@ class TestModuleProtocol:
         model.zero_grad()
         assert all(p.grad is None for p in model.parameters())
 
+    def test_frozen_parameters_take_no_gradient(self, rng):
+        model = self._model(rng)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        with model.frozen():
+            assert list(model.parameters()) == []
+            model(x).sum().backward()
+        assert x.grad is not None
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_frozen_forward_of_constants_builds_no_graph(self, rng):
+        model = self._model(rng)
+        x = Tensor(rng.standard_normal((2, 3)))
+        expected = model(x).data
+        with model.frozen():
+            out = model(x)
+        assert not out.requires_grad and out._parents == ()
+        assert np.array_equal(out.data, expected)
+
+    def test_frozen_restores_the_same_parameters(self, rng):
+        model = self._model(rng)
+        before = list(model.named_parameters())
+        with model.frozen():
+            with model.frozen():
+                pass
+            assert list(model.parameters()) == []
+        assert list(model.named_parameters()) == before
+        assert all(p.requires_grad for _name, p in before)
+
+    def test_frozen_restores_after_an_exception(self, rng):
+        model = self._model(rng)
+        before = list(model.parameters())
+        with pytest.raises(RuntimeError):
+            with model.frozen():
+                raise RuntimeError("boom")
+        assert list(model.parameters()) == before
+        assert all(p.requires_grad for p in before)
+
     def test_train_eval_propagates(self, rng):
         class Net(Module):
             def __init__(self):

@@ -204,6 +204,48 @@ class TestMatmulGradients:
         check_gradient(lambda x, y: (x @ y).sum(), a, b)
 
 
+    @pytest.mark.parametrize("shapes", [((3, 4), (4, 5)),
+                                        ((2, 3, 4), (2, 4, 5)),
+                                        ((2, 3, 4), (4, 5))])
+    def test_guarded_backward_matches_unguarded(self, rng, shapes):
+        """An operand taking no gradient skips only its own product."""
+        a_data = rng.standard_normal(shapes[0])
+        b_data = rng.standard_normal(shapes[1])
+        seed = rng.standard_normal(np.broadcast_shapes(
+            shapes[0][:-2], shapes[1][:-2]) + (shapes[0][-2], shapes[1][-1]))
+
+        def grads(a_requires, b_requires):
+            a = Tensor(a_data, requires_grad=a_requires)
+            b = Tensor(b_data, requires_grad=b_requires)
+            (a @ b).backward(seed)
+            return a.grad, b.grad
+
+        full_a, full_b = grads(True, True)
+        only_a, none_b = grads(True, False)
+        none_a, only_b = grads(False, True)
+        assert none_a is None and none_b is None
+        assert np.array_equal(only_a, full_a)
+        assert np.array_equal(only_b, full_b)
+
+
+class TestConstantResults:
+    def test_constant_result_records_no_graph(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal((4, 2)))
+        out = (x @ w).tanh().sum()
+        assert not out.requires_grad
+        assert out._parents == ()
+
+    def test_result_of_a_requiring_operand_keeps_its_graph(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        hidden = x @ w
+        assert hidden.requires_grad
+        assert hidden._parents == (x, w)
+        hidden.tanh().sum().backward()
+        assert w.grad is not None and x.grad is None
+
+
 class TestCompositeGraphs:
     def test_mlp_like_graph(self, rng):
         w1 = rng.standard_normal((4, 8))

@@ -138,6 +138,38 @@ def test_lstm_sequence_gradients_match_finite_differences():
         )
 
 
+@pytest.mark.parametrize("requiring", [("inputs",),
+                                       ("w_ih", "w_hh", "bias"),
+                                       ("inputs", "h0", "c0")])
+def test_guarded_backward_matches_unguarded(requiring):
+    """Parents that take no gradient skip only their own GEMMs."""
+    rng = np.random.default_rng(4)
+    seq_len, batch, in_dim, hidden = 5, 3, 4, 6
+    arrays = {
+        "inputs": rng.standard_normal((seq_len, batch, in_dim)),
+        "w_ih": rng.standard_normal((in_dim, 4 * hidden)) * 0.4,
+        "w_hh": rng.standard_normal((hidden, 4 * hidden)) * 0.4,
+        "bias": rng.standard_normal(4 * hidden) * 0.2,
+        "h0": rng.standard_normal((batch, hidden)) * 0.5,
+        "c0": rng.standard_normal((batch, hidden)) * 0.5,
+    }
+
+    def grads(names):
+        tensors = {k: Tensor(v, requires_grad=k in names)
+                   for k, v in arrays.items()}
+        out = lstm_sequence(*tensors.values())
+        out.pow(2.0).mean().backward()
+        return {k: t.grad for k, t in tensors.items()}
+
+    full = grads(tuple(arrays))
+    guarded = grads(requiring)
+    for name in arrays:
+        if name in requiring:
+            assert np.array_equal(guarded[name], full[name]), name
+        else:
+            assert guarded[name] is None, name
+
+
 def test_repeat_sequence_matches_stack_and_sums_gradient():
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)

@@ -17,14 +17,17 @@ Pins the session subsystem's contracts:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SessionNotFoundError
 from repro.geometry import Rectangle
-from repro.radar import Scene, TrackerConfig
+from repro.radar import FmcwRadar, Scene, StreamingTracker, TrackerConfig
 from repro.serve import (
     InProcessClient,
     MetricsRegistry,
@@ -33,6 +36,8 @@ from repro.serve import (
     SessionStore,
     TrackRequest,
 )
+from repro.serve.app import build_demo_scene
+from repro.serve.request import TrackSnapshot
 from tests.test_serve_service import fast_radar_config, quick_service_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -189,6 +194,41 @@ class TestSessionStoreLifecycle:
         # The most recent sessions survive; the oldest were dropped.
         assert "s4" in store and "s3" in store
         assert "s0" not in store
+
+
+    def test_equal_live_and_total_bounds_hold_the_total(self):
+        """Parking runs before dropping, so the parked LRU goes at once."""
+        store = self.store(max_live=2, max_sessions=2)
+        for i in range(4):
+            store.create(f"s{i}", now=float(i))
+            assert len(store) <= 2
+        assert store.ids() == ["s2", "s3"]
+        assert store.live_count == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(max_live=st.integers(1, 4), extra=st.integers(0, 3),
+       touches=st.lists(st.integers(0, 9), min_size=1, max_size=40))
+def test_retention_bounds_hold_after_every_operation(max_live, extra,
+                                                     touches):
+    """Creates and touches in any order never exceed either bound.
+
+    ``extra == 0`` draws ``max_live == max_sessions``, where an unparked
+    overflow would otherwise survive one operation too long.
+    """
+    config = SessionConfig(max_live=max_live, max_sessions=max_live + extra)
+    store = SessionStore(config)
+    now = 0.0
+    for index in touches:
+        now += 1.0
+        session_id = f"s{index}"
+        if session_id in store:
+            store.get(session_id, now=now)
+        else:
+            store.create(session_id, now=now)
+        assert store.live_count <= config.max_live
+        assert len(store) <= config.max_sessions
+        assert session_id in store and store.peek(session_id).live
 
 
 class TestSessionSoak:
@@ -408,3 +448,87 @@ class TestServiceSessions:
         assert outcome["evicted"] >= 1
         assert outcome["restored"] >= 1
         assert outcome["frames_total"] > outcome["frames_added"]
+
+
+class TestTrackedArrays:
+    """A tracked chunk is located with the array of the radar that sensed it.
+
+    Two sessions alternate between the demo radar and the same radar moved
+    1 m. With ``max_live=1`` every request restores its session from a
+    checkpoint; with ``max_live=8`` both stay live. Both must answer like a
+    direct sense of each chunk followed by ingestion with its own array.
+    """
+
+    DURATION = 0.4
+    MAX_RANGE = 8.0
+    SESSIONS = ("a", "b")
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        scene, config = build_demo_scene()
+        shifted = dataclasses.replace(
+            config, position=(config.position[0] + 1.0, config.position[1]))
+        return scene, config, [config, shifted, config, shifted]
+
+    def served(self, demo, max_live):
+        scene, config, chunks = demo
+
+        async def run():
+            service = SenseService(
+                quick_service_config(), default_radar_config=config,
+                session_config=SessionConfig(max_live=max_live,
+                                             max_sessions=16))
+            async with service:
+                for session_id in self.SESSIONS:
+                    await service.create_session(
+                        session_id, tracker_config=TRACKER_CONFIG)
+                answers = []
+                for k, chunk_config in enumerate(chunks):
+                    for session_id in self.SESSIONS:
+                        response = await service.submit_tracked(TrackRequest(
+                            session_id=session_id, scene=scene,
+                            duration=self.DURATION, seed=k,
+                            config=chunk_config,
+                            start_time=k * self.DURATION,
+                            max_range=self.MAX_RANGE,
+                        ))
+                        answers.append((response.frames_added,
+                                        response.frames_total,
+                                        response.tracks,
+                                        response.active_tracks))
+                restores = service.metrics.counter("sessions.restored").value
+            return answers, restores
+
+        return asyncio.run(run())
+
+    def direct(self, demo):
+        scene, _config, chunks = demo
+        trackers = {session_id: StreamingTracker(None, TRACKER_CONFIG)
+                    for session_id in self.SESSIONS}
+        answers = []
+        for k, chunk_config in enumerate(chunks):
+            result = FmcwRadar(chunk_config).sense(
+                scene, self.DURATION, rng=np.random.default_rng(k),
+                start_time=k * self.DURATION, max_range=self.MAX_RANGE)
+            for session_id in self.SESSIONS:
+                tracker = trackers[session_id]
+                before = tracker.frames_ingested
+                tracker.array = result.array
+                for profile in result.profiles:
+                    tracker.ingest(profile)
+                answers.append((
+                    tracker.frames_ingested - before,
+                    tracker.frames_ingested,
+                    tuple(TrackSnapshot.from_track(track)
+                          for track in tracker.tracks()),
+                    tuple(TrackSnapshot.from_track(track)
+                          for track in tracker.active_tracks),
+                ))
+        return answers
+
+    def test_parked_and_live_sessions_answer_alike(self, demo):
+        parked, restores = self.served(demo, max_live=1)
+        live, no_restores = self.served(demo, max_live=8)
+        assert restores > 0 and no_restores == 0
+        assert parked == live
+        assert live == self.direct(demo)
