@@ -17,6 +17,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -102,8 +103,24 @@ def _run_all(experiment_ids: list[str], *, fast: bool, seed: int | None,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    arguments = list(sys.argv[1:] if argv is None else argv)
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes stdout early (``rfprotect run all | head -1``)
+    ends the command with exit code 1 and no traceback.
+    """
+    try:
+        code = _main(list(sys.argv[1:] if argv is None else argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's shutdown flush
+        # cannot raise a second time (the Python docs' SIGPIPE recipe).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(arguments: list[str]) -> int:
     if arguments[:1] == ["lint"]:
         # Forwarded verbatim (before argparse) so lint's own options like
         # --list-rules and --format reach its parser untouched.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.metrics.fid import trajectory_features
+from repro.metrics.fid import feature_matrix
 from repro.trajectories.dataset import TrajectoryDataset
 from repro.types import Trajectory
 
@@ -41,7 +41,7 @@ class TrajectoryRealnessClassifier:
         return self._weights is not None
 
     def _features(self, trajectories: TrajectoryDataset | list[Trajectory]) -> np.ndarray:
-        return np.vstack([trajectory_features(t) for t in trajectories])
+        return feature_matrix(trajectories)
 
     def fit(self, real: TrajectoryDataset,
             fake: TrajectoryDataset) -> "TrajectoryRealnessClassifier":

@@ -14,6 +14,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.errors import TrackingError
 from repro.experiments.environments import Environment, office_environment
 from repro.trajectories.synthesis import rectangle_path, s_curve_path
 from repro.types import Trajectory
@@ -70,8 +71,11 @@ def run(*, environment: Environment | None = None, duration: float = 10.0,
         scene = environment.make_scene()
         scene.add_human(truth)
         result = radar.sense(scene, duration, rng=rng)
-        detected = result.best_trajectory()
-        track = result.tracks()[0]
+        tracks = result.tracks()  # one Detect pass serves both readouts
+        if not tracks:
+            raise TrackingError("no target was tracked in this session")
+        track = tracks[0]
+        detected = track.to_trajectory()
         errors = np.array([
             np.linalg.norm(position - truth.position_at(t))
             for t, position in zip(track.times, track.raw_positions)

@@ -22,14 +22,14 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments.artifacts import trained_gan
-from repro.metrics.fid import trajectory_features
+from repro.metrics.fid import feature_matrix
 from repro.metrics.stats import TestResult, chi_square_independence
 from repro.trajectories import TrajectoryDataset
 from repro.types import Trajectory
 
 __all__ = ["RaterModel", "Table1Result", "run"]
 
-# Feature indices (see metrics.fid.trajectory_features) a human plot-reader
+# Feature indices (see metrics.fid.feature_matrix) a human plot-reader
 # plausibly reacts to: step std, max step, |turning| mean, straightness,
 # stationary fraction.
 _SALIENT_FEATURES = (1, 2, 4, 8, 11)
@@ -53,8 +53,7 @@ class RaterModel:
             raise ExperimentError("judgement_noise must be >= 0")
         if rng is None:
             rng = np.random.default_rng(0)
-        features = np.vstack([trajectory_features(t) for t in reference])
-        salient = features[:, _SALIENT_FEATURES]
+        salient = feature_matrix(reference)[:, _SALIENT_FEATURES]
         self._mean = salient.mean(axis=0)
         self._std = salient.std(axis=0) + 1e-9
         self._rng = rng
@@ -62,22 +61,24 @@ class RaterModel:
         # Personal leniency: how implausible a trajectory must look before
         # this rater calls it fake. Calibrated on *noisy* judgements of the
         # real population, so real trajectories land at ~55-60% "perceived
-        # real" — matching the human base rate of Table 1.
-        reference_scores = np.array([
-            self._implausibility(t) + rng.normal(0.0, judgement_noise)
-            for t in reference
-        ])
+        # real" — matching the human base rate of Table 1. One sized draw
+        # takes the same stream as one scalar draw per trajectory.
+        reference_scores = (self._implausibility(salient)
+                            + rng.normal(0.0, judgement_noise,
+                                         size=len(reference)))
         self._threshold = float(np.quantile(reference_scores, 0.58)
                                 + rng.normal(0.0, 0.2))
 
-    def _implausibility(self, trajectory: Trajectory) -> float:
-        salient = trajectory_features(trajectory)[list(_SALIENT_FEATURES)]
+    def _implausibility(self, salient: np.ndarray) -> np.ndarray:
+        """Mean z-score over the last axis of salient feature rows."""
         z = np.abs(salient - self._mean) / self._std
-        return float(z.mean())
+        scores: np.ndarray = z.mean(axis=-1)
+        return scores
 
     def perceive_real(self, trajectory: Trajectory) -> bool:
         """One noisy judgement: does this trajectory look real?"""
-        score = (self._implausibility(trajectory)
+        salient = feature_matrix([trajectory])[0, _SALIENT_FEATURES]
+        score = (float(self._implausibility(salient))
                  + self._rng.normal(0.0, self.judgement_noise))
         return score <= self._threshold
 
@@ -117,6 +118,7 @@ def run(*, num_raters: int = 32, per_class: int = 5,
     artifacts = trained_gan(gan_quality, seed)
     real = artifacts.dataset
     fake = artifacts.sampler.sample(num_raters * per_class, rng=rng)
+    feature_matrix(fake)  # one stacked pass; raters read the memoized rows
 
     table = np.zeros((2, 2))
     fake_cursor = 0

@@ -15,64 +15,93 @@ by construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 import scipy.linalg
 
 from repro.errors import ConfigurationError
 from repro.trajectories.dataset import TrajectoryDataset
-from repro.types import Trajectory
+from repro.types import Trajectory, memoized_rows, motion_ranges
 
-__all__ = ["fid_score", "frechet_distance", "normalized_fid_scores",
-           "trajectory_features"]
+__all__ = ["feature_matrix", "fid_score", "frechet_distance",
+           "normalized_fid_scores", "trajectory_features"]
 
 NUM_FEATURES = 12
 
 
-def trajectory_features(trajectory: Trajectory) -> np.ndarray:
-    """A 12-dim kinematic embedding of one trajectory.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(n, L)`` arrays.
 
-    Features: step-length mean/std/max, speed std, turning-angle
-    mean-absolute/std, motion range, path length, straightness (net
-    displacement over path length), step autocorrelations at lags 1 and 3,
-    and the fraction of near-stationary steps.
+    Stacked ``(n, 1, L) @ (n, L, 1)`` matmuls run the BLAS dot that 1-D
+    ``a @ b`` and ``np.linalg.norm`` run, so each row is bit-identical.
     """
-    steps = trajectory.displacements()
-    if steps.shape[0] < 4:
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _feature_kernel(group: list[Trajectory]) -> np.ndarray:
+    """Feature rows of equally long, equally sampled trajectories."""
+    points = np.stack([t.points for t in group])
+    if points.shape[1] < 5:
         raise ConfigurationError("feature extraction needs >= 5 points")
-    lengths = np.linalg.norm(steps, axis=1)
-    speeds = lengths / trajectory.dt
-    turning = trajectory.turning_angles()
-    path = float(lengths.sum())
-    net = float(np.linalg.norm(trajectory.points[-1] - trajectory.points[0]))
-    straightness = net / path if path > 1e-9 else 0.0
+    count = points.shape[0]
+    steps = np.diff(points, axis=1)
+    lengths = np.linalg.norm(steps, axis=-1)
+    speeds = lengths / group[0].dt
+    headings = np.arctan2(steps[..., 1], steps[..., 0])
+    turning = (np.diff(headings, axis=-1) + np.pi) % (2.0 * np.pi) - np.pi
+    path = lengths.sum(axis=-1)
+    net_step = points[:, -1] - points[:, 0]
+    net = np.sqrt(_row_dots(net_step, net_step))
+    moved = path > 1e-9
+    straightness = np.where(moved, net / np.where(moved, path, 1.0), 0.0)
 
-    def step_autocorrelation(lag: int) -> float:
-        a = steps[:-lag].reshape(-1)
-        b = steps[lag:].reshape(-1)
-        denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-        if denom < 1e-12:
-            return 0.0
-        return float(a @ b / denom)
+    def step_autocorrelation(lag: int) -> np.ndarray:
+        a = steps[:, :-lag].reshape(count, -1)
+        b = steps[:, lag:].reshape(count, -1)
+        denom = np.sqrt(_row_dots(a, a)) * np.sqrt(_row_dots(b, b))
+        live = denom >= 1e-12
+        return np.where(live, _row_dots(a, b) / np.where(live, denom, 1.0),
+                        0.0)
 
-    stationary_fraction = float(np.mean(lengths < 0.02))
-    return np.array([
-        float(lengths.mean()),
-        float(lengths.std()),
-        float(lengths.max()),
-        float(speeds.std()),
-        float(np.abs(turning).mean()),
-        float(turning.std()),
-        trajectory.motion_range(),
+    return np.stack([
+        lengths.mean(axis=-1),
+        lengths.std(axis=-1),
+        lengths.max(axis=-1),
+        speeds.std(axis=-1),
+        np.abs(turning).mean(axis=-1),
+        turning.std(axis=-1),
+        motion_ranges(group),
         path,
         straightness,
         step_autocorrelation(1),
         step_autocorrelation(3),
-        stationary_fraction,
-    ])
+        (lengths < 0.02).mean(axis=-1),
+    ], axis=-1)
 
 
-def _feature_matrix(dataset: TrajectoryDataset) -> np.ndarray:
-    return np.vstack([trajectory_features(t) for t in dataset])
+def feature_matrix(trajectories: Iterable[Trajectory]) -> np.ndarray:
+    """The ``(n, 12)`` kinematic embedding of a trajectory set.
+
+    Features per row: step-length mean/std/max, speed std, turning-angle
+    mean-absolute/std, motion range, path length, straightness (net
+    displacement over path length), step autocorrelations at lags 1 and
+    3, and the fraction of near-stationary steps.
+
+    Each row is computed once per trajectory and memoized on it; the rows
+    still missing are computed in one stacked pass per ``(T, dt)`` group.
+    Raises :class:`ConfigurationError` for a trajectory of fewer than 5
+    points.
+    """
+    members = list(trajectories)
+    if not members:
+        return np.empty((0, NUM_FEATURES))
+    return memoized_rows(members, "features", _feature_kernel)
+
+
+def trajectory_features(trajectory: Trajectory) -> np.ndarray:
+    """A 12-dim kinematic embedding of one trajectory (see :func:`feature_matrix`)."""
+    return feature_matrix([trajectory])[0]
 
 
 def frechet_distance(mean_a: np.ndarray, cov_a: np.ndarray,
@@ -101,10 +130,15 @@ def frechet_distance(mean_a: np.ndarray, cov_a: np.ndarray,
 def fid_score(candidate: TrajectoryDataset,
               reference: TrajectoryDataset) -> float:
     """FID between a candidate trajectory set and a reference set."""
-    if len(candidate) < 2 or len(reference) < 2:
+    return _feature_fid(candidate, feature_matrix(reference))
+
+
+def _feature_fid(candidate: TrajectoryDataset,
+                 features_b: np.ndarray) -> float:
+    """FID of ``candidate`` against a reference set's feature matrix."""
+    if len(candidate) < 2 or features_b.shape[0] < 2:
         raise ConfigurationError("FID needs at least 2 trajectories per set")
-    features_a = _feature_matrix(candidate)
-    features_b = _feature_matrix(reference)
+    features_a = feature_matrix(candidate)
     # Normalize by the reference feature scales so no single unit dominates.
     scale = features_b.std(axis=0) + 1e-6
     features_a = features_a / scale
@@ -127,12 +161,13 @@ def normalized_fid_scores(candidates: dict[str, TrajectoryDataset],
     if len(real) < 8:
         raise ConfigurationError("need >= 8 real trajectories to normalize FID")
     half_a, half_b = real.split(0.5, rng)
-    baseline = fid_score(half_a, half_b)
+    reference = feature_matrix(half_b)
+    baseline = _feature_fid(half_a, reference)
     if baseline <= 0:
         raise ConfigurationError(
             "degenerate real split: zero self-FID (identical halves?)"
         )
     scores = {"Real": 1.0}
     for name, dataset in candidates.items():
-        scores[name] = fid_score(dataset, half_b) / baseline
+        scores[name] = _feature_fid(dataset, reference) / baseline
     return scores

@@ -45,34 +45,36 @@ class Wall:
 
 
 def _segments_intersect(p1: np.ndarray, p2: np.ndarray,
-                        q1: np.ndarray, q2: np.ndarray) -> bool:
-    """Proper segment intersection via orientation tests (collinear-safe)."""
+                        q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Segment intersection via orientation tests (collinear-safe).
 
-    def orientation(a, b, c) -> float:
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    Each argument is an ``(..., 2)`` array of endpoints; the test
+    broadcasts, so one call checks every step of a trajectory against a
+    wall. A proper crossing needs all four orientations nonzero and
+    pairwise opposite; a collinear endpoint counts when it lies within
+    the other segment's bounding box widened by 1e-12.
+    """
 
-    def on_segment(a, b, c) -> bool:
-        return (min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
-                and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12)
+    def orientation(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+    def on_segment(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        inside = ((np.minimum(a, b) - 1e-12 <= c)
+                  & (c <= np.maximum(a, b) + 1e-12))
+        return inside[..., 0] & inside[..., 1]
 
     o1 = orientation(p1, p2, q1)
     o2 = orientation(p1, p2, q2)
     o3 = orientation(q1, q2, p1)
     o4 = orientation(q1, q2, p2)
-
-    if ((o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0)
-            and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0):
-        return True
-    # Collinear touching cases.
-    if o1 == 0 and on_segment(p1, p2, q1):
-        return True
-    if o2 == 0 and on_segment(p1, p2, q2):
-        return True
-    if o3 == 0 and on_segment(q1, q2, p1):
-        return True
-    if o4 == 0 and on_segment(q1, q2, p2):
-        return True
-    return False
+    proper = (((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0))
+              & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0))
+    touching = (((o1 == 0) & on_segment(p1, p2, q1))
+                | ((o2 == 0) & on_segment(p1, p2, q2))
+                | ((o3 == 0) & on_segment(q1, q2, p1))
+                | ((o4 == 0) & on_segment(q1, q2, p2)))
+    return proper | touching
 
 
 class FloorPlan:
@@ -102,21 +104,19 @@ class FloorPlan:
 
     def step_crosses_wall(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Whether the segment a->b passes through any wall."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return any(
-            _segments_intersect(a, b, *wall.as_arrays())
-            for wall in self.walls
-        )
+        return bool(self._crossing_mask(np.array([a, b], dtype=float))[0])
+
+    def _crossing_mask(self, points: np.ndarray) -> np.ndarray:
+        """Which steps of a ``(T, 2)`` point array cross any wall."""
+        starts, ends = points[:-1], points[1:]
+        crossing = np.zeros(starts.shape[0], dtype=bool)
+        for wall in self.walls:
+            crossing |= _segments_intersect(starts, ends, *wall.as_arrays())
+        return crossing
 
     def crossing_steps(self, trajectory: Trajectory) -> np.ndarray:
         """Indices of trajectory steps that cross a wall."""
-        points = trajectory.points
-        crossings = [
-            i for i in range(points.shape[0] - 1)
-            if self.step_crosses_wall(points[i], points[i + 1])
-        ]
-        return np.asarray(crossings, dtype=int)
+        return np.flatnonzero(self._crossing_mask(trajectory.points))
 
     def is_admissible(self, trajectory: Trajectory, *,
                       margin: float = 0.0) -> bool:
@@ -168,22 +168,21 @@ class FloorPlanConstraint:
         """
         points = self.plan.footprint.clamp_all(trajectory.points, self.margin)
         for _ in range(self.max_repair_iterations):
-            crossings = [
-                i for i in range(points.shape[0] - 1)
-                if self.plan.step_crosses_wall(points[i], points[i + 1])
-            ]
-            if not crossings:
+            crossings = np.flatnonzero(self.plan._crossing_mask(points))
+            if crossings.size == 0:
                 return trajectory.replace(points=points)
             for index in crossings:
                 # Pull the far end of the crossing step halfway back.
                 points[index + 1] = 0.5 * (points[index + 1] + points[index])
 
         # Fallback: stop at the wall. Freeze everything after the first
-        # remaining crossing at the last admissible position.
+        # crossing at the last admissible position. The frozen steps have
+        # zero length, so the step-by-step scan this replaces could only
+        # re-freeze them at the same point.
         points = self.plan.footprint.clamp_all(trajectory.points, self.margin)
-        for index in range(points.shape[0] - 1):
-            if self.plan.step_crosses_wall(points[index], points[index + 1]):
-                points[index + 1:] = points[index]
+        crossings = np.flatnonzero(self.plan._crossing_mask(points))
+        if crossings.size:
+            points[crossings[0] + 1:] = points[crossings[0]]
         candidate = trajectory.replace(points=points)
         if self.plan.is_admissible(candidate, margin=0.0):
             return candidate

@@ -2,9 +2,11 @@
 
 The paper classifies its trajectory dataset "into five classes based on
 ranges of motion" and conditions the cGAN on the class. The *range* of a
-trajectory is the diameter of its bounding box; the class edges below span
-from near-stationary shuffling (class 0) to purposeful room-crossing walks
-(class 4).
+trajectory is the diameter of its point set — the largest distance between
+two of its points (:meth:`~repro.types.Trajectory.motion_range`), which is
+rotation invariant and memoized on the trajectory; the class edges below
+span from near-stationary shuffling (class 0) to purposeful room-crossing
+walks (class 4).
 """
 
 from __future__ import annotations
@@ -38,5 +40,5 @@ def range_class(motion_range: float,
 
 def range_class_of_trajectory(trajectory: Trajectory,
                               edges: tuple[float, ...] = DEFAULT_RANGE_EDGES) -> int:
-    """Class index of a trajectory's bounding-box diameter."""
+    """Class index of a trajectory's motion range (its point-set diameter)."""
     return range_class(trajectory.motion_range(), edges)

@@ -10,13 +10,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["PolarPoint", "Trajectory", "as_points_array"]
+__all__ = ["PolarPoint", "Trajectory", "as_points_array", "memoized_rows",
+           "motion_ranges", "point_set_diameters"]
+
+#: Float64 values per temporary of a stacked pass (64 KiB): scratch memory
+#: stays bounded whatever the set size or ``T``, and blocks stay in cache.
+_BLOCK_VALUES = 1 << 13
 
 
 def as_points_array(points: Sequence | np.ndarray) -> np.ndarray:
@@ -59,7 +65,11 @@ class PolarPoint:
 
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
-    """A uniformly-sampled 2-D trajectory.
+    """A uniformly-sampled 2-D trajectory, immutable down to its points.
+
+    The trajectory holds its own read-only copy of the points, so analytics
+    derived from ``(points, dt)`` — the diameter, the kinematic feature
+    row — are memoized on it (see :func:`memoized_rows`).
 
     Attributes:
         points: ``(T, 2)`` float array of (x, y) positions in meters.
@@ -70,11 +80,20 @@ class Trajectory:
     points: np.ndarray
     dt: float
     label: int | None = None
+    _memo: dict[str, Any] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", as_points_array(self.points))
+        owner = as_points_array(self.points).copy()
+        owner.flags.writeable = False
+        # A view of a read-only owner cannot be made writeable again.
+        object.__setattr__(self, "points", owner.view())
         if self.dt <= 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Rebuild through the constructor: an unpickled array is writeable.
+        return (Trajectory, (self.points, self.dt, self.label))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -124,9 +143,9 @@ class Trajectory:
 
         This is the "range of motion" the paper classifies traces by
         (Sec. 6); unlike a bounding-box measure it is rotation invariant.
+        Computed once, then memoized.
         """
-        diffs = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+        return float(motion_ranges([self])[0])
 
     def centroid(self) -> np.ndarray:
         """Mean position, shape ``(2,)``."""
@@ -183,8 +202,15 @@ class Trajectory:
         return np.array([x, y])
 
     def replace(self, **changes) -> "Trajectory":
-        """Return a copy with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
+        """Return a copy with the given fields replaced.
+
+        A copy with the same points and ``dt`` (a relabelling) keeps the
+        memoized analytics, which depend on nothing else.
+        """
+        clone = dataclasses.replace(self, **changes)
+        if "points" not in changes and "dt" not in changes:
+            clone._memo.update(self._memo)
+        return clone
 
     @staticmethod
     def from_polar(points: Sequence[PolarPoint], dt: float,
@@ -193,3 +219,72 @@ class Trajectory:
         """Build a trajectory from polar points around ``origin``."""
         cart = np.array([p.to_cartesian(tuple(origin)) for p in points])
         return Trajectory(cart, dt=dt, label=label)
+
+
+def point_set_diameters(points: np.ndarray) -> np.ndarray:
+    """Largest pairwise distance within each set of an ``(n, T, 2)`` stack.
+
+    Takes the square root of the largest squared distance, which equals
+    the largest distance bit for bit (IEEE ``sqrt`` is correctly rounded
+    and monotone). Squared distances are formed over the upper triangle
+    in blocks of at most ``_BLOCK_VALUES`` values, so the temporaries
+    stay small whatever ``T`` is.
+    """
+    count, length = points.shape[:2]
+    xs, ys = points[..., 0], points[..., 1]
+    sets = max(1, min(count, _BLOCK_VALUES // (length * length)))
+    rows = max(1, min(length, _BLOCK_VALUES // (sets * length)))
+    best = np.zeros(count)
+    for first in range(0, count, sets):
+        chunk = slice(first, first + sets)
+        x, y = xs[chunk], ys[chunk]
+        for start in range(0, length, rows):
+            dx = x[:, start:start + rows, None] - x[:, None, start:]
+            dy = y[:, start:start + rows, None] - y[:, None, start:]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.maximum(best[chunk], dx.max(axis=(1, 2)), out=best[chunk])
+    return np.sqrt(best)
+
+
+def memoized_rows(trajectories: Sequence[Trajectory], key: str,
+                  kernel: Callable[[list[Trajectory]], np.ndarray],
+                  ) -> np.ndarray:
+    """A per-trajectory analytic over a set, computed at most once each.
+
+    Trajectories that do not yet hold a value under ``key`` are grouped by
+    ``(T, dt)``; ``kernel`` maps a pass of one group's members to their
+    stacked values (one row per member, in order), which are stored
+    read-only on the members. A pass takes as many members as keep its
+    stacked points within ``_BLOCK_VALUES`` coordinates. Duplicates in
+    ``trajectories`` are computed once. Returns the values of all
+    trajectories stacked in input order.
+    """
+    groups: dict[tuple[int, float], dict[int, Trajectory]] = {}
+    for trajectory in trajectories:
+        if key not in trajectory._memo:
+            group = groups.setdefault((len(trajectory), trajectory.dt), {})
+            group[id(trajectory)] = trajectory
+    for (length, _), group in groups.items():
+        pending = list(group.values())
+        per_pass = max(1, _BLOCK_VALUES // (2 * length))
+        for first in range(0, len(pending), per_pass):
+            members = pending[first:first + per_pass]
+            values = kernel(members)
+            values.flags.writeable = False
+            for trajectory, value in zip(members, values):
+                trajectory._memo[key] = value
+    return np.stack([trajectory._memo[key] for trajectory in trajectories])
+
+
+def _diameter_kernel(group: list[Trajectory]) -> np.ndarray:
+    return point_set_diameters(np.stack([t.points for t in group]))
+
+
+def motion_ranges(trajectories: Sequence[Trajectory]) -> np.ndarray:
+    """Diameters of a set of trajectories (see :meth:`Trajectory.motion_range`).
+
+    Only the unmemoized ones are computed, in stacked passes.
+    """
+    return memoized_rows(trajectories, "diameter", _diameter_kernel)

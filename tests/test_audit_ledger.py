@@ -84,21 +84,25 @@ class TestChain:
 
 
 class TestTamperEvidence:
-    def test_every_single_byte_flip_is_detected(self, ledger_path):
+    def test_every_single_byte_flip_is_detected(self, ledger_path, tmp_path):
         # The headline property, exhaustively: flipping the low bit of
         # ANY byte in the file must break verification. Quote characters
         # may yield a parse failure, content bytes a hash failure, hash
         # bytes a link/content mismatch — all must surface as not-ok.
+        # Each flipped copy goes to a fresh file: creating a file is far
+        # cheaper than truncating and rewriting one on many filesystems.
         with open(ledger_path, "rb") as handle:
             original = handle.read()
+        flips = tmp_path / "flips"
+        flips.mkdir()
         for offset in range(len(original)):
             tampered = bytearray(original)
             tampered[offset] ^= 0x01
             if tampered[offset] in (0x0A, 0x0D) or original[offset] == 0x0A:
                 continue  # newline edits change framing, checked below
-            with open(ledger_path, "wb") as handle:
-                handle.write(bytes(tampered))
-            verification = verify_chain(ledger_path)
+            flipped = flips / f"flip-{offset}.jsonl"
+            flipped.write_bytes(bytes(tampered))
+            verification = verify_chain(str(flipped))
             assert not verification.ok, f"byte {offset} flip went undetected"
             assert verification.first_bad_index is not None
         with open(ledger_path, "wb") as handle:

@@ -4,10 +4,15 @@ These are the reproduction's acceptance tests: each figure's *shape-level*
 claim must hold even at the fast/tiny experiment scale.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, TrackingError
 from repro.cli import main as cli_main
 from repro.experiments import (
     EXPERIMENTS,
@@ -18,7 +23,11 @@ from repro.experiments import (
 from repro.experiments import fig7, fig9, table1
 from repro.experiments.artifacts import trained_gan
 from repro.experiments.fig9 import rectangle_path, s_curve_path
+from repro.experiments.runner import _stage_counts
+from repro.radar import SensingResult
 from repro.types import Trajectory
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestEnvironments:
@@ -102,6 +111,18 @@ class TestFig9:
         for median in result.median_errors_m:
             # Within ~2 range bins, as the paper's Fig. 9 shows.
             assert median < 2.5 * result.range_resolution_m
+
+    def test_detect_runs_once_per_path(self):
+        detect = "stages.detect.wall_s"
+        before = _stage_counts().get(detect, (0, 0.0))[0]
+        result = fig9.run(duration=6.0)
+        assert _stage_counts()[detect][0] - before == len(result.path_names)
+
+    def test_untracked_path_raises_tracking_error(self, monkeypatch):
+        monkeypatch.setattr(SensingResult, "tracks",
+                            lambda self, tracker_config=None: [])
+        with pytest.raises(TrackingError, match="no target was tracked"):
+            fig9.run(duration=4.0)
 
 
 class TestFig10:
@@ -214,3 +235,46 @@ class TestRunnerAndCli:
     def test_cli_unknown_experiment_fails(self, capsys):
         assert cli_main(["run", "fig99"]) == 1
         assert "unknown experiment" in capsys.readouterr().err
+
+
+def _cli_env(unbuffered: bool) -> dict[str, str]:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class TestCliClosedPipe:
+    """``rfprotect ... | head -1`` ends quietly, without a traceback."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_reader_exits_one_without_traceback(self, unbuffered):
+        # The reader is gone before the first write, so the failing write
+        # is deterministic: a print when unbuffered, the final flush when
+        # block-buffered.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "list"],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=_cli_env(unbuffered), timeout=120)
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 1
+        assert completed.stderr == b""
+
+    def test_reader_closing_after_first_line(self):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "run", "fig7", "--fast"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_cli_env(unbuffered=True))
+        assert process.stdout is not None and process.stderr is not None
+        assert process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=120) in (0, 1)
+        assert b"Traceback" not in stderr and b"BrokenPipe" not in stderr
