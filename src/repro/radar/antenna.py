@@ -49,6 +49,10 @@ class UniformLinearArray:
         self.position = np.asarray(config.position, dtype=float)
         self.axis = unit_vector(config.axis_angle)
         self.facing = unit_vector(config.facing_angle)
+        # Unit vector perpendicular to the axis, signed toward the facing
+        # side (RadarConfig rejects a facing parallel to the axis).
+        perp = self.facing - (self.facing @ self.axis) * self.axis
+        self._perp = perp / np.linalg.norm(perp)
         self.num_antennas = config.num_antennas
         self.spacing = config.spacing
         self.wavelength = config.chirp.wavelength
@@ -84,14 +88,9 @@ class UniformLinearArray:
         if distance < 0:
             raise ConfigurationError(f"distance must be >= 0, got {distance}")
         along_axis = np.cos(angle)
-        # Component perpendicular to the axis, signed toward the facing side.
-        perp = self.facing - (self.facing @ self.axis) * self.axis
-        perp_norm = np.linalg.norm(perp)
-        if perp_norm == 0:
-            raise ConfigurationError("facing direction parallel to array axis")
-        perp = perp / perp_norm
         off_axis = np.sin(angle)
-        return self.position + distance * (along_axis * self.axis + off_axis * perp)
+        return self.position + distance * (along_axis * self.axis
+                                           + off_axis * self._perp)
 
     def arrival_phases(self, angle: float) -> np.ndarray:
         """Relative phase of an incoming wave at each element, shape ``(K,)``.

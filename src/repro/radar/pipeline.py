@@ -39,11 +39,7 @@ import numpy as np
 from repro.errors import SignalProcessingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
-from repro.radar.processing import (
-    ZERO_PAD_FACTOR,
-    RangeAngleProfile,
-    range_keep_mask,
-)
+from repro.radar.processing import ZERO_PAD_FACTOR, RangeAngleProfile
 from repro.signal.spectral import range_axis, range_fft
 
 __all__ = [

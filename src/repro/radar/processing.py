@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.errors import SignalProcessingError
+from repro.errors import ConfigurationError, SignalProcessingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
 from repro.signal.detection import PeakDetection, detect_peaks_2d
@@ -70,12 +70,16 @@ def range_keep_mask(ranges: np.ndarray, *, min_range: float,
                     max_range: float | None) -> np.ndarray:
     """Boolean mask of range bins inside ``[min_range, max_range]``.
 
-    One definition shared by the per-frame reference path and the batched
-    pipeline so both crop the range axis identically.
+    One definition shared by the per-frame reference path, the batched
+    pipeline and the serving engine; a window that keeps no bin raises
+    :class:`ConfigurationError`.
     """
     keep = ranges >= min_range
     if max_range is not None:
         keep = keep & (ranges <= max_range)
+    if not keep.any():
+        raise ConfigurationError(f"range crop [min_range={min_range}, "
+                                 f"max_range={max_range}] m keeps no range bin")
     return keep
 
 
@@ -106,6 +110,8 @@ class RangeAngleProfile:
                min_range_separation_m: float = 0.3,
                min_angle_separation_rad: float = 0.12) -> list[PeakDetection]:
         """Detect peaks with physical (meters/radians) separation limits."""
+        if min(self.power.shape) < 3:  # no interior cell, so no peak
+            return []
         range_step = float(self.ranges[1] - self.ranges[0])
         angle_step = float(abs(self.angles[1] - self.angles[0]))
         return detect_peaks_2d(

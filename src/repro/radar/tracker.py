@@ -36,6 +36,7 @@ import numpy as np
 from repro.errors import ConfigurationError, TrackingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.processing import RangeAngleProfile
+from repro.signal.detection import selection_median
 from repro.signal.filtering import smooth_trajectory
 from repro.types import Trajectory
 
@@ -60,6 +61,13 @@ ASSOCIATION_MODES: tuple[str, ...] = ("hungarian", "greedy")
 
 #: One detection: a Cartesian ``(x, y)`` position and its peak power.
 Detection = tuple[np.ndarray, float]
+
+
+#: Read-only Kalman constants, built once: the identities and the
+#: position observation matrix ``H`` (same operands, same bits).
+_EYE2, _EYE4, _OBSERVATION = np.eye(2), np.eye(4), np.eye(2, 4)
+for _constant in (_EYE2, _EYE4, _OBSERVATION):
+    _constant.flags.writeable = False
 
 
 class KalmanTracker2D:
@@ -96,9 +104,8 @@ class KalmanTracker2D:
         """Advance the state by ``dt`` seconds; returns the predicted position."""
         if dt <= 0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
-        transition = np.eye(4)
-        transition[0, 2] = dt
-        transition[1, 3] = dt
+        transition = _EYE4.copy()
+        transition[0, 2] = transition[1, 3] = dt
         # White-acceleration process noise (discretized).
         q = self.process_noise
         dt2, dt3, dt4 = dt ** 2, dt ** 3, dt ** 4
@@ -117,15 +124,12 @@ class KalmanTracker2D:
         z = np.asarray(measurement, dtype=float)
         if z.shape != (2,):
             raise ConfigurationError("measurement must be (x, y)")
-        observation = np.zeros((2, 4), dtype=float)
-        observation[0, 0] = 1.0
-        observation[1, 1] = 1.0
-        innovation = z - observation @ self.state
-        innovation_cov = (observation @ self.covariance @ observation.T
-                          + self.measurement_noise * np.eye(2))
-        gain = self.covariance @ observation.T @ np.linalg.inv(innovation_cov)
+        innovation = z - _OBSERVATION @ self.state
+        innovation_cov = (_OBSERVATION @ self.covariance @ _OBSERVATION.T
+                          + self.measurement_noise * _EYE2)
+        gain = self.covariance @ _OBSERVATION.T @ np.linalg.inv(innovation_cov)
         self.state = self.state + gain @ innovation
-        self.covariance = (np.eye(4) - gain @ observation) @ self.covariance
+        self.covariance = (_EYE4 - gain @ _OBSERVATION) @ self.covariance
         return self.position
 
     def to_state(self) -> dict[str, Any]:
@@ -250,9 +254,8 @@ class Track:
     def predict(self, time: float) -> np.ndarray:
         """Predicted position at ``time`` without consuming the prediction."""
         dt = max(time - self._last_time, 1e-6)
-        transition = np.eye(4)
-        transition[0, 2] = dt
-        transition[1, 3] = dt
+        transition = _EYE4.copy()
+        transition[0, 2] = transition[1, 3] = dt
         return (transition @ self.filter.state)[:2]
 
     def add(self, time: float, position: np.ndarray, power: float = 0.0) -> None:
@@ -568,18 +571,23 @@ class StreamingTracker:
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, profile: RangeAngleProfile) -> None:
-        """Consume one range-angle frame: detect, cluster, associate, update."""
+        """Consume one range-angle frame: detect, cluster, associate, update.
+
+        A map smaller than 3x3 has no peaks; live tracks coast through it.
+        """
         if self.array is None:
             raise ConfigurationError(
                 "profile ingestion needs the array geometry; construct "
                 "StreamingTracker(array, ...) or use ingest_detections()"
             )
-        floor = float(np.median(profile.power))
-        threshold = self.config.threshold_factor * max(floor, 1e-30)
-        peaks = profile.detect(threshold=threshold,
-                               max_peaks=self.config.max_targets)
-        detections = [(profile.peak_position(peak, self.array), peak.power)
-                      for peak in peaks]
+        detections: list[Detection] = []
+        if min(profile.power.shape) >= 3:
+            floor = float(selection_median(profile.power))
+            threshold = self.config.threshold_factor * max(floor, 1e-30)
+            peaks = profile.detect(threshold=threshold,
+                                   max_peaks=self.config.max_targets)
+            detections = [(profile.peak_position(peak, self.array),
+                           peak.power) for peak in peaks]
         self.ingest_detections(profile.time, detections)
 
     def ingest_detections(self, time: float,

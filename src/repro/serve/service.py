@@ -59,6 +59,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.radar.config import RadarConfig
+from repro.radar.processing import ZERO_PAD_FACTOR, range_keep_mask
 from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.engine import ExecutionItem, ExecutionOutcome, execute_batch, radar_for
 from repro.serve.metrics import (
@@ -77,6 +78,7 @@ from repro.serve.request import (
     TrackSnapshot,
 )
 from repro.serve.session import SessionConfig, SessionStore
+from repro.signal.spectral import range_axis
 
 __all__ = ["SenseService", "ServiceConfig"]
 
@@ -253,11 +255,14 @@ class SenseService:
     # -- admission ---------------------------------------------------------
 
     def batch_key_for(self, request: SenseRequest) -> BatchKey:
-        """The compatibility key this request would be grouped under."""
+        """The request's compatibility key; an empty range crop raises here."""
         config = (request.config if request.config is not None
                   else self.default_radar_config)
         max_range = (request.max_range if request.max_range is not None
                      else radar_for(config).default_max_range(request.scene))
+        range_keep_mask(range_axis(config.chirp,
+                                   zero_pad_factor=ZERO_PAD_FACTOR),
+                        min_range=config.min_range, max_range=max_range)
         return BatchKey(config=config, max_range=float(max_range))
 
     async def submit(self, request: SenseRequest) -> SenseResponse:
@@ -266,6 +271,7 @@ class SenseService:
         Raises:
             ServiceClosedError: the service is not running.
             ServiceOverloadedError: the admission queue is full.
+            ConfigurationError: the request's range crop keeps no bin.
             DeadlineExceededError: the deadline expired before execution.
             ServeError subclasses from execution failures.
         """

@@ -7,7 +7,7 @@ plain arrays and small configuration objects.
 """
 
 from repro.signal.chirp import ChirpConfig
-from repro.signal.detection import cfar_threshold, detect_peaks_2d, PeakDetection
+from repro.signal.detection import PeakDetection, detect_peaks_2d, selection_median
 from repro.signal.filtering import (
     median_filter,
     moving_average,
@@ -27,7 +27,6 @@ __all__ = [
     "ChirpConfig",
     "PeakDetection",
     "beat_spectrum",
-    "cfar_threshold",
     "detect_peaks_2d",
     "dominant_period",
     "extract_phase",
@@ -38,6 +37,7 @@ __all__ = [
     "range_axis",
     "range_fft",
     "reject_outliers",
+    "selection_median",
     "smooth_trajectory",
     "unwrap_phase",
 ]

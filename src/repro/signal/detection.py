@@ -1,8 +1,10 @@
-"""Detection utilities: CA-CFAR thresholds and 2-D range-angle peak picking.
+"""Detection utilities: the median noise floor and 2-D range-angle peaks.
 
 The paper's processing pipeline (Sec. 9.1) extracts human reflections as
 peaks in background-subtracted range-angle power profiles, with "smoothing
-over time and peak rejection" on top. The primitives for that live here.
+over time and peak rejection" on top. Detect thresholds each map at a
+multiple of its median power (:func:`selection_median`) and picks 3x3
+local maxima above that threshold (:func:`detect_peaks_2d`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from repro.errors import SignalProcessingError
 
-__all__ = ["cfar_threshold", "detect_peaks_2d", "PeakDetection"]
+__all__ = ["detect_peaks_2d", "PeakDetection", "selection_median"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -25,44 +27,26 @@ class PeakDetection:
     power: float
 
 
-def cfar_threshold(power: np.ndarray, *, guard_cells: int = 2,
-                   training_cells: int = 8, scale: float = 4.0) -> np.ndarray:
-    """Cell-averaging CFAR threshold along the last axis of ``power``.
+def selection_median(values: np.ndarray) -> np.floating:
+    """``np.median(values)``, bit for bit, from one single-kth selection.
 
-    For each cell, the noise level is estimated as the mean of
-    ``training_cells`` cells on each side, skipping ``guard_cells`` adjacent
-    cells (which may contain the target itself); the threshold is that level
-    times ``scale``. Edges fall back to the available one-sided training data.
+    After ``np.partition`` at ``h = n // 2`` the lower middle (even ``n``)
+    is ``part[:h].max()``. ``np.median`` averages with ``np.mean``, whose
+    sum starts at ``+0.0``, hence the ``+ 0.0``. NaN sorts into
+    ``part[h:]``, and then ``np.median`` returns a NaN too.
     """
-    spectrum = np.asarray(power, dtype=float)
-    if guard_cells < 0 or training_cells < 1:
-        raise SignalProcessingError("guard_cells >= 0 and training_cells >= 1 required")
-    n = spectrum.shape[-1]
-    window = guard_cells + training_cells
-    if n < 2 * window + 1:
-        raise SignalProcessingError(
-            f"spectrum of length {n} too short for CFAR window {window}"
-        )
-
-    # Sliding sums via a cumulative sum, vectorized over leading axes.
-    padded = np.concatenate(
-        [np.zeros(spectrum.shape[:-1] + (1,), dtype=float),
-         np.cumsum(spectrum, axis=-1)], axis=-1
-    )
-
-    def window_sum(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-        start = np.clip(start, 0, n)
-        stop = np.clip(stop, 0, n)
-        return np.take(padded, stop, axis=-1) - np.take(padded, start, axis=-1)
-
-    idx = np.arange(n)
-    left = window_sum(idx - window, idx - guard_cells)
-    right = window_sum(idx + guard_cells + 1, idx + window + 1)
-    counts = (np.clip(idx - guard_cells, 0, n) - np.clip(idx - window, 0, n)
-              + np.clip(idx + window + 1, 0, n) - np.clip(idx + guard_cells + 1, 0, n))
-    counts = np.maximum(counts, 1)
-    noise = (left + right) / counts
-    return noise * scale
+    flat = np.ravel(values)
+    if flat.size == 0:
+        raise SignalProcessingError("median of an empty map")
+    half = flat.size // 2
+    part = np.partition(flat, half)
+    upper = part[half:]
+    top = upper.max()
+    if np.isnan(top):
+        return top
+    if flat.size % 2:
+        return upper[0] + 0.0
+    return (part[:half].max() + upper[0] + 0.0) / 2
 
 
 def detect_peaks_2d(power_map: np.ndarray, *, threshold: float,
@@ -100,19 +84,6 @@ def detect_peaks_2d(power_map: np.ndarray, *, threshold: float,
     if grid.shape[0] < 3 or grid.shape[1] < 3:
         return []
 
-    center = grid[1:-1, 1:-1]
-    is_max = np.ones_like(center, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            neighbour = grid[1 + dr: grid.shape[0] - 1 + dr,
-                             1 + dc: grid.shape[1] - 1 + dc]
-            is_max &= center >= neighbour
-    rows, cols = np.nonzero(is_max & (center > threshold))
-    rows = rows + 1
-    cols = cols + 1
-
     sidelobe_ratio = None
     range_sidelobe_ratio = None
     if sidelobe_rejection_db is not None:
@@ -120,6 +91,25 @@ def detect_peaks_2d(power_map: np.ndarray, *, threshold: float,
             raise SignalProcessingError("sidelobe rejection dB must be positive")
         sidelobe_ratio = 10.0 ** (-sidelobe_rejection_db / 10.0)
         range_sidelobe_ratio = 10.0 ** (-range_sidelobe_rejection_db / 10.0)
+
+    # A cell is >= all 8 neighbours iff it is >= its 3x3 box maximum (a NaN
+    # fails both). The separable box maximum covers only the band of
+    # interior rows that hold an above-threshold cell.
+    above = (grid > threshold)[1:-1, 1:-1]
+    band = np.flatnonzero(above.any(axis=1))
+    if band.size == 0:
+        return []
+    lo, hi = int(band[0]), int(band[-1]) + 1
+    rows_max = np.maximum(np.maximum(grid[lo:hi], grid[lo + 1:hi + 1]),
+                          grid[lo + 2:hi + 2])
+    box_max = np.maximum(np.maximum(rows_max[:, :-2], rows_max[:, 1:-1]),
+                         rows_max[:, 2:])
+    is_peak = above[lo:hi] & (grid[lo + 1:hi + 1, 1:-1] >= box_max)
+    # Row-major candidates, as np.nonzero lists them, so the argsort below
+    # breaks power ties the same way.
+    rows, cols = np.divmod(np.flatnonzero(is_peak), box_max.shape[1])
+    rows = rows + (lo + 1)
+    cols = cols + 1
 
     # Strongest-first greedy acceptance, vectorized: instead of re-testing
     # every candidate against every accepted peak (O(P^2)), each accepted

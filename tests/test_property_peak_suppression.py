@@ -5,7 +5,11 @@
 stamping and running power-floor arrays. These tests re-implement the
 original O(P^2) acceptance loops verbatim and assert, over randomized
 spectra and maps (including heavy ties), that the shipped functions return
-exactly the same peaks in the same order.
+exactly the same peaks in the same order. The 2-D reference also keeps the
+original eight neighbour comparisons, so the maps include NaN, +-inf and
+-0.0 cells, NaN thresholds, and tall maps whose above-threshold rows are
+sparse or sit on the first or last interior row: the cases where the
+shipped band-limited box-maximum mask could part from it.
 """
 
 from __future__ import annotations
@@ -27,11 +31,49 @@ spectra = hnp.arrays(
     elements=st.integers(0, 30).map(float),
 )
 
+#: Map cells: mostly tie-heavy integers, ~1 in 11 a special value whose
+#: comparisons a rewritten mask must get right (NaN compares false both
+#: ways; -0.0 ties +0.0; infinities tie each other).
+SPECIAL_CELLS = (np.nan, np.inf, -np.inf, -0.0)
+map_cells = st.integers(0, 44).map(
+    lambda k: float(k) if k <= 40 else SPECIAL_CELLS[k - 41])
+
 power_maps = hnp.arrays(
     dtype=np.float64,
     shape=st.tuples(st.integers(3, 14), st.integers(3, 14)),
-    elements=st.integers(0, 40).map(float),
+    elements=map_cells,
 )
+
+thresholds = st.one_of(st.integers(0, 25).map(float),
+                       st.sampled_from([np.nan, -np.inf, np.inf, -0.0]))
+
+
+@st.composite
+def tall_sparse_maps(draw):
+    """Tall maps whose above-threshold cells sit on a few sparse rows.
+
+    The background stays at or below 4 and the threshold is 4, so only
+    the hot rows hold candidates; the first and last interior rows (and
+    the borders) are forced hot often, the edges of the row band a
+    band-limited mask must get right.
+    """
+    num_rows = draw(st.integers(3, 90))
+    num_cols = draw(st.integers(3, 12))
+    grid = draw(hnp.arrays(np.float64, (num_rows, num_cols),
+                           elements=st.integers(0, 4).map(float),
+                           fill=st.just(1.0)))
+    hot = set(draw(st.lists(st.integers(0, num_rows - 1), max_size=3)))
+    edges = draw(st.sampled_from(["none", "first", "last", "both",
+                                  "borders"]))
+    if edges in ("first", "both"):
+        hot.add(1)
+    if edges in ("last", "both"):
+        hot.add(num_rows - 2)
+    if edges == "borders":
+        hot.update((0, num_rows - 1))
+    for row in sorted(hot):
+        grid[row] = draw(hnp.arrays(np.float64, num_cols, elements=map_cells))
+    return grid
 
 
 def reference_find_spectral_peaks(power, *, min_height=0.0, min_separation=1,
@@ -125,10 +167,19 @@ class TestSpectralPeakParity:
         assert ours == reference
 
 
+def assert_same_peaks(grid, **kwargs):
+    ours = detect_peaks_2d(grid, **kwargs)
+    reference = reference_detect_peaks_2d(grid, **kwargs)
+    # float.hex keeps the sign of zero that == would ignore.
+    assert ([(p.range_index, p.angle_index, p.power.hex()) for p in ours]
+            == [(p.range_index, p.angle_index, p.power.hex())
+                for p in reference])
+
+
 class TestPeak2dParity:
-    @_settings
+    @settings(max_examples=150, deadline=None)
     @given(grid=power_maps,
-           threshold=st.integers(0, 25).map(float),
+           threshold=thresholds,
            min_range_separation=st.integers(1, 5),
            min_angle_separation=st.integers(1, 5),
            max_peaks=st.one_of(st.none(), st.integers(1, 5)),
@@ -154,10 +205,17 @@ class TestPeak2dParity:
             range_sidelobe_rejection_db=range_sidelobe_rejection_db,
             range_sidelobe_angle_bins=range_sidelobe_angle_bins,
         )
-        ours = detect_peaks_2d(grid, **kwargs)
-        reference = reference_detect_peaks_2d(grid, **kwargs)
-        assert len(ours) == len(reference)
-        for peak, ref_peak in zip(ours, reference):
-            assert peak.range_index == ref_peak.range_index
-            assert peak.angle_index == ref_peak.angle_index
-            assert peak.power == ref_peak.power
+        assert_same_peaks(grid, **kwargs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=tall_sparse_maps(),
+           threshold=st.sampled_from([4.0, np.nan]),
+           max_peaks=st.one_of(st.none(), st.integers(1, 5)),
+           min_range_separation=st.integers(1, 4),
+           sidelobe_rejection_db=st.one_of(st.none(), st.floats(1.0, 30.0)))
+    def test_sparse_band_matches_quadratic_reference(
+            self, grid, threshold, max_peaks, min_range_separation,
+            sidelobe_rejection_db):
+        assert_same_peaks(grid, threshold=threshold, max_peaks=max_peaks,
+                          min_range_separation=min_range_separation,
+                          sidelobe_rejection_db=sidelobe_rejection_db)

@@ -1,13 +1,24 @@
 """Tests for the SensingResult API and FmcwRadar facade behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.errors import TrackingError
+from repro.errors import ConfigurationError, TrackingError
 from repro.geometry import Rectangle
-from repro.radar import FmcwRadar, RadarConfig, Scene
+from repro.radar import FmcwRadar, RadarConfig, Scene, StreamingTracker
+from repro.radar.processing import ZERO_PAD_FACTOR, RangeAngleProfile
 from repro.radar.scene import BreathingSpec
+from repro.serve.app import build_demo_scene
+from repro.signal.spectral import range_axis
 from repro.types import Trajectory
+
+
+def first_kept_range(config: RadarConfig) -> float:
+    """The nearest range bin at or beyond the near-field blanking."""
+    ranges = range_axis(config.chirp, zero_pad_factor=ZERO_PAD_FACTOR)
+    return float(ranges[ranges >= config.min_range][0])
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +98,50 @@ class TestSensingResult:
         scene = Scene(Rectangle.from_size(10.0, 6.6))
         result = radar.sense(scene, 1.0, max_range=4.0)
         assert result.profiles[0].ranges[-1] <= 4.0
+
+
+class TestRangeCrop:
+    """A crop that keeps no range bin is a configuration error; one that
+    keeps fewer than three bins senses maps too small to hold a peak."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        scene, config = build_demo_scene()
+        assert config.min_range == 0.6
+        return FmcwRadar(config), scene
+
+    def test_empty_crop_raises_naming_both_bounds(self, demo):
+        radar, scene = demo
+        with pytest.raises(ConfigurationError,
+                           match=r"min_range=0\.6, max_range=0\.5"):
+            radar.sense(scene, 0.3, max_range=0.5,
+                        rng=np.random.default_rng(0))
+
+    def test_one_bin_crop_detects_nothing(self, demo):
+        radar, scene = demo
+        result = radar.sense(scene, 0.5, rng=np.random.default_rng(0),
+                             max_range=first_kept_range(radar.config))
+        assert result.profiles[0].power.shape == (
+            1, radar.config.angle_grid_points)
+        assert result.tracks() == []
+        tracker = result.stream_tracks()
+        assert tracker.frames_ingested == len(result.profiles)
+        assert tracker.active_tracks == []
+
+    @pytest.mark.parametrize("shape", [(0, 181), (1, 181), (2, 181),
+                                       (40, 2), (0, 0)])
+    def test_maps_below_3x3_have_no_peaks(self, demo, shape):
+        radar, _scene = demo
+        profile = RangeAngleProfile(power=np.ones(shape),
+                                    ranges=np.zeros(shape[0]),
+                                    angles=np.zeros(shape[1]), time=0.0)
+        tracker = StreamingTracker(radar.array)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert profile.detect(threshold=0.5) == []
+            tracker.ingest(profile)
+        assert tracker.frames_ingested == 1
+        assert tracker.active_tracks == []
 
 
 class TestGeneratorStateDict:

@@ -376,3 +376,27 @@ class TestResponseMetadata:
             )
         ids = [r.request_id for r in responses]
         assert ids == sorted(ids)
+
+
+class TestRangeCropAdmission:
+    def test_empty_crop_rejected_before_it_joins_a_batch(self, scene,
+                                                         radar_config):
+        async def run():
+            async with SenseService(quick_service_config(),
+                                    default_radar_config=radar_config,
+                                    ) as service:
+                with pytest.raises(ConfigurationError,
+                                   match=r"min_range=0\.6, max_range=0\.5"):
+                    await service.submit(SenseRequest(
+                        scene=scene, duration=0.3, seed=0, max_range=0.5))
+                served = await service.submit(
+                    SenseRequest(scene=scene, duration=0.3, seed=0))
+                counts = {name: service.metrics.counter(name).value
+                          for name in ("requests.submitted",
+                                       "batches.executed")}
+            return served, counts
+
+        served, counts = asyncio.run(run())
+        # Only the valid request was admitted and executed.
+        assert counts == {"requests.submitted": 1, "batches.executed": 1}
+        assert served.result.profiles[0].power.shape[0] > 0

@@ -37,7 +37,9 @@ from repro.serve import (
     TrackRequest,
 )
 from repro.serve.app import build_demo_scene
+from repro.radar.processing import ZERO_PAD_FACTOR
 from repro.serve.request import TrackSnapshot
+from repro.signal.spectral import range_axis
 from tests.test_serve_service import fast_radar_config, quick_service_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -532,3 +534,47 @@ class TestTrackedArrays:
         assert restores > 0 and no_restores == 0
         assert parked == live
         assert live == self.direct(demo)
+
+
+class TestTrackedRangeCrop:
+    """Tracked requests with a degenerate crop fail or track cleanly."""
+
+    def test_empty_crop_fails_typed_and_leaves_session_untouched(self):
+        scene, config = build_demo_scene()
+
+        async def run():
+            async with SenseService(quick_service_config(),
+                                    default_radar_config=config) as service:
+                session_id = await service.create_session(
+                    tracker_config=TRACKER_CONFIG)
+                with pytest.raises(ConfigurationError,
+                                   match=r"min_range=0\.6, max_range=0\.5"):
+                    await service.submit_tracked(TrackRequest(
+                        session_id=session_id, scene=scene, duration=0.3,
+                        seed=0, max_range=0.5))
+                checkpoint = await service.session_checkpoint(session_id)
+                executed = service.metrics.counter("batches.executed").value
+            return checkpoint, executed
+
+        checkpoint, executed = asyncio.run(run())
+        assert checkpoint["frame_times"] == []
+        assert executed == 0
+
+    def test_one_bin_crop_ingests_frames_without_tracks(self):
+        scene, config = build_demo_scene()
+        ranges = range_axis(config.chirp, zero_pad_factor=ZERO_PAD_FACTOR)
+        one_bin = float(ranges[ranges >= config.min_range][0])
+
+        async def run():
+            async with SenseService(quick_service_config(),
+                                    default_radar_config=config) as service:
+                session_id = await service.create_session(
+                    tracker_config=TRACKER_CONFIG)
+                return await service.submit_tracked(TrackRequest(
+                    session_id=session_id, scene=scene, duration=0.5,
+                    seed=0, max_range=one_bin))
+
+        response = asyncio.run(run())
+        assert response.frames_added == response.frames_total > 0
+        assert response.tracks == ()
+        assert response.active_tracks == ()

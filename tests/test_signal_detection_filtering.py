@@ -5,41 +5,12 @@ import pytest
 
 from repro.errors import SignalProcessingError
 from repro.signal import (
-    cfar_threshold,
     detect_peaks_2d,
     median_filter,
     moving_average,
     reject_outliers,
     smooth_trajectory,
 )
-
-
-class TestCfarThreshold:
-    def test_flat_noise_gives_flat_threshold(self):
-        power = np.ones(64)
-        threshold = cfar_threshold(power, scale=4.0)
-        assert threshold == pytest.approx(np.full(64, 4.0))
-
-    def test_target_does_not_inflate_own_threshold(self):
-        power = np.ones(64)
-        power[32] = 100.0
-        threshold = cfar_threshold(power, guard_cells=2, training_cells=8)
-        # The guard band keeps the target cell out of its own noise estimate.
-        assert threshold[32] < power[32]
-
-    def test_threshold_rises_near_strong_cell(self):
-        power = np.ones(64)
-        power[32] = 100.0
-        threshold = cfar_threshold(power)
-        assert threshold[36] > threshold[10]
-
-    def test_rejects_short_input(self):
-        with pytest.raises(SignalProcessingError):
-            cfar_threshold(np.ones(5), guard_cells=2, training_cells=8)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(SignalProcessingError):
-            cfar_threshold(np.ones(64), training_cells=0)
 
 
 class TestDetectPeaks2d:
