@@ -14,7 +14,9 @@ Two runtime policies govern execution, both env-configurable through
 :data:`~repro.nn.recurrent.SEQUENCE_KERNELS`) and the leaf/parameter dtype
 (``RF_PROTECT_NN_DTYPE=float32|float64``, see
 :func:`~repro.nn.tensor.dtype_scope`). Per-op wall-time instrumentation
-lives in :mod:`repro.nn.metrics`.
+lives in :mod:`repro.nn.metrics`. A large BiLSTM pass runs its two
+directions at once, forward and in BPTT, on one helper thread
+(:mod:`repro.nn.overlap`); no knob selects this, and no result changes.
 """
 
 from repro.nn import functional

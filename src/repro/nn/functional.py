@@ -51,13 +51,11 @@ def concat(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward() -> None:
-        if out.grad is None:
-            return
+    def backward(grad: np.ndarray) -> None:
         for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * out.grad.ndim
+            index = [slice(None)] * grad.ndim
             index[axis] = slice(start, stop)
-            tensor._accumulate(out.grad[tuple(index)])
+            tensor._accumulate(grad[tuple(index)])
 
     out._backward = backward
     return out
@@ -74,12 +72,10 @@ def stack(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
     data = np.stack([t.data for t in tensors], axis=axis)
     out = Tensor._result(data, tuple(tensors), "stack")
 
-    def backward() -> None:
-        if out.grad is None:
-            return
-        grads = np.split(out.grad, len(tensors), axis=axis)
-        for tensor, grad in zip(tensors, grads):
-            tensor._accumulate(np.squeeze(grad, axis=axis))
+    def backward(grad: np.ndarray) -> None:
+        parts = np.split(grad, len(tensors), axis=axis)
+        for tensor, part in zip(tensors, parts):
+            tensor._accumulate(np.squeeze(part, axis=axis))
 
     out._backward = backward
     return out
@@ -99,10 +95,8 @@ def repeat_sequence(x: Tensor, repeats: int) -> Tensor:
     data = np.broadcast_to(x.data, (repeats,) + x.shape).copy()
     out = Tensor._result(data, (x,), "repeat_sequence")
 
-    def backward() -> None:
-        if out.grad is None:
-            return
-        x._accumulate(out.grad.sum(axis=0))
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(grad.sum(axis=0))
 
     out._backward = backward
     return out
@@ -116,10 +110,8 @@ def flip_sequence(x: Tensor) -> Tensor:
     out = Tensor._result(np.ascontiguousarray(x.data[::-1]), (x,),
                          "flip_sequence")
 
-    def backward() -> None:
-        if out.grad is None:
-            return
-        x._accumulate(out.grad[::-1])
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(grad[::-1])
 
     out._backward = backward
     return out
@@ -144,12 +136,10 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
         )
     out = Tensor._result(weight.data[idx], (weight,), "embedding")
 
-    def backward() -> None:
-        if out.grad is None:
-            return
-        grad = np.zeros_like(weight.data)
-        np.add.at(grad, idx, out.grad)
-        weight._accumulate(grad)
+    def backward(grad: np.ndarray) -> None:
+        scattered = np.zeros_like(weight.data)
+        np.add.at(scattered, idx, grad)
+        weight._accumulate(scattered)
 
     out._backward = backward
     return out
@@ -167,10 +157,8 @@ def dropout(x: Tensor, probability: float, rng: np.random.Generator, *,
     mask = ((rng.random(x.shape) < keep) / keep).astype(x.data.dtype)
     out = Tensor._result(x.data * mask, (x,), "dropout")
 
-    def backward() -> None:
-        if out.grad is None:
-            return
-        x._accumulate(out.grad * mask)
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(grad * mask)
 
     out._backward = backward
     return out
@@ -212,11 +200,9 @@ def lstm_cell(gates: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
 
     hc = Tensor._result(np.concatenate([h, c], axis=1), (gates, c_prev), "lstm_cell")
 
-    def backward() -> None:
-        if hc.grad is None:
-            return
-        grad_h = hc.grad[:, :hidden]
-        grad_c_out = hc.grad[:, hidden:]
+    def backward(grad: np.ndarray) -> None:
+        grad_h = grad[:, :hidden]
+        grad_c_out = grad[:, hidden:]
         grad_c = grad_c_out + grad_h * o * (1.0 - tanh_c ** 2)
         grad_gates = np.concatenate(
             [
@@ -308,11 +294,8 @@ def lstm_sequence(inputs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     out = Tensor._result(h_all, (inputs, w_ih, w_hh, bias, h0, c0),
                          "lstm_sequence")
 
-    def backward() -> None:
-        if out.grad is None:
-            return
+    def backward(grad_out: np.ndarray) -> None:
         started = time.perf_counter()
-        grad_out = out.grad
         d_gates = np.empty((seq_len, batch, 4 * hidden), dtype=dtype)
         dh_next = np.zeros((batch, hidden), dtype=dtype)
         dc_next = np.zeros((batch, hidden), dtype=dtype)
@@ -368,11 +351,9 @@ def softplus(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
     out = Tensor._result(data, (x,), "softplus")
 
-    def backward() -> None:
-        if out.grad is None:
-            return
+    def backward(grad: np.ndarray) -> None:
         sig = _stable_sigmoid(x.data)
-        x._accumulate(out.grad * sig)
+        x._accumulate(grad * sig)
 
     out._backward = backward
     return out

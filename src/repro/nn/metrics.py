@@ -9,11 +9,14 @@ the same snapshot format as the radar stage timings and the serve metrics —
 `benchmarks/test_bench_nn.py` dumps it as ``nn-timings.json``.
 
 The registry import is deferred to first use: ``repro.nn`` must stay
-importable without dragging in the serving stack.
+importable without dragging in the serving stack. The registry is created
+under a lock, because the BiLSTM overlap helper's first scan can race the
+caller's; a registry that lost the race would drop its observations.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,14 +33,17 @@ NN_TIME_BUCKETS: tuple[float, ...] = (
 )
 
 _NN_METRICS: "MetricsRegistry | None" = None
+_NN_METRICS_LOCK = threading.Lock()
 
 
 def nn_metrics() -> "MetricsRegistry":
     """The process-wide per-op timing registry (lazily constructed)."""
     global _NN_METRICS
     if _NN_METRICS is None:
-        from repro.serve.metrics import MetricsRegistry
-        _NN_METRICS = MetricsRegistry()
+        with _NN_METRICS_LOCK:
+            if _NN_METRICS is None:
+                from repro.serve.metrics import MetricsRegistry
+                _NN_METRICS = MetricsRegistry()
     return _NN_METRICS
 
 

@@ -13,7 +13,9 @@ single-node :func:`~repro.nn.functional.lstm_sequence` BPTT op. The active
 backend comes from ``RF_PROTECT_NN_BACKEND`` (via
 :func:`repro.config.get_nn_backend`), can be pinned for a block with
 :func:`sequence_backend_scope`, or per call via the ``backend=`` argument.
-Each per-layer scan reports wall time into :mod:`repro.nn.metrics`.
+Each per-layer scan reports wall time into :mod:`repro.nn.metrics`. A large
+:class:`BiLSTM` pass scans its two directions at the same time, one on the
+helper thread of :mod:`repro.nn.overlap`.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 import contextlib
 import time
 from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import Future
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nn import init
+from repro.nn import init, overlap
 from repro.nn.functional import (
     concat,
     dropout,
@@ -307,17 +310,35 @@ class BiLSTM(Module):
                                   dropout_probability=dropout_probability)
         self.hidden_size = hidden_size
 
+    def _directions(self, inputs: Tensor,
+                    backend: str | None) -> tuple[Tensor, Tensor]:
+        """Both directions' ``(T, B, H)`` scans, the backward one reversed.
+
+        For a large pass the backward direction scans on the overlap
+        helper (:mod:`repro.nn.overlap`) while this thread scans the
+        forward one. Each direction is one layer and so draws no random
+        numbers: which thread runs it changes no bit of any result.
+        """
+        reversed_inputs = flip_sequence(inputs)
+
+        def scan_backward() -> Tensor:
+            return self.backward_lstm.forward_sequence(reversed_inputs,
+                                                       backend=backend)
+
+        pending: Future[Tensor] | None = None
+        if overlap.should_overlap(inputs.shape[1] * self.hidden_size):
+            pending = overlap.submit(scan_backward)
+        forward_out = self.forward_lstm.forward_sequence(inputs,
+                                                         backend=backend)
+        backward_out = scan_backward() if pending is None else pending.result()
+        return forward_out, backward_out
+
     def forward_sequence(self, inputs: Tensor,
                          *, backend: str | None = None) -> Tensor:
         """Per-timestep ``(T, B, 2H)`` outputs (forward ++ backward)."""
-        inputs = as_tensor(inputs)
-        forward_out = self.forward_lstm.forward_sequence(inputs,
-                                                         backend=backend)
-        backward_out = flip_sequence(
-            self.backward_lstm.forward_sequence(flip_sequence(inputs),
-                                                backend=backend)
-        )
-        return concat([forward_out, backward_out], axis=2)
+        forward_out, backward_out = self._directions(as_tensor(inputs),
+                                                     backend)
+        return concat([forward_out, flip_sequence(backward_out)], axis=2)
 
     def forward(self, inputs: list[Tensor]) -> list[Tensor]:
         """Per-timestep ``(B, 2H)`` outputs (forward ++ backward)."""
@@ -334,8 +355,5 @@ class BiLSTM(Module):
         """
         stacked = (inputs if isinstance(inputs, Tensor)
                    else stack(inputs, axis=0))
-        forward_out = self.forward_lstm.forward_sequence(stacked)
-        backward_out = self.backward_lstm.forward_sequence(
-            flip_sequence(stacked)
-        )
+        forward_out, backward_out = self._directions(stacked, None)
         return concat([forward_out[-1], backward_out[-1]], axis=1)

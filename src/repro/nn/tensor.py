@@ -21,17 +21,33 @@ An explicit ``Tensor(data, dtype=...)`` always wins over the policy.
 Element-wise and matrix arithmetic live here as methods; structural and
 neural-network operations (concat, stack, embedding, dropout, the fused
 LSTM sequence scan, losses) live in :mod:`repro.nn.functional`.
+
+Graph lifetime
+--------------
+
+:meth:`Tensor.backward` frees the graph as it goes, like PyTorch's default
+``retain_graph=False``: once a node's gradient step has run, the node drops
+its closure (and with it every buffer the step saved) and its parents. A
+step takes its node's gradient as an argument and never refers to its own
+node, so graphs hold no reference cycles: a graph is freed by reference
+counting as soon as it is dropped, backpropagated or not, never left to the
+cycle collector. A second backward through a freed node raises
+:class:`~repro.errors.GradientError`; leaves are never freed, so separate
+graphs keep accumulating into the same parameters.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import Future
 from typing import Any, Union
 
 import numpy as np
 
 from repro.errors import GradientError
+from repro.nn import overlap
 
 __all__ = [
     "DTypeLike",
@@ -117,8 +133,22 @@ def _is_basic_index(key: Any) -> bool:
     )
 
 
-def _no_backward() -> None:
+def _no_backward(grad: np.ndarray) -> None:
     """The gradient step of a leaf or a constant: nothing to push."""
+
+
+def _released(grad: np.ndarray) -> None:
+    """The mark of a node whose step has run and whose graph is freed."""
+
+
+def _offloads(node: "Tensor") -> bool:
+    """Whether :meth:`Tensor.backward` runs ``node``'s step on the helper.
+
+    Only a large fused LSTM scan is worth a thread handoff: the two
+    directions of a BiLSTM are the BPTT scans that can overlap.
+    """
+    return (node._op == "lstm_sequence"
+            and overlap.should_overlap(node.shape[1] * node.shape[2]))
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -154,7 +184,7 @@ class Tensor:
             self.data = np.asarray(data, dtype=default_dtype())
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward_fn: Callable[[], None] = _no_backward
+        self._backward_fn: Callable[[np.ndarray], None] = _no_backward
         self._parents = _parents
         self._op = _op
 
@@ -202,10 +232,8 @@ class Tensor:
         out = Tensor._result(self.data.astype(target, copy=False), (self,),
                              "astype")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad.astype(self.data.dtype, copy=False))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.astype(self.data.dtype, copy=False))
 
         out._backward = backward
         return out
@@ -226,12 +254,17 @@ class Tensor:
         return out
 
     @property
-    def _backward(self) -> Callable[[], None]:
-        """This node's gradient step: pushes ``grad`` into its parents."""
+    def _backward(self) -> Callable[[np.ndarray], None]:
+        """This node's gradient step: pushes its gradient into its parents.
+
+        The step takes the node's gradient as its argument and never refers
+        to the node itself, so a node and its step form no reference cycle:
+        a graph nobody backpropagates is freed as soon as it is dropped.
+        """
         return self._backward_fn
 
     @_backward.setter
-    def _backward(self, backward: Callable[[], None]) -> None:
+    def _backward(self, backward: Callable[[np.ndarray], None]) -> None:
         # Only a node a gradient can flow through keeps its closure. A
         # constant result drops it, and with it every buffer the closure
         # saved, so a pass over frozen parameters builds no graph.
@@ -299,6 +332,11 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_fn is _released:
+                raise GradientError(
+                    f"backward() reached a {node._op!r} node whose graph an "
+                    "earlier backward() freed; recompute the forward pass"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -306,8 +344,36 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate_seed(gradient)
-        for node in reversed(ordered):
-            node._backward()
+        # At most one step runs on the overlap helper at a time. A node
+        # waits for it if that step accumulates into the node or into one
+        # of the node's parents, so every gradient sum keeps the serial
+        # order and no buffer is written by two threads.
+        pending: Future[None] | None = None
+        pending_targets: set[int] = set()
+        try:
+            for node in reversed(ordered):
+                step = node._backward_fn
+                if step is _no_backward:
+                    continue  # a leaf or a constant: nothing runs
+                parents = node._parents
+                if pending is not None and (
+                        id(node) in pending_targets
+                        or not pending_targets.isdisjoint(map(id, parents))):
+                    pending.result()
+                    pending = None
+                # The step keeps what it needs; the node lets go of it.
+                node._backward_fn, node._parents = _released, ()
+                grad = node.grad
+                if grad is None:
+                    continue  # no gradient reached this node
+                if pending is None and _offloads(node):
+                    pending = overlap.submit(functools.partial(step, grad))
+                    pending_targets = {id(parent) for parent in parents}
+                else:
+                    step(grad)
+        finally:
+            if pending is not None:
+                pending.result()
 
     def _accumulate_seed(self, gradient: np.ndarray) -> None:
         if self.grad is None:
@@ -322,11 +388,9 @@ class Tensor:
         other = as_tensor(other, like=self)
         out = Tensor._result(self.data + other.data, (self, other), "add")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(unbroadcast(out.grad, self.shape))
-            other._accumulate(unbroadcast(out.grad, other.shape))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(unbroadcast(grad, self.shape))
+            other._accumulate(unbroadcast(grad, other.shape))
 
         out._backward = backward
         return out
@@ -337,11 +401,9 @@ class Tensor:
         other = as_tensor(other, like=self)
         out = Tensor._result(self.data * other.data, (self, other), "mul")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(unbroadcast(out.grad * other.data, self.shape))
-            other._accumulate(unbroadcast(out.grad * self.data, other.shape))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(unbroadcast(grad * other.data, self.shape))
+            other._accumulate(unbroadcast(grad * self.data, other.shape))
 
         out._backward = backward
         return out
@@ -370,10 +432,8 @@ class Tensor:
             raise GradientError("pow() supports scalar exponents only")
         out = Tensor._result(self.data ** exponent, (self,), "pow")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad * exponent * self.data ** (exponent - 1.0))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * exponent * self.data ** (exponent - 1.0))
 
         out._backward = backward
         return out
@@ -382,12 +442,11 @@ class Tensor:
         return self.pow(exponent)
 
     def exp(self) -> "Tensor":
-        out = Tensor._result(np.exp(self.data), (self,), "exp")
+        out_data = np.exp(self.data)
+        out = Tensor._result(out_data, (self,), "exp")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad * out.data)
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * out_data)
 
         out._backward = backward
         return out
@@ -395,21 +454,18 @@ class Tensor:
     def log(self) -> "Tensor":
         out = Tensor._result(np.log(self.data), (self,), "log")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad / self.data)
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad / self.data)
 
         out._backward = backward
         return out
 
     def tanh(self) -> "Tensor":
-        out = Tensor._result(np.tanh(self.data), (self,), "tanh")
+        out_data = np.tanh(self.data)
+        out = Tensor._result(out_data, (self,), "tanh")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad * (1.0 - out.data ** 2))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * (1.0 - out_data ** 2))
 
         out._backward = backward
         return out
@@ -419,10 +475,8 @@ class Tensor:
         out_data = 0.5 * (np.tanh(0.5 * self.data) + 1.0)
         out = Tensor._result(out_data, (self,), "sigmoid")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad * out.data * (1.0 - out.data))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * out_data * (1.0 - out_data))
 
         out._backward = backward
         return out
@@ -430,10 +484,8 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = Tensor._result(np.maximum(self.data, 0.0), (self,), "relu")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad * (self.data > 0.0))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * (self.data > 0.0))
 
         out._backward = backward
         return out
@@ -441,10 +493,8 @@ class Tensor:
     def abs(self) -> "Tensor":
         out = Tensor._result(np.abs(self.data), (self,), "abs")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad * np.sign(self.data))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * np.sign(self.data))
 
         out._backward = backward
         return out
@@ -455,11 +505,9 @@ class Tensor:
             raise GradientError(f"clip needs low < high, got [{low}, {high}]")
         out = Tensor._result(np.clip(self.data, low, high), (self,), "clip")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
+        def backward(grad: np.ndarray) -> None:
             inside = (self.data >= low) & (self.data <= high)
-            self._accumulate(out.grad * inside)
+            self._accumulate(grad * inside)
 
         out._backward = backward
         return out
@@ -473,10 +521,7 @@ class Tensor:
         out = Tensor._result(self.data.sum(axis=axis, keepdims=keepdims),
                              (self,), "sum")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            grad = out.grad
+        def backward(grad: np.ndarray) -> None:
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
             self._accumulate(np.broadcast_to(grad, self.shape).copy())
@@ -499,10 +544,8 @@ class Tensor:
             shape = tuple(shape[0])
         out = Tensor._result(self.data.reshape(shape), (self,), "reshape")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad.reshape(self.shape))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.reshape(self.shape))
 
         out._backward = backward
         return out
@@ -514,10 +557,8 @@ class Tensor:
         out = Tensor._result(self.data.transpose(axes), (self,), "transpose")
         inverse = tuple(np.argsort(axes))
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate(out.grad.transpose(inverse))
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.transpose(inverse))
 
         out._backward = backward
         return out
@@ -525,10 +566,8 @@ class Tensor:
     def __getitem__(self, key: Any) -> "Tensor":
         out = Tensor._result(self.data[key], (self,), "slice")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            self._accumulate_at(key, out.grad)
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate_at(key, grad)
 
         out._backward = backward
         return out
@@ -543,10 +582,8 @@ class Tensor:
             raise GradientError("matmul operands must have at least 1 dimension")
         out = Tensor._result(self.data @ other.data, (self, other), "matmul")
 
-        def backward() -> None:
-            if out.grad is None:
-                return
-            a, b, grad = self.data, other.data, out.grad
+        def backward(grad: np.ndarray) -> None:
+            a, b = self.data, other.data
             if a.ndim == 1 and b.ndim == 1:
                 self._accumulate(grad * b)
                 other._accumulate(grad * a)

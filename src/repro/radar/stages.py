@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import threading
 import time
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any
@@ -339,7 +340,10 @@ def frame_synthesizer(
 # Imported lazily: repro.serve.metrics is dependency-free, but importing it
 # initializes the repro.serve package, which imports the radar facade —
 # a cycle if it happened while this module (or repro.radar.radar) loads.
+# Created under a lock: serve's engine workers can race on the first
+# observation, and a registry that lost the race would drop its counts.
 _STAGE_METRICS: "MetricsRegistry | None" = None
+_STAGE_METRICS_LOCK = threading.Lock()
 
 
 def stage_metrics() -> "MetricsRegistry":
@@ -352,8 +356,10 @@ def stage_metrics() -> "MetricsRegistry":
     """
     global _STAGE_METRICS
     if _STAGE_METRICS is None:
-        from repro.serve.metrics import MetricsRegistry
-        _STAGE_METRICS = MetricsRegistry()
+        with _STAGE_METRICS_LOCK:
+            if _STAGE_METRICS is None:
+                from repro.serve.metrics import MetricsRegistry
+                _STAGE_METRICS = MetricsRegistry()
     return _STAGE_METRICS
 
 
