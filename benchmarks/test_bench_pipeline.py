@@ -6,8 +6,8 @@ headline guard pins the batched engine against the per-frame pipeline it
 replaced — the loop that rebuilds the window taper, range axis, angle
 grid, and steering matrix on every single frame — at >= 5x on a 256-frame,
 7-antenna sweep. A second guard keeps the batched engine ahead of the
-shipped ``RF_PROTECT_PIPELINE=naive`` reference backend (which benefits
-from this PR's plane memoization, so the honest floor there is lower).
+per-frame receive oracle (``tests/receive_oracle.py``, which memoizes its
+steering planes, so the honest floor there is lower).
 
 The sweep is deliberately short-chirp/short-range: per-frame overhead is
 what the batched engine removes, and a compact sweep keeps the shared
@@ -22,6 +22,7 @@ import pytest
 from repro.radar import FmcwRadar, RadarConfig, process_sweep
 from repro.radar.processing import RangeAngleProfile
 from repro.signal.chirp import ChirpConfig
+from tests import receive_oracle
 
 NUM_FRAMES = 256
 MAX_RANGE = 2.0
@@ -132,16 +133,16 @@ def test_bench_sweep_processing_speedup(sweep_setup):
 
 @pytest.mark.benchmark(group="substrate-pipeline")
 def test_bench_sweep_processing_vs_naive_backend(sweep_setup):
-    """Batched engine vs the shipped (memoized) naive backend: >= 1.5x.
+    """Batched engine vs the (memoized) per-frame receive oracle: >= 1.5x.
 
-    The naive reference backend shares the plane memos, so its per-frame
-    cost is already far below the pre-batching loop; this guard only pins
-    that switching ``RF_PROTECT_PIPELINE`` to ``vectorized`` keeps paying.
+    The oracle memoizes its steering planes, so its per-frame cost is
+    already far below the pre-batching loop; this guard only pins that the
+    batched engine keeps paying for itself over the per-frame bodies.
     """
     config, radar, frames, times = sweep_setup
 
     def naive_sweep():
-        return radar._process_sweep_naive(times, frames, MAX_RANGE)
+        return receive_oracle.process_sweep(radar, times, frames, MAX_RANGE)
 
     def batched_sweep():
         return process_sweep(frames, config, radar.array, times,

@@ -1,8 +1,8 @@
 """Per-stage timing benches for the stage-graph executor.
 
 Every sense path runs through ``repro.radar.stages``; this bench exercises
-the FMCW and pulsed radars on both backends, checks that every stage's
-wall-time histogram actually accumulated observations, and dumps the
+the FMCW and pulsed radars, checks that every stage's wall-time histogram
+actually accumulated observations, and dumps the
 process-wide :func:`repro.radar.stages.stage_metrics` snapshot to
 ``stage-timings.json`` (path overridable via ``RFPROTECT_STAGE_TIMINGS``)
 — the benchmarks job uploads it next to the pytest-benchmark artifacts,
@@ -15,7 +15,6 @@ import json
 import os
 
 import numpy as np
-import pytest
 
 from repro.geometry import Rectangle
 from repro.radar import (
@@ -43,12 +42,10 @@ def bench_scene() -> Scene:
     return scene
 
 
-@pytest.mark.parametrize("backend", ["naive", "vectorized"])
-def test_fmcw_stage_timings(backend):
+def test_fmcw_stage_timings():
     radar = FmcwRadar(RadarConfig(chirp=ChirpConfig(duration=6.4e-5)))
     result = radar.sense(bench_scene(), 1.0,
-                         rng=np.random.default_rng(0),
-                         synth=backend, pipeline=backend)
+                         rng=np.random.default_rng(0))
     result.tracks()
     histograms = stage_metrics().snapshot()["histograms"]
     for stage in Stage:
@@ -56,13 +53,12 @@ def test_fmcw_stage_timings(backend):
         assert histograms.get(name, {}).get("count", 0) > 0, name
 
 
-@pytest.mark.parametrize("backend", ["naive", "vectorized"])
-def test_pulsed_stage_timings(backend):
+def test_pulsed_stage_timings():
     radar = PulsedRadar(PulsedRadarConfig(sample_rate=2.0e9, max_range=10.0))
-    radar.sense(bench_scene(), 1.0, rng=np.random.default_rng(1),
-                pipeline=backend)
+    radar.sense(bench_scene(), 1.0, rng=np.random.default_rng(1))
     counters = stage_metrics().snapshot()["counters"]
-    assert counters.get(f"stages.background_subtract.{backend}.runs", 0) > 0
+    assert counters.get("stages.synthesize.pulsed.runs", 0) > 0
+    assert counters.get("stages.background_subtract.vectorized.runs", 0) > 0
 
 
 def test_zz_dump_stage_timings():

@@ -13,15 +13,14 @@ import pytest
 from repro.experiments.environments import office_environment
 from repro.gan import GanConfig, GanTrainer
 from repro.nn import LSTM, Tensor
-from repro.radar import (
-    PathComponent,
-    synthesize_frame,
-    synthesize_frame_naive,
-    synthesize_frames,
-)
-from repro.radar.processing import compute_range_angle_map, frame_range_profiles
+from repro.radar import PathComponent, synthesize_frame, synthesize_frames
 from repro.trajectories import HumanMotionSimulator
 from repro.types import Trajectory
+from tests.receive_oracle import (
+    compute_range_angle_map,
+    frame_range_profiles,
+    synthesize_frame_naive,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ def test_bench_sweep_synthesis_vectorized(benchmark, office):
 
 @pytest.mark.benchmark(group="substrate-radar")
 def test_bench_sweep_synthesis_speedup(office):
-    """Vectorized vs naive on a 50-component, 128-chirp sweep: >= 5x.
+    """Batched vs the per-component oracle, 50 components x 128 chirps: >=5x.
 
     Measured directly (best of 3) rather than through pytest-benchmark so
     the ratio can be asserted as a regression guard.

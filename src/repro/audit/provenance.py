@@ -2,8 +2,8 @@
 
 A ledger record is only evidence if it says *what* ran: the package
 version, and the resolved value of every declared ``RF_PROTECT_*`` knob
-(backend/dtype selections change numeric results; serve knobs change
-latency artifacts). The snapshot is taken through the typed registry's
+(the dtype selection changes numeric results; serve knobs change latency
+artifacts). The snapshot is taken through the typed registry's
 accessor table (:data:`repro.config.ENV_ACCESSORS`) so a knob added to
 the registry shows up in provenance automatically, and its canonical
 hash gives reports a one-line configuration fingerprint.

@@ -10,10 +10,9 @@ of an ``RF_PROTECT_*`` name anywhere else in the tree.
 
 Typical use::
 
-    from repro.config import get_synth_backend
+    from repro.config import get_serve_max_batch
 
-    if get_synth_backend() == "naive":
-        ...
+    max_batch = get_serve_max_batch()
 
 Adding a knob means adding one ``EnvVar`` declaration plus a typed accessor
 function; nothing else in the tree should touch the environment.
@@ -37,12 +36,8 @@ __all__ = [
     "ENV_REGISTRY",
     "EnvVar",
     "LINT_CACHE_VAR",
-    "NN_BACKENDS",
-    "NN_BACKEND_VAR",
     "NN_DTYPES",
     "NN_DTYPE_VAR",
-    "PIPELINE_BACKENDS",
-    "PIPELINE_BACKEND_VAR",
     "SCENARIO_SEED_VAR",
     "SCENARIO_VAR",
     "SERVE_BATCH_WINDOW_MS_VAR",
@@ -54,15 +49,11 @@ __all__ = [
     "SESSION_MAX_LIVE_VAR",
     "SESSION_MAX_SESSIONS_VAR",
     "SESSION_SWEEP_S_VAR",
-    "SYNTH_BACKENDS",
-    "SYNTH_BACKEND_VAR",
     "get_audit_key_file",
     "get_audit_ledger_name",
     "get_audit_profile",
     "get_lint_cache_dir",
-    "get_nn_backend",
     "get_nn_dtype",
-    "get_pipeline_backend",
     "get_scenario_name",
     "get_scenario_seed",
     "get_serve_batch_window_ms",
@@ -74,19 +65,9 @@ __all__ = [
     "get_session_max_live",
     "get_session_max_sessions",
     "get_session_sweep_s",
-    "get_synth_backend",
 ]
 
 T = TypeVar("T")
-
-#: Recognized beat-signal synthesis kernels (see ``repro.radar.frontend``).
-SYNTH_BACKENDS: tuple[str, ...] = ("naive", "vectorized")
-
-#: Recognized receive-processing engines (see ``repro.radar.pipeline``).
-PIPELINE_BACKENDS: tuple[str, ...] = ("naive", "vectorized")
-
-#: Recognized recurrent-sequence kernels (see ``repro.nn.recurrent``).
-NN_BACKENDS: tuple[str, ...] = ("naive", "fused")
 
 #: Recognized autograd default dtypes (see ``repro.nn.tensor``).
 NN_DTYPES: tuple[str, ...] = ("float32", "float64")
@@ -140,59 +121,24 @@ def _register(var: EnvVar[T]) -> EnvVar[T]:
     return var
 
 
-def _backend_parser(var_name: str,
-                    choices: tuple[str, ...]) -> Callable[[str], str]:
+def _choice_parser(var_name: str,
+                   choices: tuple[str, ...]) -> Callable[[str], str]:
     """A parser accepting exactly ``choices`` (case-insensitively)."""
     def parse(raw: str) -> str:
-        backend = raw.strip().lower()
-        if backend not in choices:
+        choice = raw.strip().lower()
+        if choice not in choices:
             raise ConfigurationError(
-                f"{var_name} must be one of {choices}, got {backend!r}"
+                f"{var_name} must be one of {choices}, got {choice!r}"
             )
-        return backend
+        return choice
     return parse
-
-
-SYNTH_BACKEND_VAR: EnvVar[str] = _register(
-    EnvVar(
-        name="RF_PROTECT_SYNTH",
-        default="vectorized",
-        parse=_backend_parser("RF_PROTECT_SYNTH", SYNTH_BACKENDS),
-        description="beat-signal synthesis kernel: 'vectorized' (batched "
-                    "engine) or 'naive' (reference per-component loop)",
-    )
-)
-
-
-PIPELINE_BACKEND_VAR: EnvVar[str] = _register(
-    EnvVar(
-        name="RF_PROTECT_PIPELINE",
-        default="vectorized",
-        parse=_backend_parser("RF_PROTECT_PIPELINE", PIPELINE_BACKENDS),
-        description="receive-processing engine: 'vectorized' (sweep-wide "
-                    "FFT + einsum beamforming, repro.radar.pipeline) or "
-                    "'naive' (reference per-frame loop)",
-    )
-)
-
-
-NN_BACKEND_VAR: EnvVar[str] = _register(
-    EnvVar(
-        name="RF_PROTECT_NN_BACKEND",
-        default="fused",
-        parse=_backend_parser("RF_PROTECT_NN_BACKEND", NN_BACKENDS),
-        description="recurrent-sequence autograd kernel: 'fused' (whole-"
-                    "sequence scan with one hand-written BPTT backward) or "
-                    "'naive' (reference per-timestep cell graph)",
-    )
-)
 
 
 NN_DTYPE_VAR: EnvVar[str] = _register(
     EnvVar(
         name="RF_PROTECT_NN_DTYPE",
         default="float64",
-        parse=_backend_parser("RF_PROTECT_NN_DTYPE", NN_DTYPES),
+        parse=_choice_parser("RF_PROTECT_NN_DTYPE", NN_DTYPES),
         description="default dtype for autograd leaf tensors and nn "
                     "parameters: 'float64' (reference precision) or "
                     "'float32' (faster GEMMs at paper-scale GAN training)",
@@ -461,21 +407,6 @@ def get_scenario_seed(environ: Mapping[str, str] | None = None) -> int:
     return SCENARIO_SEED_VAR.read(environ)
 
 
-def get_synth_backend(environ: Mapping[str, str] | None = None) -> str:
-    """The active synthesis kernel name, from ``RF_PROTECT_SYNTH``."""
-    return SYNTH_BACKEND_VAR.read(environ)
-
-
-def get_pipeline_backend(environ: Mapping[str, str] | None = None) -> str:
-    """The active receive-processing engine, from ``RF_PROTECT_PIPELINE``."""
-    return PIPELINE_BACKEND_VAR.read(environ)
-
-
-def get_nn_backend(environ: Mapping[str, str] | None = None) -> str:
-    """The active recurrent-sequence kernel, from ``RF_PROTECT_NN_BACKEND``."""
-    return NN_BACKEND_VAR.read(environ)
-
-
 def get_nn_dtype(environ: Mapping[str, str] | None = None) -> str:
     """The autograd default dtype name, from ``RF_PROTECT_NN_DTYPE``."""
     return NN_DTYPE_VAR.read(environ)
@@ -536,9 +467,6 @@ ENV_ACCESSORS: dict[str, Callable[[Mapping[str, str] | None], object]] = {
     "RF_PROTECT_LINT_CACHE": get_lint_cache_dir,
     "RF_PROTECT_SCENARIO": get_scenario_name,
     "RF_PROTECT_SCENARIO_SEED": get_scenario_seed,
-    "RF_PROTECT_SYNTH": get_synth_backend,
-    "RF_PROTECT_PIPELINE": get_pipeline_backend,
-    "RF_PROTECT_NN_BACKEND": get_nn_backend,
     "RF_PROTECT_NN_DTYPE": get_nn_dtype,
     "RF_PROTECT_SERVE_BATCH_WINDOW_MS": get_serve_batch_window_ms,
     "RF_PROTECT_SERVE_MAX_BATCH": get_serve_max_batch,

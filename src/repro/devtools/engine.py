@@ -4,8 +4,8 @@ A :class:`Rule` inspects one parsed :class:`SourceFile` and yields
 :class:`Finding` objects. A :class:`ProjectRule` instead inspects the
 whole-project fact base (:class:`repro.devtools.project.ProjectGraph`) —
 the module/symbol graph built from every linted file — which is how the
-cross-module rules (RFP010–RFP014) reason about call chains, kernel
-registrations, and lock discipline across files. Rules self-register via
+cross-module rules (RFP010, RFP012–RFP014) reason about call chains,
+checkpoint schemas, and lock discipline across files. Rules self-register via
 :func:`register` and declare *path scopes* — fnmatch globs limiting where
 they apply (e.g. the dtype-discipline rule only runs under ``repro/radar``
 and ``repro/signal``). Scopes and global excludes can be overridden from

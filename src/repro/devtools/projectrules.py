@@ -1,4 +1,4 @@
-"""The cross-module rflint rules: RFP010–RFP014.
+"""The cross-module rflint rules: RFP010 and RFP012–RFP014.
 
 These run in the project pass over :class:`~repro.devtools.project.
 ProjectGraph` — after every file's facts exist — and guard invariants no
@@ -9,11 +9,6 @@ single AST can see:
   touching it anywhere outside the lock (including from helpers only ever
   called with the lock held — those are exempted by call-graph closure)
   is a data race with the serving path.
-- **RFP011** kernel-registry conformance: every ``@KERNELS.register``
-  entry must satisfy the ``StageFn`` protocol — exactly one required
-  ``ctx`` parameter — and each ``(stage, backend)`` slot may be
-  registered once across the whole tree (a duplicate raises at import
-  time in production; the linter catches it before that).
 - **RFP012** checkpoint schema discipline: a class with
   ``checkpoint``/``from_checkpoint`` must declare ``CHECKPOINT_VERSION``
   and ``CHECKPOINT_FIELDS``; the payload keys written, the keys read
@@ -43,7 +38,6 @@ __all__ = [
     "AsyncLockDiscipline",
     "CheckpointSchemaDiscipline",
     "DtypeFlow",
-    "KernelRegistryConformance",
     "TransitiveBlockingCall",
 ]
 
@@ -167,46 +161,6 @@ class AsyncLockDiscipline(ProjectRule):
                     seen.add(callee)
                     queue.append(callee)
         return seen
-
-
-@register
-class KernelRegistryConformance(ProjectRule):
-    """RFP011 — ``KERNELS`` entries match the StageFn protocol, once each."""
-
-    rule_id = "RFP011"
-    title = "kernel registration violates the stage protocol"
-    include = ("*repro/radar/*", "*repro/serve/*", "*repro/signal/*")
-
-    def check_project(self, project: ProjectGraph) -> Iterator[Finding]:
-        slots: dict[tuple[str, str], list[tuple[str, dict[str, Any]]]] = {}
-        for facts in project.modules.values():
-            for reg in facts["registrations"]:
-                if reg["required"] != 1 and not (
-                    reg["required"] == 0 and reg["has_varargs"]
-                ):
-                    yield self.finding_at(
-                        facts["path"], reg["line"], reg["col"],
-                        f"kernel {reg['func']}() takes {reg['required']} "
-                        f"required parameters; StageFn kernels take exactly "
-                        f"one (the ExecutionContext)",
-                    )
-                if reg["stage"] is not None and reg["backend"] is not None:
-                    slots.setdefault(
-                        (reg["stage"], reg["backend"]), []
-                    ).append((facts["path"], reg))
-        for (stage, backend), entries in sorted(slots.items()):
-            if len(entries) < 2:
-                continue
-            entries.sort(key=lambda item: (item[0], item[1]["line"]))
-            first_path, first = entries[0]
-            for path, reg in entries[1:]:
-                yield self.finding_at(
-                    path, reg["line"], reg["col"],
-                    f"duplicate kernel registration for stage "
-                    f"{stage!r} backend {backend!r}; first registered at "
-                    f"{first_path}:{first['line']} "
-                    f"({first['func']}) — this raises at import time",
-                )
 
 
 @register

@@ -1,7 +1,7 @@
 """Evaluation metrics: FID, alignment errors, CDFs, and statistics."""
 
 from repro.metrics.alignment import SpoofingErrors, aligned_trajectory, spoofing_errors
-from repro.metrics.errors import empirical_cdf, median_and_percentiles
+from repro.metrics.errors import empirical_cdf
 from repro.metrics.fid import (
     fid_score,
     frechet_distance,
@@ -18,7 +18,6 @@ __all__ = [
     "fid_score",
     "frechet_distance",
     "ks_two_sample",
-    "median_and_percentiles",
     "normalized_fid_scores",
     "spoofing_errors",
     "trajectory_features",

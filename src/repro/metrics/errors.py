@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["empirical_cdf", "median_and_percentiles"]
+__all__ = ["empirical_cdf"]
 
 
 def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -23,15 +23,3 @@ def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered = np.sort(arr)
     levels = np.arange(1, ordered.size + 1) / ordered.size
     return ordered, levels
-
-
-def median_and_percentiles(values: np.ndarray,
-                           percentiles: tuple[float, ...] = (50.0, 90.0, 99.0)
-                           ) -> dict[str, float]:
-    """Named percentile summary of an error sample."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.size == 0:
-        raise ConfigurationError("need at least one value")
-    if any(not 0 <= p <= 100 for p in percentiles):
-        raise ConfigurationError("percentiles must lie in [0, 100]")
-    return {f"p{p:g}": float(np.percentile(arr, p)) for p in percentiles}

@@ -1,19 +1,18 @@
 """Structural and neural-network operations on :class:`Tensor`.
 
 Everything here builds autograd graph nodes: concatenation/stacking,
-embedding lookup, dropout, the fused recurrent ops, and the loss functions
-used by the cGAN (binary cross-entropy in the numerically-stable logits
-form, Eq. 4 of the paper, plus mean-squared error for diagnostics).
+embedding lookup, dropout, the fused recurrent op, and the loss used by
+the cGAN (binary cross-entropy in the numerically-stable logits form,
+Eq. 4 of the paper).
 
-The two recurrent ops deserve a note on granularity. :func:`lstm_cell` is
-the *per-step* fusion: one graph node per timestep covering the gate
-nonlinearities and state update. :func:`lstm_sequence` is the *per-layer*
-fusion: the whole ``(T, B, D)`` scan — input projection batched as a single
-``(T·B, D) @ (D, 4H)`` GEMM up front, per-step recurrence over preallocated
-gate/state buffers, and one hand-written BPTT backward — collapsed into a
-single graph node. The per-step path remains the pinned equivalence
-reference (``RF_PROTECT_NN_BACKEND=naive``); the property suite holds the
-two within dtype-matched tolerances.
+The recurrent op deserves a note on granularity. :func:`lstm_sequence` is
+the *per-layer* fusion: the whole ``(T, B, D)`` scan — input projection
+batched as a single ``(T·B, D) @ (D, 4H)`` GEMM up front, per-step
+recurrence over preallocated gate/state buffers, and one hand-written BPTT
+backward — collapsed into a single graph node. The per-step cell graph it
+replaced is the pinned equivalence reference, kept as a test oracle
+(``tests/lstm_oracle.py``); the property suite holds the two within
+dtype-matched tolerances.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ __all__ = [
     "dropout",
     "embedding",
     "flip_sequence",
-    "lstm_cell",
     "lstm_sequence",
-    "mse_loss",
     "repeat_sequence",
     "softplus",
     "stack",
@@ -167,57 +164,6 @@ def dropout(x: Tensor, probability: float, rng: np.random.Generator, *,
 def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
     """The numerically stable logistic used by every gate nonlinearity."""
     return 0.5 * (np.tanh(0.5 * values) + 1.0)
-
-
-def lstm_cell(gates: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """Fused LSTM cell activations: ``(gates, c_prev) -> (h, c)``.
-
-    ``gates`` is the pre-activation ``(B, 4H)`` block ``[i, f, g, o]``
-    (already containing ``x W_ih + h W_hh + b``); this op applies the gate
-    nonlinearities and the state update in one graph node with a
-    hand-derived backward. Functionally identical to composing sigmoid/tanh
-    ops (the test suite checks this), but an order of magnitude fewer graph
-    nodes — which dominates runtime for 50-step sequences on small batches.
-    """
-    gates = as_tensor(gates)
-    c_prev = as_tensor(c_prev)
-    if gates.ndim != 2 or gates.shape[1] % 4 != 0:
-        raise GradientError(f"gates must be (B, 4H), got {gates.shape}")
-    hidden = gates.shape[1] // 4
-    if c_prev.shape != (gates.shape[0], hidden):
-        raise GradientError(
-            f"c_prev must be ({gates.shape[0]}, {hidden}), got {c_prev.shape}"
-        )
-
-    a = gates.data
-    i = _stable_sigmoid(a[:, 0 * hidden: 1 * hidden])
-    f = _stable_sigmoid(a[:, 1 * hidden: 2 * hidden])
-    g = np.tanh(a[:, 2 * hidden: 3 * hidden])
-    o = _stable_sigmoid(a[:, 3 * hidden: 4 * hidden])
-    c = f * c_prev.data + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-
-    hc = Tensor._result(np.concatenate([h, c], axis=1), (gates, c_prev), "lstm_cell")
-
-    def backward(grad: np.ndarray) -> None:
-        grad_h = grad[:, :hidden]
-        grad_c_out = grad[:, hidden:]
-        grad_c = grad_c_out + grad_h * o * (1.0 - tanh_c ** 2)
-        grad_gates = np.concatenate(
-            [
-                grad_c * g * i * (1.0 - i),
-                grad_c * c_prev.data * f * (1.0 - f),
-                grad_c * i * (1.0 - g ** 2),
-                grad_h * tanh_c * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        gates._accumulate(grad_gates)
-        c_prev._accumulate(grad_c * f)
-
-    hc._backward = backward
-    return hc[:, :hidden], hc[:, hidden:]
 
 
 def lstm_sequence(inputs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
@@ -379,14 +325,3 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray | Tensor) -> Tensor:
         target_data, dtype=target_data.dtype
     )
     return per_element.mean()
-
-
-def mse_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    """Mean squared error."""
-    prediction = as_tensor(prediction)
-    target = as_tensor(target, like=prediction)
-    if target.shape != prediction.shape:
-        raise GradientError(
-            f"target shape {target.shape} != prediction shape {prediction.shape}"
-        )
-    return (prediction - target.detach()).pow(2.0).mean()

@@ -5,24 +5,20 @@ bidirectional LSTM, both with hidden size 512 and dropout 0.5 (Sec. 6).
 These implementations follow the standard gate equations (Hochreiter &
 Schmidhuber) with a forget-gate bias of 1 for stable early training.
 
-Sequence execution is dispatched through :data:`SEQUENCE_KERNELS`, the
-nn-side analogue of the radar stage registry: ``"naive"`` unrolls one
-:func:`~repro.nn.functional.lstm_cell` graph node per timestep (the pinned
-equivalence reference), ``"fused"`` runs the whole layer through the
-single-node :func:`~repro.nn.functional.lstm_sequence` BPTT op. The active
-backend comes from ``RF_PROTECT_NN_BACKEND`` (via
-:func:`repro.config.get_nn_backend`), can be pinned for a block with
-:func:`sequence_backend_scope`, or per call via the ``backend=`` argument.
-Each per-layer scan reports wall time into :mod:`repro.nn.metrics`. A large
+Each layer of a sequence runs as one
+:func:`~repro.nn.functional.lstm_sequence` op: the whole ``(T, B, D)`` scan
+in a single graph node with a hand-written BPTT backward. The per-timestep
+cell graph it replaced is a test oracle (``tests/lstm_oracle.py``) that the
+property suite and the ``naive.*`` GAN digests hold this op to. Each
+per-layer scan reports wall time into :mod:`repro.nn.metrics`. A large
 :class:`BiLSTM` pass scans its two directions at the same time, one on the
 helper thread of :mod:`repro.nn.overlap`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 from concurrent.futures import Future
 
 import numpy as np
@@ -33,7 +29,6 @@ from repro.nn.functional import (
     concat,
     dropout,
     flip_sequence,
-    lstm_cell,
     lstm_sequence,
     stack,
 )
@@ -41,90 +36,15 @@ from repro.nn.layers import Module
 from repro.nn.metrics import observe_op
 from repro.nn.tensor import Tensor, as_tensor
 
-__all__ = [
-    "BiLSTM",
-    "LSTM",
-    "LSTMCell",
-    "SEQUENCE_KERNELS",
-    "active_sequence_backend",
-    "register_sequence_kernel",
-    "sequence_backend_scope",
-    "set_sequence_backend",
-]
-
-#: One LSTM layer over a stacked ``(T, B, D)`` tensor -> ``(T, B, H)``.
-SequenceKernel = Callable[["LSTMCell", Tensor, tuple[Tensor, Tensor]], Tensor]
-
-#: Registry of sequence-scan implementations, keyed by backend name. The
-#: single dispatch point for recurrent execution — code outside this module
-#: selects a backend by name, never by importing a kernel directly.
-SEQUENCE_KERNELS: dict[str, SequenceKernel] = {}
-
-
-def register_sequence_kernel(name: str) -> Callable[[SequenceKernel], SequenceKernel]:
-    """Register a sequence kernel under ``name`` (decorator)."""
-
-    def decorator(kernel: SequenceKernel) -> SequenceKernel:
-        if name in SEQUENCE_KERNELS:
-            raise ConfigurationError(f"sequence kernel {name!r} already registered")
-        SEQUENCE_KERNELS[name] = kernel
-        return kernel
-
-    return decorator
-
-
-_BACKEND_OVERRIDE: str | None = None
-
-
-def active_sequence_backend() -> str:
-    """The backend used when no per-call ``backend=`` is given.
-
-    Resolution order: :func:`set_sequence_backend` /
-    :func:`sequence_backend_scope` override first, then the
-    ``RF_PROTECT_NN_BACKEND`` environment knob.
-    """
-    if _BACKEND_OVERRIDE is not None:
-        return _BACKEND_OVERRIDE
-    from repro.config import get_nn_backend
-
-    return get_nn_backend()
-
-
-def set_sequence_backend(name: str | None) -> str | None:
-    """Set (or with ``None`` clear) the process-wide backend override.
-
-    Returns the previous override so callers can restore it; prefer
-    :func:`sequence_backend_scope` for anything block-shaped.
-    """
-    global _BACKEND_OVERRIDE
-    if name is not None and name not in SEQUENCE_KERNELS:
-        raise ConfigurationError(
-            f"unknown sequence backend {name!r}; "
-            f"registered: {sorted(SEQUENCE_KERNELS)}"
-        )
-    previous = _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = name
-    return previous
-
-
-@contextlib.contextmanager
-def sequence_backend_scope(name: str) -> Iterator[str]:
-    """Pin the sequence backend within a ``with`` block."""
-    previous = set_sequence_backend(name)
-    try:
-        yield name
-    finally:
-        set_sequence_backend(previous)
+__all__ = ["BiLSTM", "LSTM", "LSTMCell"]
 
 
 class LSTMCell(Module):
-    """One LSTM step: gates ``i, f, g, o`` over input and hidden state.
+    """One LSTM layer's parameters: gates ``i, f, g, o``.
 
-    Weights are stored input-major (``(input_size, 4H)`` / ``(H, 4H)``) so
-    the forward pass is two bare matmuls, and the gate nonlinearities run
-    through the fused :func:`~repro.nn.functional.lstm_cell` op. The
-    composed-op reference path (:meth:`forward_composed`) is kept for
-    equivalence testing.
+    Weights are stored input-major (``(input_size, 4H)`` / ``(H, 4H)``),
+    the layout :func:`~repro.nn.functional.lstm_sequence` scans with; the
+    bias starts at zero except the forget gate's.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
@@ -146,55 +66,12 @@ class LSTMCell(Module):
         bias[hidden_size: 2 * hidden_size] = 1.0  # forget-gate bias
         self.bias = Tensor(bias, requires_grad=True)
 
-    def _gates(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        return x @ self.weight_ih + h_prev @ self.weight_hh + self.bias
-
-    def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        """One step: ``x`` is ``(B, input_size)``; returns ``(h, c)``."""
-        h_prev, c_prev = state
-        return lstm_cell(self._gates(x, h_prev), c_prev)
-
-    def forward_composed(self, x: Tensor,
-                         state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        """Reference implementation from elementary ops (for testing)."""
-        h_prev, c_prev = state
-        gates = self._gates(x, h_prev)
-        H = self.hidden_size
-        i = gates[:, 0 * H: 1 * H].sigmoid()
-        f = gates[:, 1 * H: 2 * H].sigmoid()
-        g = gates[:, 2 * H: 3 * H].tanh()
-        o = gates[:, 3 * H: 4 * H].sigmoid()
-        c = f * c_prev + i * g
-        h = o * c.tanh()
-        return h, c
-
     def initial_state(self, batch_size: int) -> tuple[Tensor, Tensor]:
         """Zero ``(h, c)`` for a batch, in the cell's parameter dtype."""
         zeros = np.zeros((batch_size, self.hidden_size),
                          dtype=self.weight_hh.data.dtype)
         return (Tensor(zeros, dtype=zeros.dtype),
                 Tensor(zeros.copy(), dtype=zeros.dtype))
-
-
-@register_sequence_kernel("naive")
-def _naive_sequence(cell: LSTMCell, inputs: Tensor,
-                    state: tuple[Tensor, Tensor]) -> Tensor:
-    """Reference scan: one ``lstm_cell`` graph node per timestep."""
-    h, c = state
-    outputs: list[Tensor] = []
-    for t in range(inputs.shape[0]):
-        h, c = cell(inputs[t], (h, c))
-        outputs.append(h)
-    return stack(outputs, axis=0)
-
-
-@register_sequence_kernel("fused")
-def _fused_sequence(cell: LSTMCell, inputs: Tensor,
-                    state: tuple[Tensor, Tensor]) -> Tensor:
-    """Whole-layer scan as a single :func:`lstm_sequence` BPTT node."""
-    h0, c0 = state
-    return lstm_sequence(inputs, cell.weight_ih, cell.weight_hh, cell.bias,
-                         h0, c0)
 
 
 class LSTM(Module):
@@ -231,20 +108,18 @@ class LSTM(Module):
 
     def forward_sequence(self, inputs: Tensor,
                          initial_states: Sequence[tuple[Tensor, Tensor]] | None = None,
-                         *, backend: str | None = None) -> Tensor:
+                         ) -> Tensor:
         """Run the stack over a stacked ``(T, B, D)`` sequence tensor.
 
         This is the primary entry point: the whole scan stays in stacked
         form, inter-layer dropout draws one ``(T, B, H)`` mask per layer
         boundary (bit-identical to the historical per-timestep draws —
-        the RNG stream consumes identically), and each layer runs through
-        the selected :data:`SEQUENCE_KERNELS` entry.
+        the RNG stream consumes identically), and each layer runs as one
+        :func:`~repro.nn.functional.lstm_sequence` op.
 
         Args:
             inputs: ``(T, B, D)`` tensor.
             initial_states: optional per-layer ``(h0, c0)``; zeros otherwise.
-            backend: kernel name; defaults to
-                :func:`active_sequence_backend`.
 
         Returns:
             Top-layer hidden states as one ``(T, B, H)`` tensor.
@@ -256,19 +131,14 @@ class LSTM(Module):
             )
         if inputs.shape[0] < 1:
             raise ConfigurationError("LSTM needs at least one timestep")
-        name = backend if backend is not None else active_sequence_backend()
-        kernel = SEQUENCE_KERNELS.get(name)
-        if kernel is None:
-            raise ConfigurationError(
-                f"unknown sequence backend {name!r}; "
-                f"registered: {sorted(SEQUENCE_KERNELS)}"
-            )
         states = self._resolve_states(inputs.shape[1], initial_states)
         sequence = inputs
         for layer, cell in enumerate(self.cells):
+            h0, c0 = states[layer]
             started = time.perf_counter()
-            sequence = kernel(cell, sequence, states[layer])
-            observe_op("lstm_sequence", name, time.perf_counter() - started)
+            sequence = lstm_sequence(sequence, cell.weight_ih, cell.weight_hh,
+                                     cell.bias, h0, c0)
+            observe_op("lstm_sequence", "fused", time.perf_counter() - started)
             if layer < self.num_layers - 1 and self.dropout_probability > 0:
                 sequence = dropout(sequence, self.dropout_probability,
                                    self._rng, training=self.training)
@@ -276,7 +146,7 @@ class LSTM(Module):
 
     def forward(self, inputs: list[Tensor],
                 initial_states: list[tuple[Tensor, Tensor]] | None = None,
-                *, backend: str | None = None) -> list[Tensor]:
+                ) -> list[Tensor]:
         """Run the stack over a per-timestep list of ``(B, D)`` tensors.
 
         Compatibility wrapper over :meth:`forward_sequence`; returns
@@ -284,8 +154,7 @@ class LSTM(Module):
         """
         if not inputs:
             raise ConfigurationError("LSTM needs at least one timestep")
-        stacked = self.forward_sequence(stack(inputs, axis=0), initial_states,
-                                        backend=backend)
+        stacked = self.forward_sequence(stack(inputs, axis=0), initial_states)
         return [stacked[t] for t in range(len(inputs))]
 
     def forward_stacked(self, inputs: list[Tensor],
@@ -310,8 +179,7 @@ class BiLSTM(Module):
                                   dropout_probability=dropout_probability)
         self.hidden_size = hidden_size
 
-    def _directions(self, inputs: Tensor,
-                    backend: str | None) -> tuple[Tensor, Tensor]:
+    def _directions(self, inputs: Tensor) -> tuple[Tensor, Tensor]:
         """Both directions' ``(T, B, H)`` scans, the backward one reversed.
 
         For a large pass the backward direction scans on the overlap
@@ -322,22 +190,18 @@ class BiLSTM(Module):
         reversed_inputs = flip_sequence(inputs)
 
         def scan_backward() -> Tensor:
-            return self.backward_lstm.forward_sequence(reversed_inputs,
-                                                       backend=backend)
+            return self.backward_lstm.forward_sequence(reversed_inputs)
 
         pending: Future[Tensor] | None = None
         if overlap.should_overlap(inputs.shape[1] * self.hidden_size):
             pending = overlap.submit(scan_backward)
-        forward_out = self.forward_lstm.forward_sequence(inputs,
-                                                         backend=backend)
+        forward_out = self.forward_lstm.forward_sequence(inputs)
         backward_out = scan_backward() if pending is None else pending.result()
         return forward_out, backward_out
 
-    def forward_sequence(self, inputs: Tensor,
-                         *, backend: str | None = None) -> Tensor:
+    def forward_sequence(self, inputs: Tensor) -> Tensor:
         """Per-timestep ``(T, B, 2H)`` outputs (forward ++ backward)."""
-        forward_out, backward_out = self._directions(as_tensor(inputs),
-                                                     backend)
+        forward_out, backward_out = self._directions(as_tensor(inputs))
         return concat([forward_out, flip_sequence(backward_out)], axis=2)
 
     def forward(self, inputs: list[Tensor]) -> list[Tensor]:
@@ -355,5 +219,5 @@ class BiLSTM(Module):
         """
         stacked = (inputs if isinstance(inputs, Tensor)
                    else stack(inputs, axis=0))
-        forward_out, backward_out = self._directions(stacked, None)
+        forward_out, backward_out = self._directions(stacked)
         return concat([forward_out[-1], backward_out[-1]], axis=1)

@@ -10,25 +10,18 @@ with Kalman tracking (`tracker`).
 Every sense path — FMCW, pulsed, the serving engine, the experiments
 runner — executes through the stage-graph executor in `stages`: a typed
 Emit → Synthesize → RangeFFT → BackgroundSubtract → Beamform → Detect
-plan whose kernels resolve from one registration-based registry
-(`KERNELS`), with per-stage wall-time instrumentation.
+plan that binds one kernel per stage, with per-stage wall-time
+instrumentation.
 """
 
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.channel import ChannelModel
 from repro.radar.config import RadarConfig
-from repro.radar.frontend import (
-    SYNTH_STATS,
-    PathComponent,
-    SynthesisStats,
-    synthesis_backend,
-    synthesize_frame,
-    synthesize_frame_naive,
-)
+from repro.radar.frontend import SYNTH_STATS, PathComponent, SynthesisStats
 from repro.radar.batch import (
     PackedComponents,
     pack_components,
-    synthesize_frame_vectorized,
+    synthesize_frame,
     synthesize_frames,
     synthesize_packed,
 )
@@ -40,15 +33,11 @@ from repro.radar.pipeline import (
     batched_lag_vectors,
     batched_range_profiles,
     beamform_from_lags,
-    pipeline_backend,
     process_sweep,
 )
 from repro.radar.processing import (
     ZERO_PAD_FACTOR,
     RangeAngleProfile,
-    background_subtract,
-    compute_range_angle_map,
-    frame_range_profiles,
     range_keep_mask,
 )
 from repro.radar.pulsed import PulsedRadar, PulsedRadarConfig, PulsedSensingResult
@@ -61,18 +50,12 @@ from repro.radar.scene import (
     StaticReflector,
 )
 from repro.radar.stages import (
-    KERNELS,
     RECEIVE_PLAN,
     SENSE_PLAN,
     ExecutionContext,
-    KernelRegistry,
     Stage,
     StageBinding,
-    StageKernel,
-    backend_overrides,
-    default_backend,
     execute,
-    frame_synthesizer,
     stage_metrics,
 )
 from repro.radar.tracker import (
@@ -81,7 +64,6 @@ from repro.radar.tracker import (
     Track,
     TrackerConfig,
     extract_tracks,
-    hungarian_assignment,
     track_detections,
 )
 
@@ -92,9 +74,7 @@ __all__ = [
     "Fan",
     "FmcwRadar",
     "HumanTarget",
-    "KERNELS",
     "KalmanTracker2D",
-    "KernelRegistry",
     "OcclusionSpec",
     "PackedComponents",
     "PathComponent",
@@ -111,7 +91,6 @@ __all__ = [
     "SensingResult",
     "Stage",
     "StageBinding",
-    "StageKernel",
     "StaticReflector",
     "StreamingTracker",
     "SweepProcessingResult",
@@ -119,30 +98,19 @@ __all__ = [
     "TrackerConfig",
     "UniformLinearArray",
     "ZERO_PAD_FACTOR",
-    "backend_overrides",
-    "default_backend",
     "emit_paths",
     "execute",
-    "frame_synthesizer",
     "stage_metrics",
-    "background_subtract",
     "batched_background_subtract",
     "batched_beamform_power",
     "batched_lag_vectors",
     "batched_range_profiles",
     "beamform_from_lags",
-    "compute_range_angle_map",
     "extract_tracks",
-    "frame_range_profiles",
-    "hungarian_assignment",
     "pack_components",
-    "pipeline_backend",
     "process_sweep",
     "range_keep_mask",
-    "synthesis_backend",
     "synthesize_frame",
-    "synthesize_frame_naive",
-    "synthesize_frame_vectorized",
     "synthesize_frames",
     "synthesize_packed",
     "track_detections",

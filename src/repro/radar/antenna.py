@@ -1,4 +1,4 @@
-"""Uniform linear array geometry and beamforming steering vectors (Eq. 2).
+"""Uniform linear array geometry and the Eq. 2 beamforming planes.
 
 The paper's eavesdropper computes the per-angle power
 
@@ -7,6 +7,9 @@ The paper's eavesdropper computes the per-angle power
 where ``theta`` is measured from the array axis. This module owns that
 convention: angle-from-axis in (0, pi), with the boresight ("facing")
 direction resolving the front/back ambiguity when converting to Cartesian.
+The receive pipeline evaluates Eq. 2 in its lag-domain form
+(:meth:`UniformLinearArray.lag_power_basis`); the direct steering-matrix
+form is the test oracle it is pinned to (``tests/receive_oracle.py``).
 """
 
 from __future__ import annotations
@@ -20,16 +23,6 @@ from repro.signal.windows import get_window
 
 __all__ = ["UniformLinearArray"]
 
-#: Process-wide memo of steering planes, keyed by the array geometry
-#: (element count, spacing, wavelength), the taper name (``None`` for the
-#: bare Eq. 2 matrix), and the angle grid's raw bytes. Sensing sweeps
-#: beamform every frame against the *same* grid, so each plane is computed
-#: once and shared read-only; the handful of distinct grids a process ever
-#: uses keeps this map tiny.
-_STEERING_CACHE: dict[
-    tuple[int, float, float, str | None, bytes], np.ndarray
-] = {}
-
 #: Normalized taper weights per (element count, window name) — tiny arrays,
 #: but resolving them through the memo keeps every call site sharing one
 #: read-only plane instead of re-deriving the normalization.
@@ -42,7 +35,7 @@ _LAG_BASIS_CACHE: dict[tuple[int, float, float, bytes], np.ndarray] = {}
 
 
 class UniformLinearArray:
-    """Receive-array geometry, angle conventions, and steering vectors."""
+    """Receive-array geometry, angle conventions, and Eq. 2 planes."""
 
     def __init__(self, config: RadarConfig) -> None:
         self.config = config
@@ -115,56 +108,10 @@ class UniformLinearArray:
         return (2.0 * np.pi * np.outer(k, np.cos(grid))
                 * self.spacing / self.wavelength)
 
-    def _steering_key(self, grid: np.ndarray, taper: str | None,
-                      ) -> tuple[int, float, float, str | None, bytes]:
-        return (self.num_antennas, self.spacing, self.wavelength, taper,
-                grid.tobytes())
-
-    def steering_matrix(self, angles: np.ndarray) -> np.ndarray:
-        """Conjugate steering vectors for Eq. 2, shape ``(num_angles, K)``.
-
-        Row ``i`` dotted with the per-antenna signal vector ``h`` gives the
-        beamformed output toward ``angles[i]``. The plane for a given
-        (geometry, grid) is computed once per process and returned as a
-        shared read-only array; ``.copy()`` it before modifying.
-        """
-        grid = np.asarray(angles, dtype=float)
-        key = self._steering_key(grid, None)
-        cached = _STEERING_CACHE.get(key)
-        if cached is None:
-            k = np.arange(self.num_antennas)
-            phase = (2.0 * np.pi * np.outer(np.cos(grid), k)
-                     * self.spacing / self.wavelength)
-            cached = np.exp(-1j * phase)
-            cached.flags.writeable = False
-            _STEERING_CACHE[key] = cached
-        return cached
-
-    def tapered_steering_matrix(self, angles: np.ndarray,
-                                taper: str | None) -> np.ndarray:
-        """Steering matrix with the amplitude taper folded in, read-only.
-
-        This is the exact matrix :meth:`beamform` applies — taper weights
-        normalized to preserve total gain — cached per (geometry, grid,
-        taper) so the batched receive pipeline can contract whole sweeps
-        against one precomputed plane.
-        """
-        if taper is None:
-            return self.steering_matrix(angles)
-        grid = np.asarray(angles, dtype=float)
-        key = self._steering_key(grid, taper)
-        cached = _STEERING_CACHE.get(key)
-        if cached is None:
-            cached = self.steering_matrix(grid) * self.taper_weights(taper)
-            cached.flags.writeable = False
-            _STEERING_CACHE[key] = cached
-        return cached
-
     def taper_weights(self, taper: str | None) -> np.ndarray:
         """Normalized amplitude taper across the elements, shape ``(K,)``.
 
-        The window is scaled to preserve total gain (``sum == K``), exactly
-        the weights :meth:`beamform` folds into its steering matrix. Since
+        The window is scaled to preserve total gain (``sum == K``). Since
         the taper is real, applying it to the *signals* instead of the
         steering vectors yields the same per-term products — which is how
         the batched pipeline uses it. Read-only cached plane.
@@ -217,26 +164,3 @@ class UniformLinearArray:
             cached.flags.writeable = False
             _LAG_BASIS_CACHE[key] = cached
         return cached
-
-    def beamform(self, signals: np.ndarray, angles: np.ndarray, *,
-                 taper: str | None = "hamming") -> np.ndarray:
-        """Apply Eq. 2: per-angle power of per-antenna signals.
-
-        Args:
-            signals: complex array ``(K,)`` or ``(K, num_bins)``.
-            angles: beamforming angle grid, radians from the array axis.
-            taper: amplitude window across the antennas; lowers angle
-                sidelobes (at the cost of a wider mainlobe) so a strong
-                target does not masquerade as extra targets. ``None``
-                disables tapering (the textbook Eq. 2).
-
-        Returns:
-            ``(num_angles,)`` or ``(num_angles, num_bins)`` real power.
-        """
-        h = np.asarray(signals)
-        if h.shape[0] != self.num_antennas:
-            raise ConfigurationError(
-                f"expected {self.num_antennas} antenna signals, got {h.shape[0]}"
-            )
-        steering = self.tapered_steering_matrix(angles, taper)
-        return np.abs(steering @ h) ** 2

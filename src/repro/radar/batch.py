@@ -1,6 +1,6 @@
 """Batched, vectorized beat-frame synthesis.
 
-The reference kernel in :mod:`repro.radar.frontend` loops over
+The reference kernel (a test oracle, ``tests/receive_oracle.py``) loops over
 :class:`~repro.radar.frontend.PathComponent`s in Python and materializes one
 ``(K, N)`` outer product per component. This module packs a frame's (or a
 whole sweep's) components into flat arrays and synthesizes all antennas x
@@ -15,11 +15,10 @@ Because the beat samples sit on a uniform time grid, each tone's phase is an
 arithmetic progression, so the sample index ``n = b*B + m`` factors the
 exponential exactly: ``exp(j theta n) = exp(j theta b B) * exp(j theta m)``.
 With ``B ~ sqrt(N)`` this needs only ``~2 C sqrt(N)`` complex exponentials
-instead of ``C*N`` — the transcendental work that dominates the naive kernel
-— and the remaining sum over components is a single BLAS matmul per frame.
-The two kernels are pinned to each other by
-``tests/test_frontend_equivalence.py``; physics notes live with the
-reference implementation.
+instead of ``C*N`` — the transcendental work that dominates the reference
+loop — and the remaining sum over components is a single BLAS matmul per
+frame. ``tests/test_frontend_equivalence.py`` pins this engine to the
+reference loop; physics notes live in :mod:`repro.radar.frontend`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.signal.chirp import ChirpConfig
 __all__ = [
     "PackedComponents",
     "pack_components",
-    "synthesize_frame_vectorized",
+    "synthesize_frame",
     "synthesize_frames",
     "synthesize_packed",
 ]
@@ -91,8 +90,8 @@ def _beat_and_carrier(packed: PackedComponents, chirp: ChirpConfig,
             + packed.beat_offsets_hz)
     carrier = (np.asarray(chirp.carrier_phase(effective))
                + packed.phase_offsets)
-    # Same strict inequality as the reference kernel: a tone exactly at
-    # Nyquist is dropped by both.
+    # Strict inequality: a tone exactly at Nyquist is dropped, as the
+    # reference loop drops it.
     keep = np.abs(beat) < chirp.sample_rate / 2.0
     return beat, carrier, keep
 
@@ -164,11 +163,22 @@ def _contract_frames_batched(amplitudes: np.ndarray, beat: np.ndarray,
     )
 
 
-def synthesize_frame_vectorized(
+def synthesize_frame(
         components: Sequence[PathComponent] | PackedComponents,
         config: RadarConfig, array: UniformLinearArray,
         rng: np.random.Generator | None = None) -> np.ndarray:
-    """Vectorized equivalent of ``synthesize_frame_naive``, ``(K, N)``."""
+    """Synthesize one frame of beat samples for all antennas.
+
+    Args:
+        components: propagation paths visible in this chirp (a list or
+            their packed form).
+        config: radar configuration (chirp, noise, array size).
+        array: array geometry supplying the per-antenna arrival phases.
+        rng: random generator for thermal noise; ``None`` disables noise.
+
+    Returns:
+        Complex array of shape ``(num_antennas, num_samples)``.
+    """
     packed = (components if isinstance(components, PackedComponents)
               else pack_components(components))
     if len(packed) == 0:
@@ -235,7 +245,7 @@ def synthesize_packed(columns: np.ndarray, counts: np.ndarray,
         # Zero the amplitude of dropped tones instead of slicing them out:
         # frame boundaries stay intact, so each frame below is a plain
         # contiguous slice, and a zero-amplitude tone contributes exact
-        # zeros just like the naive kernel's `continue`.
+        # zeros just like the reference loop's `continue`.
         amplitudes = np.where(keep, packed.amplitudes, 0.0)
         steering = np.exp(1j * array.arrival_phase_matrix(packed.angles))
 

@@ -146,12 +146,6 @@ class Emission:
         """The columns as :class:`PathComponent` objects, flat."""
         return [PathComponent(*row) for row in self.columns.T.tolist()]
 
-    def frame_components(self) -> list[list[PathComponent]]:
-        """The columns as one :class:`PathComponent` list per frame."""
-        flat = self.components()
-        bounds = np.concatenate(([0], np.cumsum(self.counts))).tolist()
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
 
 class OneFrameEmission:
     """Mixin: the public one-frame form of the Emit kernel for an entity."""

@@ -1,10 +1,10 @@
 """Batched receive processing: whole beat cubes -> range-angle map stacks.
 
-The reference path in :mod:`repro.radar.processing` handles one frame at a
-time: range-FFT its antennas, subtract the previous frame's profile, then
-beamform (Eq. 2) across the angle grid. Looping that over a sweep pays the
-Python dispatch, the window/steering/range-axis recomputation, and many
-small BLAS calls once *per frame*.
+The reference receive path (a test oracle, ``tests/receive_oracle.py``)
+handles one frame at a time: range-FFT its antennas, subtract the previous
+frame's profile, then beamform (Eq. 2) across the angle grid. Looping that
+over a sweep pays the Python dispatch, the window/steering/range-axis
+recomputation, and many small BLAS calls once *per frame*.
 
 This module processes the whole ``(F, K, N)`` cube from
 ``synthesize_frames`` in three cube-wide passes:
@@ -23,11 +23,9 @@ This module processes the whole ``(F, K, N)`` cube from
    :class:`~repro.radar.processing.RangeAngleProfile` views.
 
 Stage by stage, the arithmetic is either identical to the reference
-kernel's (FFT, subtraction) or an exact algebraic regrouping of it
-(lag-domain Eq. 2), so the two backends agree to ``atol=1e-10``
-(``tests/test_pipeline_equivalence.py`` pins this); the
-backend is selected with ``RF_PROTECT_PIPELINE=naive|vectorized`` through
-the typed registry in :mod:`repro.config`.
+loop's (FFT, subtraction) or an exact algebraic regrouping of it
+(lag-domain Eq. 2), so the two agree to ``atol=1e-10``
+(``tests/test_pipeline_equivalence.py`` pins this).
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from repro.errors import SignalProcessingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
 from repro.radar.processing import ZERO_PAD_FACTOR, RangeAngleProfile
-from repro.signal.spectral import range_axis, range_fft
+from repro.signal.spectral import range_fft
 
 __all__ = [
     "SweepProcessingResult",
@@ -49,7 +47,6 @@ __all__ = [
     "batched_lag_vectors",
     "batched_range_profiles",
     "beamform_from_lags",
-    "pipeline_backend",
     "process_sweep",
 ]
 
@@ -59,27 +56,13 @@ __all__ = [
 _CHUNK_BYTES = 1 << 22
 
 
-def pipeline_backend() -> str:
-    """The active receive-processing engine, from ``RF_PROTECT_PIPELINE``.
-
-    Thin alias for the receive stages' default backend, resolved through
-    the kernel registry (:mod:`repro.radar.stages`) — the one module
-    allowed to branch on the backend accessors (see RFP009).
-    """
-    # Imported lazily: repro.radar.stages registers kernels built from
-    # this module's batch passes, so it imports us at module load.
-    from repro.radar.stages import Stage, default_backend
-
-    return default_backend(Stage.BEAMFORM)
-
-
 def batched_range_profiles(frames: np.ndarray,
                            config: RadarConfig) -> np.ndarray:
     """Complex range profiles for a whole sweep, shape ``(F, K, B)``.
 
     One windowed FFT over the full beat cube — numpy applies the identical
-    1-D transform along the last axis, so each frame's profiles match
-    ``frame_range_profiles`` bit for bit.
+    1-D transform along the last axis, so each frame's profiles match a
+    per-frame transform bit for bit.
     """
     cube = np.asarray(frames)
     if cube.ndim != 3 or cube.shape[1] != config.num_antennas:
@@ -108,7 +91,7 @@ def batched_background_subtract(profile_cube: np.ndarray) -> np.ndarray:
     """Successive-frame subtraction as one shifted difference, ``(F, ...)``.
 
     Frame ``f`` becomes ``cube[f] - cube[f - 1]``; frame 0 has nothing to
-    subtract and is zero, exactly like the reference path's warmup frame.
+    subtract and is zero: the pipeline's one-frame warmup.
     """
     cube = np.asarray(profile_cube)
     if cube.ndim < 1 or cube.shape[0] < 1:
@@ -142,7 +125,7 @@ def batched_beamform_power(subtracted_cube: np.ndarray,
     ~13 real MACs per map cell for K = 7 instead of 28, producing real
     power directly with no complex intermediate and no post-passes. The
     expansion is an exact algebraic identity, so the result matches the
-    reference ``|steering @ h|^2`` to a few ulp (well inside the pinned
+    textbook ``|steering @ h|^2`` to a few ulp (well inside the pinned
     1e-10 budget).
     """
     cube = np.asarray(subtracted_cube)
@@ -282,7 +265,11 @@ def process_sweep(frames: np.ndarray, config: RadarConfig,
                   array: UniformLinearArray, times: np.ndarray, *,
                   max_range: float | None = None,
                   min_range: float | None = None) -> SweepProcessingResult:
-    """Run the full receive pipeline on a beat cube in three batched passes.
+    """Run the receive stages on a beat cube in three batched passes.
+
+    The library entry point for a beat cube captured elsewhere: it runs
+    :data:`~repro.radar.stages.RECEIVE_PLAN`, the same kernels
+    ``FmcwRadar.sense`` runs after synthesis.
 
     Args:
         frames: raw beat cube ``(F, K, N)`` from ``synthesize_frames``.
@@ -298,21 +285,16 @@ def process_sweep(frames: np.ndarray, config: RadarConfig,
             f"got {times.shape[0]} frame times for "
             f"{np.asarray(frames).shape[0]} frames"
         )
-    # Imported lazily — see pipeline_backend().
-    from repro.radar.stages import (
-        RECEIVE_PLAN,
-        ExecutionContext,
-        StageBinding,
-        execute,
-    )
+    # Imported lazily: repro.radar.stages builds its kernels from this
+    # module's batch passes, so it imports us at module load.
+    from repro.radar.stages import RECEIVE_PLAN, ExecutionContext, execute
 
     ctx = ExecutionContext(
         array=array, times=times, config=config, max_range=max_range,
         min_range=config.min_range if min_range is None else min_range,
     )
     ctx.workspace["frames"] = np.asarray(frames)
-    execute(tuple(StageBinding(b.stage, backend="vectorized")
-                  for b in RECEIVE_PLAN), ctx)
+    execute(RECEIVE_PLAN, ctx)
     return SweepProcessingResult(raw_profiles=ctx.workspace["raw_profiles"],
                                  power_cube=ctx.workspace["power_cube"],
                                  ranges=ctx.workspace["ranges"],

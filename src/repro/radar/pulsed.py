@@ -34,11 +34,12 @@ from repro.radar.frontend import PathComponent, thermal_noise
 from repro.radar.processing import RangeAngleProfile
 from repro.radar.scene import Scene
 from repro.radar.stages import (
+    RECEIVE_PLAN,
+    SENSE_PLAN,
     ExecutionContext,
     Stage,
     StageBinding,
     TrackedResultMixin,
-    backend_overrides,
     execute,
 )
 
@@ -235,14 +236,12 @@ class PulsedRadar:
 
     def sense(self, scene: Scene, duration: float, *,
               rng: np.random.Generator | None = None,
-              start_time: float = 0.0,
-              pipeline: str | None = None) -> PulsedSensingResult:
+              start_time: float = 0.0) -> PulsedSensingResult:
         """Capture ``duration`` seconds of pulsed frames from ``scene``.
 
-        The emission/echo kernels are pulsed-specific, but background
-        subtraction and Eq. 2 beamforming resolve from the same stage
-        registry as the FMCW radar — ``pipeline`` overrides the
-        ``RF_PROTECT_PIPELINE`` dispatch for this call.
+        Emit is the FMCW radar's kernel and the echo/matched-filter kernels
+        are pulsed-specific; background subtraction and Eq. 2 beamforming
+        are the FMCW radar's receive kernels.
         """
         if duration <= 0:
             raise TrackingError(f"duration must be positive, got {duration}")
@@ -255,16 +254,13 @@ class PulsedRadar:
         ctx = ExecutionContext(
             array=self.array, times=times, config=config, scene=scene,
             rng=rng, max_range=config.max_range, min_range=config.min_range,
-            overrides=backend_overrides(pipeline=pipeline),
         )
         execute((
-            StageBinding(Stage.EMIT),
-            StageBinding(Stage.SYNTHESIZE, backend="pulsed",
-                         kernel=self._synthesize_stage),
-            StageBinding(Stage.RANGE_FFT, backend="pulsed",
-                         kernel=self._matched_filter_stage),
-            StageBinding(Stage.BACKGROUND_SUBTRACT),
-            StageBinding(Stage.BEAMFORM),
+            SENSE_PLAN[0],
+            StageBinding(Stage.SYNTHESIZE, "pulsed", self._synthesize_stage),
+            StageBinding(Stage.RANGE_FFT, "pulsed",
+                         self._matched_filter_stage),
+            *RECEIVE_PLAN[1:],
         ), ctx)
         return PulsedSensingResult(times=times,
                                    profiles=ctx.workspace["profiles"],

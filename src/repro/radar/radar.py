@@ -20,12 +20,9 @@ from repro.radar.config import RadarConfig
 from repro.radar.processing import ZERO_PAD_FACTOR, RangeAngleProfile
 from repro.radar.scene import Scene
 from repro.radar.stages import (
-    RECEIVE_PLAN,
     SENSE_PLAN,
     ExecutionContext,
-    StageBinding,
     TrackedResultMixin,
-    backend_overrides,
     execute,
 )
 from repro.signal.spectral import range_axis
@@ -112,9 +109,7 @@ class FmcwRadar:
     def sense(self, scene: Scene, duration: float, *,
               rng: np.random.Generator | None = None,
               start_time: float = 0.0,
-              max_range: float | None = None,
-              synth: str | None = None,
-              pipeline: str | None = None) -> SensingResult:
+              max_range: float | None = None) -> SensingResult:
         """Capture ``duration`` seconds of frames from ``scene``.
 
         Args:
@@ -125,11 +120,6 @@ class FmcwRadar:
             start_time: scene time of the first frame.
             max_range: optional crop of the range axis (defaults to the
                 room's diagonal — reflections can't be farther than that).
-            synth: override of the ``RF_PROTECT_SYNTH`` dispatch for this
-                call (``"naive"``/``"vectorized"``); ``None`` follows the
-                environment. The serving engine's degradation path forces
-                ``"naive"`` here per call instead of mutating process env.
-            pipeline: same override for ``RF_PROTECT_PIPELINE``.
         """
         if rng is None:
             rng = np.random.default_rng(0)
@@ -140,7 +130,6 @@ class FmcwRadar:
         ctx = ExecutionContext(
             array=self.array, times=times, config=self.config, scene=scene,
             rng=rng, max_range=max_range, min_range=self.config.min_range,
-            overrides=backend_overrides(synth=synth, pipeline=pipeline),
         )
         execute(SENSE_PLAN, ctx)
         return SensingResult(
@@ -150,21 +139,3 @@ class FmcwRadar:
             config=self.config,
             array=self.array,
         )
-
-    def _process_sweep_naive(self, times: np.ndarray, frames: np.ndarray,
-                             max_range: float,
-                             ) -> tuple[list[RangeAngleProfile], np.ndarray]:
-        """Reference receive pipeline (``RF_PROTECT_PIPELINE=naive``).
-
-        The receive sub-plan pinned to the naive kernels — kept as the
-        reference the batched engine is tested against.
-        """
-        ctx = ExecutionContext(
-            array=self.array, times=np.asarray(times, dtype=float),
-            config=self.config, max_range=max_range,
-            min_range=self.config.min_range,
-        )
-        ctx.workspace["frames"] = np.asarray(frames)
-        execute(tuple(StageBinding(b.stage, backend="naive")
-                      for b in RECEIVE_PLAN), ctx)
-        return ctx.workspace["profiles"], ctx.workspace["raw_profiles"]

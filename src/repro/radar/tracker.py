@@ -19,19 +19,18 @@ computation by construction — a property pinned track-for-track by
 ``tests/test_property_tracker.py``.
 
 Detection-to-track association solves a gated minimum-cost assignment
-(`scipy.optimize.linear_sum_assignment` when scipy is importable, the
-in-repo :func:`hungarian_assignment` otherwise); a greedy
-closest-pair-first mode is kept as ``TrackerConfig(association="greedy")``.
-All candidate orderings are canonicalized, so tracks — including their
-persistent IDs — are independent of detection input order.
+with `scipy.optimize.linear_sum_assignment`. All candidate orderings are
+canonicalized, so tracks — including their persistent IDs — are
+independent of detection input order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from repro.errors import ConfigurationError, TrackingError
 from repro.radar.antenna import UniformLinearArray
@@ -40,24 +39,14 @@ from repro.signal.detection import selection_median
 from repro.signal.filtering import smooth_trajectory
 from repro.types import Trajectory
 
-try:  # pragma: no cover - exercised via the import-time branch taken
-    from scipy.optimize import linear_sum_assignment as _scipy_assignment
-except ImportError:  # pragma: no cover - container always has scipy
-    _scipy_assignment = None
-
 __all__ = [
-    "ASSOCIATION_MODES",
     "KalmanTracker2D",
     "StreamingTracker",
     "Track",
     "TrackerConfig",
     "extract_tracks",
-    "hungarian_assignment",
     "track_detections",
 ]
-
-#: Recognized detection-to-track association solvers.
-ASSOCIATION_MODES: tuple[str, ...] = ("hungarian", "greedy")
 
 #: One detection: a Cartesian ``(x, y)`` position and its peak power.
 Detection = tuple[np.ndarray, float]
@@ -173,9 +162,6 @@ class TrackerConfig:
         min_relative_power_db: power floor relative to the strongest
             concurrent track.
         cluster_radius: blob-merging radius for per-frame detections.
-        association: detection-to-track assignment solver —
-            ``"hungarian"`` (gated global minimum-cost assignment) or
-            ``"greedy"`` (closest pairs first, the historical behavior).
     """
 
     threshold_factor: float = 25.0
@@ -188,7 +174,6 @@ class TrackerConfig:
     min_hit_ratio: float = 0.55
     min_relative_power_db: float = 18.0
     cluster_radius: float = 1.0
-    association: str = "hungarian"
 
     def __post_init__(self) -> None:
         if self.threshold_factor <= 0:
@@ -207,11 +192,6 @@ class TrackerConfig:
             raise ConfigurationError("min_relative_power_db must be positive")
         if self.cluster_radius < 0:
             raise ConfigurationError("cluster_radius must be >= 0")
-        if self.association not in ASSOCIATION_MODES:
-            raise ConfigurationError(
-                f"association must be one of {ASSOCIATION_MODES}, "
-                f"got {self.association!r}"
-            )
 
     def to_state(self) -> dict[str, Any]:
         """The configuration as a JSON-serializable dict."""
@@ -348,97 +328,11 @@ class Track:
 
 
 # --------------------------------------------------------------------------
-# Assignment solvers
+# Association
 # --------------------------------------------------------------------------
 
 
-def hungarian_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-cost rectangular assignment (in-repo Hungarian solver).
-
-    A dependency-free stand-in for ``scipy.optimize.linear_sum_assignment``
-    (the potentials/augmenting-path formulation, O(n^2 m)): returns
-    ``(row_indices, col_indices)`` of an assignment of every row (or every
-    column, whichever side is smaller) minimizing the summed cost, with
-    rows sorted ascending. Property-tested cost-equal to scipy in
-    ``tests/test_property_tracker.py``.
-    """
-    matrix = np.asarray(cost, dtype=float)
-    if matrix.ndim != 2:
-        raise TrackingError(
-            f"cost matrix must be 2-D, got shape {matrix.shape}"
-        )
-    if matrix.size == 0:
-        return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-    if not np.all(np.isfinite(matrix)):
-        raise TrackingError("cost matrix entries must be finite")
-    transposed = matrix.shape[0] > matrix.shape[1]
-    if transposed:
-        matrix = matrix.T
-    num_rows, num_cols = matrix.shape
-
-    # 1-based potentials formulation; column 0 is the virtual free column.
-    row_potential = np.zeros(num_rows + 1, dtype=float)
-    col_potential = np.zeros(num_cols + 1, dtype=float)
-    matched_row = np.zeros(num_cols + 1, dtype=np.intp)  # col -> row, 0=free
-    predecessor = np.zeros(num_cols + 1, dtype=np.intp)
-    for row in range(1, num_rows + 1):
-        matched_row[0] = row
-        active_col = 0
-        min_reduced = np.full(num_cols + 1, np.inf, dtype=np.float64)
-        visited = np.zeros(num_cols + 1, dtype=bool)
-        while True:
-            visited[active_col] = True
-            pivot_row = matched_row[active_col]
-            delta = np.inf
-            next_col = 0
-            for col in range(1, num_cols + 1):
-                if visited[col]:
-                    continue
-                reduced = (matrix[pivot_row - 1, col - 1]
-                           - row_potential[pivot_row] - col_potential[col])
-                if reduced < min_reduced[col]:
-                    min_reduced[col] = reduced
-                    predecessor[col] = active_col
-                if min_reduced[col] < delta:
-                    delta = min_reduced[col]
-                    next_col = col
-            for col in range(num_cols + 1):
-                if visited[col]:
-                    row_potential[matched_row[col]] += delta
-                    col_potential[col] -= delta
-                else:
-                    min_reduced[col] -= delta
-            active_col = next_col
-            if matched_row[active_col] == 0:
-                break
-        while active_col:
-            previous_col = predecessor[active_col]
-            matched_row[active_col] = matched_row[previous_col]
-            active_col = previous_col
-
-    rows = []
-    cols = []
-    for col in range(1, num_cols + 1):
-        if matched_row[col]:
-            rows.append(int(matched_row[col]) - 1)
-            cols.append(col - 1)
-    order = np.argsort(np.asarray(rows, dtype=np.intp), kind="stable")
-    row_indices = np.asarray(rows, dtype=np.intp)[order]
-    col_indices = np.asarray(cols, dtype=np.intp)[order]
-    if transposed:
-        return col_indices, row_indices
-    return row_indices, col_indices
-
-
-def _assign_min_cost(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to scipy's assignment solver, or the in-repo fallback."""
-    if _scipy_assignment is not None:
-        rows, cols = _scipy_assignment(cost)
-        return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    return hungarian_assignment(cost)
-
-
-def _associate_hungarian(predictions: np.ndarray,
+def _associate(predictions: np.ndarray,
                          detections: list[Detection],
                          gate_distance: float) -> list[tuple[int, int]]:
     """Gated global minimum-cost association: ``(track, detection)`` pairs.
@@ -460,46 +354,9 @@ def _associate_hungarian(predictions: np.ndarray,
     # k-1: the penalty exceeds the largest possible sum of in-gate costs.
     penalty = (min(num_tracks, num_detections) + 1.0) * (gate_distance + 1.0)
     cost = np.where(infeasible, penalty, distances)
-    rows, cols = _assign_min_cost(cost)
+    rows, cols = linear_sum_assignment(cost)
     return [(int(ti), int(di)) for ti, di in zip(rows, cols)
             if not infeasible[ti, di]]
-
-
-def _associate_greedy(predictions: np.ndarray,
-                      detections: list[Detection],
-                      gate_distance: float) -> list[tuple[int, int]]:
-    """Greedy closest-pairs-first association (the historical behavior).
-
-    Ties on distance break on ``(track index, detection index)``, so the
-    matching is deterministic and — detections being canonically ordered
-    before association — independent of detection input order.
-    """
-    pairs: list[tuple[float, int, int]] = []
-    for ti in range(predictions.shape[0]):
-        for di, (position, _power) in enumerate(detections):
-            distance = float(np.linalg.norm(position - predictions[ti]))
-            if distance <= gate_distance:
-                pairs.append((distance, ti, di))
-    pairs.sort()
-    used_tracks: set[int] = set()
-    used_detections: set[int] = set()
-    matching: list[tuple[int, int]] = []
-    for _distance, ti, di in pairs:
-        if ti in used_tracks or di in used_detections:
-            continue
-        matching.append((ti, di))
-        used_tracks.add(ti)
-        used_detections.add(di)
-    return matching
-
-
-_ASSOCIATORS: dict[
-    str,
-    Callable[[np.ndarray, list[Detection], float], list[tuple[int, int]]],
-] = {
-    "hungarian": _associate_hungarian,
-    "greedy": _associate_greedy,
-}
 
 
 # --------------------------------------------------------------------------
@@ -526,7 +383,7 @@ class StreamingTracker:
     """
 
     #: Checkpoint schema version (bump on incompatible state changes).
-    CHECKPOINT_VERSION = 1
+    CHECKPOINT_VERSION = 2
 
     #: Exactly the payload keys :meth:`checkpoint` writes and
     #: :meth:`from_checkpoint` reads. rflint RFP012 cross-checks all
@@ -545,7 +402,6 @@ class StreamingTracker:
                  config: TrackerConfig | None = None) -> None:
         self.array = array
         self.config = config if config is not None else TrackerConfig()
-        self._associate = _ASSOCIATORS[self.config.association]
         self._active: list[Track] = []
         self._finished: list[Track] = []
         self._frame_times: list[float] = []
@@ -612,7 +468,7 @@ class StreamingTracker:
                                      for track in self._active])
         else:
             predictions = np.empty((0, 2), dtype=float)
-        matching = self._associate(predictions, merged,
+        matching = _associate(predictions, merged,
                                    self.config.gate_distance)
         matched_tracks = {ti for ti, _di in matching}
         matched_detections = {di for _ti, di in matching}

@@ -9,9 +9,10 @@ one simulation host. This package turns the core into a *service*:
   shapes (scene + radar config + seed in; result + serving telemetry out).
 - :class:`MicroBatcher` — the pure flush-on-size-or-window batching policy.
 - :mod:`repro.serve.engine` — fused multi-request execution on the
-  vectorized synthesis/receive kernels, with per-request naive fallback.
+  vectorized synthesis/receive kernels, with a per-request isolated retry
+  when a fused batch fails.
 - :class:`SenseService` — the asyncio scheduler: bounded admission,
-  deadlines, worker pool, graceful degradation.
+  deadlines, worker pool, fault isolation.
 - :class:`InProcessClient` — a synchronous facade for non-async callers.
 - :class:`MetricsRegistry` — counters/gauges/histograms with JSON export.
 - :class:`SessionStore` / :class:`TrackRequest` — long-lived tracking
@@ -34,7 +35,7 @@ from repro.serve.metrics import (
     MetricsRegistry,
 )
 from repro.serve.request import (
-    BACKEND_NAIVE_FALLBACK,
+    BACKEND_ISOLATED,
     BACKEND_VECTORIZED,
     BatchKey,
     SenseRequest,
@@ -47,7 +48,7 @@ from repro.serve.service import SenseService, ServiceConfig
 from repro.serve.session import SessionConfig, SessionStore, TrackingSession
 
 __all__ = [
-    "BACKEND_NAIVE_FALLBACK",
+    "BACKEND_ISOLATED",
     "BACKEND_VECTORIZED",
     "BATCH_SIZE_BUCKETS",
     "Batch",

@@ -32,10 +32,12 @@ The fused passes are bound as explicit kernels of the stage graph
 executor as every direct ``sense`` call, so served batches show up in the
 identical per-stage wall-time histograms.
 
-If anything in the fused path raises, :func:`execute_batch` degrades
-gracefully: each request is retried alone on the reference kernels
-(``synth="naive", pipeline="naive"``), isolating a poisoned request while
-the rest of the batch still completes.
+If anything in the fused path raises, :func:`execute_batch` retries each
+request alone as a direct ``FmcwRadar.sense`` — the same production
+kernels, pinned bitwise to the fused path — so the batch-mates of a
+poisoned request still get exactly the bits a fault-free batch gives them,
+and the poisoned request alone fails, with a typed
+:class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.errors import ReproError, ServeError
 from repro.radar.batch import synthesize_packed
 from repro.radar.config import RadarConfig
 from repro.radar.emit import Emission, emit_paths
@@ -61,7 +64,7 @@ from repro.radar.processing import ZERO_PAD_FACTOR, range_keep_mask
 from repro.radar.radar import FmcwRadar, SensingResult
 from repro.radar.stages import ExecutionContext, Stage, StageBinding, execute
 from repro.serve.request import (
-    BACKEND_NAIVE_FALLBACK,
+    BACKEND_ISOLATED,
     BACKEND_VECTORIZED,
     BatchKey,
     SenseRequest,
@@ -245,12 +248,11 @@ def _fused_beamform(ctx: ExecutionContext) -> None:
 #: The fused batch plan: the same stage sequence as a direct sense call,
 #: bound to multi-request kernels and instrumented under the same stages.
 _FUSED_PLAN: tuple[StageBinding, ...] = (
-    StageBinding(Stage.EMIT, backend="fused", kernel=_fused_emit),
-    StageBinding(Stage.SYNTHESIZE, backend="fused", kernel=_fused_synthesize),
-    StageBinding(Stage.RANGE_FFT, backend="fused", kernel=_fused_range_fft),
-    StageBinding(Stage.BACKGROUND_SUBTRACT, backend="fused",
-                 kernel=_fused_subtract),
-    StageBinding(Stage.BEAMFORM, backend="fused", kernel=_fused_beamform),
+    StageBinding(Stage.EMIT, "fused", _fused_emit),
+    StageBinding(Stage.SYNTHESIZE, "fused", _fused_synthesize),
+    StageBinding(Stage.RANGE_FFT, "fused", _fused_range_fft),
+    StageBinding(Stage.BACKGROUND_SUBTRACT, "fused", _fused_subtract),
+    StageBinding(Stage.BEAMFORM, "fused", _fused_beamform),
 )
 
 
@@ -289,23 +291,12 @@ def _run_group_vectorized(key: BatchKey,
     return results
 
 
-def _run_single_naive(item: ExecutionItem) -> SensingResult:
-    """The degradation path: one request on the reference kernels."""
-    request = item.request
-    radar = radar_for(item.key.config)
-    rng = np.random.default_rng(request.seed)
-    return radar.sense(request.scene, request.duration, rng=rng,
-                       start_time=request.start_time,
-                       max_range=item.key.max_range,
-                       synth="naive", pipeline="naive")
-
-
 def execute_batch(items: Sequence[ExecutionItem]) -> list[ExecutionOutcome]:
     """Execute one flushed batch; never raises, reports per-item outcomes.
 
     Tries the fused vectorized path for the whole group first; on any
-    failure, degrades to per-request naive execution so a single poisoned
-    request cannot take its batch-mates down with it.
+    failure, retries each request alone (:func:`_sense_alone`) so a single
+    poisoned request cannot take its batch-mates down with it.
     """
     if not items:
         return []
@@ -317,10 +308,10 @@ def execute_batch(items: Sequence[ExecutionItem]) -> list[ExecutionOutcome]:
     except Exception as error:
         logger.warning(
             "vectorized batch path failed for %d request(s) (%s: %s); "
-            "degrading to the naive backend",
+            "retrying each request alone",
             len(items), type(error).__name__, error,
         )
-        return [_fallback_outcome(item) for item in items]
+        return [_isolated_outcome(item) for item in items]
     return [
         ExecutionOutcome(request_id=item.request_id, result=result,
                          backend=BACKEND_VECTORIZED)
@@ -328,13 +319,35 @@ def execute_batch(items: Sequence[ExecutionItem]) -> list[ExecutionOutcome]:
     ]
 
 
-def _fallback_outcome(item: ExecutionItem) -> ExecutionOutcome:
+def _sense_alone(item: ExecutionItem) -> SensingResult:
+    """One request as a direct sense with its own seed, start and crop.
+
+    The direct path is pinned bitwise to the fused one, so a request that
+    succeeds here gets the bits a fault-free batch would have given it. A
+    failure that is not already a :class:`ReproError` becomes a
+    :class:`ServeError` naming the request and the original type.
+    """
+    request = item.request
     try:
-        result = _run_single_naive(item)
-    except Exception as error:  # surfaced per request, not swallowed
-        logger.warning("naive fallback failed for request %d (%s: %s)",
+        return radar_for(item.key.config).sense(
+            request.scene, request.duration,
+            rng=np.random.default_rng(request.seed),
+            start_time=request.start_time, max_range=item.key.max_range)
+    except ReproError:
+        raise
+    except Exception as error:
+        raise ServeError(
+            f"request {item.request_id} failed: "
+            f"{type(error).__name__}: {error}") from error
+
+
+def _isolated_outcome(item: ExecutionItem) -> ExecutionOutcome:
+    try:
+        result = _sense_alone(item)
+    except ReproError as error:  # surfaced per request, not swallowed
+        logger.warning("isolated retry failed for request %d (%s: %s)",
                        item.request_id, type(error).__name__, error)
         return ExecutionOutcome(request_id=item.request_id, result=None,
-                                backend=BACKEND_NAIVE_FALLBACK, error=error)
+                                backend=BACKEND_ISOLATED, error=error)
     return ExecutionOutcome(request_id=item.request_id, result=result,
-                            backend=BACKEND_NAIVE_FALLBACK)
+                            backend=BACKEND_ISOLATED)

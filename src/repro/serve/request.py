@@ -21,7 +21,7 @@ from repro.radar.scene import Scene
 from repro.radar.tracker import Track
 
 __all__ = [
-    "BACKEND_NAIVE_FALLBACK",
+    "BACKEND_ISOLATED",
     "BACKEND_VECTORIZED",
     "BatchKey",
     "SenseRequest",
@@ -32,9 +32,10 @@ __all__ = [
 ]
 
 
-#: How a served request was ultimately executed.
+#: How a served request was ultimately executed: in its fused batch, or
+#: retried alone after the fused batch raised.
 BACKEND_VECTORIZED = "vectorized"
-BACKEND_NAIVE_FALLBACK = "naive-fallback"
+BACKEND_ISOLATED = "isolated"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,8 +104,8 @@ class SenseResponse:
         result: the :class:`SensingResult`, bitwise identical to a direct
             ``FmcwRadar.sense`` call with the same request parameters.
         backend: ``"vectorized"`` for the fused batch path or
-            ``"naive-fallback"`` when the service degraded to the reference
-            kernels after a vectorized failure.
+            ``"isolated"`` when the request was retried alone (on the same
+            production kernels) after its fused batch failed.
         batch_size: how many requests shared this request's batch.
         queued_s: admission -> execution-start wait, seconds.
         total_s: admission -> completion latency, seconds.

@@ -21,10 +21,12 @@ real compute:
   failed with :class:`~repro.errors.DeadlineExceededError` *before* any
   compute is spent on it, and a caller that cancels its future simply
   never gets resolved (its batch-mates are unaffected).
-- **Graceful degradation** — execution is delegated to
-  :func:`repro.serve.engine.execute_batch`, which falls back to the naive
-  reference kernels per request if the fused vectorized path raises; the
-  fallback is visible in the ``batches.fallback`` counter and each
+- **Fault isolation** — execution is delegated to
+  :func:`repro.serve.engine.execute_batch`, which retries each request
+  alone (a direct ``FmcwRadar.sense``, bitwise equal to its fused result)
+  if the fused batch raises, so one poisoned request fails with a typed
+  error while its batch-mates get the bits a fault-free batch gives them;
+  the retry is visible in the ``batches.fallback`` counter and each
   response's ``backend`` field.
 - **Tracking sessions** — :meth:`SenseService.submit_tracked` senses
   through the same admission/batching path, then ingests the resulting

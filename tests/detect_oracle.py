@@ -26,6 +26,7 @@ from repro.radar.tracker import (
     StreamingTracker,
     Track,
     TrackerConfig,
+    _associate,
     _cluster_detections,
 )
 from repro.signal.detection import PeakDetection
@@ -217,8 +218,7 @@ class OracleTracker(StreamingTracker):
                                      for track in self._active])
         else:
             predictions = np.empty((0, 2), dtype=float)
-        matching = self._associate(predictions, merged,
-                                   self.config.gate_distance)
+        matching = _associate(predictions, merged, self.config.gate_distance)
         matched_tracks = {ti for ti, _di in matching}
         matched_detections = {di for _ti, di in matching}
 

@@ -1,12 +1,12 @@
-"""Good fixture for RFP003: dispatch goes through the typed registry."""
+"""Good fixture for RFP003: env reads go through the typed registry."""
 
 import os
 
-from repro.config import get_synth_backend
+from repro.config import get_nn_dtype
 
 
-def backend() -> str:
-    return get_synth_backend()
+def dtype() -> str:
+    return get_nn_dtype()
 
 
 def unrelated_env() -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.config import ENV_REGISTRY, get_synth_backend
+from repro.config import ENV_REGISTRY, get_nn_dtype
 from repro.devtools.baseline import Baseline, fingerprint
 from repro.devtools.cache import LintCache
 from repro.devtools.engine import (
@@ -40,8 +40,8 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "rflint"
 #: Display path each rule's fixtures are linted under, chosen to satisfy
 #: the rule's path scope (RFP004 only runs under radar/signal, RFP007
 #: only under tests, RFP015 only under the audit package, RFP016 only
-#: under experiments/serve, the project rules RFP010-RFP014 under their
-#: respective subsystem trees).
+#: under experiments/serve, the project rules RFP010 and RFP012-RFP014
+#: under their respective subsystem trees). RFP009 and RFP011 are retired.
 RULE_DISPLAY_PATHS = {
     "RFP001": "src/repro/module.py",
     "RFP002": "src/repro/module.py",
@@ -51,9 +51,7 @@ RULE_DISPLAY_PATHS = {
     "RFP006": "src/repro/module.py",
     "RFP007": "tests/test_module.py",
     "RFP008": "src/repro/serve/module.py",
-    "RFP009": "src/repro/radar/module.py",
     "RFP010": "src/repro/serve/module.py",
-    "RFP011": "src/repro/radar/module.py",
     "RFP012": "src/repro/radar/module.py",
     "RFP013": "src/repro/radar/module.py",
     "RFP014": "src/repro/serve/module.py",
@@ -70,7 +68,7 @@ def lint_fixture(name: str, display_path: str):
 
 
 class TestRegistry:
-    def test_all_sixteen_rules_registered(self):
+    def test_all_fourteen_rules_registered(self):
         assert sorted(all_rules()) == RULE_IDS
 
     def test_rules_have_docs_and_titles(self):
@@ -166,7 +164,7 @@ class TestScoping:
     def test_rfp003_exempts_the_registry_module(self):
         text = (
             "import os\n"
-            'BACKEND = os.environ.get("RF_PROTECT_SYNTH", "vectorized")\n'
+            'DTYPE = os.environ.get("RF_PROTECT_NN_DTYPE", "float64")\n'
         )
         assert lint_source(text, "src/repro/radar/module.py")
         assert lint_source(text, "src/repro/config.py") == []
@@ -180,13 +178,6 @@ class TestScoping:
         text = (FIXTURES / "rfp008_bad.py").read_text(encoding="utf-8")
         assert lint_source(text, "src/repro/serve/module.py")
         assert lint_source(text, "src/repro/radar/module.py") == []
-
-    def test_rfp009_exempts_the_stage_registry_module(self):
-        text = (FIXTURES / "rfp009_bad.py").read_text(encoding="utf-8")
-        assert lint_source(text, "src/repro/radar/module.py")
-        assert lint_source(text, "src/repro/serve/module.py")
-        assert lint_source(text, "src/repro/radar/stages.py") == []
-        assert lint_source(text, "src/repro/gan/module.py") == []
 
     def test_rfp014_scoped_to_serve(self):
         text = (FIXTURES / "rfp014_bad.py").read_text(encoding="utf-8")
@@ -553,19 +544,16 @@ class TestCli:
 
 
 class TestEnvRegistry:
-    def test_synth_backend_registered(self):
-        assert "RF_PROTECT_SYNTH" in ENV_REGISTRY
-
     def test_lint_cache_knob_registered(self):
         assert "RF_PROTECT_LINT_CACHE" in ENV_REGISTRY
 
     def test_default_and_explicit(self):
-        assert get_synth_backend({}) == "vectorized"
-        assert get_synth_backend({"RF_PROTECT_SYNTH": " Naive "}) == "naive"
+        assert get_nn_dtype({}) == "float64"
+        assert get_nn_dtype({"RF_PROTECT_NN_DTYPE": " Float32 "}) == "float32"
 
     def test_invalid_value_rejected(self):
-        with pytest.raises(ConfigurationError, match="RF_PROTECT_SYNTH"):
-            get_synth_backend({"RF_PROTECT_SYNTH": "turbo"})
+        with pytest.raises(ConfigurationError, match="RF_PROTECT_NN_DTYPE"):
+            get_nn_dtype({"RF_PROTECT_NN_DTYPE": "float16"})
 
 
 class TestTypingGate:

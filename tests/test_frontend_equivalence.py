@@ -1,9 +1,10 @@
-"""Golden equivalence suite: vectorized vs naive frame synthesis.
+"""Golden equivalence suite: batched synthesis vs the per-component oracle.
 
 The batched engine in `repro.radar.batch` is only trusted because these
-tests pin it to the reference per-component kernel at ``atol=1e-10``
-across randomized component sets, every ``PathComponent`` field, the empty
-frame, noise streams, and the super-Nyquist drop rule.
+tests pin it to the reference per-component loop
+(``tests/receive_oracle.py``) at ``atol=1e-10`` across randomized
+component sets, every ``PathComponent`` field, the empty frame, noise
+streams, and the super-Nyquist drop rule.
 """
 
 from __future__ import annotations
@@ -12,21 +13,24 @@ import numpy as np
 import pytest
 
 from repro.radar import (
+    SENSE_PLAN,
     SYNTH_STATS,
     FmcwRadar,
     PathComponent,
     RadarConfig,
     Scene,
+    Stage,
     UniformLinearArray,
+    batched_range_profiles,
+    emit_paths,
     pack_components,
-    synthesis_backend,
+    stage_metrics,
     synthesize_frame,
-    synthesize_frame_naive,
-    synthesize_frame_vectorized,
     synthesize_frames,
+    synthesize_packed,
 )
-from repro.errors import ConfigurationError
 from repro.geometry import Rectangle
+from tests.receive_oracle import sense, synthesize_frame_naive
 
 ATOL = 1e-10
 
@@ -64,12 +68,12 @@ class TestFrameEquivalence:
         rng = np.random.default_rng(seed)
         components = random_components(rng, count, config)
         naive = synthesize_frame_naive(components, config, array, None)
-        vectorized = synthesize_frame_vectorized(components, config, array, None)
+        vectorized = synthesize_frame(components, config, array, None)
         np.testing.assert_allclose(vectorized, naive, atol=ATOL)
 
     def test_empty_component_list(self, config, array):
         naive = synthesize_frame_naive([], config, array, None)
-        vectorized = synthesize_frame_vectorized([], config, array, None)
+        vectorized = synthesize_frame([], config, array, None)
         assert naive.shape == vectorized.shape
         assert np.all(vectorized == 0)
         np.testing.assert_array_equal(vectorized, naive)
@@ -78,16 +82,16 @@ class TestFrameEquivalence:
         components = random_components(np.random.default_rng(1), 5, config)
         naive = synthesize_frame_naive(components, config, array,
                                        np.random.default_rng(99))
-        vectorized = synthesize_frame_vectorized(components, config, array,
-                                                 np.random.default_rng(99))
+        vectorized = synthesize_frame(components, config, array,
+                                      np.random.default_rng(99))
         # Tones agree to ATOL; the noise added on top is bit-identical
         # because both kernels draw through the same helper.
         np.testing.assert_allclose(vectorized, naive, atol=ATOL)
 
     def test_packed_input_accepted(self, config, array):
         components = random_components(np.random.default_rng(4), 9, config)
-        from_list = synthesize_frame_vectorized(components, config, array, None)
-        from_packed = synthesize_frame_vectorized(
+        from_list = synthesize_frame(components, config, array, None)
+        from_packed = synthesize_frame(
             pack_components(components), config, array, None)
         np.testing.assert_array_equal(from_list, from_packed)
 
@@ -118,7 +122,7 @@ class TestNyquistDropParity:
         survivors = random_components(np.random.default_rng(2), 4, config)
         mixed = components + survivors
         naive = synthesize_frame_naive(mixed, config, array, None)
-        vectorized = synthesize_frame_vectorized(mixed, config, array, None)
+        vectorized = synthesize_frame(mixed, config, array, None)
         np.testing.assert_allclose(vectorized, naive, atol=ATOL)
         # The dropped tones contribute nothing at all.
         only_survivors = synthesize_frame_naive(survivors, config, array, None)
@@ -134,7 +138,7 @@ class TestNyquistDropParity:
         assert naive_dropped == 5
 
         SYNTH_STATS.reset()
-        synthesize_frame_vectorized(components, config, array, None)
+        synthesize_frame(components, config, array, None)
         assert SYNTH_STATS.dropped_tones == naive_dropped
         assert SYNTH_STATS.components_seen == len(components)
         assert SYNTH_STATS.frames_synthesized == 1
@@ -143,31 +147,32 @@ class TestNyquistDropParity:
         far = PathComponent(config.chirp.max_unambiguous_range + 3.0, 1.0, 0.1)
         with caplog.at_level("DEBUG", logger="repro.radar.frontend"):
             synthesize_frame_naive([far], config, array, None)
-            synthesize_frame_vectorized([far], config, array, None)
+            synthesize_frame([far], config, array, None)
         drops = [r for r in caplog.records if "super-Nyquist" in r.message]
         assert len(drops) == 2
         assert all(r.levelname == "DEBUG" for r in drops)
 
 
 class TestBackendDispatch:
-    def test_env_toggle_selects_backend(self, config, array, monkeypatch):
-        components = random_components(np.random.default_rng(5), 7, config)
-        monkeypatch.setenv("RF_PROTECT_SYNTH", "naive")
-        assert synthesis_backend() == "naive"
-        naive = synthesize_frame(components, config, array, None)
-        monkeypatch.setenv("RF_PROTECT_SYNTH", "vectorized")
-        assert synthesis_backend() == "vectorized"
-        vectorized = synthesize_frame(components, config, array, None)
-        np.testing.assert_allclose(vectorized, naive, atol=ATOL)
-
-    def test_default_backend_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("RF_PROTECT_SYNTH", raising=False)
-        assert synthesis_backend() == "vectorized"
-
-    def test_invalid_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_SYNTH", "turbo")
-        with pytest.raises(ConfigurationError, match="RF_PROTECT_SYNTH"):
-            synthesis_backend()
+    def test_default_backend_is_vectorized(self, config, array):
+        """A sense run synthesizes with the batched engine, bit for bit."""
+        binding = SENSE_PLAN[1]
+        assert (binding.stage, binding.label) == (Stage.SYNTHESIZE,
+                                                   "vectorized")
+        room = Rectangle(0.0, 0.0, 8.0, 6.0)
+        scene = Scene(room)
+        scene.add_static((2.0, 3.0))
+        radar = FmcwRadar(RadarConfig(noise_std=0.0))
+        counter = "stages.synthesize.vectorized.runs"
+        before = stage_metrics().snapshot()["counters"].get(counter, 0)
+        result = radar.sense(scene, 0.3)
+        assert stage_metrics().snapshot()["counters"][counter] == before + 1
+        emission = emit_paths(scene.entities, scene.channel, radar.array,
+                              [result.times], [np.random.default_rng(0)])[0]
+        frames = synthesize_packed(emission.columns, emission.counts,
+                                   radar.config, radar.array)
+        np.testing.assert_array_equal(
+            result.raw_profiles, batched_range_profiles(frames, radar.config))
 
 
 class TestSweepEquivalence:
@@ -187,23 +192,19 @@ class TestSweepEquivalence:
                                   np.random.default_rng(42))
         single_rng = np.random.default_rng(42)
         for frame, components in zip(sweep, per_frame):
-            reference = synthesize_frame_vectorized(components, config, array,
-                                                    single_rng)
+            reference = synthesize_frame(components, config, array,
+                                         single_rng)
             np.testing.assert_array_equal(frame, reference)
 
-    def test_sense_is_backend_independent(self, monkeypatch):
-        """A full sensing session reproduces bit-compatibly per backend."""
+    def test_sense_is_backend_independent(self):
+        """A full sensing session matches the per-frame oracle session."""
         room = Rectangle(0.0, 0.0, 8.0, 6.0)
-        results = {}
-        for backend in ("naive", "vectorized"):
-            monkeypatch.setenv("RF_PROTECT_SYNTH", backend)
-            scene = Scene(room)
-            scene.add_static((2.0, 3.0))
-            scene.add_static((5.0, 4.0), rcs=0.5)
-            radar = FmcwRadar()
-            results[backend] = radar.sense(scene, 0.5,
-                                           rng=np.random.default_rng(21))
-        naive, vectorized = results["naive"], results["vectorized"]
+        scene = Scene(room)
+        scene.add_static((2.0, 3.0))
+        scene.add_static((5.0, 4.0), rcs=0.5)
+        radar = FmcwRadar()
+        naive = sense(radar, scene, 0.5, rng=np.random.default_rng(21))
+        vectorized = radar.sense(scene, 0.5, rng=np.random.default_rng(21))
         np.testing.assert_allclose(vectorized.raw_profiles,
                                    naive.raw_profiles, atol=1e-8)
         for p_vec, p_naive in zip(vectorized.profiles, naive.profiles):

@@ -7,8 +7,7 @@ draws, same order) and agree on every loss, score and parameter up to
 summation order, which is the only arithmetic the new steps change. The
 suite also pins what the new steps no longer compute: no graph for the D
 step's fake batch, no gradient into the frozen network, and one
-discriminator pass per batch. It runs under whichever sequence backend
-``RF_PROTECT_NN_BACKEND`` selects; CI runs it under both.
+discriminator pass per batch.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
-"""Golden regression digests for GAN training steps, per backend × dtype.
+"""Golden regression digests for GAN training steps, per scan × dtype.
 
 Same contract as the range-angle/tracker digests: a short fixed-seed
 training run's loss trajectory is pinned against a checked-in fixture.
-Any change to the autograd engine, the sequence kernels, the dtype policy,
-or the trainer that moves these numbers must be deliberate — regenerate
-with::
+The ``fused`` entries are production (:func:`repro.nn.functional.
+lstm_sequence`); the ``naive`` entries scan through the per-step oracle
+(:mod:`tests.lstm_oracle`). Any change to the autograd engine, the
+sequence op, the dtype policy, or the trainer that moves these numbers
+must be deliberate — regenerate with::
 
     PYTHONPATH=src python tests/test_golden_gan.py
 
@@ -19,6 +21,7 @@ fourth).
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -26,8 +29,9 @@ import numpy as np
 import pytest
 
 from repro.gan.trainer import GanConfig, GanTrainer
-from repro.nn import dtype_scope, sequence_backend_scope
+from repro.nn import dtype_scope
 from repro.trajectories import HumanMotionSimulator
+from tests.lstm_oracle import naive_scan
 
 GOLDEN_PATH = (Path(__file__).resolve().parent
                / "fixtures" / "golden" / "gan_digests.json")
@@ -49,7 +53,8 @@ def compute_digest(backend: str, dtype: str) -> dict[str, list[float]]:
     config = GanConfig(noise_dim=6, hidden_size=10, embed_dim=4,
                        feature_dim=8, batch_size=16, epochs=1,
                        dropout_probability=0.0, seed=1)
-    with dtype_scope(dtype), sequence_backend_scope(backend):
+    scan = naive_scan() if backend == "naive" else contextlib.nullcontext()
+    with dtype_scope(dtype), scan:
         trainer = GanTrainer(dataset, config)
         history = trainer.train(epochs=1)
     return {
@@ -88,7 +93,7 @@ def test_gan_step_digest_matches_golden(golden, backend, dtype):
 
 
 def test_backends_agree_at_float64():
-    """The two backends are the same algorithm: trajectories must track."""
+    """Production and the oracle are the same algorithm: trajectories track."""
     naive = compute_digest("naive", "float64")
     fused = compute_digest("fused", "float64")
     for series in naive:

@@ -1,12 +1,13 @@
 """Golden regression suite: checked-in digests of the range-angle cubes.
 
-The equivalence suites pin the backends against *each other*; this suite
-pins them against *history*. One FMCW scene and one pulsed scene are
-sensed per backend and summarized into a small digest (shapes, cube
-statistics, probe cells, raw-profile mass) that is compared against the
-checked-in fixture at tight relative tolerance. Any numerical drift in
-the stage-graph kernels — a reordered reduction, a changed crop, a new
-window — shows up here even if both backends drift together.
+The equivalence suites pin production against the per-frame oracle; this
+suite pins both against *history*. One FMCW scene and one pulsed scene are
+sensed by production (``vectorized``) and by the oracle
+(``naive``, :mod:`tests.receive_oracle`) and summarized into a small
+digest (shapes, cube statistics, probe cells, raw-profile mass) that is
+compared against the checked-in fixture at tight relative tolerance. Any
+numerical drift in the stage-graph kernels — a reordered reduction, a
+changed crop, a new window — shows up here even if both drift together.
 
 Regenerate after an *intentional* change with::
 
@@ -33,6 +34,7 @@ from repro.radar import (
 )
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
+from tests import receive_oracle
 
 GOLDEN_PATH = (Path(__file__).resolve().parent
                / "fixtures" / "golden" / "range_angle_digests.json")
@@ -79,8 +81,9 @@ def pulsed_scene() -> Scene:
 def sense_fmcw(backend: str):
     radar = FmcwRadar(RadarConfig(chirp=ChirpConfig(duration=6.4e-5)))
     rng = np.random.default_rng(2022)
-    return radar.sense(fmcw_scene(), 1.2, rng=rng,
-                       synth=backend, pipeline=backend)
+    if backend == "naive":
+        return receive_oracle.sense(radar, fmcw_scene(), 1.2, rng=rng)
+    return radar.sense(fmcw_scene(), 1.2, rng=rng)
 
 
 def sense_pulsed(backend: str):
@@ -88,7 +91,10 @@ def sense_pulsed(backend: str):
                                           bandwidth=1.0e9,
                                           max_range=12.0))
     rng = np.random.default_rng(1337)
-    return radar.sense(pulsed_scene(), 1.2, rng=rng, pipeline=backend)
+    if backend == "naive":
+        return receive_oracle.sense_pulsed(radar, pulsed_scene(), 1.2,
+                                           rng=rng)
+    return radar.sense(pulsed_scene(), 1.2, rng=rng)
 
 
 def digest(result) -> dict:
@@ -237,7 +243,7 @@ class TestGoldenTrackerDigests:
 
 class TestGoldenInternalConsistency:
     def test_backends_agree_with_each_other(self, golden):
-        """The checked-in digests themselves must be cross-backend equal."""
+        """The checked-in production and oracle digests must agree."""
         for radar_kind, per_backend in golden.items():
             naive, vectorized = (per_backend["naive"],
                                  per_backend["vectorized"])

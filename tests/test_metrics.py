@@ -17,7 +17,6 @@ from repro.metrics import (
     fid_score,
     frechet_distance,
     ks_two_sample,
-    median_and_percentiles,
     normalized_fid_scores,
     spoofing_errors,
     trajectory_features,
@@ -187,15 +186,6 @@ class TestEmpiricalCdf:
             empirical_cdf(np.array([]))
         with pytest.raises(ConfigurationError):
             empirical_cdf(np.array([1.0, np.nan]))
-
-    def test_percentile_summary(self):
-        summary = median_and_percentiles(np.arange(101.0))
-        assert summary["p50"] == pytest.approx(50.0)
-        assert summary["p90"] == pytest.approx(90.0)
-
-    def test_percentile_validation(self):
-        with pytest.raises(ConfigurationError):
-            median_and_percentiles(np.array([1.0]), percentiles=(150.0,))
 
 
 class TestChiSquare:

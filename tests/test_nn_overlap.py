@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GradientError
 from repro.gan.trainer import GanConfig, GanTrainer
-from repro.nn import BiLSTM, Tensor, active_sequence_backend, dtype_scope
+from repro.nn import BiLSTM, Tensor, dtype_scope
 from repro.nn import functional as F
 from repro.nn import overlap
 from repro.nn import tensor as tensor_module
@@ -114,10 +114,8 @@ class TestOverlapIsBitIdentical:
         inline = bilstm_pass(dtype, summary=summary)
         jobs = switch(True)
         overlapped = bilstm_pass(dtype, summary=summary)
-        # The backward direction's forward scan, and under the fused
-        # kernel its BPTT scan too (the naive kernel has no scan node).
-        assert len(jobs) == (2 if active_sequence_backend() == "fused"
-                             else 1)
+        # The backward direction's forward scan, and its BPTT scan too.
+        assert len(jobs) == 2
         assert same_bits(overlapped, inline)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -1,5 +1,9 @@
 """Tests for repro.nn.recurrent, repro.nn.optim, repro.nn.init,
-repro.nn.serialization."""
+repro.nn.serialization.
+
+One LSTM step through a cell's parameters is the per-step oracle's
+(``tests/lstm_oracle.py``); production scans whole layers at once.
+"""
 
 import numpy as np
 import pytest
@@ -18,13 +22,15 @@ from repro.nn import (
     save_state,
 )
 from repro.nn import init
+from tests.lstm_oracle import cell_step
 from tests.test_nn_tensor import check_gradient, numerical_gradient
 
 
 class TestLSTMCell:
     def test_output_shapes(self, rng):
         cell = LSTMCell(4, 3, rng)
-        h, c = cell(Tensor(rng.standard_normal((6, 4))), cell.initial_state(6))
+        h, c = cell_step(cell, Tensor(rng.standard_normal((6, 4))),
+                         cell.initial_state(6))
         assert h.shape == (6, 3)
         assert c.shape == (6, 3)
 
@@ -39,11 +45,11 @@ class TestLSTMCell:
 
         def loss_value():
             x = Tensor(x_data)
-            h, c = cell(x, cell.initial_state(3))
+            h, c = cell_step(cell, x, cell.initial_state(3))
             return float(((h ** 2.0).sum() + (c ** 2.0).sum()).data)
 
         x = Tensor(x_data, requires_grad=True)
-        h, c = cell(x, cell.initial_state(3))
+        h, c = cell_step(cell, x, cell.initial_state(3))
         ((h ** 2.0).sum() + (c ** 2.0).sum()).backward()
         numeric = numerical_gradient(loss_value, cell.weight_hh.data, 1e-6)
         assert cell.weight_hh.grad == pytest.approx(numeric, abs=1e-5)

@@ -3,9 +3,9 @@
 The batched engine in `repro.radar.pipeline` is only trusted because these
 tests pin every stage — cube FFT, shifted-difference background
 subtraction, lag-domain Eq. 2 beamforming — and the full ``sense`` paths
-(FMCW and pulsed) to the per-frame reference backend at ``atol=1e-10``,
-with and without noise, plus the ``RF_PROTECT_PIPELINE`` dispatch rules
-and the read-only invariants of the shared sweep planes.
+(FMCW and pulsed) to the per-frame reference oracle
+(``tests/receive_oracle.py``) at ``atol=1e-10``, with and without noise,
+plus the read-only invariants of the shared sweep planes.
 """
 
 from __future__ import annotations
@@ -13,27 +13,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import ENV_REGISTRY, get_pipeline_backend
-from repro.errors import ConfigurationError, SignalProcessingError
+from repro.errors import SignalProcessingError
 from repro.geometry import Rectangle
 from repro.radar import (
+    RECEIVE_PLAN,
     ZERO_PAD_FACTOR,
     FmcwRadar,
     PulsedRadar,
     RadarConfig,
     Scene,
     UniformLinearArray,
-    background_subtract,
     batched_background_subtract,
     batched_beamform_power,
     batched_range_profiles,
-    frame_range_profiles,
-    pipeline_backend,
     process_sweep,
+    stage_metrics,
 )
 from repro.radar import pipeline as pipeline_module
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
+from tests import receive_oracle as oracle
 
 ATOL = 1e-10
 
@@ -74,7 +73,8 @@ class TestStageEquivalence:
         batched = batched_range_profiles(cube, config)
         for frame, profile in zip(cube, batched):
             np.testing.assert_allclose(
-                profile, frame_range_profiles(frame, config), atol=ATOL)
+                profile, oracle.frame_range_profiles(frame, config),
+                atol=ATOL)
 
     def test_blocked_fft_matches_single_pass(self, config, monkeypatch):
         cube = random_cube(11, 17, config)
@@ -89,7 +89,7 @@ class TestStageEquivalence:
         batched = batched_background_subtract(profiles)
         previous = None
         for frame, subtracted in zip(profiles, batched):
-            reference = background_subtract(frame, previous)
+            reference = oracle.background_subtract(frame, previous)
             previous = frame
             np.testing.assert_allclose(subtracted, reference, atol=ATOL)
 
@@ -102,15 +102,15 @@ class TestStageEquivalence:
                                             taper=taper)
         assert power_cube.shape == (6, profiles.shape[-1], angles.size)
         for frame, power in zip(subtracted, power_cube):
-            reference = array.beamform(frame, angles, taper=taper)
+            reference = oracle.beamform(array, frame, angles, taper=taper)
             np.testing.assert_allclose(power, reference.T, atol=ATOL)
 
     def test_process_sweep_matches_naive_backend(self, config):
         radar = FmcwRadar(config)
         cube = random_cube(5, 8, config)
         times = np.arange(8) / config.frame_rate
-        naive_profiles, naive_raw = radar._process_sweep_naive(
-            times, cube, 6.0)
+        naive_profiles, naive_raw = oracle.process_sweep(radar, times, cube,
+                                                         6.0)
         sweep = process_sweep(cube, config, radar.array, times, max_range=6.0)
         np.testing.assert_allclose(sweep.raw_profiles, naive_raw, atol=ATOL)
         for ours, reference in zip(sweep.profiles(), naive_profiles):
@@ -150,14 +150,12 @@ class TestStageValidation:
 
 class TestSenseEquivalence:
     @pytest.mark.parametrize("noise_std", [0.0, 5e-4])
-    def test_fmcw_sense_is_backend_independent(self, monkeypatch, noise_std):
-        results = {}
-        for backend in ("naive", "vectorized"):
-            monkeypatch.setenv("RF_PROTECT_PIPELINE", backend)
-            radar = FmcwRadar(RadarConfig(noise_std=noise_std))
-            results[backend] = radar.sense(walking_scene(), 1.2,
-                                           rng=np.random.default_rng(17))
-        naive, vectorized = results["naive"], results["vectorized"]
+    def test_fmcw_sense_is_backend_independent(self, noise_std):
+        radar = FmcwRadar(RadarConfig(noise_std=noise_std))
+        naive = oracle.sense(radar, walking_scene(), 1.2,
+                             rng=np.random.default_rng(17))
+        vectorized = radar.sense(walking_scene(), 1.2,
+                                 rng=np.random.default_rng(17))
         np.testing.assert_allclose(vectorized.raw_profiles,
                                    naive.raw_profiles, atol=ATOL)
         assert len(vectorized.profiles) == len(naive.profiles)
@@ -167,13 +165,11 @@ class TestSenseEquivalence:
             np.testing.assert_array_equal(p_vec.angles, p_naive.angles)
             assert p_vec.time == p_naive.time
 
-    def test_pulsed_sense_is_backend_independent(self, monkeypatch):
-        results = {}
-        for backend in ("naive", "vectorized"):
-            monkeypatch.setenv("RF_PROTECT_PIPELINE", backend)
-            results[backend] = PulsedRadar().sense(
-                walking_scene(), 1.0, rng=np.random.default_rng(23))
-        naive, vectorized = results["naive"], results["vectorized"]
+    def test_pulsed_sense_is_backend_independent(self):
+        naive = oracle.sense_pulsed(PulsedRadar(), walking_scene(), 1.0,
+                                    rng=np.random.default_rng(23))
+        vectorized = PulsedRadar().sense(walking_scene(), 1.0,
+                                         rng=np.random.default_rng(23))
         for p_vec, p_naive in zip(vectorized.profiles, naive.profiles):
             np.testing.assert_allclose(p_vec.power, p_naive.power, atol=ATOL)
             np.testing.assert_array_equal(p_vec.ranges, p_naive.ranges)
@@ -183,18 +179,13 @@ class TestSenseEquivalence:
 class TestSensingResultInvariants:
     @pytest.fixture(scope="class")
     def both_results(self):
-        # The built-in monkeypatch fixture is function-scoped; patch
-        # manually so the (expensive) sensing runs happen once per class.
-        patcher = pytest.MonkeyPatch()
-        results = {}
-        try:
-            for backend in ("naive", "vectorized"):
-                patcher.setenv("RF_PROTECT_PIPELINE", backend)
-                results[backend] = FmcwRadar().sense(
-                    walking_scene(), 3.0, rng=np.random.default_rng(29))
-        finally:
-            patcher.undo()
-        return results
+        # Class-scoped so the (expensive) sensing runs happen once.
+        return {
+            "naive": oracle.sense(FmcwRadar(), walking_scene(), 3.0,
+                                  rng=np.random.default_rng(29)),
+            "vectorized": FmcwRadar().sense(walking_scene(), 3.0,
+                                            rng=np.random.default_rng(29)),
+        }
 
     def test_phase_series_identical(self, both_results):
         naive = both_results["naive"].phase_series(3.0)
@@ -247,24 +238,14 @@ class TestZeroPadSingleSource:
 
 
 class TestBackendDispatch:
-    def test_env_toggle_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_PIPELINE", "naive")
-        assert pipeline_backend() == "naive"
-        monkeypatch.setenv("RF_PROTECT_PIPELINE", "vectorized")
-        assert pipeline_backend() == "vectorized"
-
-    def test_default_backend_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("RF_PROTECT_PIPELINE", raising=False)
-        assert pipeline_backend() == "vectorized"
-
-    def test_invalid_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_PIPELINE", "turbo")
-        with pytest.raises(ConfigurationError, match="RF_PROTECT_PIPELINE"):
-            pipeline_backend()
-
-    def test_parse_is_case_insensitive(self):
-        value = get_pipeline_backend(environ={"RF_PROTECT_PIPELINE": "NAIVE"})
-        assert value == "naive"
-
-    def test_variable_is_registered(self):
-        assert "RF_PROTECT_PIPELINE" in ENV_REGISTRY
+    def test_default_backend_is_vectorized(self, config):
+        """Every receive stage of a sense run is the batched kernel."""
+        assert [b.label for b in RECEIVE_PLAN] == ["vectorized"] * 3
+        counters = [f"stages.{b.stage.value}.vectorized.runs"
+                    for b in RECEIVE_PLAN]
+        before = stage_metrics().snapshot()["counters"]
+        before_runs = [before.get(name, 0) for name in counters]
+        FmcwRadar(config).sense(walking_scene(), 0.3)
+        after = stage_metrics().snapshot()["counters"]
+        assert [after[name] for name in counters] == [
+            runs + 1 for runs in before_runs]

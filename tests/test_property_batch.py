@@ -19,7 +19,7 @@ from repro.radar import (
     PathComponent,
     RadarConfig,
     UniformLinearArray,
-    synthesize_frame_vectorized,
+    synthesize_frame,
     synthesize_frames,
 )
 
@@ -56,8 +56,8 @@ class TestSynthesisProperties:
     @given(components=components_strategy,
            factor=st.floats(0.0, 4.0))
     def test_linear_in_amplitude(self, components, factor):
-        base = synthesize_frame_vectorized(components, CONFIG, ARRAY, None)
-        scaled_frame = synthesize_frame_vectorized(
+        base = synthesize_frame(components, CONFIG, ARRAY, None)
+        scaled_frame = synthesize_frame(
             [scaled(c, factor) for c in components], CONFIG, ARRAY, None)
         reference = factor * base
         np.testing.assert_allclose(scaled_frame, reference,
@@ -68,18 +68,18 @@ class TestSynthesisProperties:
     def test_permutation_invariant(self, components, seed):
         permuted = list(components)
         np.random.default_rng(seed).shuffle(permuted)
-        frame = synthesize_frame_vectorized(components, CONFIG, ARRAY, None)
-        frame_permuted = synthesize_frame_vectorized(permuted, CONFIG,
-                                                     ARRAY, None)
+        frame = synthesize_frame(components, CONFIG, ARRAY, None)
+        frame_permuted = synthesize_frame(permuted, CONFIG,
+                                          ARRAY, None)
         np.testing.assert_allclose(frame_permuted, frame, atol=1e-9)
 
     @COMMON_SETTINGS
     @given(components=components_strategy, seed=st.integers(0, 2**31 - 1))
     def test_deterministic_for_fixed_seed(self, components, seed):
-        first = synthesize_frame_vectorized(components, CONFIG, ARRAY,
-                                            np.random.default_rng(seed))
-        second = synthesize_frame_vectorized(components, CONFIG, ARRAY,
-                                             np.random.default_rng(seed))
+        first = synthesize_frame(components, CONFIG, ARRAY,
+                                 np.random.default_rng(seed))
+        second = synthesize_frame(components, CONFIG, ARRAY,
+                                  np.random.default_rng(seed))
         np.testing.assert_array_equal(first, second)
 
     @COMMON_SETTINGS
@@ -87,11 +87,11 @@ class TestSynthesisProperties:
     def test_superposition_of_sub_frames(self, components):
         """Splitting a component set in half and summing frames is exact."""
         half = len(components) // 2
-        whole = synthesize_frame_vectorized(components, CONFIG, ARRAY, None)
-        parts = (synthesize_frame_vectorized(components[:half], CONFIG,
-                                             ARRAY, None)
-                 + synthesize_frame_vectorized(components[half:], CONFIG,
-                                               ARRAY, None))
+        whole = synthesize_frame(components, CONFIG, ARRAY, None)
+        parts = (synthesize_frame(components[:half], CONFIG,
+                                  ARRAY, None)
+                 + synthesize_frame(components[half:], CONFIG,
+                                    ARRAY, None))
         np.testing.assert_allclose(parts, whole, atol=1e-9)
 
     @COMMON_SETTINGS
@@ -99,8 +99,8 @@ class TestSynthesisProperties:
     def test_sweep_matches_per_frame(self, per_frame):
         sweep = synthesize_frames(per_frame, CONFIG, ARRAY, None)
         for frame, components in zip(sweep, per_frame):
-            single = synthesize_frame_vectorized(components, CONFIG,
-                                                 ARRAY, None)
+            single = synthesize_frame(components, CONFIG,
+                                      ARRAY, None)
             np.testing.assert_allclose(frame, single, atol=1e-9)
 
 

@@ -6,13 +6,12 @@ import pytest
 from repro.errors import ConfigurationError, SceneError
 from repro.geometry import Rectangle
 from repro.radar import (
+    SENSE_PLAN,
     ChannelModel,
     ExecutionContext,
     Fan,
     HumanTarget,
     Scene,
-    Stage,
-    StageBinding,
     StaticReflector,
     execute,
 )
@@ -109,7 +108,7 @@ class TestThermalNoise:
         before = rng.bit_generator.state
         ctx = ExecutionContext(array=array, times=np.arange(4) * 0.1,
                                config=config, scene=scene, rng=rng)
-        execute((StageBinding(Stage.EMIT),), ctx)
+        execute(SENSE_PLAN[:1], ctx)
         assert ctx.workspace["noise"] is None
         assert ctx.workspace["components"].counts.tolist() == [2] * 4
         assert rng.bit_generator.state == before

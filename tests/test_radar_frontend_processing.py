@@ -1,8 +1,10 @@
-"""Tests for repro.radar.frontend and repro.radar.processing.
+"""Tests for one-frame synthesis and the per-frame receive reference.
 
 These validate the core physics: a PathComponent at distance d produces a
 range-FFT peak at d; a beat offset moves the *apparent* distance exactly as
-Eq. 3 predicts; background subtraction kills statics and keeps movers.
+Eq. 3 predicts; background subtraction kills statics and keeps movers. The
+per-frame receive steps are the oracle the batched pipeline is pinned to
+(``tests/receive_oracle.py``), so their physics is checked here directly.
 """
 
 import numpy as np
@@ -10,8 +12,7 @@ import pytest
 
 from repro.errors import SignalProcessingError
 from repro.radar import PathComponent, RadarConfig, UniformLinearArray, synthesize_frame
-from repro.radar.frontend import apparent_distance
-from repro.radar.processing import (
+from tests.receive_oracle import (
     background_subtract,
     compute_range_angle_map,
     frame_range_profiles,
@@ -50,11 +51,6 @@ class TestPathComponent:
     def test_rejects_negative_amplitude(self):
         with pytest.raises(SignalProcessingError):
             PathComponent(1.0, 1.0, -0.1)
-
-    def test_apparent_distance_with_offset(self, config):
-        component = PathComponent(2.0, 1.0, 0.1, beat_offset_hz=50e3)
-        expected = 2.0 + config.chirp.offset_for_switch_frequency(50e3)
-        assert apparent_distance(component, config) == pytest.approx(expected)
 
 
 class TestSynthesizeFrame:

@@ -77,7 +77,7 @@ class TestTrackerConfig:
         {"min_hit_ratio": 0.0},
         {"min_relative_power_db": 0.0},
         {"cluster_radius": -0.1},
-        {"association": "nearest"},
+        {"min_hit_ratio": 1.5},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -4,13 +4,15 @@ Pins the subsystem's four contracts:
 
 - **equivalence/determinism** — served results are bitwise identical to
   direct ``FmcwRadar.sense`` calls with the same parameters, for any
-  submission order and any batch grouping (and inside 1e-10 of the naive
-  reference, transitively via the pinned pipeline equivalence);
+  submission order and any batch grouping (and inside 1e-10 of the
+  per-frame oracle, ``tests/receive_oracle.py``);
 - **saturation** — a full admission queue rejects with
   ``ServiceOverloadedError``; expired deadlines cancel queued work with
   ``DeadlineExceededError`` before compute is spent;
-- **degradation** — a vectorized-path failure falls back to the naive
-  kernels per request, visibly (response backend + fallback counter);
+- **fault isolation** — when a fused batch fails, each request is retried
+  alone on the production kernels, visibly (response backend + fallback
+  counter): batch-mates keep their fault-free bits and only the poisoned
+  request fails, with a typed ``ReproError``;
 - **telemetry** — the metrics snapshot reports counts, batch sizes, and
   latency percentiles as JSON.
 """
@@ -28,20 +30,26 @@ import repro.serve.engine as serve_engine
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
+    ReproError,
+    SceneError,
+    ServeError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
 from repro.geometry import Rectangle
 from repro.radar import FmcwRadar, RadarConfig, Scene
 from repro.serve import (
-    BACKEND_NAIVE_FALLBACK,
+    BACKEND_ISOLATED,
     BACKEND_VECTORIZED,
+    BatchKey,
     InProcessClient,
     SenseRequest,
     SenseService,
     ServiceConfig,
 )
+from repro.serve.engine import ExecutionItem, execute_batch
 from repro.signal.chirp import ChirpConfig
+from tests import receive_oracle
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -120,8 +128,8 @@ class TestEquivalenceAndDeterminism:
     def test_equivalence_to_naive_reference_within_1e10(self, scene,
                                                         radar_config):
         radar = FmcwRadar(radar_config)
-        naive = radar.sense(scene, 0.3, rng=np.random.default_rng(11),
-                            synth="naive", pipeline="naive")
+        naive = receive_oracle.sense(radar, scene, 0.3,
+                                     rng=np.random.default_rng(11))
         with InProcessClient(quick_service_config(),
                              default_radar_config=radar_config) as client:
             served = client.sense(
@@ -277,16 +285,93 @@ class TestSaturationAndDeadlines:
         asyncio.run(run())
 
 
-class TestGracefulDegradation:
-    def test_vectorized_failure_falls_back_to_naive(self, monkeypatch, scene,
-                                                    radar_config):
+class _Poisoned:
+    """A scene entity whose emission raises ``error``, every time."""
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+    def emission_plan(self, times, array, channel):
+        raise self.error
+
+
+def poisoned_scene(scene: Scene, error: Exception) -> Scene:
+    """``scene``'s reflectors plus one entity that fails to emit."""
+    poisoned = Scene(scene.room)
+    poisoned.entities.extend(scene.entities)
+    poisoned.add(_Poisoned(error))
+    return poisoned
+
+
+def assert_same_bits(got, want) -> None:
+    assert np.array_equal(got.raw_profiles, want.raw_profiles)
+    assert len(got.profiles) == len(want.profiles)
+    for a, b in zip(got.profiles, want.profiles):
+        assert np.array_equal(a.power, b.power)
+
+
+class TestFaultIsolation:
+    def test_poisoned_request_leaves_batch_mates_bitwise_intact(
+            self, scene, radar_config):
+        """One failing request in 32: the other 31 keep fault-free bits."""
+        radar = FmcwRadar(radar_config)
+        key = BatchKey(config=radar_config,
+                       max_range=radar.default_max_range(scene))
+        requests = [SenseRequest(scene=scene, duration=0.3, seed=seed)
+                    for seed in range(32)]
+        requests[13] = SenseRequest(
+            scene=poisoned_scene(scene, IndexError("injected")),
+            duration=0.3, seed=13)
+        items = [ExecutionItem(request_id=i, request=request, key=key)
+                 for i, request in enumerate(requests)]
+
+        outcomes = execute_batch(items)
+        fault_free = execute_batch(items[:13] + items[14:])
+
+        assert [o.request_id for o in outcomes] == list(range(32))
+        assert {o.backend for o in outcomes} == {BACKEND_ISOLATED}
+        assert {o.backend for o in fault_free} == {BACKEND_VECTORIZED}
+        innocent = outcomes[:13] + outcomes[14:]
+        for got, batched in zip(innocent, fault_free):
+            assert got.error is None
+            direct = radar.sense(scene, 0.3, max_range=key.max_range,
+                                 rng=np.random.default_rng(got.request_id))
+            assert_same_bits(got.result, batched.result)
+            assert_same_bits(got.result, direct)
+
+        poisoned = outcomes[13]
+        assert poisoned.result is None
+        assert isinstance(poisoned.error, ServeError)
+        assert "request 13" in str(poisoned.error)
+        assert "IndexError" in str(poisoned.error)
+        assert isinstance(poisoned.error.__cause__, IndexError)
+
+    def test_repro_error_passes_through_unchanged(self, scene, radar_config):
+        error = SceneError("injected scene fault")
+        key = BatchKey(config=radar_config, max_range=4.0)
+        items = [ExecutionItem(request_id=0, key=key, request=SenseRequest(
+            scene=poisoned_scene(scene, error), duration=0.3, seed=0))]
+        [outcome] = execute_batch(items)
+        assert outcome.error is error
+
+    def test_client_sees_a_typed_error(self, scene, radar_config):
+        request = SenseRequest(
+            scene=poisoned_scene(scene, IndexError("injected")),
+            duration=0.3, seed=1)
+        with InProcessClient(quick_service_config(),
+                             default_radar_config=radar_config) as client:
+            with pytest.raises(ReproError, match="IndexError") as caught:
+                client.sense(request)
+        assert isinstance(caught.value.__cause__, IndexError)
+
+    def test_vectorized_failure_retries_on_production_kernels(
+            self, monkeypatch, scene, radar_config):
         def explode(key, items):
             raise RuntimeError("injected vectorized failure")
 
         monkeypatch.setattr(serve_engine, "_run_group_vectorized", explode)
         radar = FmcwRadar(radar_config)
-        expected = radar.sense(scene, 0.3, rng=np.random.default_rng(5),
-                               synth="naive", pipeline="naive")
+        expected = radar.sense(scene, 0.3, rng=np.random.default_rng(5))
 
         with InProcessClient(quick_service_config(),
                              default_radar_config=radar_config) as client:
@@ -295,7 +380,7 @@ class TestGracefulDegradation:
             )
             snapshot = client.metrics_snapshot()
 
-        assert response.backend == BACKEND_NAIVE_FALLBACK
+        assert response.backend == BACKEND_ISOLATED
         assert np.array_equal(response.result.raw_profiles,
                               expected.raw_profiles)
         for got, want in zip(response.result.profiles, expected.profiles):

@@ -1,10 +1,9 @@
-"""Tests for the stage-graph executor and kernel registry.
+"""Tests for the stage-graph executor and its plans.
 
-The registry is the single backend-dispatch point (RFP009 enforces that
-statically); these tests pin its dynamic behavior — registration,
-resolution order (explicit backend > per-call overrides > environment
-default), per-stage instrumentation, and the per-call backend knobs on
-both radar families — plus the pulsed naive-vs-vectorized receive
+Every plan binds exactly one kernel per stage; these tests pin the plan
+inventory, custom-kernel bindings and their run labels, per-stage
+instrumentation (direct sense and served batches), that sense calls take
+no backend arguments, and the pulsed production-vs-oracle receive
 equivalence that the shared Beamform stage makes possible.
 """
 
@@ -13,15 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.geometry import Rectangle
 from repro.radar import (
-    KERNELS,
     RECEIVE_PLAN,
     SENSE_PLAN,
     ExecutionContext,
     FmcwRadar,
-    KernelRegistry,
     PulsedRadar,
     PulsedRadarConfig,
     RadarConfig,
@@ -29,19 +25,15 @@ from repro.radar import (
     Stage,
     StageBinding,
     UniformLinearArray,
-    backend_overrides,
-    default_backend,
     execute,
-    frame_synthesizer,
     stage_metrics,
-    synthesize_frame_naive,
-    synthesize_frame_vectorized,
 )
-from repro.radar.stages import SHARED_BACKEND
+from repro.radar.stages import DETECT, STREAMING_DETECT
 from repro.serve.engine import ExecutionItem, execute_batch
 from repro.serve.request import BatchKey, SenseRequest
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
+from tests import receive_oracle as oracle
 
 ATOL = 1e-10
 
@@ -68,67 +60,19 @@ def snapshot_counts() -> dict[str, int]:
 
 class TestRegistry:
     def test_backend_inventory(self):
-        assert KERNELS.backends(Stage.SYNTHESIZE) == ("naive", "vectorized")
-        assert KERNELS.backends(Stage.RANGE_FFT) == ("naive", "vectorized")
-        assert KERNELS.backends(Stage.BACKGROUND_SUBTRACT) == (
-            "naive", "vectorized")
-        assert KERNELS.backends(Stage.BEAMFORM) == ("naive", "vectorized")
-        assert KERNELS.backends(Stage.EMIT) == (SHARED_BACKEND,)
-        assert KERNELS.backends(Stage.DETECT) == (SHARED_BACKEND, "streaming")
-
-    def test_resolve_explicit_backend(self):
-        kernel = KERNELS.resolve(Stage.BEAMFORM, "naive")
-        assert kernel.stage is Stage.BEAMFORM
-        assert kernel.backend == "naive"
-
-    def test_resolve_default_follows_environment(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_SYNTH", "naive")
-        assert default_backend(Stage.SYNTHESIZE) == "naive"
-        assert KERNELS.resolve(Stage.SYNTHESIZE).backend == "naive"
-        monkeypatch.setenv("RF_PROTECT_SYNTH", "vectorized")
-        assert KERNELS.resolve(Stage.SYNTHESIZE).backend == "vectorized"
-
-    def test_pipeline_stages_follow_pipeline_env(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_PIPELINE", "naive")
-        for stage in (Stage.RANGE_FFT, Stage.BACKGROUND_SUBTRACT,
-                      Stage.BEAMFORM):
-            assert default_backend(stage) == "naive"
-
-    def test_shared_stages_ignore_environment(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_SYNTH", "naive")
-        monkeypatch.setenv("RF_PROTECT_PIPELINE", "naive")
-        assert default_backend(Stage.EMIT) == SHARED_BACKEND
-        assert default_backend(Stage.DETECT) == SHARED_BACKEND
-
-    def test_unknown_backend_lists_registered(self):
-        with pytest.raises(ConfigurationError, match="naive"):
-            KERNELS.resolve(Stage.BEAMFORM, "turbo")
-
-    def test_duplicate_registration_rejected(self):
-        registry = KernelRegistry()
-
-        @registry.register(Stage.BEAMFORM, "custom")
-        def first(ctx):
-            pass
-
-        with pytest.raises(ConfigurationError, match="already registered"):
-            @registry.register(Stage.BEAMFORM, "custom")
-            def second(ctx):
-                pass
-
-    def test_backend_overrides_vocabulary(self):
-        overrides = backend_overrides(synth="naive", pipeline="vectorized")
-        assert overrides[Stage.SYNTHESIZE] == "naive"
-        for stage in (Stage.RANGE_FFT, Stage.BACKGROUND_SUBTRACT,
-                      Stage.BEAMFORM):
-            assert overrides[stage] == "vectorized"
-        assert backend_overrides() == {}
-
-    def test_frame_synthesizer_dispatch(self):
-        assert frame_synthesizer("naive") is synthesize_frame_naive
-        assert frame_synthesizer("vectorized") is synthesize_frame_vectorized
-        with pytest.raises(ConfigurationError):
-            frame_synthesizer("turbo")
+        """One kernel per stage: the plans bind them, labeled for metrics."""
+        assert [(b.stage, b.label) for b in SENSE_PLAN] == [
+            (Stage.EMIT, "shared"),
+            (Stage.SYNTHESIZE, "vectorized"),
+            (Stage.RANGE_FFT, "vectorized"),
+            (Stage.BACKGROUND_SUBTRACT, "vectorized"),
+            (Stage.BEAMFORM, "vectorized"),
+        ]
+        assert (DETECT.stage, DETECT.label) == (Stage.DETECT, "shared")
+        assert (STREAMING_DETECT.stage, STREAMING_DETECT.label) == (
+            Stage.DETECT, "streaming")
+        assert all(callable(b.kernel)
+                   for b in (*SENSE_PLAN, DETECT, STREAMING_DETECT))
 
 
 class TestExecutionContext:
@@ -168,7 +112,7 @@ class TestExecutor:
         ctx = ExecutionContext(array=UniformLinearArray(config),
                                times=np.zeros(1))
         before = snapshot_counts()
-        execute((StageBinding(Stage.BEAMFORM, kernel=custom),), ctx)
+        execute((StageBinding(Stage.BEAMFORM, "custom", custom),), ctx)
         after = snapshot_counts()
         assert calls == [ctx]
         assert ctx.workspace["marker"] == 42
@@ -176,24 +120,6 @@ class TestExecutor:
                 == before.get("stages.beamform.wall_s", 0) + 1)
         counters = stage_metrics().snapshot()["counters"]
         assert counters["stages.beamform.custom.runs"] >= 1
-
-    def test_binding_backend_beats_context_override(self, config):
-        # Pin via StageBinding.backend while ctx.overrides says otherwise:
-        # the binding wins and the vectorized run counter moves.
-        ctx = ExecutionContext(
-            array=UniformLinearArray(config), times=np.zeros(2),
-            config=config, overrides={Stage.RANGE_FFT: "naive"},
-        )
-        ctx.workspace["frames"] = np.zeros(
-            (2, config.num_antennas, config.chirp.num_samples), dtype=complex)
-        counters_before = dict(stage_metrics().snapshot()["counters"])
-        execute((StageBinding(Stage.RANGE_FFT, backend="vectorized"),), ctx)
-        counters_after = stage_metrics().snapshot()["counters"]
-        assert (counters_after["stages.range_fft.vectorized.runs"]
-                == counters_before.get("stages.range_fft.vectorized.runs", 0)
-                + 1)
-        assert (counters_after.get("stages.range_fft.naive.runs", 0)
-                == counters_before.get("stages.range_fft.naive.runs", 0))
 
     def test_sense_populates_every_stage_histogram(self, config, scene):
         radar = FmcwRadar(config)
@@ -207,35 +133,26 @@ class TestExecutor:
 
 
 class TestPerCallOverrides:
-    def test_fmcw_backend_knobs_agree(self, config, scene):
-        radar = FmcwRadar(config)
-        naive = radar.sense(scene, 0.5, rng=np.random.default_rng(7),
-                            synth="naive", pipeline="naive")
-        vectorized = radar.sense(scene, 0.5, rng=np.random.default_rng(7),
-                                 synth="vectorized", pipeline="vectorized")
-        for ref, fast in zip(naive.profiles, vectorized.profiles):
-            np.testing.assert_allclose(fast.power, ref.power, atol=ATOL)
-        np.testing.assert_allclose(vectorized.raw_profiles,
-                                   naive.raw_profiles, atol=ATOL)
+    """Sense calls take no backend arguments; the oracle is a test import."""
 
     def test_fmcw_unknown_backend_rejected(self, config, scene):
         radar = FmcwRadar(config)
-        with pytest.raises(ConfigurationError, match="turbo"):
+        with pytest.raises(TypeError, match="synth"):
             radar.sense(scene, 0.5, synth="turbo")
+        with pytest.raises(TypeError, match="pipeline"):
+            PulsedRadar().sense(scene, 0.5, pipeline="naive")
 
     def test_pulsed_receive_backends_agree(self, scene):
-        """Satellite: pulsed naive and vectorized receive kernels match.
+        """Pulsed production receive matches the per-frame oracle.
 
-        Both run through the shared BackgroundSubtract/Beamform stages of
-        the registry, so the pulsed radar inherits the same per-call knob
-        as the FMCW radar.
+        The pulsed radar runs the FMCW radar's BackgroundSubtract/Beamform
+        kernels, so the same oracle pins both radar families.
         """
         radar = PulsedRadar(PulsedRadarConfig(sample_rate=2.0e9,
                                               max_range=10.0))
-        naive = radar.sense(scene, 0.6, rng=np.random.default_rng(5),
-                            pipeline="naive")
-        vectorized = radar.sense(scene, 0.6, rng=np.random.default_rng(5),
-                                 pipeline="vectorized")
+        naive = oracle.sense_pulsed(radar, scene, 0.6,
+                                    rng=np.random.default_rng(5))
+        vectorized = radar.sense(scene, 0.6, rng=np.random.default_rng(5))
         assert len(naive.profiles) == len(vectorized.profiles)
         for ref, fast in zip(naive.profiles, vectorized.profiles):
             np.testing.assert_allclose(fast.power, ref.power, atol=ATOL)
@@ -247,16 +164,16 @@ class TestPerCallOverrides:
         shape = (4, config.num_antennas, config.chirp.num_samples)
         frames = 0.05 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
         results = {}
-        for backend in ("naive", "vectorized"):
+        for name, plan in (("naive", oracle.RECEIVE_PLAN),
+                           ("vectorized", RECEIVE_PLAN)):
             ctx = ExecutionContext(
                 array=UniformLinearArray(config),
                 times=np.arange(4) / config.frame_rate, config=config,
                 max_range=8.0, min_range=config.min_range,
-                overrides=backend_overrides(pipeline=backend),
             )
             ctx.workspace["frames"] = frames
-            execute(RECEIVE_PLAN, ctx)
-            results[backend] = ctx.workspace["profiles"]
+            execute(plan, ctx)
+            results[name] = ctx.workspace["profiles"]
         for ref, fast in zip(results["naive"], results["vectorized"]):
             np.testing.assert_allclose(fast.power, ref.power, atol=ATOL)
 
