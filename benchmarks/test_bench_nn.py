@@ -134,8 +134,6 @@ def test_zz_dump_nn_timings():
     snapshot = nn_metrics().snapshot()
     histograms = snapshot["histograms"]
     assert histograms.get("nn.lstm_sequence.wall_s", {}).get("count", 0) > 0
-    counters = snapshot["counters"]
-    assert counters.get("nn.lstm_sequence.fused.runs", 0) > 0
     payload = {"paper_scale_step_s": dict(sorted(_RESULTS.items())),
                "metrics": snapshot}
     with open(TIMINGS_PATH, "w", encoding="utf-8") as handle:

@@ -35,7 +35,6 @@ __all__ = [
     "ENV_ACCESSORS",
     "ENV_REGISTRY",
     "EnvVar",
-    "LINT_CACHE_VAR",
     "NN_DTYPES",
     "NN_DTYPE_VAR",
     "SCENARIO_SEED_VAR",
@@ -52,7 +51,6 @@ __all__ = [
     "get_audit_key_file",
     "get_audit_ledger_name",
     "get_audit_profile",
-    "get_lint_cache_dir",
     "get_nn_dtype",
     "get_scenario_name",
     "get_scenario_seed",
@@ -323,18 +321,6 @@ AUDIT_PROFILE_VAR: EnvVar[str] = _register(
 )
 
 
-LINT_CACHE_VAR: EnvVar[str] = _register(
-    EnvVar(
-        name="RF_PROTECT_LINT_CACHE",
-        default="",
-        parse=lambda raw: raw.strip(),
-        description="directory for rflint's incremental analysis cache; "
-                    "empty (the default) disables caching, the CLI flags "
-                    "--cache-dir/--no-cache override in either direction",
-    )
-)
-
-
 def _non_negative_int_parser(var_name: str) -> Callable[[str], int]:
     """A parser accepting integers >= 0."""
     def parse(raw: str) -> int:
@@ -385,11 +371,6 @@ def get_audit_key_file(environ: Mapping[str, str] | None = None) -> str:
 def get_audit_profile(environ: Mapping[str, str] | None = None) -> str:
     """SLO profile path ('' = built-in), from ``RF_PROTECT_AUDIT_PROFILE``."""
     return AUDIT_PROFILE_VAR.read(environ)
-
-
-def get_lint_cache_dir(environ: Mapping[str, str] | None = None) -> str:
-    """rflint cache directory ('' = off), from ``RF_PROTECT_LINT_CACHE``."""
-    return LINT_CACHE_VAR.read(environ)
 
 
 def get_scenario_name(environ: Mapping[str, str] | None = None) -> str:
@@ -464,7 +445,6 @@ ENV_ACCESSORS: dict[str, Callable[[Mapping[str, str] | None], object]] = {
     "RF_PROTECT_AUDIT_LEDGER": get_audit_ledger_name,
     "RF_PROTECT_AUDIT_KEY": get_audit_key_file,
     "RF_PROTECT_AUDIT_PROFILE": get_audit_profile,
-    "RF_PROTECT_LINT_CACHE": get_lint_cache_dir,
     "RF_PROTECT_SCENARIO": get_scenario_name,
     "RF_PROTECT_SCENARIO_SEED": get_scenario_seed,
     "RF_PROTECT_NN_DTYPE": get_nn_dtype,

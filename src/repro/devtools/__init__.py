@@ -1,9 +1,10 @@
 """``repro.devtools`` — static-analysis tooling for the reproduction.
 
 The centerpiece is **rflint**, an AST-based invariant checker that machine-
-checks the properties the test suite can only spot-check: explicit RNG
-threading, determinism of the synthesis pipeline, dtype discipline in the
-radar/signal hot paths, and single-point-of-truth env-var dispatch.
+checks, file by file, the properties the test suite can only spot-check:
+explicit RNG threading, determinism of result paths, dtype discipline in
+the numeric hot paths, single-point-of-truth env-var dispatch, and scene
+construction through the scenario registry.
 
 Entry points:
 
@@ -11,31 +12,25 @@ Entry points:
 * ``python -m repro.devtools.lint`` — module form,
 * :func:`repro.devtools.engine.lint_paths` — library API.
 
-Rules live in :mod:`repro.devtools.rules`; the visitor framework, rule
-registry, per-path scoping, and suppression handling live in
-:mod:`repro.devtools.engine`.
+The rules and their :data:`~repro.devtools.rules.RULES` tuple live in
+:mod:`repro.devtools.rules`; parsing, per-path scoping, suppression
+handling and the driver live in :mod:`repro.devtools.engine`.
 """
 
 from __future__ import annotations
 
 from repro.devtools.engine import (
     Finding,
-    LintConfig,
     LintResult,
     Rule,
-    all_rules,
     lint_paths,
     lint_source,
-    register,
 )
 
 __all__ = [
     "Finding",
-    "LintConfig",
     "LintResult",
     "Rule",
-    "all_rules",
     "lint_paths",
     "lint_source",
-    "register",
 ]

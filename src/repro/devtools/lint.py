@@ -4,37 +4,19 @@ Usage::
 
     rfprotect lint                        # lint src and tests
     rfprotect lint src tests              # explicit paths
-    rfprotect lint --format json src      # machine-readable output
-    rfprotect lint --format sarif src     # GitHub code-scanning annotations
-    rfprotect lint --select RFP001,RFP004 src
-    rfprotect lint --fix src              # apply mechanical auto-fixes
-    rfprotect lint --baseline .rflint-baseline.json src tests
-    rfprotect lint --update-baseline .rflint-baseline.json src tests
-    rfprotect lint --cache-dir .rflint-cache --jobs 4 src tests
     rfprotect lint --list-rules
 
-Caching: ``--cache-dir`` (or the ``RF_PROTECT_LINT_CACHE`` knob) enables
-the content-hash incremental store — a warm run re-analyzes only changed
-files; ``--no-cache`` forces a cold run. ``--fix`` always runs uncached
-(cached findings carry no edit payloads).
-
-Exit codes: 0 clean, 1 findings, 2 usage or configuration error.
+Exit codes: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
-from repro.devtools.engine import (
-    LintConfig,
-    LintResult,
-    all_rules,
-    lint_paths,
-)
+from repro.devtools.engine import lint_paths
+from repro.devtools.rules import RULES
 
 __all__ = ["main"]
 
@@ -44,7 +26,7 @@ _DEFAULT_PATHS = ("src", "tests")
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfprotect lint",
-        description="rflint: AST + project-graph invariant checks for the "
+        description="rflint: per-file AST invariant checks for the "
                     "RF-Protect reproduction",
     )
     parser.add_argument(
@@ -52,205 +34,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src tests)",
     )
     parser.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human",
-        help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--select", default=None, metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--config", default=None, metavar="PYPROJECT",
-        help="explicit pyproject.toml to read [tool.rflint] from "
-             "(default: discovered from the current directory)",
-    )
-    parser.add_argument(
-        "--no-config", action="store_true",
-        help="ignore [tool.rflint] configuration; use built-in defaults",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanical auto-fixes (RFP004/RFP005) in place, then "
-             "report what remains",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="subtract findings recorded in this baseline file; only new "
-             "findings fail the run",
-    )
-    parser.add_argument(
-        "--update-baseline", default=None, metavar="FILE",
-        help="rewrite the baseline file from the current findings and exit "
-             "clean",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyze files with N parallel processes (default: 1)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="enable the incremental cache in DIR (default: the "
-             "RF_PROTECT_LINT_CACHE knob; unset means no cache)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore any configured incremental cache",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print files checked vs re-analyzed (cache effectiveness)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
-        help="list the registered rules and exit",
+        help="list the rules and exit",
     )
     return parser
-
-
-def _resolve_config(args: argparse.Namespace) -> LintConfig:
-    if args.no_config:
-        config = LintConfig()
-    elif args.config is not None:
-        loaded = LintConfig.from_pyproject(Path(args.config))
-        if loaded is None:
-            raise ValueError(
-                f"no [tool.rflint] table readable from {args.config}"
-            )
-        config = loaded
-    else:
-        config = LintConfig.discover(Path.cwd())
-    if args.select:
-        select = tuple(
-            part.strip().upper() for part in args.select.split(",")
-            if part.strip()
-        )
-        config = LintConfig(
-            exclude=config.exclude, select=select, scopes=config.scopes
-        )
-    return config
-
-
-def _resolve_cache_dir(args: argparse.Namespace) -> Path | None:
-    if args.no_cache or args.fix:
-        return None
-    if args.cache_dir is not None:
-        return Path(args.cache_dir)
-    from repro.config import get_lint_cache_dir
-
-    configured = get_lint_cache_dir()
-    return Path(configured) if configured else None
-
-
-def _run_fix(paths: Sequence[str], config: LintConfig,
-             jobs: int) -> tuple[LintResult, int]:
-    """Apply fixes in place; returns the post-fix result and edit count."""
-    from repro.devtools.fixer import apply_edits
-
-    result = lint_paths(paths, config, jobs=jobs)
-    edits_by_path: dict[str, list] = {}
-    for finding in result.findings:
-        if finding.fixes:
-            edits_by_path.setdefault(finding.path, []).extend(finding.fixes)
-    applied = 0
-    for path, edits in sorted(edits_by_path.items()):
-        target = Path(path)
-        outcome = apply_edits(target.read_text(encoding="utf-8"), edits)
-        if outcome.applied:
-            target.write_text(outcome.text, encoding="utf-8")
-            applied += outcome.applied
-    if applied:
-        result = lint_paths(paths, config, jobs=jobs)
-    return result, applied
-
-
-def _print_rules() -> None:
-    for rule_id, rule_cls in all_rules().items():
-        summary = (rule_cls.__doc__ or rule_cls.title).strip().splitlines()[0]
-        print(f"{rule_id}  {summary}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if args.list_rules:
-        _print_rules()
+        for rule_cls in RULES:
+            print(f"{rule_cls.rule_id}  {rule_cls.title}")
         return 0
-    if args.baseline and args.update_baseline:
-        print("rflint: error: --baseline and --update-baseline are "
-              "mutually exclusive", file=sys.stderr)
-        return 2
-
-    applied = 0
     try:
-        config = _resolve_config(args)
-        if args.fix:
-            result, applied = _run_fix(args.paths, config, args.jobs)
-        else:
-            cache_dir = _resolve_cache_dir(args)
-            cache = None
-            if cache_dir is not None:
-                from repro.devtools.cache import LintCache
-
-                cache = LintCache.open(cache_dir, config)
-            result = lint_paths(args.paths, config, cache=cache,
-                                jobs=args.jobs)
-    except (FileNotFoundError, ValueError) as error:
+        result = lint_paths(args.paths)
+    except FileNotFoundError as error:
         print(f"rflint: error: {error}", file=sys.stderr)
         return 2
-
-    findings = list(result.findings)
-    if args.update_baseline:
-        from repro.devtools.baseline import Baseline
-
-        Baseline.from_findings(findings).save(Path(args.update_baseline))
-        print(f"rflint: baseline {args.update_baseline} updated with "
-              f"{len(findings)} finding(s)")
-        return 0
-    if args.baseline:
-        from repro.devtools.baseline import Baseline
-
-        try:
-            baseline = Baseline.load(Path(args.baseline))
-        except ValueError as error:
-            print(f"rflint: error: {error}", file=sys.stderr)
-            return 2
-        suppressed = len(findings)
-        findings = baseline.filter(findings)
-        suppressed -= len(findings)
-    else:
-        suppressed = 0
-
-    ok = not findings
-    if args.format == "json":
-        payload = {
-            "files_checked": result.files_checked,
-            "files_reanalyzed": result.files_reanalyzed,
-            "findings": [finding.to_dict() for finding in findings],
-            "baselined": suppressed,
-            "fixed": applied,
-            "ok": ok,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        from repro.devtools.sarif import to_sarif
-
-        print(json.dumps(to_sarif(findings), indent=2, sort_keys=True))
-    else:
-        for finding in findings:
-            print(finding.format_human())
-        noun = "file" if result.files_checked == 1 else "files"
-        status = "clean" if ok else f"{len(findings)} finding(s)"
-        extras = []
-        if applied:
-            extras.append(f"{applied} fix(es) applied")
-        if suppressed:
-            extras.append(f"{suppressed} baselined")
-        if args.stats:
-            extras.append(f"{result.files_reanalyzed} re-analyzed")
-        suffix = f" ({', '.join(extras)})" if extras else ""
-        print(f"rflint: {result.files_checked} {noun} checked, "
-              f"{status}{suffix}")
-    return 0 if ok else 1
+    for finding in result.findings:
+        print(finding.format_human())
+    noun = "file" if result.files_checked == 1 else "files"
+    status = "clean" if result.ok else f"{len(result.findings)} finding(s)"
+    print(f"rflint: {result.files_checked} {noun} checked, {status}")
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

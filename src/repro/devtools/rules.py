@@ -4,13 +4,12 @@ Each rule guards a property the reproduction's scientific validity rests
 on — explicit RNG threading (bit-for-bit determinism under any worker
 count), no wall-clock/uuid nondeterminism in result paths, centralized
 ``RF_PROTECT_*`` dispatch, dtype discipline in the beat-signal hot path,
-and hygiene classics (mutable defaults, swallowed exceptions, unseeded
-test RNGs).
+scene construction through the scenario registry, and hygiene classics
+(mutable defaults, swallowed exceptions, unseeded test RNGs).
 
-Rule ids are stable: ``RFP001``–``RFP008``, ``RFP015``, and ``RFP016``
-here; the cross-module rules ``RFP010`` and ``RFP012``–``RFP014`` live in
-:mod:`repro.devtools.projectrules`. Retired ids (``RFP009``, ``RFP011``)
-are not reused.
+Rule ids are stable: ``RFP001``–``RFP008``, ``RFP015`` and ``RFP016``,
+listed in :data:`RULES`. Retired ids (``RFP009``–``RFP014``) are not
+reused.
 Suppress a deliberate violation with a trailing ``# rflint:
 disable=RFP00x`` comment (it covers the statement's whole line span).
 """
@@ -20,9 +19,10 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.devtools.engine import Finding, Rule, SourceFile, TextEdit, register
+from repro.devtools.engine import Finding, Rule, SourceFile, resolve
 
 __all__ = [
+    "RULES",
     "GlobalRandomState",
     "NondeterminismHazard",
     "EnvRegistryOnly",
@@ -34,51 +34,6 @@ __all__ = [
     "CanonicalSerializationDiscipline",
     "SceneConstructionOutsideBuilders",
 ]
-
-
-def build_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map names bound by imports to the dotted path they denote.
-
-    ``import numpy as np`` -> ``{"np": "numpy"}``; ``from numpy import
-    random as npr`` -> ``{"npr": "numpy.random"}``. Relative imports are
-    skipped (their absolute target is unknowable statically).
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname is not None:
-                    aliases[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    aliases[root] = root
-        elif isinstance(node, ast.ImportFrom):
-            if node.level or node.module is None:
-                continue
-            for alias in node.names:
-                bound = alias.asname or alias.name
-                aliases[bound] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def resolve(node: ast.AST, aliases: dict[str, str]) -> str | None:
-    """The full dotted path ``node`` refers to, or ``None``.
-
-    Only resolves chains rooted at an imported name, so local variables
-    that happen to share a module's name never match.
-    """
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    root = aliases.get(current.id)
-    if root is None:
-        return None
-    parts.append(root)
-    return ".".join(reversed(parts))
 
 
 _NUMPY_GLOBAL_RNG = frozenset(
@@ -102,7 +57,6 @@ _STDLIB_GLOBAL_RNG = frozenset(
 )
 
 
-@register
 class GlobalRandomState(Rule):
     """RFP001 — no global RNG state; thread explicit ``np.random.Generator``s.
 
@@ -116,7 +70,7 @@ class GlobalRandomState(Rule):
     title = "global RNG state"
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
+        aliases = source.aliases
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Call):
                 target = resolve(node.func, aliases)
@@ -158,7 +112,6 @@ _WALL_CLOCK_CALLS = frozenset(
 )
 
 
-@register
 class NondeterminismHazard(Rule):
     """RFP002 — wall-clock, uuid, and unordered-set nondeterminism.
 
@@ -172,7 +125,7 @@ class NondeterminismHazard(Rule):
     title = "nondeterminism hazard"
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
+        aliases = source.aliases
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Call):
                 target = resolve(node.func, aliases)
@@ -198,7 +151,6 @@ class NondeterminismHazard(Rule):
                     )
 
 
-@register
 class EnvRegistryOnly(Rule):
     """RFP003 — ``RF_PROTECT_*`` env vars only via ``repro.config``.
 
@@ -220,7 +172,7 @@ class EnvRegistryOnly(Rule):
         return None
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
+        aliases = source.aliases
         for node in ast.walk(source.tree):
             key: str | None = None
             if isinstance(node, ast.Call) and node.args:
@@ -236,7 +188,7 @@ class EnvRegistryOnly(Rule):
                 yield self.finding(
                     source, node,
                     f"read of {key} bypasses the typed registry; use the "
-                    f"repro.config accessor (e.g. get_synth_backend())",
+                    f"repro.config accessor (e.g. get_nn_dtype())",
                 )
 
 
@@ -265,7 +217,6 @@ def _is_complex_dtype(node: ast.AST, aliases: dict[str, str]) -> bool:
     return False
 
 
-@register
 class DtypeDiscipline(Rule):
     """RFP004 — explicit dtypes in the radar/signal hot path.
 
@@ -282,7 +233,7 @@ class DtypeDiscipline(Rule):
                "*repro/gan/*")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
+        aliases = source.aliases
         yield from self._check_constructors(source, aliases)
         for node in ast.walk(source.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -305,42 +256,7 @@ class DtypeDiscipline(Rule):
                     source, node,
                     f"{target}() without an explicit dtype=; the hot path "
                     f"must pin complex128/float64 precision",
-                    fixes=self._dtype_fix(source, node, target or "",
-                                          aliases),
                 )
-
-    @staticmethod
-    def _dtype_fix(source: SourceFile, node: ast.Call, target: str,
-                   aliases: dict[str, str]) -> tuple[TextEdit, ...]:
-        """Insert ``dtype=<np>.float64`` before the closing paren.
-
-        Only for zero/one/empty constructors, whose numpy default *is*
-        float64 — the edit makes the existing dtype explicit, it never
-        changes it. ``np.full`` infers its dtype from the fill value, so
-        no mechanical fix is safe there.
-        """
-        if target == "numpy.full":
-            return ()
-        numpy_alias = next(
-            (name for name, dotted in aliases.items() if dotted == "numpy"),
-            None,
-        )
-        if numpy_alias is None or node.end_lineno is None or (
-            node.end_col_offset is None
-        ):
-            return ()
-        closing_line = source.text.splitlines()[node.end_lineno - 1]
-        before_paren = closing_line[: node.end_col_offset - 1].rstrip()
-        joiner = " " if before_paren.endswith(",") else ", "
-        return (
-            TextEdit(
-                line=node.end_lineno,
-                col=node.end_col_offset - 1,
-                end_line=node.end_lineno,
-                end_col=node.end_col_offset - 1,
-                text=f"{joiner}dtype={numpy_alias}.float64",
-            ),
-        )
 
     def _check_complex_downcasts(
         self,
@@ -408,7 +324,6 @@ _MUTABLE_CALLS = frozenset(
 )
 
 
-@register
 class MutableDefaultArgument(Rule):
     """RFP005 — mutable default arguments.
 
@@ -434,80 +349,23 @@ class MutableDefaultArgument(Rule):
         return False
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
+        aliases = source.aliases
         for node in ast.walk(source.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for name, default in self._defaults_with_names(node):
+            defaults = node.args.defaults + [
+                default for default in node.args.kw_defaults
+                if default is not None
+            ]
+            for default in defaults:
                 if self._is_mutable(default, aliases):
                     yield self.finding(
                         source, default,
                         f"mutable default argument in {node.name}(); default "
                         f"to None and construct inside the function",
-                        fixes=self._none_fix(source, node, name, default),
                     )
 
-    @staticmethod
-    def _defaults_with_names(
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> list[tuple[str, ast.expr]]:
-        pairs: list[tuple[str, ast.expr]] = []
-        positional = node.args.posonlyargs + node.args.args
-        tail = positional[len(positional) - len(node.args.defaults):]
-        pairs.extend(
-            (arg.arg, default)
-            for arg, default in zip(tail, node.args.defaults)
-        )
-        pairs.extend(
-            (arg.arg, default)
-            for arg, default in zip(node.args.kwonlyargs,
-                                    node.args.kw_defaults)
-            if default is not None
-        )
-        return pairs
 
-    @staticmethod
-    def _none_fix(source: SourceFile, node: ast.FunctionDef |
-                  ast.AsyncFunctionDef, name: str,
-                  default: ast.expr) -> tuple[TextEdit, ...]:
-        """Swap the default for ``None`` and guard-construct in the body.
-
-        Skipped for one-line defs (no body line to insert into) and when
-        the original default expression cannot be recovered verbatim.
-        """
-        if not node.body or default.end_lineno is None or (
-            default.end_col_offset is None
-        ):
-            return ()
-        first = node.body[0]
-        insert_before = first
-        if (len(node.body) > 1 and isinstance(first, ast.Expr)
-                and isinstance(first.value, ast.Constant)
-                and isinstance(first.value.value, str)):
-            insert_before = node.body[1]  # keep the docstring on top
-        if insert_before.lineno <= node.lineno:
-            return ()  # one-line def; nowhere safe to insert
-        original = ast.get_source_segment(source.text, default)
-        if original is None or "\n" in original:
-            return ()
-        indent = " " * insert_before.col_offset
-        guard = (f"{indent}if {name} is None:\n"
-                 f"{indent}    {name} = {original}\n")
-        return (
-            TextEdit(
-                line=default.lineno, col=default.col_offset,
-                end_line=default.end_lineno, end_col=default.end_col_offset,
-                text="None",
-            ),
-            TextEdit(
-                line=insert_before.lineno, col=0,
-                end_line=insert_before.lineno, end_col=0,
-                text=guard,
-            ),
-        )
-
-
-@register
 class SwallowedException(Rule):
     """RFP006 — silently swallowed exceptions.
 
@@ -546,7 +404,6 @@ class SwallowedException(Rule):
         ) and stmt.value.value is Ellipsis
 
 
-@register
 class TestHygiene(Rule):
     """RFP007 — deterministic, isolated tests.
 
@@ -565,7 +422,7 @@ class TestHygiene(Rule):
                  "random.SystemRandom")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
+        aliases = source.aliases
         imported_names = set(aliases)
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Call):
@@ -648,7 +505,6 @@ _BLOCKING_METHODS = frozenset(
 )
 
 
-@register
 class AsyncBlockingCall(Rule):
     """RFP008 — no blocking calls inside ``async def`` in the serving stack.
 
@@ -666,7 +522,7 @@ class AsyncBlockingCall(Rule):
     include = ("*repro/serve/*",)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
+        aliases = source.aliases
         for node in ast.walk(source.tree):
             if isinstance(node, ast.AsyncFunctionDef):
                 yield from self._check_coroutine(source, node, aliases)
@@ -719,7 +575,6 @@ class AsyncBlockingCall(Rule):
 _JSON_SERIALIZERS = frozenset({"json.dumps", "json.dump"})
 
 
-@register
 class CanonicalSerializationDiscipline(Rule):
     """RFP015 — audit-package JSON must serialize with sorted keys.
 
@@ -739,7 +594,7 @@ class CanonicalSerializationDiscipline(Rule):
     include = ("*repro/audit/*",)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
+        aliases = source.aliases
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -780,7 +635,6 @@ _SCENE_CONSTRUCTORS = frozenset(
 )
 
 
-@register
 class SceneConstructionOutsideBuilders(Rule):
     """RFP016 — scenes and environments only through ``repro.scenarios``.
 
@@ -800,7 +654,7 @@ class SceneConstructionOutsideBuilders(Rule):
     include = ("*repro/experiments/*", "*repro/serve/*")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
+        aliases = source.aliases
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -814,3 +668,18 @@ class SceneConstructionOutsideBuilders(Rule):
                     f"repro.scenarios.build(...) so every scene is a "
                     f"registered, digest-covered spec",
                 )
+
+
+#: Every rule the linter runs, in rule-id order.
+RULES: tuple[type[Rule], ...] = (
+    GlobalRandomState,
+    NondeterminismHazard,
+    EnvRegistryOnly,
+    DtypeDiscipline,
+    MutableDefaultArgument,
+    SwallowedException,
+    TestHygiene,
+    AsyncBlockingCall,
+    CanonicalSerializationDiscipline,
+    SceneConstructionOutsideBuilders,
+)

@@ -35,11 +35,6 @@ from repro.trajectories.dataset import TrajectoryDataset
 
 __all__ = ["GanConfig", "GanTrainer", "TrainingHistory"]
 
-#: Run-counter label of the D/G step timings (``nn.gan.*.<label>.runs``):
-#: the steps scan through the fused LSTM sequence op.
-_STEP_LABEL = "fused"
-
-
 @dataclasses.dataclass(frozen=True)
 class GanConfig:
     """Hyper-parameters for cGAN training.
@@ -214,8 +209,7 @@ class GanTrainer:
 
         real_score = float(1.0 / (1.0 + np.exp(-real_logits.data)).mean())
         fake_score = float(1.0 / (1.0 + np.exp(-fake_logits.data)).mean())
-        observe_op("gan.discriminator_step", _STEP_LABEL,
-                   time.perf_counter() - started)
+        observe_op("gan.discriminator_step", time.perf_counter() - started)
         return float(loss.data), real_score, fake_score
 
     def _generator_step(self, real_steps: np.ndarray,
@@ -249,8 +243,7 @@ class GanTrainer:
             loss.backward()
         self.generator_optimizer.clip_gradients(self.config.clip_norm)
         self.generator_optimizer.step()
-        observe_op("gan.generator_step", _STEP_LABEL,
-                   time.perf_counter() - started)
+        observe_op("gan.generator_step", time.perf_counter() - started)
         return float(loss.data)
 
     def train(self, *, epochs: int | None = None,

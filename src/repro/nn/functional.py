@@ -284,8 +284,7 @@ def lstm_sequence(inputs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
         h0._accumulate(dh_next)
         c0._accumulate(dc_next)
         from repro.nn.metrics import observe_op
-        observe_op("lstm_sequence_backward", "fused",
-                   time.perf_counter() - started)
+        observe_op("lstm_sequence_backward", time.perf_counter() - started)
 
     out._backward = backward
     return out

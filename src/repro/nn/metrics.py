@@ -2,11 +2,11 @@
 
 Mirrors the stage-graph machinery (:func:`repro.radar.stages.stage_metrics`):
 one process-wide Prometheus-shaped :class:`~repro.serve.metrics.MetricsRegistry`
-holding a wall-time histogram per op (``nn.<op>.wall_s``) and a run counter
-per ``(op, backend)`` pair (``nn.<op>.<backend>.runs``). The GAN trainer and
-the recurrent layers report into it, so a training run's hot spots land in
-the same snapshot format as the radar stage timings and the serve metrics —
-`benchmarks/test_bench_nn.py` dumps it as ``nn-timings.json``.
+holding a wall-time histogram per op (``nn.<op>.wall_s``; its ``count`` is
+the op's run count). The GAN trainer and the recurrent layers report into
+it, so a training run's hot spots land in the same snapshot format as the
+radar stage timings and the serve metrics — `benchmarks/test_bench_nn.py`
+dumps it as ``nn-timings.json``.
 
 The registry import is deferred to first use: ``repro.nn`` must stay
 importable without dragging in the serving stack. The registry is created
@@ -47,8 +47,6 @@ def nn_metrics() -> "MetricsRegistry":
     return _NN_METRICS
 
 
-def observe_op(op: str, backend: str, elapsed_s: float) -> None:
-    """Record one timed execution of ``op`` under ``backend``."""
-    registry = nn_metrics()
-    registry.observe(f"nn.{op}.wall_s", elapsed_s, NN_TIME_BUCKETS)
-    registry.inc(f"nn.{op}.{backend}.runs")
+def observe_op(op: str, elapsed_s: float) -> None:
+    """Record one timed execution of ``op``."""
+    nn_metrics().observe(f"nn.{op}.wall_s", elapsed_s, NN_TIME_BUCKETS)

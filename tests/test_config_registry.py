@@ -1,9 +1,10 @@
 """Tests for the typed ``RF_PROTECT_*`` environment registry (`repro.config`).
 
-Pins three properties: every serve knob parses/validates/defaults exactly
+Pins four properties: every serve knob parses/validates/defaults exactly
 as declared, the registry and its accessor table stay complete mirrors of
 each other (a knob added without a typed accessor — or vice versa — fails
-here), and ``ServiceConfig.from_env`` actually reads the registry.
+here), ``ServiceConfig.from_env`` actually reads the registry, and the
+autograd dtype knob accepts only the dtypes ``repro.nn`` supports.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 from repro.config import (
     ENV_ACCESSORS,
     ENV_REGISTRY,
+    get_nn_dtype,
     get_serve_batch_window_ms,
     get_serve_deadline_s,
     get_serve_max_batch,
@@ -122,3 +124,13 @@ class TestServiceConfigFromEnv:
             ServiceConfig(default_deadline_s=0.0)
         with pytest.raises(ConfigurationError, match="workers"):
             ServiceConfig(workers=0)
+
+
+class TestNnDtypeKnob:
+    def test_default_and_explicit(self):
+        assert get_nn_dtype({}) == "float64"
+        assert get_nn_dtype({"RF_PROTECT_NN_DTYPE": " Float32 "}) == "float32"
+
+    def test_invalid_value_rejected(self):
+        with pytest.raises(ConfigurationError, match="RF_PROTECT_NN_DTYPE"):
+            get_nn_dtype({"RF_PROTECT_NN_DTYPE": "float16"})

@@ -14,9 +14,9 @@ collector and a second backward through a freed graph fails loudly.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import importlib
+import json
 import os
 import signal
 import subprocess
@@ -299,6 +299,36 @@ class TestHelperThread:
         assert exit_code_in_child(nested) == 0
 
 
+#: Five one-step epochs of the default GAN config (H=64, batch 32) with
+#: the cycle collector off; prints RSS in MB after each epoch as JSON.
+RSS_PROBE = """
+import dataclasses, gc, json, os
+
+import numpy as np
+
+from repro.gan.trainer import GanConfig, GanTrainer
+from repro.trajectories import HumanMotionSimulator
+
+page = os.sysconf("SC_PAGE_SIZE")
+
+
+def rss_mb():
+    with open("/proc/self/statm", encoding="ascii") as handle:
+        return int(handle.read().split()[1]) * page / 2**20
+
+
+dataset = HumanMotionSimulator(rng=np.random.default_rng(4)).build_dataset(32)
+trainer = GanTrainer(dataset, dataclasses.replace(GanConfig(), batch_size=32))
+gc.collect()
+gc.disable()
+readings = []
+for _ in range(5):
+    trainer.train(epochs=1)
+    readings.append(rss_mb())
+print(json.dumps(readings))
+"""
+
+
 class TestGraphRelease:
     def test_second_backward_raises_naming_the_op(self):
         x = Tensor([2.0, -1.0], requires_grad=True)
@@ -354,25 +384,14 @@ class TestGraphRelease:
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                         reason="needs /proc/self/statm")
     def test_rss_stays_flat_over_steps_without_collection(self):
-        page = os.sysconf("SC_PAGE_SIZE")
-
-        def rss_mb() -> float:
-            with open("/proc/self/statm", encoding="ascii") as handle:
-                return int(handle.read().split()[1]) * page / 2**20
-
-        dataset = HumanMotionSimulator(
-            rng=np.random.default_rng(4)).build_dataset(32)
-        trainer = GanTrainer(dataset, dataclasses.replace(
-            GanConfig(), batch_size=32))  # H=64: one step per epoch
-        gc.collect()
-        gc.disable()
-        try:
-            readings = []
-            for _ in range(5):
-                trainer.train(epochs=1)
-                readings.append(rss_mb())
-        finally:
-            gc.enable()
+        # A fresh interpreter: inside pytest, RSS starts at whatever the
+        # earlier tests grew the heap to, and the readings measure that.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        probe = subprocess.run(
+            [sys.executable, "-c", RSS_PROBE], env=env, capture_output=True,
+            text=True, check=True, timeout=300)
+        readings = json.loads(probe.stdout)
+        assert len(readings) == 5
         assert max(readings) <= 1.10 * readings[0], readings
 
 

@@ -12,8 +12,9 @@ frames, measurement noise.
 
 Also pinned here: association is independent of detection input order
 (canonical ordering), and checkpoint/restore is exact mid-stream
-(including a JSON round trip) while blobs of another schema version are
-rejected.
+(including a JSON round trip) while blobs of another schema version,
+with missing or unexpected keys, or with fields the restore cannot parse
+are rejected with a :class:`TrackingError`.
 """
 
 from __future__ import annotations
@@ -165,6 +166,45 @@ class TestCheckpointRestore:
         blob["config"]["association"] = "hungarian"
         with pytest.raises(TrackingError, match="version 1"):
             StreamingTracker.from_checkpoint(blob)
+
+
+    def test_checkpoint_writes_exactly_the_declared_fields(self):
+        assert (set(StreamingTracker().checkpoint())
+                == set(StreamingTracker.CHECKPOINT_FIELDS))
+
+    @pytest.mark.parametrize("corrupt, match, cause", [
+        (lambda blob: blob.pop("config"),
+         r"missing keys \['config'\]", None),
+        (lambda blob: blob.update(extra=1),
+         r"unexpected keys \['extra'\]", None),
+        (lambda blob: blob.update(frame_times="abc"), "ValueError",
+         ValueError),
+        (lambda blob: blob.update(next_track_id=None), "TypeError",
+         TypeError),
+        (lambda blob: blob["config"].update(association="hungarian"),
+         "TypeError", TypeError),
+        (lambda blob: blob["active"][0].pop("filter"), "KeyError",
+         KeyError),
+        (lambda blob: blob["active"][0].update(times=[]), "IndexError",
+         IndexError),
+    ], ids=["missing-key", "unexpected-key", "frame-times-text",
+            "track-id-none", "config-unknown-field", "track-no-filter",
+            "track-truncated"])
+    def test_malformed_blob_fails_typed(self, corrupt, match, cause):
+        tracker = StreamingTracker(config=CONFIG)
+        tracker.ingest_detections(0.0, [(np.array([1.0, 2.0]), 5.0)])
+        blob = json.loads(json.dumps(tracker.checkpoint()))
+        corrupt(blob)
+        with pytest.raises(TrackingError, match=match) as raised:
+            StreamingTracker.from_checkpoint(blob)
+        if cause is None:
+            assert raised.value.__cause__ is None
+        else:
+            assert isinstance(raised.value.__cause__, cause)
+
+    def test_non_mapping_blob_fails_typed(self):
+        with pytest.raises(TrackingError, match="must be a dict"):
+            StreamingTracker.from_checkpoint([])
 
 
 class TestOrderIndependence:

@@ -10,8 +10,10 @@ Pins the session subsystem's contracts:
   ≥200-session concurrent soak, with clean metric deltas;
 - **service integration** — tracked requests ride the ordinary
   admission/batching path, session continuity spans requests, the
-  flusher's eviction sweep parks idle sessions end to end, and exported
-  checkpoints restore into new sessions.
+  flusher's eviction sweep parks idle sessions end to end, exported
+  checkpoints restore into new sessions (a malformed one fails typed and
+  leaves no session behind), and a snapshot taken while a tracked request
+  holds the session lock waits for that request's frames.
 """
 
 from __future__ import annotations
@@ -25,7 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, SessionNotFoundError
+from repro.errors import (
+    ConfigurationError,
+    SessionNotFoundError,
+    TrackingError,
+)
 from repro.geometry import Rectangle
 from repro.radar import FmcwRadar, Scene, StreamingTracker, TrackerConfig
 from repro.serve import (
@@ -379,6 +385,54 @@ class TestServiceSessions:
         assert response.frames_total == len(reference["frame_times"])
         assert reference["active"] == straight["active"]
         assert reference["frame_times"] == straight["frame_times"]
+
+    def test_failed_restore_raises_typed_and_leaves_no_session(self):
+        blob = StreamingTracker(config=TRACKER_CONFIG).checkpoint()
+        broken = {key: value for key, value in blob.items()
+                  if key != "config"}
+        with InProcessClient(quick_service_config(),
+                             default_radar_config=fast_radar_config()
+                             ) as client:
+            with pytest.raises(TrackingError, match=r"missing keys \['config'\]"):
+                client.restore_session("revived", broken)
+            assert "revived" not in client.service.sessions
+            # The id is free again, and a valid blob restores under it.
+            assert client.restore_session("revived", blob) == "revived"
+            assert client.service.sessions.checkpoint_of("revived") == blob
+
+    @pytest.mark.parametrize("snapshot", ["session_checkpoint", "end_session"])
+    def test_snapshot_waits_for_the_request_holding_the_lock(
+            self, tracked_scene, snapshot):
+        """A snapshot taken mid-request includes that request's frames.
+
+        The tracked request holds the session lock from before sensing
+        until its frames are ingested; ``session_checkpoint`` and
+        ``end_session`` take the same lock, so a blob cut while the
+        request is in flight already holds every frame it reports.
+        """
+        async def run() -> tuple[dict, object]:
+            service = SenseService(quick_service_config(),
+                                   default_radar_config=fast_radar_config())
+            async with service:
+                session_id = await service.create_session(
+                    tracker_config=TRACKER_CONFIG)
+                request = asyncio.ensure_future(service.submit_tracked(
+                    TrackRequest(session_id=session_id, scene=tracked_scene,
+                                 duration=0.4, seed=4)
+                ))
+                lock = service.sessions.peek(session_id).lock
+                for _ in range(1000):
+                    if lock.locked():
+                        break
+                    await asyncio.sleep(0)
+                assert lock.locked()
+                blob = await getattr(service, snapshot)(session_id)
+                response = await request
+            return blob, response
+
+        blob, response = asyncio.run(run())
+        assert response.frames_added > 0
+        assert len(blob["frame_times"]) == response.frames_total
 
     def test_live_bound_restored_after_concurrent_burst(self, tracked_scene):
         """max_live overshoots only while requests are in flight.
