@@ -9,6 +9,7 @@ trajectories per environment, larger GAN sampling budgets).
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -34,6 +35,17 @@ def bench_scale() -> dict:
         "table1_raters": 32,
         "duration": 10.0,
     }
+
+
+def write_timings(filename: str, payload: object) -> None:
+    """Dump a timing payload as ``filename`` in the working directory.
+
+    The benchmarks job uploads these ``*-timings.json`` files as build
+    artifacts.
+    """
+    with open(filename, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+    print(f"\nwrote {filename}")
 
 
 def emit(result) -> None:

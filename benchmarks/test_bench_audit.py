@@ -10,21 +10,17 @@ run, which is exactly how it is used.
 The measured timings are themselves written as ``benchmark_timing``
 records into a scratch ledger, chain-verified and signed — the benchmark
 eats the subsystem's own dog food — and dumped to ``audit-timings.json``
-(override via ``RFPROTECT_AUDIT_TIMINGS``) next to the other CI timing
-artifacts.
+next to the other CI timing artifacts.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
 
+from benchmarks.conftest import write_timings
 from repro.audit import Ledger, ed25519, sign_ledger, verify_chain, verify_signature
-
-TIMINGS_PATH = os.environ.get("RFPROTECT_AUDIT_TIMINGS", "audit-timings.json")
 
 NUM_RECORDS = 200
 SEED = bytes(range(32))
@@ -89,8 +85,6 @@ def test_zz_dump_audit_timings(tmp_path):
     signature_doc = sign_ledger(ledger.path, SEED)
     assert verify_signature(ledger.path, signature_doc)
 
-    with open(TIMINGS_PATH, "w", encoding="utf-8") as handle:
-        json.dump({"timings": _RESULTS,
-                   "ledger_head": signature_doc["payload"]["head_hash"]},
-                  handle, indent=2, sort_keys=True)
-    print(f"\naudit timings written to {TIMINGS_PATH}")
+    write_timings("audit-timings.json",
+                  {"timings": _RESULTS,
+                   "ledger_head": signature_doc["payload"]["head_hash"]})

@@ -19,23 +19,20 @@ adjacent-in-time measurements see the same machine regime, which makes the
 ratio far more stable than comparing two independent minimums.
 
 The per-op wall-time snapshot (``repro.nn.metrics``) is dumped to
-``nn-timings.json`` (override via ``RFPROTECT_NN_TIMINGS``) and uploaded
-next to the stage/tracker timing artifacts.
+``nn-timings.json`` and uploaded next to the stage/tracker timing
+artifacts.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
-import os
 import time
 
 import numpy as np
 
+from benchmarks.conftest import write_timings
 from repro.nn import LSTM, Tensor, dtype_scope, nn_metrics
 from tests.lstm_oracle import naive_scan
-
-TIMINGS_PATH = os.environ.get("RFPROTECT_NN_TIMINGS", "nn-timings.json")
 
 SEQ_LEN, BATCH, IN_DIM, HIDDEN, LAYERS = 64, 32, 64, 512, 2
 ROUNDS = 5
@@ -136,6 +133,4 @@ def test_zz_dump_nn_timings():
     assert histograms.get("nn.lstm_sequence.wall_s", {}).get("count", 0) > 0
     payload = {"paper_scale_step_s": dict(sorted(_RESULTS.items())),
                "metrics": snapshot}
-    with open(TIMINGS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"\nwrote nn timing snapshot to {TIMINGS_PATH}")
+    write_timings("nn-timings.json", payload)

@@ -2,28 +2,23 @@
 
 Every registered scenario is resolved, built, and sensed on the short
 golden chirp, timing the two phases separately. The per-scenario wall
-times land in ``scenario-timings.json`` (path overridable via
-``RFPROTECT_SCENARIO_TIMINGS``), uploaded by the benchmarks job next to
-the stage-timing artifact — so a slow new scenario, or a regression in
+times land in ``scenario-timings.json``, uploaded by the benchmarks job
+next to the stage-timing artifact — so a slow new scenario, or a regression in
 the builders, is visible per catalog entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import time
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import write_timings
 from repro.radar import FmcwRadar
 from repro.scenarios import build, get_scenario, scenario_names
 from repro.signal.chirp import ChirpConfig
-
-TIMINGS_PATH = os.environ.get("RFPROTECT_SCENARIO_TIMINGS",
-                              "scenario-timings.json")
 
 BENCH_CHIRP_DURATION_S = 6.4e-5
 BENCH_SENSE_DURATION_S = 0.8
@@ -62,6 +57,4 @@ def test_scenario_build_and_sense(name):
 def test_zz_dump_scenario_timings():
     """Write the accumulated per-scenario timings (runs last by name)."""
     assert sorted(_TIMINGS) == list(scenario_names())
-    with open(TIMINGS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(_TIMINGS, handle, indent=2, sort_keys=True)
-    print(f"\nwrote per-scenario timing snapshot to {TIMINGS_PATH}")
+    write_timings("scenario-timings.json", _TIMINGS)

@@ -4,18 +4,15 @@ Every sense path runs through ``repro.radar.stages``; this bench exercises
 the FMCW and pulsed radars, checks that every stage's wall-time histogram
 actually accumulated observations, and dumps the
 process-wide :func:`repro.radar.stages.stage_metrics` snapshot to
-``stage-timings.json`` (path overridable via ``RFPROTECT_STAGE_TIMINGS``)
-— the benchmarks job uploads it next to the pytest-benchmark artifacts,
+``stage-timings.json`` — the benchmarks job uploads it next to the pytest-benchmark artifacts,
 so a perf regression can be localized to the stage that moved.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 
+from benchmarks.conftest import write_timings
 from repro.geometry import Rectangle
 from repro.radar import (
     FmcwRadar,
@@ -28,9 +25,6 @@ from repro.radar import (
 )
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
-
-TIMINGS_PATH = os.environ.get("RFPROTECT_STAGE_TIMINGS",
-                              "stage-timings.json")
 
 
 def bench_scene() -> Scene:
@@ -65,6 +59,4 @@ def test_zz_dump_stage_timings():
     """Write the accumulated per-stage snapshot (runs last by name)."""
     snapshot = stage_metrics().snapshot()
     assert snapshot["histograms"], "no stage timings accumulated"
-    with open(TIMINGS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-    print(f"\nwrote per-stage timing snapshot to {TIMINGS_PATH}")
+    write_timings("stage-timings.json", snapshot)

@@ -10,15 +10,12 @@ live sessions second-class.
 
 Also reports raw streaming throughput (frames/s, detections/s) on a
 multi-target crossing workload and dumps the numbers to
-``tracker-timings.json`` (path overridable via
-``RFPROTECT_TRACKER_TIMINGS``), uploaded by CI next to the other timing
+``tracker-timings.json``, uploaded by CI next to the other timing
 artifacts.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -26,10 +23,7 @@ import pytest
 
 from repro.radar.tracker import StreamingTracker, TrackerConfig, track_detections
 
-from .conftest import FULL_SCALE
-
-TIMINGS_PATH = os.environ.get("RFPROTECT_TRACKER_TIMINGS",
-                              "tracker-timings.json")
+from .conftest import FULL_SCALE, write_timings
 
 NUM_FRAMES = 4000 if FULL_SCALE else 1200
 NUM_TARGETS = 4
@@ -139,6 +133,4 @@ def test_streaming_overhead_vs_batch_within_10pct(detection_frames):
 def test_zz_dump_tracker_timings():
     """Write the accumulated tracker numbers (runs last by name)."""
     assert _RESULTS, "no tracker timings accumulated"
-    with open(TIMINGS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(_RESULTS, handle, indent=2, sort_keys=True)
-    print(f"\nwrote tracker timing snapshot to {TIMINGS_PATH}")
+    write_timings("tracker-timings.json", _RESULTS)

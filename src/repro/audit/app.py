@@ -28,6 +28,7 @@ from typing import Any
 from repro.audit import ed25519
 from repro.audit.canonical import canonical_json
 from repro.audit.ledger import (
+    LEDGER_NAME,
     Ledger,
     sign_ledger,
     verify_chain,
@@ -40,11 +41,6 @@ from repro.audit.report import (
     verify_report,
 )
 from repro.audit.slo import DEFAULT_PROFILE, evaluate_profile, load_profile
-from repro.config import (
-    get_audit_key_file,
-    get_audit_ledger_name,
-    get_audit_profile,
-)
 from repro.errors import AuditError, ReproError
 
 __all__ = ["KEY_SCHEMA_VERSION", "load_key_seed", "main", "write_key_file"]
@@ -105,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sign", help="sign a ledger's verified chain head")
     sign.add_argument("ledger", help="path to a ledger .jsonl file")
     sign.add_argument(
-        "--key-file", default=None,
-        help="signing key file (default: RF_PROTECT_AUDIT_KEY)")
+        "--key-file", required=True, help="signing key file")
     sign.add_argument(
         "--out", default=None,
         help="signature document path (default: <ledger>.sig.json)")
@@ -123,13 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="evaluate privacy SLOs and write JSON + HTML reports")
     report.add_argument("run_dir", help="record directory holding the ledger")
     report.add_argument(
-        "--key-file", default=None,
-        help="sign the report with this key (default: RF_PROTECT_AUDIT_KEY; "
-             "empty = unsigned)")
+        "--key-file", default="",
+        help="sign the report with this key (default: unsigned)")
     report.add_argument(
-        "--profile", default=None,
-        help="SLO profile JSON (default: RF_PROTECT_AUDIT_PROFILE or the "
-             "built-in rf-protect-default)")
+        "--profile", default="",
+        help="SLO profile JSON (default: the built-in rf-protect-default)")
     report.add_argument(
         "--out-json", default=None,
         help="report JSON path (default: <run-dir>/report.json)")
@@ -174,18 +167,8 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_key_file(explicit: str | None) -> str:
-    key_file = explicit if explicit is not None else get_audit_key_file()
-    return key_file
-
-
 def _cmd_sign(args: argparse.Namespace) -> int:
-    key_file = _resolve_key_file(args.key_file)
-    if not key_file:
-        raise AuditError(
-            "no signing key: pass --key-file or set RF_PROTECT_AUDIT_KEY"
-        )
-    seed = load_key_seed(key_file)
+    seed = load_key_seed(args.key_file)
     signature_doc = sign_ledger(args.ledger, seed)
     out = args.out if args.out is not None else _signature_path(args.ledger)
     with open(out, "w", encoding="utf-8") as handle:
@@ -231,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
     ok = True
     if os.path.isdir(target):
-        ledger_path = os.path.join(target, get_audit_ledger_name())
+        ledger_path = os.path.join(target, LEDGER_NAME)
         ok = _verify_ledger(ledger_path)
         report_path = os.path.join(target, "report.json")
         if os.path.exists(report_path):
@@ -252,12 +235,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    ledger_path = os.path.join(args.run_dir, get_audit_ledger_name())
+    ledger_path = os.path.join(args.run_dir, LEDGER_NAME)
     chain = verify_chain(ledger_path)
 
-    profile_path = (args.profile if args.profile is not None
-                    else get_audit_profile())
-    profile = load_profile(profile_path) if profile_path else DEFAULT_PROFILE
+    profile = load_profile(args.profile) if args.profile else DEFAULT_PROFILE
 
     records = list(Ledger(ledger_path).records()) if chain.ok else []
     evaluation = evaluate_profile(profile, records)
@@ -271,10 +252,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         signature_doc=signature_doc, generated_at=args.generated_at,
     )
 
-    key_file = _resolve_key_file(args.key_file)
     document: dict[str, Any]
-    if key_file:
-        document = sign_report(report, load_key_seed(key_file))
+    if args.key_file:
+        document = sign_report(report, load_key_seed(args.key_file))
     else:
         document = report
 
@@ -292,7 +272,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
           f"{slo['profile_name']}: {slo['passed']} passed, "
           f"{slo['failed']} failed")
     print(f"report written to {out_json} and {out_html}"
-          + (" (signed)" if key_file else " (unsigned)"))
+          + (" (signed)" if args.key_file else " (unsigned)"))
     return 0 if report["ok"] else 1
 
 

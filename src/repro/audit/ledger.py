@@ -32,6 +32,7 @@ from repro.errors import LedgerError, SignatureError
 __all__ = [
     "ChainVerification",
     "GENESIS_HASH",
+    "LEDGER_NAME",
     "Ledger",
     "LedgerRecord",
     "RECORD_KINDS",
@@ -47,6 +48,10 @@ SCHEMA_VERSION = 1
 
 #: The chain link of the first record.
 GENESIS_HASH = sha256_hex(b"rfprotect-audit-genesis-v1")
+
+#: File name of the ledger inside a record directory: the experiments
+#: runner appends to it, ``rfprotect audit`` reads it.
+LEDGER_NAME = "ledger.jsonl"
 
 #: Recognized record types.
 RECORD_KINDS: tuple[str, ...] = (

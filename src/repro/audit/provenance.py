@@ -1,12 +1,11 @@
 """Run provenance: what code and configuration produced an artifact.
 
 A ledger record is only evidence if it says *what* ran: the package
-version, and the resolved value of every declared ``RF_PROTECT_*`` knob
-(the dtype selection changes numeric results; serve knobs change latency
-artifacts). The snapshot is taken through the typed registry's
-accessor table (:data:`repro.config.ENV_ACCESSORS`) so a knob added to
-the registry shows up in provenance automatically, and its canonical
-hash gives reports a one-line configuration fingerprint.
+version, and the resolved value of every environment variable the
+library reads (:data:`repro.config.ENV_ACCESSORS`; today only
+``RF_PROTECT_NN_DTYPE``, whose dtype selection changes numeric results).
+The snapshot's canonical hash gives reports a one-line configuration
+fingerprint.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ __all__ = ["config_snapshot", "provenance"]
 def config_snapshot(
     environ: Mapping[str, str] | None = None,
 ) -> dict[str, Any]:
-    """Resolved value of every declared knob (defaults where unset)."""
+    """Resolved value of every environment variable (defaults where unset)."""
     return {name: accessor(environ)
             for name, accessor in sorted(ENV_ACCESSORS.items())}
 

@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--scenario", default=None,
         help="run against a registered scenario's environment (see "
-             "'rfprotect scenarios'; default: $RF_PROTECT_SCENARIO)",
+             "'rfprotect scenarios'; default: each experiment's own)",
     )
     run_parser.add_argument(
         "--workers", type=int, default=1,
@@ -155,15 +155,11 @@ def _main(arguments: list[str]) -> int:
             print(f"{name:<{width}}  {get_scenario(name).description}")
         return 0
 
-    from repro.config import get_scenario_name
-
-    scenario = (args.scenario if args.scenario is not None
-                else get_scenario_name() or None)
     targets = (sorted(EXPERIMENTS) if args.experiment == "all"
                else [args.experiment])
     try:
         _run_all(targets, fast=args.fast, seed=args.seed,
-                 scenario=scenario, workers=args.workers,
+                 scenario=args.scenario, workers=args.workers,
                  record_dir=args.record_dir)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

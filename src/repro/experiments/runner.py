@@ -198,7 +198,7 @@ class ExperimentRun:
         """A self-describing JSON record of this run.
 
         Besides the timing/option summary, the record carries provenance
-        (package version, resolved ``RF_PROTECT_*`` knobs and their
+        (package version, the resolved ``RF_PROTECT_NN_DTYPE`` and its
         canonical hash — :mod:`repro.audit.provenance`) and a scalar
         summary of the result object, so a ledger entry holding it is
         auditable without re-running the experiment.
@@ -371,11 +371,10 @@ def _write_records(record_dir: str, runs: Sequence[ExperimentRun]) -> None:
     the ledger's current tail, so repeated runs into one directory keep
     one continuous chain.
     """
-    from repro.audit.ledger import Ledger
-    from repro.config import get_audit_ledger_name
+    from repro.audit.ledger import LEDGER_NAME, Ledger
 
     os.makedirs(record_dir, exist_ok=True)
-    ledger = Ledger(os.path.join(record_dir, get_audit_ledger_name()))
+    ledger = Ledger(os.path.join(record_dir, LEDGER_NAME))
     for run in runs:
         record = run.record()
         path = os.path.join(record_dir, f"{run.experiment_id}.json")

@@ -27,6 +27,7 @@ independent of detection input order.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Any
 
 import numpy as np
@@ -133,14 +134,28 @@ class KalmanTracker2D:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> KalmanTracker2D:
-        """Rebuild a filter bit-for-bit from :meth:`to_state` output."""
+        """Rebuild a filter bit-for-bit from :meth:`to_state` output.
+
+        Raises:
+            ValueError: unless the state is a finite ``(4,)`` vector and
+                the covariance a finite ``(4, 4)`` matrix.
+        """
+        vector = np.asarray(state["state"], dtype=float)
+        covariance = np.asarray(state["covariance"], dtype=float)
+        if vector.shape != (4,) or covariance.shape != (4, 4):
+            raise ValueError(
+                f"filter state must be (4,) and covariance (4, 4), got "
+                f"{vector.shape} and {covariance.shape}"
+            )
+        if not (np.isfinite(vector).all() and np.isfinite(covariance).all()):
+            raise ValueError("filter state and covariance must be finite")
         filter_ = cls(
-            np.asarray(state["state"][:2], dtype=float),
+            vector[:2],
             process_noise=float(state["process_noise"]),
             measurement_noise=float(state["measurement_noise"]),
         )
-        filter_.state = np.asarray(state["state"], dtype=float)
-        filter_.covariance = np.asarray(state["covariance"], dtype=float)
+        filter_.state = vector
+        filter_.covariance = covariance
         return filter_
 
 
@@ -310,12 +325,17 @@ class Track:
     @classmethod
     def from_state(cls, state: dict[str, Any],
                    config: TrackerConfig) -> Track:
-        """Rebuild a track bit-for-bit from :meth:`to_state` output."""
+        """Rebuild a track bit-for-bit from :meth:`to_state` output.
+
+        Raises:
+            ValueError: for times out of order or a malformed filter.
+        """
         track = cls(state["times"][0],
                     np.asarray(state["positions"][0], dtype=float),
                     config, power=state["powers"][0],
                     track_id=int(state["track_id"]))
-        track.times = [float(t) for t in state["times"]]
+        track.times = _in_time_order([float(t) for t in state["times"]],
+                                     "track times")
         track.raw_positions = [np.asarray(p, dtype=float)
                                for p in state["positions"]]
         track.powers = [float(p) for p in state["powers"]]
@@ -325,6 +345,17 @@ class Track:
         track.age = int(state["age"])
         track._last_time = float(state["last_time"])
         return track
+
+
+def _in_time_order(times: list[float], name: str) -> list[float]:
+    """``times`` itself, if no entry is less than the one before it.
+
+    The order :meth:`StreamingTracker.ingest_detections` enforces, so
+    every checkpoint a tracker writes passes.
+    """
+    if any(map(operator.lt, times[1:], times)):
+        raise ValueError(f"{name} must be non-decreasing")
+    return times
 
 
 # --------------------------------------------------------------------------
@@ -545,7 +576,10 @@ class StreamingTracker:
             TrackingError: for a blob that is not a mapping, has another
                 version, lacks a :attr:`CHECKPOINT_FIELDS` key or carries
                 an unexpected one, or holds a field the nested restores
-                cannot parse (chained to the underlying error).
+                cannot parse or reject: frame or track times out of
+                order, a filter state or covariance that is not a finite
+                ``(4,)`` / ``(4, 4)`` array (chained to the underlying
+                error).
         """
         if not isinstance(state, dict):
             raise TrackingError(
@@ -570,7 +604,8 @@ class StreamingTracker:
             config = TrackerConfig.from_state(state["config"])
             tracker = cls(array, config)
             tracker._next_track_id = int(state["next_track_id"])
-            tracker._frame_times = [float(t) for t in state["frame_times"]]
+            tracker._frame_times = _in_time_order(
+                [float(t) for t in state["frame_times"]], "frame_times")
             tracker._active = [Track.from_state(s, config)
                                for s in state["active"]]
             tracker._finished = [Track.from_state(s, config)

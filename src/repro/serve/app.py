@@ -1,7 +1,7 @@
 """``rfprotect serve``: run the sensing service on a demo spoofing workload.
 
-Stands up an :class:`~repro.serve.client.InProcessClient` (service knobs
-from the ``RF_PROTECT_SERVE_*`` environment registry), builds a scene
+Stands up an :class:`~repro.serve.client.InProcessClient` with the
+default :class:`~repro.serve.service.ServiceConfig`, builds a scene
 from a registered scenario (``--scenario``, default the office deployment
 with a deployed RF-Protect tag spoofing a walking human) and fires a
 burst of concurrent sense requests with distinct seeds at it, exactly the
@@ -15,7 +15,8 @@ the full metrics snapshot as JSON.
 With ``--sessions N`` the demo switches to the *stateful* workload: N
 concurrent tracking sessions, each sensing the scene in ``--chunks``
 consecutive tracked requests whose frames feed one persistent
-per-session tracker (``RF_PROTECT_SESSION_*`` governs eviction). The
+per-session tracker (the default
+:class:`~repro.serve.session.SessionConfig` governs eviction). The
 summary then includes per-session frame/track counts and the session
 store's gauges.
 
@@ -156,9 +157,8 @@ def main(argv: Sequence[str] | None = None) -> int:
              "(default: 3)",
     )
     parser.add_argument(
-        "--scenario", default=None,
-        help="registered scenario to serve (default: $RF_PROTECT_SCENARIO "
-             "or 'office')",
+        "--scenario", default="office",
+        help="registered scenario to serve (default: 'office')",
     )
     parser.add_argument(
         "--mix", action="store_true",
@@ -175,12 +175,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.mix and args.sessions > 0:
         parser.error("--mix applies to the stateless burst, not --sessions")
 
-    from repro.config import get_scenario_name, get_scenario_seed
-
-    scenario = (args.scenario if args.scenario is not None
-                else get_scenario_name() or "office")
-    scene, radar_config = build_demo_scene(scenario=scenario)
-    service_config = ServiceConfig.from_env()
+    scene, radar_config = build_demo_scene(scenario=args.scenario)
+    service_config = ServiceConfig()
     print(f"serving: max_batch={service_config.max_batch_size}, "
           f"window={service_config.batch_window_ms}ms, "
           f"queue_depth={service_config.queue_depth}, "
@@ -206,10 +202,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 # weights; one scene (and demo radar config) per distinct
                 # scenario, attached per request so mixed batches sense
                 # with the right radar.
-                plan = TrafficMix().plan(args.requests,
-                                         base_seed=get_scenario_seed())
+                plan = TrafficMix().plan(args.requests)
                 cache: dict[str, tuple[Scene, RadarConfig]] = {
-                    scenario: (scene, radar_config)
+                    args.scenario: (scene, radar_config)
                 }
                 requests = []
                 for planned in plan:

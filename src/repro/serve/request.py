@@ -13,6 +13,8 @@ range bins).
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections.abc import Iterable
 
 from repro.errors import ConfigurationError
 from repro.radar.config import RadarConfig
@@ -29,6 +31,7 @@ __all__ = [
     "TrackRequest",
     "TrackResponse",
     "TrackSnapshot",
+    "require_finite",
 ]
 
 
@@ -36,6 +39,17 @@ __all__ = [
 #: retried alone after the fused batch raised.
 BACKEND_VECTORIZED = "vectorized"
 BACKEND_ISOLATED = "isolated"
+
+
+def require_finite(owner: object, names: Iterable[str]) -> None:
+    """Raise :class:`ConfigurationError` naming the first non-finite field.
+
+    ``names`` are numeric attributes of ``owner``; ``None`` passes.
+    """
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,18 +95,25 @@ class SenseRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ConfigurationError(
-                f"sense duration must be positive, got {self.duration}"
-            )
-        if self.max_range is not None and self.max_range <= 0:
-            raise ConfigurationError(
-                f"max_range must be positive, got {self.max_range}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigurationError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
+        _validate_span(self)
+
+
+def _validate_span(request: SenseRequest | TrackRequest) -> None:
+    """Reject a request's non-finite or non-positive sensing parameters."""
+    require_finite(request, ("duration", "start_time", "max_range",
+                             "deadline_s"))
+    if request.duration <= 0:
+        raise ConfigurationError(
+            f"sense duration must be positive, got {request.duration}"
+        )
+    if request.max_range is not None and request.max_range <= 0:
+        raise ConfigurationError(
+            f"max_range must be positive, got {request.max_range}"
+        )
+    if request.deadline_s is not None and request.deadline_s <= 0:
+        raise ConfigurationError(
+            f"deadline_s must be positive, got {request.deadline_s}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,18 +177,7 @@ class TrackRequest:
     def __post_init__(self) -> None:
         if not self.session_id:
             raise ConfigurationError("session_id must be non-empty")
-        if self.duration <= 0:
-            raise ConfigurationError(
-                f"sense duration must be positive, got {self.duration}"
-            )
-        if self.max_range is not None and self.max_range <= 0:
-            raise ConfigurationError(
-                f"max_range must be positive, got {self.max_range}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigurationError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
+        _validate_span(self)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -46,13 +46,6 @@ import logging
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.config import (
-    get_serve_batch_window_ms,
-    get_serve_deadline_s,
-    get_serve_max_batch,
-    get_serve_queue_depth,
-    get_serve_workers,
-)
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -78,6 +71,7 @@ from repro.serve.request import (
     TrackRequest,
     TrackResponse,
     TrackSnapshot,
+    require_finite,
 )
 from repro.serve.session import SessionConfig, SessionStore
 from repro.signal.spectral import range_axis
@@ -111,6 +105,7 @@ class ServiceConfig:
     workers: int = 2
 
     def __post_init__(self) -> None:
+        require_finite(self, (f.name for f in dataclasses.fields(self)))
         if self.max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
@@ -137,17 +132,6 @@ class ServiceConfig:
     def batch_window_s(self) -> float:
         return self.batch_window_ms / 1000.0
 
-    @classmethod
-    def from_env(cls) -> ServiceConfig:
-        """Build from the typed ``RF_PROTECT_SERVE_*`` registry knobs."""
-        return cls(
-            max_batch_size=get_serve_max_batch(),
-            batch_window_ms=get_serve_batch_window_ms(),
-            queue_depth=get_serve_queue_depth(),
-            default_deadline_s=get_serve_deadline_s(),
-            workers=get_serve_workers(),
-        )
-
 
 @dataclasses.dataclass(eq=False)
 class _Pending:
@@ -173,8 +157,7 @@ class SenseService:
     :class:`repro.serve.client.InProcessClient`.
 
     Args:
-        config: scheduling knobs; ``None`` reads the ``RF_PROTECT_SERVE_*``
-            environment registry.
+        config: scheduling knobs; ``None`` uses ``ServiceConfig()``.
         default_radar_config: radar configuration applied to requests that
             do not carry their own.
         metrics: telemetry registry to record into; ``None`` creates a
@@ -182,8 +165,8 @@ class SenseService:
         execute: batch-execution callable, overridable for tests; defaults
             to :func:`repro.serve.engine.execute_batch`.
         session_config: retention policy of the tracking-session store
-            (exposed as :attr:`sessions`); ``None`` reads the
-            ``RF_PROTECT_SESSION_*`` environment registry.
+            (exposed as :attr:`sessions`); ``None`` uses
+            ``SessionConfig()``.
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,
@@ -191,7 +174,7 @@ class SenseService:
                  metrics: MetricsRegistry | None = None,
                  execute: ExecuteFn | None = None,
                  session_config: SessionConfig | None = None) -> None:
-        self.config = config if config is not None else ServiceConfig.from_env()
+        self.config = config if config is not None else ServiceConfig()
         self.default_radar_config = (
             default_radar_config if default_radar_config is not None
             else RadarConfig()

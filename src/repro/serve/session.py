@@ -35,16 +35,11 @@ import asyncio
 import dataclasses
 from typing import Any
 
-from repro.config import (
-    get_session_idle_s,
-    get_session_max_live,
-    get_session_max_sessions,
-    get_session_sweep_s,
-)
 from repro.errors import ConfigurationError, SessionNotFoundError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.tracker import StreamingTracker, TrackerConfig
 from repro.serve.metrics import MetricsRegistry
+from repro.serve.request import require_finite
 
 __all__ = ["SessionConfig", "SessionStore", "TrackingSession"]
 
@@ -69,6 +64,7 @@ class SessionConfig:
     sweep_interval_s: float = 5.0
 
     def __post_init__(self) -> None:
+        require_finite(self, (f.name for f in dataclasses.fields(self)))
         if self.max_live < 1:
             raise ConfigurationError(
                 f"max_live must be >= 1, got {self.max_live}"
@@ -87,16 +83,6 @@ class SessionConfig:
                 f"sweep_interval_s must be positive, "
                 f"got {self.sweep_interval_s}"
             )
-
-    @classmethod
-    def from_env(cls) -> SessionConfig:
-        """Build from the typed ``RF_PROTECT_SESSION_*`` registry knobs."""
-        return cls(
-            max_live=get_session_max_live(),
-            max_sessions=get_session_max_sessions(),
-            idle_timeout_s=get_session_idle_s(),
-            sweep_interval_s=get_session_sweep_s(),
-        )
 
 
 @dataclasses.dataclass(eq=False)
@@ -150,7 +136,7 @@ class SessionStore:
     def __init__(self, config: SessionConfig | None = None, *,
                  default_tracker_config: TrackerConfig | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
-        self.config = config if config is not None else SessionConfig.from_env()
+        self.config = config if config is not None else SessionConfig()
         self.default_tracker_config = default_tracker_config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sessions: dict[str, TrackingSession] = {}

@@ -14,9 +14,8 @@ import pytest
 
 from repro.audit import verify_report
 from repro.audit.app import load_key_seed, main as audit_main, write_key_file
-from repro.audit.ledger import Ledger, verify_chain
+from repro.audit.ledger import LEDGER_NAME, Ledger, verify_chain
 from repro.cli import main as cli_main
-from repro.config import AUDIT_LEDGER_NAME_VAR
 from repro.experiments.runner import run_experiments
 from repro.serve.metrics import MetricsRegistry
 
@@ -40,7 +39,7 @@ def key_file(tmp_path):
 
 
 def ledger_path(run_dir):
-    return run_dir / AUDIT_LEDGER_NAME_VAR.default
+    return run_dir / LEDGER_NAME
 
 
 class TestRunnerWiring:
@@ -119,7 +118,7 @@ class TestCliLoop:
         assert "verification PASSED" in out
 
     def test_unsigned_report(self, run_dir):
-        assert audit_main(["report", str(run_dir), "--key-file", ""]) == 0
+        assert audit_main(["report", str(run_dir)]) == 0
         document = json.loads((run_dir / "report.json").read_text())
         assert "report" not in document  # bare report, no envelope
         assert document["ok"] is True
@@ -130,6 +129,12 @@ class TestCliLoop:
         assert audit_main(["keygen", "--seed-hex", "abcd",
                            "--key-file", bad]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sign_requires_key_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            audit_main(["sign", str(tmp_path / LEDGER_NAME)])
+        assert exited.value.code == 2
+        assert "--key-file" in capsys.readouterr().err
 
     def test_verify_missing_ledger_is_an_error(self, tmp_path, capsys):
         assert audit_main(["verify", str(tmp_path)]) == 2

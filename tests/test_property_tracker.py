@@ -187,12 +187,29 @@ class TestCheckpointRestore:
          KeyError),
         (lambda blob: blob["active"][0].update(times=[]), "IndexError",
          IndexError),
+        (lambda blob: blob["active"][0]["filter"].update(covariance=[[1.0]]),
+         r"covariance \(4, 4\)", ValueError),
+        (lambda blob: blob["active"][0]["filter"].update(state=[1.0, 2.0]),
+         r"state must be \(4,\)", ValueError),
+        (lambda blob: blob["active"][0]["filter"].update(
+            state=[float("nan")] * 4), "must be finite", ValueError),
+        (lambda blob: blob["active"][0]["filter"].update(
+            covariance=[[float("inf")] * 4] * 4), "must be finite",
+         ValueError),
+        (lambda blob: blob.update(frame_times=blob["frame_times"][::-1]),
+         "frame_times must be non-decreasing", ValueError),
+        (lambda blob: blob["active"][0].update(
+            times=blob["active"][0]["times"][::-1]),
+         "track times must be non-decreasing", ValueError),
     ], ids=["missing-key", "unexpected-key", "frame-times-text",
             "track-id-none", "config-unknown-field", "track-no-filter",
-            "track-truncated"])
+            "track-truncated", "covariance-1x1", "state-2-vector",
+            "state-nan", "covariance-inf", "frame-times-reversed",
+            "track-times-reversed"])
     def test_malformed_blob_fails_typed(self, corrupt, match, cause):
         tracker = StreamingTracker(config=CONFIG)
         tracker.ingest_detections(0.0, [(np.array([1.0, 2.0]), 5.0)])
+        tracker.ingest_detections(0.1, [(np.array([1.1, 2.0]), 5.0)])
         blob = json.loads(json.dumps(tracker.checkpoint()))
         corrupt(blob)
         with pytest.raises(TrackingError, match=match) as raised:

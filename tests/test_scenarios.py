@@ -362,12 +362,6 @@ class TestCliSurface:
         assert code == 1
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_env_knob_feeds_default_scenario(self, monkeypatch, capsys):
-        monkeypatch.setenv("RF_PROTECT_SCENARIO", "atlantis")
-        code = cli_main(["run", "fig9", "--fast"])
-        assert code == 1
-        assert "unknown scenario" in capsys.readouterr().err
-
 
 class TestServeDemoScenes:
     def test_environment_only_scenario_gets_demo_ghost(self):

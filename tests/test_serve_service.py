@@ -20,6 +20,9 @@ Pins the subsystem's four contracts:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import functools
+import itertools
 import json
 import threading
 
@@ -46,6 +49,7 @@ from repro.serve import (
     SenseRequest,
     SenseService,
     ServiceConfig,
+    TrackRequest,
 )
 from repro.serve.engine import ExecutionItem, execute_batch
 from repro.signal.chirp import ChirpConfig
@@ -86,18 +90,53 @@ def quick_service_config(**overrides) -> ServiceConfig:
     return ServiceConfig(**defaults)
 
 
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+#: Both request types; each validates its sensing fields the same way.
+REQUEST_TYPES = (SenseRequest, functools.partial(TrackRequest, session_id="s"))
+
+
 class TestRequestValidation:
     def test_bad_duration_rejected(self, scene):
-        with pytest.raises(ConfigurationError, match="duration"):
-            SenseRequest(scene=scene, duration=0.0)
+        for make, duration in itertools.product(REQUEST_TYPES,
+                                                (0.0, *NON_FINITE)):
+            with pytest.raises(ConfigurationError, match="duration"):
+                make(scene=scene, duration=duration)
 
     def test_bad_max_range_rejected(self, scene):
-        with pytest.raises(ConfigurationError, match="max_range"):
-            SenseRequest(scene=scene, duration=1.0, max_range=-1.0)
+        for make, max_range in itertools.product(REQUEST_TYPES,
+                                                 (-1.0, *NON_FINITE)):
+            with pytest.raises(ConfigurationError, match="max_range"):
+                make(scene=scene, duration=1.0, max_range=max_range)
 
     def test_bad_deadline_rejected(self, scene):
-        with pytest.raises(ConfigurationError, match="deadline"):
-            SenseRequest(scene=scene, duration=1.0, deadline_s=0.0)
+        for make, deadline_s in itertools.product(REQUEST_TYPES,
+                                                  (0.0, *NON_FINITE)):
+            with pytest.raises(ConfigurationError, match="deadline"):
+                make(scene=scene, duration=1.0, deadline_s=deadline_s)
+
+    def test_non_finite_start_time_rejected(self, scene):
+        for make, start_time in itertools.product(REQUEST_TYPES, NON_FINITE):
+            with pytest.raises(ConfigurationError, match="start_time"):
+                make(scene=scene, duration=1.0, start_time=start_time)
+
+
+class TestServiceConfig:
+    def test_invalid_direct_construction_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_batch_size"):
+            ServiceConfig(max_batch_size=0)
+        with pytest.raises(ConfigurationError, match="batch_window_ms"):
+            ServiceConfig(batch_window_ms=-1.0)
+        with pytest.raises(ConfigurationError, match="queue_depth"):
+            ServiceConfig(queue_depth=0)
+        with pytest.raises(ConfigurationError, match="default_deadline_s"):
+            ServiceConfig(default_deadline_s=0.0)
+        with pytest.raises(ConfigurationError, match="workers"):
+            ServiceConfig(workers=0)
+        names = [field.name for field in dataclasses.fields(ServiceConfig)]
+        for name, value in itertools.product(names, NON_FINITE):
+            with pytest.raises(ConfigurationError, match=name):
+                ServiceConfig(**{name: value})
 
 
 class TestEquivalenceAndDeterminism:

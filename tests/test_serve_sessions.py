@@ -82,21 +82,16 @@ class TestSessionConfig:
         {"max_live": 8, "max_sessions": 4},
         {"idle_timeout_s": 0.0},
         {"sweep_interval_s": 0.0},
+        {"max_live": float("nan")},
+        {"max_sessions": float("inf")},
+        {"idle_timeout_s": float("nan")},
+        {"idle_timeout_s": float("inf")},
+        {"sweep_interval_s": float("nan")},
+        {"sweep_interval_s": float("inf")},
     ])
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="|".join(kwargs)):
             SessionConfig(**kwargs)
-
-    def test_from_env_reads_session_knobs(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_SESSION_MAX_LIVE", "7")
-        monkeypatch.setenv("RF_PROTECT_SESSION_MAX_SESSIONS", "21")
-        monkeypatch.setenv("RF_PROTECT_SESSION_IDLE_S", "3.5")
-        monkeypatch.setenv("RF_PROTECT_SESSION_SWEEP_S", "0.25")
-        config = SessionConfig.from_env()
-        assert config.max_live == 7
-        assert config.max_sessions == 21
-        assert config.idle_timeout_s == 3.5
-        assert config.sweep_interval_s == 0.25
 
 
 class TestSessionStoreLifecycle:
@@ -386,14 +381,22 @@ class TestServiceSessions:
         assert reference["active"] == straight["active"]
         assert reference["frame_times"] == straight["frame_times"]
 
-    def test_failed_restore_raises_typed_and_leaves_no_session(self):
-        blob = StreamingTracker(config=TRACKER_CONFIG).checkpoint()
-        broken = {key: value for key, value in blob.items()
-                  if key != "config"}
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda blob: blob.pop("config"), r"missing keys \['config'\]"),
+        (lambda blob: blob["active"][0]["filter"].update(covariance=[[1.0]]),
+         r"covariance \(4, 4\)"),
+    ], ids=["missing-config", "track-covariance-1x1"])
+    def test_failed_restore_raises_typed_and_leaves_no_session(self, corrupt,
+                                                               match):
+        tracker = StreamingTracker(config=TRACKER_CONFIG)
+        tracker.ingest_detections(0.0, [(np.array([1.0, 2.0]), 5.0)])
+        blob = tracker.checkpoint()
+        broken = json.loads(json.dumps(blob))
+        corrupt(broken)
         with InProcessClient(quick_service_config(),
                              default_radar_config=fast_radar_config()
                              ) as client:
-            with pytest.raises(TrackingError, match=r"missing keys \['config'\]"):
+            with pytest.raises(TrackingError, match=match):
                 client.restore_session("revived", broken)
             assert "revived" not in client.service.sessions
             # The id is free again, and a valid blob restores under it.
