@@ -5,8 +5,9 @@ Usage::
     rfprotect list                 # show the available experiments
     rfprotect run fig7             # full run of one experiment
     rfprotect run fig11 --fast     # quick (seconds-scale) run
-    rfprotect run all --fast       # every experiment, quick settings
-    rfprotect run all --fast --workers 4   # fan out over 4 processes
+    rfprotect run all --fast       # every experiment, quick settings,
+                                   # one worker process per usable CPU
+    rfprotect run all --fast --workers 1   # the same, in one process
     rfprotect scenarios            # list the registered scenario specs
     rfprotect run fig9 --fast --scenario home   # run against a scenario
     rfprotect lint src tests       # rflint static-analysis suite
@@ -58,8 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "'rfprotect scenarios'; default: each experiment's own)",
     )
     run_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for multi-experiment runs (default: 1)",
+        "--workers", type=int, default=None,
+        help="worker processes for multi-experiment runs (default: "
+             "usable CPUs, at most one per experiment)",
     )
     run_parser.add_argument(
         "--record-dir", default=None,
@@ -89,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_all(experiment_ids: list[str], *, fast: bool, seed: int | None,
-             scenario: str | None, workers: int,
+             scenario: str | None, workers: int | None,
              record_dir: str | None) -> None:
     options: dict[str, object] = {} if seed is None else {"seed": seed}
     if scenario:

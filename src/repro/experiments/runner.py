@@ -2,10 +2,13 @@
 
 Besides the single-experiment entry point (:func:`run_experiment`), this
 module provides :func:`run_experiments`, a process-parallel fan-out over
-several experiment ids. Seeding is worker-count independent: when a base
-seed is given, each experiment's seed is spawned from one
-``np.random.SeedSequence`` by *position in the id list*, so ``workers=1``
-and ``workers=8`` produce bit-identical results.
+several experiment ids, one worker per usable CPU by default. Seeding is
+worker-count independent: when a base seed is given, each experiment's
+seed is spawned from one ``np.random.SeedSequence`` by *position in the
+id list*, so ``workers=1`` and ``workers=8`` produce bit-identical
+results. Workers ship back what their runs added to the process-wide
+instruments (stage and nn timings, synthesis counters), and the parent
+merges it, so the caller reads the same counts at any worker count.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ import dataclasses
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import time
 from collections.abc import Callable, Sequence
-from typing import Any, cast
+from typing import Any
 
 import numpy as np
 
@@ -36,6 +40,10 @@ from repro.experiments import (
     fig14,
     table1,
 )
+from repro.nn import nn_metrics
+from repro.nn.overlap import blas_threads, set_blas_threads, usable_cpus
+from repro.radar import SYNTH_STATS
+from repro.radar.stages import stage_metrics
 
 __all__ = [
     "EXPERIMENTS",
@@ -268,54 +276,87 @@ def experiment_seeds(num_experiments: int, base_seed: int) -> list[int]:
             for child in children]
 
 
-def _stage_counts() -> dict[str, tuple[int, float]]:
-    """Current ``(count, wall_s)`` per stage-graph timing histogram."""
-    from repro.radar.stages import stage_metrics
-
-    histograms = cast("dict[str, dict[str, Any]]",
-                      stage_metrics().snapshot()["histograms"])
-    return {name: (int(data["count"]), float(data["sum"]))
-            for name, data in histograms.items()}
+#: The stage registry, the nn registry and the synthesis counters as plain
+#: data that pickles: a reading (:func:`_readings`) or what one run added
+#: (:func:`_growth_since`, built on
+#: :meth:`~repro.serve.metrics.MetricsRegistry.growth_since`).
+_Telemetry = tuple[dict[str, Any], dict[str, Any], dict[str, int]]
 
 
-def _stage_timing_deltas(before: dict[str, tuple[int, float]],
-                         after: dict[str, tuple[int, float]],
-                         ) -> dict[str, Any]:
-    """Per-stage observation/wall-time growth between two snapshots."""
-    deltas: dict[str, Any] = {}
-    for name, (count, total) in sorted(after.items()):
-        prev_count, prev_total = before.get(name, (0, 0.0))
-        if count > prev_count:
-            deltas[name] = {"count": count - prev_count,
-                            "wall_s": total - prev_total}
-    return deltas
+def _readings() -> _Telemetry:
+    return (stage_metrics().snapshot(), nn_metrics().snapshot(),
+            dataclasses.asdict(SYNTH_STATS))
+
+
+def _growth_since(before: _Telemetry) -> _Telemetry:
+    stages, nn, synthesis = before
+    return (stage_metrics().growth_since(stages),
+            nn_metrics().growth_since(nn),
+            {name: value - synthesis[name]
+             for name, value in dataclasses.asdict(SYNTH_STATS).items()})
+
+
+def _merge(growth: _Telemetry) -> None:
+    """Add what a worker's run added into this process's instruments."""
+    stages, nn, synthesis = growth
+    stage_metrics().merge(stages)
+    nn_metrics().merge(nn)
+    for name, amount in synthesis.items():
+        setattr(SYNTH_STATS, name, getattr(SYNTH_STATS, name) + amount)
 
 
 def _timed_run(experiment_id: str, fast: bool,
-               options: dict[str, Any]) -> ExperimentRun:
+               options: dict[str, Any]) -> tuple[ExperimentRun, _Telemetry]:
     """Worker entry point (module-level so it pickles into a process pool)."""
-    stages_before = _stage_counts()
+    before = _readings()
     started = time.perf_counter()
     result = run_experiment(experiment_id, fast=fast, **options)
     elapsed_s = time.perf_counter() - started
+    growth = _growth_since(before)
+    stage_timings = {name: {"count": sum(data["counts"]),
+                            "wall_s": data["sum"]}
+                     for name, data in sorted(growth[0]["histograms"].items())}
     return ExperimentRun(experiment_id=experiment_id, result=result,
-                         elapsed_s=elapsed_s,
-                         options=dict(options),
-                         stage_timings=_stage_timing_deltas(stages_before,
-                                                            _stage_counts()))
+                         elapsed_s=elapsed_s, options=dict(options),
+                         stage_timings=stage_timings), growth
+
+
+def _start_worker(blas_budget: int | None) -> None:
+    """Pool initializer: run this worker's BLAS on its share of threads."""
+    if blas_budget is not None:
+        set_blas_threads(blas_budget)
+
+
+def _pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """``workers`` processes, each on ``1/workers`` of the parent's BLAS.
+
+    Workers fork where the platform offers it, so they inherit the
+    imported program instead of importing it again; without the budget,
+    every worker would run as many BLAS threads as the parent and they
+    would contend for the same CPUs.
+    """
+    parent_threads = blas_threads()
+    budget = (None if parent_threads is None
+              else max(1, parent_threads // workers))
+    context = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, mp_context=context,
+        initializer=_start_worker, initargs=(budget,))
 
 
 def run_experiments(experiment_ids: Sequence[str], *, fast: bool = False,
-                    workers: int = 1, base_seed: int | None = None,
+                    workers: int | None = None, base_seed: int | None = None,
                     record_dir: str | None = None,
                     **options: Any) -> list[ExperimentRun]:
-    """Run several experiments, optionally fanned out over processes.
+    """Run several experiments, fanned out over processes.
 
     Args:
         experiment_ids: registry ids to run, all validated up front.
         fast: apply each experiment's quick-run presets (as in
             :func:`run_experiment`; explicit ``options`` still win).
-        workers: number of worker processes; ``1`` runs in-process.
+        workers: worker processes; ``None`` means one per usable CPU.
+            Never more workers than ids; one runs in-process, no pool.
         base_seed: when given, spawn a per-experiment ``seed`` option via
             :func:`experiment_seeds` (an explicit ``seed`` in ``options``
             takes precedence, matching the fast-preset precedence rule).
@@ -324,7 +365,9 @@ def run_experiments(experiment_ids: Sequence[str], *, fast: bool = False,
         **options: keyword overrides forwarded to every experiment.
 
     Returns:
-        One :class:`ExperimentRun` per id, in input order.
+        One :class:`ExperimentRun` per id, in input order. Pooled runs'
+        stage and nn timings and synthesis counters are merged into this
+        process's instruments, as if the runs had been in-process.
     """
     experiment_ids = list(experiment_ids)
     unknown = [eid for eid in experiment_ids if eid not in EXPERIMENTS]
@@ -334,8 +377,10 @@ def run_experiments(experiment_ids: Sequence[str], *, fast: bool = False,
             f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
             f"known: {known}"
         )
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
+    workers = min(usable_cpus() if workers is None else workers,
+                  len(experiment_ids))
 
     per_run_options: list[dict[str, Any]] = []
     seeds = (experiment_seeds(len(experiment_ids), base_seed)
@@ -346,15 +391,17 @@ def run_experiments(experiment_ids: Sequence[str], *, fast: bool = False,
             run_options.setdefault("seed", seeds[index])
         per_run_options.append(run_options)
 
-    if workers == 1:
-        runs = [_timed_run(eid, fast, opts)
-                for eid, opts in zip(experiment_ids, per_run_options)]
+    jobs = list(zip(experiment_ids, per_run_options))
+    if workers <= 1:
+        runs = [_timed_run(eid, fast, opts)[0] for eid, opts in jobs]
     else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(experiment_ids) or 1)) as pool:
+        with _pool(workers) as pool:
             futures = [pool.submit(_timed_run, eid, fast, opts)
-                       for eid, opts in zip(experiment_ids, per_run_options)]
-            runs = [future.result() for future in futures]
+                       for eid, opts in jobs]
+            results = [future.result() for future in futures]
+        for _, growth in results:
+            _merge(growth)
+        runs = [run for run, _ in results]
 
     if record_dir is not None:
         _write_records(record_dir, runs)

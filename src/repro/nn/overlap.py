@@ -12,6 +12,10 @@ knob.
 Code already running on the helper never submits to it and runs inline
 instead, so a nested pass cannot deadlock the one-thread pool. A forked
 child drops the executor it inherited, whose thread does not exist there.
+
+The BLAS thread-count probe and its setter live here too: the overlap
+guard reads the count, and the experiment runner's forked workers set it
+(:func:`repro.experiments.runner.run_experiments`).
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TypeVar
+from typing import Any, TypeVar
 
-__all__ = ["MIN_OVERLAP_SIZE", "blas_threads", "should_overlap", "submit",
-           "usable_cpus"]
+__all__ = ["MIN_OVERLAP_SIZE", "blas_threads", "set_blas_threads",
+           "should_overlap", "submit", "usable_cpus"]
 
 _T = TypeVar("_T")
 
@@ -35,15 +39,19 @@ _T = TypeVar("_T")
 #: every measured shape from 6,144 up.
 MIN_OVERLAP_SIZE = 6144
 
-#: Thread-count getters of the OpenBLAS builds numpy links against: numpy
-#: 2 wheels bundle ``scipy_openblas`` (64- or 32-bit integers), numpy 1
-#: wheels a ``64_``-suffixed OpenBLAS, and distribution builds a plain one.
+#: Thread-count functions of the OpenBLAS builds numpy links against,
+#: ``{action}`` being ``get`` or ``set``: numpy 2 wheels bundle
+#: ``scipy_openblas`` (64- or 32-bit integers), numpy 1 wheels a
+#: ``64_``-suffixed OpenBLAS, and distribution builds a plain one.
 _BLAS_THREAD_SYMBOLS = (
-    "scipy_openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
+    "scipy_openblas_{action}_num_threads64_",
+    "scipy_openblas_{action}_num_threads",
+    "openblas_{action}_num_threads64_",
+    "openblas_{action}_num_threads",
 )
+
+#: ``(restype, argtypes)`` of each action's function.
+_BLAS_SIGNATURES = {"get": (ctypes.c_int, ()), "set": (None, (ctypes.c_int,))}
 
 _executor: ThreadPoolExecutor | None = None
 _executor_lock = threading.Lock()
@@ -59,8 +67,8 @@ def usable_cpus() -> int:
 
 
 @functools.cache
-def _blas_thread_getter() -> Callable[[], int] | None:
-    """The loaded BLAS's thread-count function, or ``None`` if not found."""
+def _blas_function(action: str) -> Callable[..., Any] | None:
+    """The loaded BLAS's ``get``/``set`` thread-count function, or ``None``."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
@@ -72,18 +80,25 @@ def _blas_thread_getter() -> Callable[[], int] | None:
     except OSError:
         return None
     for name in _BLAS_THREAD_SYMBOLS:
-        function = getattr(library, name, None)
+        function = getattr(library, name.format(action=action), None)
         if function is not None:
-            function.restype, function.argtypes = ctypes.c_int, ()
-            getter: Callable[[], int] = function
-            return getter
+            function.restype, function.argtypes = _BLAS_SIGNATURES[action]
+            found: Callable[..., Any] = function
+            return found
     return None
 
 
 def blas_threads() -> int | None:
     """Threads the BLAS numpy loaded runs, or ``None`` if it cannot be read."""
-    getter = _blas_thread_getter()
+    getter = _blas_function("get")
     return None if getter is None else int(getter())
+
+
+def set_blas_threads(count: int) -> None:
+    """Run the BLAS numpy loaded on ``count`` threads, where it can be set."""
+    setter = _blas_function("set")
+    if setter is not None:
+        setter(count)
 
 
 def should_overlap(size: int) -> bool:

@@ -27,6 +27,7 @@ independent of detection input order.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from typing import Any
 
@@ -71,9 +72,12 @@ class KalmanTracker2D:
         position = np.asarray(initial_position, dtype=float)
         if position.shape != (2,):
             raise ConfigurationError("initial position must be (x, y)")
-        if min(position_variance, velocity_variance,
-               process_noise, measurement_noise) <= 0:
-            raise ConfigurationError("Kalman variances must be positive")
+        variances = (position_variance, velocity_variance,
+                     process_noise, measurement_noise)
+        if not all(math.isfinite(v) and v > 0 for v in variances):
+            raise ConfigurationError(
+                f"Kalman variances must be finite and positive, got "
+                f"{variances}")
         self.state = np.array([position[0], position[1], 0.0, 0.0])
         self.covariance = np.diag([position_variance, position_variance,
                                    velocity_variance, velocity_variance])
@@ -139,6 +143,8 @@ class KalmanTracker2D:
         Raises:
             ValueError: unless the state is a finite ``(4,)`` vector and
                 the covariance a finite ``(4, 4)`` matrix.
+            ConfigurationError: unless both noise variances are finite
+                and positive.
         """
         vector = np.asarray(state["state"], dtype=float)
         covariance = np.asarray(state["covariance"], dtype=float)
@@ -191,6 +197,11 @@ class TrackerConfig:
     cluster_radius: float = 1.0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{field.name} must be finite, got {value}")
         if self.threshold_factor <= 0:
             raise ConfigurationError("threshold_factor must be positive")
         if self.gate_distance <= 0:
@@ -201,6 +212,10 @@ class TrackerConfig:
             raise ConfigurationError("min_track_points must be >= 2")
         if self.max_targets < 1:
             raise ConfigurationError("max_targets must be >= 1")
+        if self.smoothing_window < 1:
+            raise ConfigurationError("smoothing_window must be >= 1")
+        if self.max_jump <= 0:
+            raise ConfigurationError("max_jump must be positive")
         if not 0 < self.min_hit_ratio <= 1:
             raise ConfigurationError("min_hit_ratio must be in (0, 1]")
         if self.min_relative_power_db <= 0:
@@ -329,6 +344,7 @@ class Track:
 
         Raises:
             ValueError: for times out of order or a malformed filter.
+            ConfigurationError: for a filter variance the filter rejects.
         """
         track = cls(state["times"][0],
                     np.asarray(state["positions"][0], dtype=float),
@@ -578,8 +594,9 @@ class StreamingTracker:
                 an unexpected one, or holds a field the nested restores
                 cannot parse or reject: frame or track times out of
                 order, a filter state or covariance that is not a finite
-                ``(4,)`` / ``(4, 4)`` array (chained to the underlying
-                error).
+                ``(4,)`` / ``(4, 4)`` array, a non-finite or out-of-range
+                config value or filter variance (chained to the
+                underlying error).
         """
         if not isinstance(state, dict):
             raise TrackingError(
@@ -610,7 +627,8 @@ class StreamingTracker:
                                for s in state["active"]]
             tracker._finished = [Track.from_state(s, config)
                                  for s in state["finished"]]
-        except (LookupError, TypeError, ValueError) as error:
+        except (ConfigurationError, LookupError, TypeError,
+                ValueError) as error:
             raise TrackingError(
                 f"malformed tracker checkpoint: "
                 f"{type(error).__name__}: {error}"

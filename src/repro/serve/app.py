@@ -29,12 +29,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import sys
 import time
 from collections import Counter as TallyCounter
 from collections.abc import Sequence
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.radar.config import RadarConfig
 from repro.radar.scene import Scene
 from repro.scenarios import TrafficMix, build
@@ -129,7 +131,12 @@ def _run_session_demo(client: InProcessClient, scene: Scene, *,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point of ``rfprotect serve``; returns the process exit code."""
+    """Entry point of ``rfprotect serve``; returns the process exit code.
+
+    A typed error (an unknown ``--scenario``, a non-finite
+    ``--sense-duration``) prints ``error: <message>`` to stderr and
+    returns 1, as ``rfprotect run`` does.
+    """
     parser = argparse.ArgumentParser(
         prog="rfprotect serve",
         description="serve a demo ghost-injection sensing workload",
@@ -174,7 +181,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--chunks must be >= 1")
     if args.mix and args.sessions > 0:
         parser.error("--mix applies to the stateless burst, not --sessions")
+    try:
+        return _serve(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
+
+def _serve(args: argparse.Namespace) -> int:
+    """Run the demo ``main`` parsed; its typed errors become exit code 1."""
     scene, radar_config = build_demo_scene(scenario=args.scenario)
     service_config = ServiceConfig()
     print(f"serving: max_batch={service_config.max_batch_size}, "

@@ -20,7 +20,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any, cast
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
@@ -111,6 +112,23 @@ class Histogram:
         self._counts[index] += 1
         self._count += 1
         self._sum += value
+
+    def merge(self, bounds: Sequence[float], counts: Sequence[int],
+              total: float) -> None:
+        """Add a same-``bounds`` histogram's bucket counts and sum.
+
+        ``counts`` has one entry per bucket, the overflow bucket last.
+        """
+        if (tuple(float(b) for b in bounds) != self.bounds
+                or len(counts) != len(self._counts)):
+            raise ValueError(
+                f"histogram {self.name} has bounds {list(self.bounds)}, "
+                f"cannot merge buckets of {list(bounds)}"
+            )
+        for i, amount in enumerate(counts):
+            self._counts[i] += int(amount)
+        self._count += sum(int(amount) for amount in counts)
+        self._sum += float(total)
 
     @property
     def count(self) -> int:
@@ -206,6 +224,45 @@ class MetricsRegistry:
         gauge = self.gauge(name)
         with self._lock:
             gauge.set(value)
+
+    def growth_since(self, before: Mapping[str, Any]) -> dict[str, Any]:
+        """Counter and histogram growth since ``before``, an earlier snapshot.
+
+        The result is what :meth:`merge` adds into another registry: the
+        experiment runner's worker processes ship it back to the parent.
+        It carries the counters and histograms that grew or were created;
+        gauges are set-points with nothing to add, so they are not carried.
+        """
+        after = self.snapshot()
+        counters = cast("dict[str, int]", after["counters"])
+        histograms = cast("dict[str, dict[str, Any]]", after["histograms"])
+        growth: dict[str, Any] = {"counters": {}, "histograms": {}}
+        for name, value in counters.items():
+            amount = value - before["counters"].get(name, 0)
+            if amount or name not in before["counters"]:
+                growth["counters"][name] = amount
+        for name, data in histograms.items():
+            prior = before["histograms"].get(name)
+            counts = [bucket["count"] for bucket in data["buckets"]]
+            if prior is not None:
+                counts = [count - bucket["count"] for count, bucket
+                          in zip(counts, prior["buckets"])]
+            if any(counts) or prior is None:
+                growth["histograms"][name] = {
+                    "bounds": [bucket["le"] for bucket in data["buckets"][:-1]],
+                    "counts": counts,
+                    "sum": data["sum"] - (prior["sum"] if prior else 0.0),
+                }
+        return growth
+
+    def merge(self, growth: Mapping[str, Any]) -> None:
+        """Add a :meth:`growth_since` result into this registry."""
+        for name, amount in growth["counters"].items():
+            self.inc(name, amount)
+        for name, data in growth["histograms"].items():
+            histogram = self.histogram(name, data["bounds"])
+            with self._lock:
+                histogram.merge(data["bounds"], data["counts"], data["sum"])
 
     def snapshot(self, *, now: float | None = None,
                  sequence: int | None = None) -> dict[str, object]:

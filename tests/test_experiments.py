@@ -23,8 +23,8 @@ from repro.experiments import (
 from repro.experiments import fig7, fig9, table1
 from repro.experiments.artifacts import trained_gan
 from repro.experiments.fig9 import rectangle_path, s_curve_path
-from repro.experiments.runner import _stage_counts
 from repro.radar import SensingResult
+from repro.radar.stages import stage_metrics
 from repro.types import Trajectory
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -113,10 +113,13 @@ class TestFig9:
             assert median < 2.5 * result.range_resolution_m
 
     def test_detect_runs_once_per_path(self):
-        detect = "stages.detect.wall_s"
-        before = _stage_counts().get(detect, (0, 0.0))[0]
+        def detect_runs() -> int:
+            histograms = stage_metrics().snapshot()["histograms"]
+            return histograms.get("stages.detect.wall_s", {"count": 0})["count"]
+
+        before = detect_runs()
         result = fig9.run(duration=6.0)
-        assert _stage_counts()[detect][0] - before == len(result.path_names)
+        assert detect_runs() - before == len(result.path_names)
 
     def test_untracked_path_raises_tracking_error(self, monkeypatch):
         monkeypatch.setattr(SensingResult, "tracks",

@@ -4,24 +4,38 @@ Hypothesis generates adversarial component sets to check the algebraic
 invariants the vectorized kernel must share with the physics: synthesis is
 linear in amplitude, invariant under component reordering, and
 deterministic. The parallel `run_experiments` fan-out is pinned to its
-serial execution: worker count must never change results.
+serial execution: worker count must never change results, nor what the
+caller's stage histograms and synthesis counters record.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import experiment_seeds, run_experiments
+from repro.experiments import runner
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    ExperimentSpec,
+    experiment_seeds,
+    run_experiments,
+)
+from repro.nn import overlap
 from repro.radar import (
+    SYNTH_STATS,
     PathComponent,
     RadarConfig,
     UniformLinearArray,
     synthesize_frame,
     synthesize_frames,
 )
+from repro.radar.stages import stage_metrics
 
 CONFIG = RadarConfig()
 ARRAY = UniformLinearArray(CONFIG)
@@ -134,6 +148,20 @@ class TestParallelRunnerReproducibility:
             assert (_comparable(run_serial.result)
                     == _comparable(run_parallel.result))
 
+    def test_default_worker_count_matches_serial_with_a_shared_gan(self):
+        """table1 trains the memoized tiny GAN. The default run goes first,
+        so on a multi-CPU host a worker trains its own copy rather than
+        inheriting the caller's, and the tables must still match."""
+        ids = ["fig9", "table1"]
+        pooled = run_experiments(ids, fast=True, base_seed=11)
+        serial = run_experiments(ids, fast=True, workers=1, base_seed=11)
+        for run_pooled, run_serial in zip(pooled, serial):
+            assert run_pooled.options == run_serial.options
+            assert (_comparable(run_pooled.result)
+                    == _comparable(run_serial.result))
+            assert (run_pooled.result.format_table()
+                    == run_serial.result.format_table())
+
     def test_seed_spawning_is_position_stable(self):
         assert experiment_seeds(4, 0) == experiment_seeds(4, 0)
         assert experiment_seeds(4, 0)[:2] != experiment_seeds(4, 1)[:2]
@@ -153,3 +181,74 @@ class TestParallelRunnerReproducibility:
         assert record["elapsed_s"] == pytest.approx(runs[0].elapsed_s)
         assert record["options"]["duration"] == 3.0
         assert record["result_type"] == "Fig9Result"
+
+
+def _probe() -> tuple[int, int | None]:
+    """A fake experiment's result: the process it ran in and its BLAS threads."""
+    return os.getpid(), overlap.blas_threads()
+
+
+@pytest.fixture()
+def probes(monkeypatch):
+    """Two registered fake experiments running :func:`_probe`."""
+    ids = ["probe-a", "probe-b"]
+    for experiment_id in ids:
+        monkeypatch.setitem(EXPERIMENTS, experiment_id, ExperimentSpec(
+            experiment_id, "reports its pid and BLAS threads", _probe, {}))
+    return ids
+
+
+def _instrument_counts() -> dict[str, int]:
+    """Stage run counts and synthesis counters of this process."""
+    snapshot = stage_metrics().snapshot()
+    counts = {name: data["count"]
+              for name, data in snapshot["histograms"].items()}
+    counts.update(snapshot["counters"])
+    counts.update(dataclasses.asdict(SYNTH_STATS))
+    return counts
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fake experiments reach workers only through fork")
+
+
+class TestExperimentFanOut:
+    def test_pooled_runs_add_their_counts_to_the_caller(self):
+        growth = []
+        for workers in (1, 2):
+            before = _instrument_counts()
+            run_experiments(["fig9", "ext-pulsed"], fast=True,
+                            workers=workers, base_seed=5, duration=3.0)
+            after = _instrument_counts()
+            growth.append({name: value - before.get(name, 0)
+                           for name, value in after.items()})
+        assert growth[0] == growth[1]
+        assert growth[0]["stages.detect.wall_s"] > 0
+        assert growth[0]["frames_synthesized"] > 0
+
+    @needs_fork
+    def test_forked_workers_run_on_the_blas_budget(self, probes,
+                                                   monkeypatch):
+        threads = overlap.blas_threads()
+        if threads is None:
+            pytest.skip("the BLAS thread count cannot be read here")
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        overlap.set_blas_threads(4)
+        try:
+            parent = overlap.blas_threads()
+            runs = run_experiments(probes)
+            assert overlap.blas_threads() == parent
+        finally:
+            overlap.set_blas_threads(threads)
+        assert all(run.result[0] != os.getpid() for run in runs)
+        assert [run.result[1] for run in runs] == [max(1, parent // 2)] * 2
+
+    def test_one_id_runs_in_process(self, probes):
+        (run,) = run_experiments(probes[:1], workers=4)
+        assert run.result[0] == os.getpid()
+
+    def test_one_usable_cpu_runs_in_process(self, probes, monkeypatch):
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+        runs = run_experiments(probes)
+        assert [run.result[0] for run in runs] == [os.getpid()] * 2

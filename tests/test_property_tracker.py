@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TrackingError
+from repro.errors import ConfigurationError, TrackingError
 from repro.radar.tracker import (
     StreamingTracker,
     TrackerConfig,
@@ -201,11 +201,28 @@ class TestCheckpointRestore:
         (lambda blob: blob["active"][0].update(
             times=blob["active"][0]["times"][::-1]),
          "track times must be non-decreasing", ValueError),
+        (lambda blob: blob["active"][0]["filter"].update(
+            process_noise=float("nan")), "finite and positive",
+         ConfigurationError),
+        (lambda blob: blob["active"][0]["filter"].update(
+            process_noise=-0.5), "finite and positive", ConfigurationError),
+        (lambda blob: blob["active"][0]["filter"].update(
+            measurement_noise=float("inf")), "finite and positive",
+         ConfigurationError),
+        (lambda blob: blob["config"].update(gate_distance=float("nan")),
+         "gate_distance must be finite", ConfigurationError),
+        (lambda blob: blob["config"].update(threshold_factor=float("inf")),
+         "threshold_factor must be finite", ConfigurationError),
+        (lambda blob: blob["config"].update(max_jump=-1.0),
+         "max_jump must be positive", ConfigurationError),
     ], ids=["missing-key", "unexpected-key", "frame-times-text",
             "track-id-none", "config-unknown-field", "track-no-filter",
             "track-truncated", "covariance-1x1", "state-2-vector",
             "state-nan", "covariance-inf", "frame-times-reversed",
-            "track-times-reversed"])
+            "track-times-reversed", "process-noise-nan",
+            "process-noise-negative", "measurement-noise-inf",
+            "gate-distance-nan", "threshold-factor-inf",
+            "max-jump-negative"])
     def test_malformed_blob_fails_typed(self, corrupt, match, cause):
         tracker = StreamingTracker(config=CONFIG)
         tracker.ingest_detections(0.0, [(np.array([1.0, 2.0]), 5.0)])

@@ -51,6 +51,15 @@ class TestKalmanTracker2D:
         with pytest.raises(ConfigurationError):
             kf.update(np.zeros(3))
 
+    @pytest.mark.parametrize("name", ["position_variance",
+                                      "velocity_variance", "process_noise",
+                                      "measurement_noise"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_rejects_bad_variances(self, name, value):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            KalmanTracker2D(np.zeros(2), **{name: value})
+
     def test_filtering_reduces_measurement_noise(self, rng):
         dt = 0.1
         kf = KalmanTracker2D(np.array([0.0, 0.0]),
@@ -78,10 +87,25 @@ class TestTrackerConfig:
         {"min_relative_power_db": 0.0},
         {"cluster_radius": -0.1},
         {"min_hit_ratio": 1.5},
+        {"smoothing_window": 0},
+        {"max_jump": 0.0},
+        {"threshold_factor": float("inf")},
+        {"gate_distance": float("nan")},
+        {"max_misses": float("nan")},
+        {"max_jump": float("inf")},
+        {"min_hit_ratio": float("nan")},
+        {"min_relative_power_db": float("nan")},
+        {"cluster_radius": float("inf")},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrackerConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_error_names_the_field(self, value):
+        with pytest.raises(ConfigurationError, match="gate_distance"):
+            TrackerConfig(gate_distance=value)
 
 
 class TestClusterDetections:

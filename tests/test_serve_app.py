@@ -4,7 +4,8 @@ Drives the real CLI entry point (``repro.cli.main`` forwarding included)
 through each demo workload on short sensing spans: the stateless burst,
 the registry-weighted ``--mix`` and the stateful ``--sessions`` demo.
 Each run serves with the default :class:`ServiceConfig`, which its
-``serving:`` line reports.
+``serving:`` line reports. A typed error ends the command with exit
+code 1 and one ``error:`` line, as in ``rfprotect run``.
 """
 
 import pytest
@@ -36,3 +37,14 @@ def test_mix_with_sessions_is_a_usage_error(capsys):
         cli_main(["serve", "--mix", "--sessions", "2"])
     assert exited.value.code == 2
     assert "--mix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arguments, message", [
+    (["--scenario", "atlantis"], "unknown scenario 'atlantis'"),
+    (["--sense-duration", "nan"], "duration must be finite"),
+], ids=["unknown-scenario", "nan-duration"])
+def test_typed_errors_exit_1_with_one_line(arguments, message, capsys):
+    assert cli_main(["serve", *arguments]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

@@ -475,6 +475,39 @@ class TestTelemetry:
         assert (registry.to_json(now=42.5, sequence=3)
                 == registry.to_json(now=42.5, sequence=3))
 
+    def test_merged_growth_reads_as_if_observed_here(self):
+        # The experiment runner's workers ship growth_since() back and the
+        # parent merges it: the merged registry must read like one that
+        # saw every observation itself.
+        from repro.serve.metrics import MetricsRegistry
+
+        worker, direct, parent = (MetricsRegistry() for _ in range(3))
+        for registry in (worker, direct):
+            registry.inc("runs", 2)
+            registry.observe("wall_s", 0.003)
+        before = worker.snapshot()
+        for registry in (worker, direct):
+            registry.inc("runs")
+            registry.inc("idle", 0)
+            registry.observe("wall_s", 0.02)
+            registry.observe("wall_s", 99.0)
+            registry.observe("fresh_s", 0.5)
+        parent.inc("runs", 2)
+        parent.observe("wall_s", 0.003)
+        growth = worker.growth_since(before)
+        assert growth["counters"] == {"runs": 1, "idle": 0}
+        parent.merge(growth)
+        assert parent.snapshot() == direct.snapshot()
+
+    def test_merge_rejects_other_bucket_bounds(self):
+        from repro.serve.metrics import MetricsRegistry
+
+        source, target = MetricsRegistry(), MetricsRegistry()
+        source.observe("wall_s", 0.1, (1.0, 2.0))
+        target.observe("wall_s", 0.1, (1.0, 3.0))
+        with pytest.raises(ValueError, match="cannot merge"):
+            target.merge(source.growth_since(MetricsRegistry().snapshot()))
+
 
 class TestResponseMetadata:
     def test_batch_size_and_timings_populated(self, scene, radar_config):
