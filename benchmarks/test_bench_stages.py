@@ -49,10 +49,13 @@ def test_fmcw_stage_timings():
 
 def test_pulsed_stage_timings():
     radar = PulsedRadar(PulsedRadarConfig(sample_rate=2.0e9, max_range=10.0))
+    before = stage_metrics().snapshot()["histograms"]
     radar.sense(bench_scene(), 1.0, rng=np.random.default_rng(1))
-    counters = stage_metrics().snapshot()["counters"]
-    assert counters.get("stages.synthesize.pulsed.runs", 0) > 0
-    assert counters.get("stages.background_subtract.vectorized.runs", 0) > 0
+    after = stage_metrics().snapshot()["histograms"]
+    for stage in ("synthesize", "background_subtract"):
+        name = f"stages.{stage}.wall_s"
+        assert (after[name]["count"]
+                == before.get(name, {"count": 0})["count"] + 1), name
 
 
 def test_zz_dump_stage_timings():

@@ -27,7 +27,7 @@ from typing import Any
 
 from repro.audit import ed25519
 from repro.audit.canonical import canonical_json, digest, sha256_hex
-from repro.errors import LedgerError, SignatureError
+from repro.errors import AuditError, LedgerError, SignatureError
 
 __all__ = [
     "ChainVerification",
@@ -100,7 +100,7 @@ class LedgerRecord:
                 record_hash=str(record["record_hash"]),
                 schema=int(record["schema"]),
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise LedgerError(f"malformed ledger record: {error}") from error
 
 
@@ -132,12 +132,8 @@ class Ledger:
         """Parse every record in file order (no chain checks)."""
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                yield _parse_line(line, self.path, line_number)
+        for line_number, line in _ledger_lines(self.path):
+            yield _parse_line(line, self.path, line_number)
 
     def append(self, kind: str, payload: dict[str, Any]) -> LedgerRecord:
         """Chain and persist one record; returns the stored record."""
@@ -168,10 +164,31 @@ class Ledger:
         return record
 
 
+def _ledger_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of ``path``, stripped, with 1-based numbers.
+
+    A non-UTF-8 byte decodes to a lone surrogate, so it fails its own line
+    in :func:`_parse_line` instead of raising out of the decoder, which
+    reads ahead of the line being checked.
+    """
+    with open(path, "r", encoding="utf-8",
+              errors="surrogateescape") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line:
+                yield line_number, line
+
+
 def _parse_line(line: str, path: str, line_number: int) -> LedgerRecord:
     try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise LedgerError(
+            f"{path}:{line_number}: ledger line is not valid UTF-8"
+        ) from None
+    try:
         raw = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, RecursionError) as error:
         raise LedgerError(
             f"{path}:{line_number}: unparseable ledger line: {error}"
         ) from error
@@ -206,33 +223,27 @@ class ChainVerification:
 def verify_chain(path: str) -> ChainVerification:
     """Walk the chain in ``path``; any byte flip surfaces here.
 
-    Never raises for tampered content — a corrupt line or broken link is
-    reported as a failed verification (missing files do raise).
+    Never raises for file content: a line that is not UTF-8, not JSON,
+    nested too deep, malformed or off the chain is reported as a failed
+    verification at its record (a missing file does raise).
     """
     if not os.path.exists(path):
         raise LedgerError(f"no such ledger: {path}")
     expected_prev = GENESIS_HASH
     length = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = _parse_line(line, path, line_number)
-            except LedgerError as error:
-                return ChainVerification(
-                    ok=False, length=length, head_hash=expected_prev,
-                    first_bad_index=length, reason=str(error),
-                )
+    for line_number, line in _ledger_lines(path):
+        try:
+            record = _parse_line(line, path, line_number)
             problem = _record_problem(record, length, expected_prev)
-            if problem is not None:
-                return ChainVerification(
-                    ok=False, length=length, head_hash=expected_prev,
-                    first_bad_index=length, reason=problem,
-                )
-            expected_prev = record.record_hash
-            length += 1
+        except (AuditError, RecursionError) as error:
+            problem = str(error)
+        if problem is not None:
+            return ChainVerification(
+                ok=False, length=length, head_hash=expected_prev,
+                first_bad_index=length, reason=problem,
+            )
+        expected_prev = record.record_hash
+        length += 1
     return ChainVerification(ok=True, length=length, head_hash=expected_prev)
 
 

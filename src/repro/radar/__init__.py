@@ -11,7 +11,9 @@ Every sense path — FMCW, pulsed, the serving engine, the experiments
 runner — executes through the stage-graph executor in `stages`: a typed
 Emit → Synthesize → RangeFFT → BackgroundSubtract → Beamform → Detect
 plan that binds one kernel per stage, with per-stage wall-time
-instrumentation.
+instrumentation. The kernels run over a list of requests: a direct
+`FmcwRadar.sense` is a list of one, a served batch a longer list, and
+both take the same path.
 """
 
 from repro.radar.antenna import UniformLinearArray
@@ -29,10 +31,9 @@ from repro.radar.emit import Emission, emit_paths
 from repro.radar.pipeline import (
     SweepProcessingResult,
     batched_background_subtract,
-    batched_beamform_power,
     batched_lag_vectors,
     batched_range_profiles,
-    beamform_from_lags,
+    beamform_from_lags_stacked,
     process_sweep,
 )
 from repro.radar.processing import (
@@ -53,10 +54,12 @@ from repro.radar.stages import (
     RECEIVE_PLAN,
     SENSE_PLAN,
     ExecutionContext,
+    SenseInput,
     Stage,
     StageBinding,
     execute,
     stage_metrics,
+    sweep_results,
 )
 from repro.radar.tracker import (
     KalmanTracker2D,
@@ -88,6 +91,7 @@ __all__ = [
     "RadarConfig",
     "RangeAngleProfile",
     "Scene",
+    "SenseInput",
     "SensingResult",
     "Stage",
     "StageBinding",
@@ -101,11 +105,11 @@ __all__ = [
     "emit_paths",
     "execute",
     "stage_metrics",
+    "sweep_results",
     "batched_background_subtract",
-    "batched_beamform_power",
     "batched_lag_vectors",
     "batched_range_profiles",
-    "beamform_from_lags",
+    "beamform_from_lags_stacked",
     "extract_tracks",
     "pack_components",
     "process_sweep",

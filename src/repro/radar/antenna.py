@@ -145,8 +145,8 @@ class UniformLinearArray:
         hold ``2 cos(m c)`` and rows ``K .. 2K-2`` hold ``2 sin(m c)``, so
         stacking ``[R_0 | Re R | Im R]`` per bin and multiplying by this
         basis yields the power map in one real GEMM (see
-        :func:`repro.radar.pipeline.batched_beamform_power`). Computed once
-        per (geometry, grid), returned read-only.
+        :func:`repro.radar.pipeline.beamform_from_lags_stacked`). Computed
+        once per (geometry, grid), returned read-only.
         """
         grid = np.asarray(angles, dtype=float)
         key = (self.num_antennas, self.spacing, self.wavelength,

@@ -184,7 +184,7 @@ def synthesize_frame(
     if len(packed) == 0:
         frame = np.zeros((config.num_antennas, config.chirp.num_samples),
                          dtype=complex)
-        SYNTH_STATS.record_frame(0, 0, "vectorized")
+        SYNTH_STATS.record_frame(0, 0)
     else:
         beat, carrier, keep = _beat_and_carrier(packed, config.chirp)
         steering = np.exp(
@@ -193,8 +193,7 @@ def synthesize_frame(
         frame = _contract_frame(packed.amplitudes[keep], beat[keep],
                                 carrier[keep], steering, config.chirp)
         SYNTH_STATS.record_frame(
-            len(packed), int(len(packed) - np.count_nonzero(keep)),
-            "vectorized")
+            len(packed), int(len(packed) - np.count_nonzero(keep)))
     if rng is not None and config.noise_std > 0:
         frame = frame + thermal_noise(config.noise_std, rng,
                                       np.empty_like(frame))
@@ -271,8 +270,8 @@ def synthesize_packed(columns: np.ndarray, counts: np.ndarray,
         lost = np.concatenate(([0], np.cumsum(~keep)))
         dropped = lost[starts[1:]] - lost[starts[:-1]]
         for count, num_dropped in zip(counts.tolist(), dropped.tolist()):
-            SYNTH_STATS.record_frame(count, num_dropped, "vectorized")
+            SYNTH_STATS.record_frame(count, num_dropped)
     else:
         for _ in range(num_frames):
-            SYNTH_STATS.record_frame(0, 0, "vectorized")
+            SYNTH_STATS.record_frame(0, 0)
     return out

@@ -60,15 +60,14 @@ class SynthesisStats:
         self.components_seen = 0
         self.dropped_tones = 0
 
-    def record_frame(self, num_components: int, num_dropped: int,
-                     backend: str) -> None:
+    def record_frame(self, num_components: int, num_dropped: int) -> None:
         self.frames_synthesized += 1
         self.components_seen += num_components
         self.dropped_tones += num_dropped
         if num_dropped:
             logger.debug(
-                "%s synthesis dropped %d/%d super-Nyquist tone(s)",
-                backend, num_dropped, num_components,
+                "synthesis dropped %d/%d super-Nyquist tone(s)",
+                num_dropped, num_components,
             )
 
 

@@ -16,8 +16,8 @@ This module processes the whole ``(F, K, N)`` cube from
    a single shifted difference on the (cropped) profile cube — frame 0
    subtracts to zero, matching the reference path's one-frame warmup.
 3. **Beamforming** — Eq. 2 for all frames via the lag-domain identity:
-   per-bin spatial autocorrelation lags, then two thin real GEMMs against
-   cos/sin planes fetched from the process-wide memo
+   per-bin spatial autocorrelation lags, then one thin real GEMM per
+   request against the lag basis fetched from the process-wide memo
    (:mod:`repro.radar.antenna`), writing a contiguous ``(F, B, A)`` power
    cube whose per-frame slices back the
    :class:`~repro.radar.processing.RangeAngleProfile` views.
@@ -43,10 +43,9 @@ from repro.signal.spectral import range_fft
 __all__ = [
     "SweepProcessingResult",
     "batched_background_subtract",
-    "batched_beamform_power",
     "batched_lag_vectors",
     "batched_range_profiles",
-    "beamform_from_lags",
+    "beamform_from_lags_stacked",
     "process_sweep",
 ]
 
@@ -103,53 +102,16 @@ def batched_background_subtract(profile_cube: np.ndarray) -> np.ndarray:
     return subtracted
 
 
-def batched_beamform_power(subtracted_cube: np.ndarray,
-                           array: UniformLinearArray, angles: np.ndarray, *,
-                           taper: str | None = "hamming") -> np.ndarray:
-    """Eq. 2 over every frame at once: real power cube ``(F, B, A)``.
-
-    Rather than contracting every (frame, bin) vector against all ``A``
-    steering vectors and squaring (``28 A`` real MACs per map cell), the
-    sweep is beamformed in the *lag domain*. The element-``k`` steering
-    phase is ``k * c(theta)``, linear in ``k``, so Eq. 2 factors through
-    the spatial autocorrelation of the tapered signals ``g = w * h``:
-
-        P(theta) = R_0 + 2 sum_m [Re R_m cos(m c) + Im R_m sin(m c)]
-
-    with ``R_m = sum_l g_{l+m} conj(g_l)`` the lag-``m`` autocorrelation
-    (``m = 1 .. K-1``). The lags cost ``O(K^2)`` per bin *once*, and the
-    whole angle sweep collapses into a single thin real GEMM
-    ``(F*B, 2K-1) @ (2K-1, A)`` against the memoized lag basis
-    (:meth:`~repro.radar.antenna.UniformLinearArray.lag_power_basis`,
-    which folds the factor 2 and the ``R_0`` ones-row into the plane) —
-    ~13 real MACs per map cell for K = 7 instead of 28, producing real
-    power directly with no complex intermediate and no post-passes. The
-    expansion is an exact algebraic identity, so the result matches the
-    textbook ``|steering @ h|^2`` to a few ulp (well inside the pinned
-    1e-10 budget).
-    """
-    cube = np.asarray(subtracted_cube)
-    if cube.ndim != 3 or cube.shape[1] != array.num_antennas:
-        raise SignalProcessingError(
-            f"profile cube must be (num_frames, {array.num_antennas}, "
-            f"num_bins), got {cube.shape}"
-        )
-    num_frames, _, num_bins = cube.shape
-    lag_vectors = batched_lag_vectors(cube, array, taper=taper)
-    power = beamform_from_lags(lag_vectors, array, angles)
-    return power.reshape(num_frames, num_bins, power.shape[-1])
-
-
 def batched_lag_vectors(subtracted_cube: np.ndarray,
                         array: UniformLinearArray, *,
                         taper: str | None = "hamming") -> np.ndarray:
     """Per-cell spatial-autocorrelation lags for a whole cube, ``(F*B, 2K-1)``.
 
-    The first (lag-vector) half of :func:`batched_beamform_power`, exposed
-    as its own batch-entry hook: every row is computed independently of
-    every other row, so the serving engine can stack *several requests'*
-    subtracted cubes (same antenna count) into one call and still get, row
-    for row, exactly the values a per-request call would produce.
+    The first half of lag-domain Eq. 2 (see
+    :func:`beamform_from_lags_stacked`). Every row is computed
+    independently of every other row, so several requests' subtracted
+    cubes stacked along the frame axis give, row for row, exactly the
+    values a per-request call would produce.
     """
     cube = np.asarray(subtracted_cube)
     if cube.ndim != 3 or cube.shape[1] != array.num_antennas:
@@ -178,40 +140,36 @@ def batched_lag_vectors(subtracted_cube: np.ndarray,
     return lag_vectors
 
 
-def beamform_from_lags(lag_vectors: np.ndarray, array: UniformLinearArray,
-                       angles: np.ndarray) -> np.ndarray:
-    """Eq. 2 power from precomputed lag vectors: ``(rows, A)`` real GEMM.
-
-    The second half of :func:`batched_beamform_power`. Kept separate so a
-    caller that fused several requests' lag vectors into one array can
-    still run this thin GEMM *per request* — the output shape then depends
-    only on the request itself, which keeps served results bitwise
-    independent of how the scheduler happened to group them.
-    """
-    lags = np.asarray(lag_vectors)
-    expected = 2 * array.num_antennas - 1
-    if lags.ndim != 2 or lags.shape[1] != expected:
-        raise SignalProcessingError(
-            f"lag vectors must be (rows, {expected}), got {lags.shape}"
-        )
-    num_angles = int(np.asarray(angles).shape[0])
-    basis = array.lag_power_basis(np.asarray(angles, dtype=float))
-    power = np.empty((lags.shape[0], num_angles), dtype=np.float64)
-    np.matmul(lags, basis, out=power)
-    return power
-
-
 def beamform_from_lags_stacked(lag_stack: np.ndarray,
                                array: UniformLinearArray,
                                angles: np.ndarray) -> np.ndarray:
     """Eq. 2 power for a stack of equal-row-count lag blocks, ``(S, rows, A)``.
 
-    The serving engine's grouped form of :func:`beamform_from_lags`: when
-    several batched requests share a row count, their per-request GEMMs
-    collapse into one stacked matmul. Each stack slice runs the identical
-    ``(rows, 2K-1) @ (2K-1, A)`` GEMM a standalone call would, so every
+    Rather than contracting every (frame, bin) vector against all ``A``
+    steering vectors and squaring (``28 A`` real MACs per map cell), a
+    sweep is beamformed in the *lag domain*. The element-``k`` steering
+    phase is ``k * c(theta)``, linear in ``k``, so Eq. 2 factors through
+    the spatial autocorrelation of the tapered signals ``g = w * h``:
+
+        P(theta) = R_0 + 2 sum_m [Re R_m cos(m c) + Im R_m sin(m c)]
+
+    with ``R_m = sum_l g_{l+m} conj(g_l)`` the lag-``m`` autocorrelation
+    (``m = 1 .. K-1``, from :func:`batched_lag_vectors`). The lags cost
+    ``O(K^2)`` per bin *once*, and the whole angle sweep collapses into a
+    thin real GEMM ``(rows, 2K-1) @ (2K-1, A)`` against the memoized lag
+    basis (:meth:`~repro.radar.antenna.UniformLinearArray.lag_power_basis`,
+    which folds the factor 2 and the ``R_0`` ones-row into the plane) —
+    ~13 real MACs per map cell for K = 7 instead of 28, producing real
+    power directly with no complex intermediate and no post-passes. The
+    expansion is an exact algebraic identity, so the result matches the
+    textbook ``|steering @ h|^2`` to a few ulp (well inside the pinned
+    1e-10 budget).
+
+    Each stack slice runs the identical GEMM a standalone call would, so
+    requests with equal row counts share one stacked matmul and every
     request's power map stays bitwise independent of how many batch-mates
-    it happened to share the stack with.
+    it shared the stack with; a lone request passes a ``[None]`` view of
+    its lag block.
     """
     lags = np.asarray(lag_stack)
     expected = 2 * array.num_antennas - 1
@@ -287,16 +245,19 @@ def process_sweep(frames: np.ndarray, config: RadarConfig,
         )
     # Imported lazily: repro.radar.stages builds its kernels from this
     # module's batch passes, so it imports us at module load.
-    from repro.radar.stages import RECEIVE_PLAN, ExecutionContext, execute
+    from repro.radar.stages import (
+        RECEIVE_PLAN,
+        ExecutionContext,
+        SenseInput,
+        execute,
+        sweep_results,
+    )
 
     ctx = ExecutionContext(
-        array=array, times=times, config=config, max_range=max_range,
+        array=array, config=config,
+        requests=[SenseInput(scene=None, times=times, rng=None)],
+        max_range=max_range,
         min_range=config.min_range if min_range is None else min_range,
     )
     ctx.workspace["frames"] = np.asarray(frames)
-    execute(RECEIVE_PLAN, ctx)
-    return SweepProcessingResult(raw_profiles=ctx.workspace["raw_profiles"],
-                                 power_cube=ctx.workspace["power_cube"],
-                                 ranges=ctx.workspace["ranges"],
-                                 angles=ctx.workspace["angles"],
-                                 times=times)
+    return sweep_results(execute(RECEIVE_PLAN, ctx))[0]

@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 
 from repro import constants
-from repro.errors import ConfigurationError, TrackingError
+from repro.errors import ConfigurationError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
 from repro.radar.batch import PackedComponents, pack_components
@@ -37,10 +37,13 @@ from repro.radar.stages import (
     RECEIVE_PLAN,
     SENSE_PLAN,
     ExecutionContext,
+    SenseInput,
     Stage,
     StageBinding,
     TrackedResultMixin,
     execute,
+    frame_count,
+    sweep_results,
 )
 
 __all__ = ["PulsedRadar", "PulsedRadarConfig", "PulsedSensingResult"]
@@ -243,26 +246,23 @@ class PulsedRadar:
         are pulsed-specific; background subtraction and Eq. 2 beamforming
         are the FMCW radar's receive kernels.
         """
-        if duration <= 0:
-            raise TrackingError(f"duration must be positive, got {duration}")
         if rng is None:
             rng = np.random.default_rng(0)
         config = self.config
-        num_frames = max(int(round(duration * config.frame_rate)), 2)
-        times = start_time + np.arange(num_frames) * config.frame_interval
-
+        times = (start_time + np.arange(frame_count(config, duration))
+                 * config.frame_interval)
         ctx = ExecutionContext(
-            array=self.array, times=times, config=config, scene=scene,
-            rng=rng, max_range=config.max_range, min_range=config.min_range,
+            array=self.array, config=config,
+            requests=[SenseInput(scene, times, rng)],
+            max_range=config.max_range, min_range=config.min_range,
         )
         execute((
             SENSE_PLAN[0],
-            StageBinding(Stage.SYNTHESIZE, "pulsed", self._synthesize_stage),
-            StageBinding(Stage.RANGE_FFT, "pulsed",
-                         self._matched_filter_stage),
+            StageBinding(Stage.SYNTHESIZE, self._synthesize_stage),
+            StageBinding(Stage.RANGE_FFT, self._matched_filter_stage),
             *RECEIVE_PLAN[1:],
         ), ctx)
-        return PulsedSensingResult(times=times,
-                                   profiles=ctx.workspace["profiles"],
+        [sweep] = sweep_results(ctx)
+        return PulsedSensingResult(times=times, profiles=sweep.profiles(),
                                    config=config, array=self.array,
-                                   raw_profiles=ctx.workspace["raw_profiles"])
+                                   raw_profiles=sweep.raw_profiles)

@@ -11,10 +11,10 @@ side-channel report (Sec. 11.3).
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import TrackingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
 from repro.radar.processing import ZERO_PAD_FACTOR, RangeAngleProfile
@@ -22,8 +22,11 @@ from repro.radar.scene import Scene
 from repro.radar.stages import (
     SENSE_PLAN,
     ExecutionContext,
+    SenseInput,
     TrackedResultMixin,
     execute,
+    frame_count,
+    sweep_results,
 )
 from repro.signal.spectral import range_axis
 
@@ -79,15 +82,13 @@ class FmcwRadar:
         """Frame capture times for a ``duration``-second sensing session.
 
         At least two frames are always captured (background subtraction
-        needs a warmup frame). This is the single source of truth for the
-        frame grid: the direct :meth:`sense` path and the batched serving
-        engine (:mod:`repro.serve.engine`) both derive times here, so a
-        served request can never land on a different grid than a direct
-        call.
+        needs a warmup frame), and a session whose beat cube would exceed
+        :data:`~repro.radar.stages.MAX_SWEEP_BYTES` raises
+        :class:`~repro.errors.ConfigurationError` before any allocation
+        (:func:`~repro.radar.stages.frame_count`). This is the single
+        source of truth for the frame grid of direct and served senses.
         """
-        if duration <= 0:
-            raise TrackingError(f"duration must be positive, got {duration}")
-        num_frames = max(int(round(duration * self.config.frame_rate)), 2)
+        num_frames = frame_count(self.config, duration)
         return start_time + np.arange(num_frames) * self.config.frame_interval
 
     def default_max_range(self, scene: Scene) -> float:
@@ -127,15 +128,25 @@ class FmcwRadar:
             max_range = self.default_max_range(scene)
 
         times = self.frame_times(duration, start_time)
+        return self.sense_batch([SenseInput(scene, times, rng)],
+                                max_range=max_range)[0]
+
+    def sense_batch(self, requests: Sequence[SenseInput], *,
+                    max_range: float) -> list[SensingResult]:
+        """Run :data:`~repro.radar.stages.SENSE_PLAN` over several requests.
+
+        Every request shares this radar and the ``max_range`` crop; each
+        result is bitwise the :meth:`sense` result of its request alone.
+        This is the serving engine's batch path; :meth:`sense` is a batch
+        of one.
+        """
         ctx = ExecutionContext(
-            array=self.array, times=times, config=self.config, scene=scene,
-            rng=rng, max_range=max_range, min_range=self.config.min_range,
+            array=self.array, config=self.config, requests=requests,
+            max_range=max_range, min_range=self.config.min_range,
         )
-        execute(SENSE_PLAN, ctx)
-        return SensingResult(
-            times=times,
-            profiles=ctx.workspace["profiles"],
-            raw_profiles=ctx.workspace["raw_profiles"],
-            config=self.config,
-            array=self.array,
-        )
+        return [
+            SensingResult(times=sweep.times, profiles=sweep.profiles(),
+                          raw_profiles=sweep.raw_profiles,
+                          config=self.config, array=self.array)
+            for sweep in sweep_results(execute(SENSE_PLAN, ctx))
+        ]

@@ -1,29 +1,36 @@
-"""Stage-graph execution: one typed pipeline behind every sense path.
+"""Stage-graph execution: one sense path for one request or a batch.
 
 The paper's processing chain (Sec. 9.1) is a fixed sequence of stages:
 
     Emit -> Synthesize -> RangeFFT -> BackgroundSubtract -> Beamform -> Detect
 
-Historically that chain was wired four separate times — ``FmcwRadar.sense``,
-``PulsedRadar.sense``, the serving engine's fused batch path, and the
-experiments runner — each re-deriving the stage order. This module makes
-the chain explicit and singular:
+This module holds the one kernel of each stage and the executor that runs
+them:
 
 - :class:`Stage` names the stages; a *plan* is a tuple of
-  :class:`StageBinding`\\ s, each binding one stage to the one kernel that
-  runs it, executed in order by :func:`execute`. :data:`SENSE_PLAN` is the
-  FMCW chain, :data:`RECEIVE_PLAN` its receive half; the pulsed radar and
-  the serving engine bind their own Emit/Synthesize/receive kernels the
-  same way.
-- :class:`ExecutionContext` carries what kernels share: the RNG, the dtype
-  policy, the frame-time grid, crop bounds, and a reusable workspace whose
-  named slots are the inter-stage contract (see the table below).
-- Every stage run is timed and observed into per-stage wall-time
-  histograms (:func:`stage_metrics`, built on
+  :class:`StageBinding`\\ s, each binding one stage to the kernel that runs
+  it, executed in order by :func:`execute`. :data:`SENSE_PLAN` is the FMCW
+  chain and :data:`RECEIVE_PLAN` its receive half; the pulsed radar binds
+  its own Synthesize and RangeFFT kernels around the shared Emit and
+  receive kernels.
+- :class:`ExecutionContext` carries what kernels share: the array, the
+  radar configuration, the crop bounds, the requests being sensed (one
+  :class:`SenseInput` each) and a workspace whose named slots are the
+  inter-stage contract (see the table below).
+- Every kernel runs over a *list* of requests with equal configuration and
+  crop. ``FmcwRadar.sense`` runs :data:`SENSE_PLAN` on a list of one, the
+  serving engine on its key-homogeneous batch. Each request's draws come
+  from its own generator in the order of a lone sense, and each request's
+  Eq. 2 GEMM has its own shape, so a request's bits do not depend on which
+  batch it rode in. :func:`sweep_results` splits a finished context back
+  into one :class:`~repro.radar.pipeline.SweepProcessingResult` per request.
+- Every stage run is timed into a per-stage wall-time histogram
+  (:func:`stage_metrics`, built on
   :class:`repro.serve.metrics.MetricsRegistry`); the benchmarks job dumps
   the snapshot as an artifact.
 
-Workspace slots (the inter-stage contract)::
+Workspace slots (the inter-stage contract; ``F`` is the requests' summed
+frame count, request after request)::
 
     components   Emission                   Emit -> Synthesize
                  ((6, C) packed paths + (F,) per-frame counts)
@@ -34,9 +41,9 @@ Workspace slots (the inter-stage contract)::
     ranges       (B_kept,) float            BackgroundSubtract -> Beamform
     subtracted   (F, K, B_kept) complex     BackgroundSubtract -> Beamform
     angles       (A,) float                 Beamform output
-    power_cube   (F, B_kept, A) float       Beamform output
-    profiles     list[RangeAngleProfile]    Beamform -> Detect
-    tracker      StreamingTracker           Detect (streaming) carry-over state
+    power_cubes  list of (F_r, B_kept, A)   Beamform output, one per request
+    profiles     list[RangeAngleProfile]    Detect input
+    tracker      StreamingTracker           Detect carry-over state
     tracks       list[Track]                Detect output
 
 The per-frame reference bodies these kernels replaced live on as test
@@ -49,52 +56,54 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import threading
 import time
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
-from repro.errors import TrackingError
+from repro.errors import ConfigurationError, TrackingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.batch import synthesize_packed
 from repro.radar.emit import Emission, emit_paths
 from repro.radar.pipeline import (
+    SweepProcessingResult,
     batched_background_subtract,
-    batched_beamform_power,
+    batched_lag_vectors,
     batched_range_profiles,
+    beamform_from_lags_stacked,
 )
 from repro.radar.processing import (
     ZERO_PAD_FACTOR,
     RangeAngleProfile,
     range_keep_mask,
 )
-from repro.radar.tracker import (
-    StreamingTracker,
-    Track,
-    TrackerConfig,
-    extract_tracks,
-)
+from repro.radar.tracker import StreamingTracker, Track, TrackerConfig
 from repro.signal.phase import extract_phase
 from repro.signal.spectral import range_axis
 from repro.types import Trajectory
 
 if TYPE_CHECKING:
+    from repro.radar.scene import Scene
     from repro.serve.metrics import MetricsRegistry
 
 __all__ = [
-    "DETECT",
     "ExecutionContext",
+    "MAX_SWEEP_BYTES",
     "RECEIVE_PLAN",
     "SENSE_PLAN",
     "STAGE_TIME_BUCKETS",
     "STREAMING_DETECT",
+    "SenseInput",
     "Stage",
     "StageBinding",
     "TrackedResultMixin",
     "execute",
+    "frame_count",
     "stage_metrics",
+    "sweep_results",
 ]
 
 #: Wall-time histogram grid for stage instrumentation, seconds. Stages run
@@ -105,6 +114,42 @@ STAGE_TIME_BUCKETS: tuple[float, ...] = (
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
     1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
+
+#: Largest complex beat cube one request may capture, bytes (256 MiB).
+#: The largest request any experiment, example or benchmark makes is a
+#: 30-s sweep at the default configuration: 300 frames of 7 x 1000
+#: samples, 33.6 MB, an eighth of this. Before the crop, a sweep's range
+#: profiles and power cube add about 1x and A / 2K (13x) the beat cube.
+MAX_SWEEP_BYTES = 1 << 28
+
+
+def frame_count(config: Any, duration: float) -> int:
+    """Frames captured in ``duration`` seconds, checked against the budget.
+
+    At least two frames are always captured (background subtraction needs
+    a warmup frame). ``config`` is a ``RadarConfig`` or a
+    ``PulsedRadarConfig`` (anything with ``frame_rate`` and
+    ``frame_shape``).
+
+    Raises:
+        TrackingError: ``duration`` is not positive.
+        ConfigurationError: the request's ``(F, K, N)`` complex beat cube
+            would exceed :data:`MAX_SWEEP_BYTES`; raised before anything is
+            allocated.
+    """
+    if not duration > 0:
+        raise TrackingError(f"duration must be positive, got {duration}")
+    frame_bytes = 16 * math.prod(config.frame_shape)
+    frames = duration * config.frame_rate
+    if frames <= MAX_SWEEP_BYTES // frame_bytes:
+        num_frames = max(int(round(frames)), 2)
+        if num_frames * frame_bytes <= MAX_SWEEP_BYTES:
+            return num_frames
+    raise ConfigurationError(
+        f"a {duration:g}-s sweep at {config.frame_rate:g} frames/s exceeds "
+        f"the {MAX_SWEEP_BYTES} B beat-cube budget "
+        f"({frame_bytes} B per frame)"
+    )
 
 
 class Stage(enum.Enum):
@@ -123,57 +168,50 @@ class Stage(enum.Enum):
 # --------------------------------------------------------------------------
 
 
+class SenseInput(NamedTuple):
+    """One request of a sense run: what to sense, when, and its draws.
+
+    Attributes:
+        scene: the scene being sensed (``None`` for receive-only plans).
+        times: the request's frame capture times, seconds.
+        rng: the request's own generator; ``None`` for scenes that draw
+            nothing under a noiseless configuration.
+    """
+
+    scene: "Scene | None"
+    times: np.ndarray
+    rng: np.random.Generator | None
+
+
 @dataclasses.dataclass
 class ExecutionContext:
     """Shared state a plan's kernels execute against.
 
     Attributes:
         array: array geometry (taper/lag-basis memos live here).
-        times: frame capture times, seconds.
         config: radar configuration (``RadarConfig`` for FMCW,
             ``PulsedRadarConfig`` for pulsed — kernels only touch the
             fields their radar family defines, so the slot is untyped).
-        scene: the scene being sensed (``None`` for frame-cube-only plans).
-        rng: randomness source for emission; ``None`` disables noise draws.
+        requests: the requests being sensed, in result order; every one
+            shares ``config`` and the crop.
         max_range: far crop of the range axis, meters (``None`` = no crop).
         min_range: near-field blanking, meters.
-        metrics: optional extra telemetry sink; per-stage wall times always
-            also land in the process-wide :func:`stage_metrics` registry.
-        complex_dtype / real_dtype: the dtype policy kernels allocate with.
         workspace: named inter-stage slots (see the module docstring).
     """
 
     array: UniformLinearArray
-    times: np.ndarray
     config: Any = None
-    scene: Any = None
-    rng: np.random.Generator | None = None
+    requests: Sequence[SenseInput] = ()
     max_range: float | None = None
     min_range: float = 0.0
-    metrics: "MetricsRegistry | None" = None
-    complex_dtype: Any = np.complex128
-    real_dtype: Any = np.float64
     workspace: dict[str, Any] = dataclasses.field(default_factory=dict)
 
-    def buffer(self, name: str, shape: tuple[int, ...],
-               dtype: Any) -> np.ndarray:
-        """A writable workspace array of ``shape``/``dtype``, reused if possible.
-
-        Re-running a plan against the same context (the serving engine's
-        steady state) then recycles the previous run's allocation instead
-        of growing the heap every sweep.
-        """
-        existing = self.workspace.get(name)
-        if (
-            isinstance(existing, np.ndarray)
-            and existing.shape == shape
-            and existing.dtype == np.dtype(dtype)
-            and existing.flags.writeable
-        ):
-            return existing
-        fresh = np.empty(shape, dtype=dtype)
-        self.workspace[name] = fresh
-        return fresh
+    def frame_offsets(self) -> list[int]:
+        """Where each request's frames start in the stacked cubes, plus F."""
+        offsets = [0]
+        for request in self.requests:
+            offsets.append(offsets[-1] + int(request.times.shape[0]))
+        return offsets
 
 
 StageFn = Callable[[ExecutionContext], None]
@@ -195,8 +233,8 @@ _STAGE_METRICS_LOCK = threading.Lock()
 def stage_metrics() -> "MetricsRegistry":
     """The process-wide per-stage timing registry (lazily constructed).
 
-    One histogram per stage (``stages.<stage>.wall_s``) plus one run
-    counter per (stage, kernel label) pair — the same Prometheus-shaped
+    One wall-time histogram per stage (``stages.<stage>.wall_s``), whose
+    count is the stage's run count — the same Prometheus-shaped
     instruments the serving service exports, so a service snapshot, the
     benchmarks artifact, and an experiment record all read identically.
     """
@@ -207,16 +245,6 @@ def stage_metrics() -> "MetricsRegistry":
                 from repro.serve.metrics import MetricsRegistry
                 _STAGE_METRICS = MetricsRegistry()
     return _STAGE_METRICS
-
-
-def _observe_stage(stage: Stage, label: str, elapsed_s: float,
-                   ctx: ExecutionContext) -> None:
-    name = f"stages.{stage.value}.wall_s"
-    registry = stage_metrics()
-    registry.observe(name, elapsed_s, STAGE_TIME_BUCKETS)
-    registry.inc(f"stages.{stage.value}.{label}.runs")
-    if ctx.metrics is not None and ctx.metrics is not registry:
-        ctx.metrics.observe(name, elapsed_s, STAGE_TIME_BUCKETS)
 
 
 # --------------------------------------------------------------------------
@@ -230,13 +258,10 @@ class StageBinding:
 
     Attributes:
         stage: which stage this entry runs.
-        label: the kernel's name in the per-stage run counters
-            (``stages.<stage>.<label>.runs``).
         kernel: the stage function; it reads and writes ``ctx.workspace``.
     """
 
     stage: Stage
-    label: str
     kernel: StageFn
 
 
@@ -248,11 +273,12 @@ def execute(plan: Sequence[StageBinding],
     time is observed into the per-stage histograms. Returns ``ctx`` for
     chaining.
     """
+    registry = stage_metrics()
     for binding in plan:
         started = time.perf_counter()
         binding.kernel(ctx)
-        _observe_stage(binding.stage, binding.label,
-                       time.perf_counter() - started, ctx)
+        registry.observe(f"stages.{binding.stage.value}.wall_s",
+                         time.perf_counter() - started, STAGE_TIME_BUCKETS)
     return ctx
 
 
@@ -262,24 +288,43 @@ def execute(plan: Sequence[StageBinding],
 
 
 def _emit(ctx: ExecutionContext) -> None:
-    """Emit kernel: the one-request case of :func:`~repro.radar.emit.emit_paths`.
+    """Emit every request, one :func:`~repro.radar.emit.emit_paths` per scene.
 
-    Packed scene paths land in ``workspace["components"]``; with a
-    generator and a positive noise floor, the sweep's thermal noise is
-    drawn frame by frame (after each frame's paths, as historically) into
-    a fresh ``(F, K, N)`` cube in ``workspace["noise"]``.
+    Geometry is shared by the requests of a scene; draws are not — each
+    request replays its own generator in the order of a lone sense call.
+    With a positive noise floor, each request's thermal noise is drawn
+    frame by frame (after each frame's paths) into its slice of one
+    ``(F, K, N)`` cube in ``workspace["noise"]``.
     """
+    requests = ctx.requests
     config = ctx.config
+    offsets = ctx.frame_offsets()
     noise: np.ndarray | None = None
-    if ctx.rng is not None and config.noise_std > 0:
-        noise = np.empty((ctx.times.shape[0], *config.frame_shape),
-                         dtype=complex)
-    scene = ctx.scene
-    ctx.workspace["components"] = emit_paths(
-        scene.entities, scene.channel, ctx.array, [ctx.times], [ctx.rng],
-        occlusion=scene.occlusion,
-        noise=None if noise is None else [noise],
-        noise_std=config.noise_std)[0]
+    if config.noise_std > 0:
+        noise = np.empty((offsets[-1], *config.frame_shape), dtype=complex)
+    by_scene: dict[int, list[int]] = {}
+    for i, request in enumerate(requests):
+        by_scene.setdefault(id(request.scene), []).append(i)
+    emissions: dict[int, Emission] = {}
+    for members in by_scene.values():
+        scene = requests[members[0]].scene
+        assert scene is not None
+        emitted = emit_paths(
+            scene.entities, scene.channel, ctx.array,
+            [requests[i].times for i in members],
+            [requests[i].rng for i in members],
+            occlusion=scene.occlusion,
+            noise=(None if noise is None else
+                   [noise[offsets[i]:offsets[i + 1]] for i in members]),
+            noise_std=config.noise_std)
+        emissions.update(zip(members, emitted))
+    if len(requests) == 1:
+        ctx.workspace["components"] = emissions[0]
+    else:
+        ordered = [emissions[i] for i in range(len(requests))]
+        ctx.workspace["components"] = Emission(
+            np.concatenate([e.columns for e in ordered], axis=1),
+            np.concatenate([e.counts for e in ordered]))
     ctx.workspace["noise"] = noise
 
 
@@ -289,7 +334,7 @@ def _emit(ctx: ExecutionContext) -> None:
 
 
 def _synthesize(ctx: ExecutionContext) -> None:
-    """Batched sweep synthesis over the packed emitted components.
+    """One packed synthesis pass over every request's paths.
 
     The tones are added into the emitted noise cube when there is one
     (the sum is the same either way round).
@@ -306,10 +351,16 @@ def _synthesize(ctx: ExecutionContext) -> None:
 
 
 def _range_fft(ctx: ExecutionContext) -> None:
-    """Whole-cube blocked range FFT."""
-    ctx.workspace["raw_profiles"] = batched_range_profiles(
-        ctx.workspace["frames"], ctx.config
-    )
+    """One blocked range FFT over the stacked beat cube.
+
+    The beat cube (the emitted noise cube with the tones added in) is
+    dropped from the workspace here: nothing downstream reads it, and a
+    serving worker holding it through Beamform raises peak memory.
+    """
+    frames = ctx.workspace.pop("frames")
+    ctx.workspace.pop("noise", None)
+    ctx.workspace["raw_profiles"] = batched_range_profiles(frames,
+                                                           ctx.config)
     ctx.workspace["ranges_full"] = range_axis(
         ctx.config.chirp, zero_pad_factor=ZERO_PAD_FACTOR
     )
@@ -320,25 +371,25 @@ def _range_fft(ctx: ExecutionContext) -> None:
 # --------------------------------------------------------------------------
 
 
-def _crop_raw_profiles(ctx: ExecutionContext) -> np.ndarray:
-    """Crop the raw profile cube to in-window bins; record the kept axis.
+def _subtract(ctx: ExecutionContext) -> None:
+    """Shared crop, then one shifted difference with request starts re-zeroed.
 
     Cropping commutes exactly with the elementwise successive-frame
     subtraction, so the cube is cut down *before* differencing and the
-    difference pass touches only the in-room slice.
+    difference pass touches only the in-room slice. A request's first
+    frame has no predecessor inside its own sweep, so the stacked
+    difference must not leak the previous request's last frame into it.
     """
     keep = range_keep_mask(ctx.workspace["ranges_full"],
                            min_range=ctx.min_range, max_range=ctx.max_range)
-    ctx.workspace["keep"] = keep
-    ctx.workspace["ranges"] = ctx.workspace["ranges_full"][keep]
-    return np.ascontiguousarray(ctx.workspace["raw_profiles"][:, :, keep])
-
-
-def _subtract(ctx: ExecutionContext) -> None:
-    """Single shifted-difference pass over the cropped cube."""
-    ctx.workspace["subtracted"] = batched_background_subtract(
-        _crop_raw_profiles(ctx)
+    ranges = ctx.workspace["ranges_full"][keep]
+    ranges.flags.writeable = False
+    ctx.workspace["ranges"] = ranges
+    subtracted = batched_background_subtract(
+        np.ascontiguousarray(ctx.workspace["raw_profiles"][:, :, keep])
     )
+    subtracted[ctx.frame_offsets()[:-1]] = 0.0
+    ctx.workspace["subtracted"] = subtracted
 
 
 # --------------------------------------------------------------------------
@@ -347,38 +398,68 @@ def _subtract(ctx: ExecutionContext) -> None:
 
 
 def _beamform(ctx: ExecutionContext) -> None:
-    """Lag-domain Eq. 2 over the whole sweep.
+    """Cube-wide lag vectors, then one Eq. 2 GEMM shape per request.
 
-    Every profile is a zero-copy view into one frozen power cube sharing
-    frozen range/angle planes.
+    Each request's power cube comes from a GEMM whose shape depends only
+    on the request itself, so results are bitwise independent of the
+    batch around it. Requests with equal frame counts share one stacked
+    matmul whose slices are exactly those per-request GEMMs; a request
+    alone in its group runs on a ``[None]`` view of its lag block.
     """
     angles = ctx.config.angle_grid()
     angles.flags.writeable = False
-    ranges = ctx.workspace["ranges"]
-    ranges.flags.writeable = False
-    power_cube = batched_beamform_power(ctx.workspace["subtracted"],
-                                        ctx.array, angles)
-    power_cube.flags.writeable = False
+    num_bins = int(ctx.workspace["ranges"].shape[0])
+    num_angles = int(angles.shape[0])
+    lag_vectors = batched_lag_vectors(ctx.workspace["subtracted"], ctx.array)
+    offsets = ctx.frame_offsets()
+    by_frame_count: dict[int, list[int]] = {}
+    for i in range(len(ctx.requests)):
+        by_frame_count.setdefault(offsets[i + 1] - offsets[i], []).append(i)
+    power_cubes: dict[int, np.ndarray] = {}
+    for num_frames, group in by_frame_count.items():
+        blocks = [lag_vectors[offsets[i] * num_bins:
+                              offsets[i + 1] * num_bins] for i in group]
+        stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+        power = beamform_from_lags_stacked(stack, ctx.array, angles)
+        for slot, i in enumerate(group):
+            cube = power[slot].reshape(num_frames, num_bins, num_angles)
+            cube.flags.writeable = False
+            power_cubes[i] = cube
     ctx.workspace["angles"] = angles
-    ctx.workspace["power_cube"] = power_cube
-    ctx.workspace["profiles"] = [
-        RangeAngleProfile(power=power_cube[f], ranges=ranges, angles=angles,
-                          time=float(t))
-        for f, t in enumerate(ctx.times)
-    ]
+    ctx.workspace["power_cubes"] = [power_cubes[i]
+                                    for i in range(len(ctx.requests))]
 
 
 #: The full FMCW sense plan (Detect runs lazily via the result mixin).
 SENSE_PLAN: tuple[StageBinding, ...] = (
-    StageBinding(Stage.EMIT, "shared", _emit),
-    StageBinding(Stage.SYNTHESIZE, "vectorized", _synthesize),
-    StageBinding(Stage.RANGE_FFT, "vectorized", _range_fft),
-    StageBinding(Stage.BACKGROUND_SUBTRACT, "vectorized", _subtract),
-    StageBinding(Stage.BEAMFORM, "vectorized", _beamform),
+    StageBinding(Stage.EMIT, _emit),
+    StageBinding(Stage.SYNTHESIZE, _synthesize),
+    StageBinding(Stage.RANGE_FFT, _range_fft),
+    StageBinding(Stage.BACKGROUND_SUBTRACT, _subtract),
+    StageBinding(Stage.BEAMFORM, _beamform),
 )
 
 #: The receive-only sub-plan: a beat cube already in ``workspace["frames"]``.
 RECEIVE_PLAN: tuple[StageBinding, ...] = SENSE_PLAN[2:]
+
+
+def sweep_results(ctx: ExecutionContext) -> list[SweepProcessingResult]:
+    """Split a finished sense context into one result per request.
+
+    Each result's raw profiles are a view of the request's frames in the
+    stacked raw cube; its power cube and the read-only range/angle axes
+    are the Beamform outputs.
+    """
+    raw_profiles = ctx.workspace["raw_profiles"]
+    offsets = ctx.frame_offsets()
+    return [
+        SweepProcessingResult(
+            raw_profiles=raw_profiles[offsets[i]:offsets[i + 1]],
+            power_cube=power_cube, ranges=ctx.workspace["ranges"],
+            angles=ctx.workspace["angles"], times=request.times)
+        for i, (request, power_cube) in enumerate(
+            zip(ctx.requests, ctx.workspace["power_cubes"]))
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -387,23 +468,13 @@ RECEIVE_PLAN: tuple[StageBinding, ...] = SENSE_PLAN[2:]
 
 
 def _detect_tracks(ctx: ExecutionContext) -> None:
-    """Peak detection + Kalman trajectory extraction over the profiles."""
-    ctx.workspace["tracks"] = extract_tracks(
-        ctx.workspace["profiles"], ctx.array,
-        ctx.workspace.get("tracker_config"),
-    )
-
-
-def _detect_tracks_streaming(ctx: ExecutionContext) -> None:
     """Frame-at-a-time Detect: drives the incremental tracker.
 
     Ingests the workspace profiles one by one into a
     :class:`StreamingTracker` — resuming the tracker already in
     ``workspace["tracker"]`` when one is present, which is how a serving
     session appends new frames to its long-lived tracker state through
-    the instrumented executor. ``stream(frames) == batch(frames)`` holds
-    by construction (the batch kernel is this loop inlined), and the
-    property suite pins it.
+    the instrumented executor — then publishes its finalized tracks.
     """
     tracker = ctx.workspace.get("tracker")
     if tracker is None:
@@ -419,12 +490,8 @@ def _detect_tracks_streaming(ctx: ExecutionContext) -> None:
     ctx.workspace["tracks"] = tracker.tracks()
 
 
-#: Batch Detect over a finished sweep (``SensingResult.tracks()``).
-DETECT = StageBinding(Stage.DETECT, "shared", _detect_tracks)
-
-#: Streaming Detect into a resumable tracker (serve's tracked sessions).
-STREAMING_DETECT = StageBinding(Stage.DETECT, "streaming",
-                                _detect_tracks_streaming)
+#: Detect into a fresh or resumed tracker (``.tracks()``, serve sessions).
+STREAMING_DETECT = StageBinding(Stage.DETECT, _detect_tracks)
 
 
 class TrackedResultMixin:
@@ -445,14 +512,20 @@ class TrackedResultMixin:
 
         def range_bins(self) -> np.ndarray: ...
 
+    def _detect(self, tracker_config: TrackerConfig | None,
+                tracker: StreamingTracker | None) -> ExecutionContext:
+        ctx = ExecutionContext(array=self.array)
+        ctx.workspace["profiles"] = self.profiles
+        ctx.workspace["tracker_config"] = tracker_config
+        if tracker is not None:
+            ctx.workspace["tracker"] = tracker
+        return execute((STREAMING_DETECT,), ctx)
+
     def tracks(self, tracker_config: TrackerConfig | None = None,
                ) -> list[Track]:
         """Run trajectory extraction (the Detect stage) on the profiles."""
-        ctx = ExecutionContext(array=self.array, times=self.times)
-        ctx.workspace["profiles"] = self.profiles
-        ctx.workspace["tracker_config"] = tracker_config
-        execute((DETECT,), ctx)
-        result: list[Track] = ctx.workspace["tracks"]
+        result: list[Track] = self._detect(tracker_config,
+                                           None).workspace["tracks"]
         return result
 
     def stream_tracks(self, tracker_config: TrackerConfig | None = None,
@@ -460,22 +533,16 @@ class TrackedResultMixin:
                       ) -> StreamingTracker:
         """Feed the profiles frame-by-frame into an incremental tracker.
 
-        Runs the streaming Detect kernel through the instrumented executor
-        and returns the primed :class:`StreamingTracker` — read
-        ``tracks()`` off it, keep ingesting later profiles, or checkpoint
-        it. Pass ``tracker`` to continue an existing session instead of
-        starting fresh; ``tracker_config`` is ignored in that case (the
-        tracker already owns its config), and the tracker adopts this
-        result's ``array``, which sensed the profiles it is about to
-        locate.
+        Runs the Detect kernel through the instrumented executor and
+        returns the primed :class:`StreamingTracker` — read ``tracks()``
+        off it, keep ingesting later profiles, or checkpoint it. Pass
+        ``tracker`` to continue an existing session instead of starting
+        fresh; ``tracker_config`` is ignored in that case (the tracker
+        already owns its config), and the tracker adopts this result's
+        ``array``, which sensed the profiles it is about to locate.
         """
-        ctx = ExecutionContext(array=self.array, times=self.times)
-        ctx.workspace["profiles"] = self.profiles
-        ctx.workspace["tracker_config"] = tracker_config
-        if tracker is not None:
-            ctx.workspace["tracker"] = tracker
-        execute((STREAMING_DETECT,), ctx)
-        primed: StreamingTracker = ctx.workspace["tracker"]
+        primed: StreamingTracker = self._detect(
+            tracker_config, tracker).workspace["tracker"]
         return primed
 
     def trajectories(self, tracker_config: TrackerConfig | None = None,

@@ -48,7 +48,7 @@ from repro.signal.chirp import ChirpConfig
 __all__ = ["build_demo_scene", "main"]
 
 #: Short demo chirp: 64 beat samples keeps a laptop-class host responsive
-#: while exercising every stage of the fused pipeline.
+#: while exercising every stage of the sense pipeline.
 DEMO_CHIRP_DURATION_S = 3.2e-5
 
 

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 
-#: How a served request was ultimately executed: in its fused batch, or
-#: retried alone after the fused batch raised.
+#: How a served request was ultimately executed: in its batch, or retried
+#: alone after the batch raised.
 BACKEND_VECTORIZED = "vectorized"
 BACKEND_ISOLATED = "isolated"
 
@@ -58,7 +58,7 @@ class BatchKey:
 
     Two requests with equal keys produce beat cubes on the same sample grid
     with the same antenna count and crop to the same range bins, so their
-    frames can be concatenated through one fused synthesis + receive pass.
+    frames can be stacked through one run of the sense plan.
     ``RadarConfig`` is a frozen dataclass of floats/tuples, so value
     equality (not object identity) defines the grouping.
     """
@@ -124,9 +124,9 @@ class SenseResponse:
         request_id: admission-ordered id assigned by the service.
         result: the :class:`SensingResult`, bitwise identical to a direct
             ``FmcwRadar.sense`` call with the same request parameters.
-        backend: ``"vectorized"`` for the fused batch path or
-            ``"isolated"`` when the request was retried alone (on the same
-            production kernels) after its fused batch failed.
+        backend: ``"vectorized"`` for the batch path or ``"isolated"``
+            when the request was retried alone (on the same kernels) after
+            its batch failed.
         batch_size: how many requests shared this request's batch.
         queued_s: admission -> execution-start wait, seconds.
         total_s: admission -> completion latency, seconds.
@@ -146,7 +146,7 @@ class TrackRequest:
 
     The sensing half (scene, duration, seed, config, max_range) is exactly
     a :class:`SenseRequest` — tracked requests ride the same admission,
-    :class:`BatchKey` coalescing, and fused execution as stateless ones.
+    :class:`BatchKey` coalescing, and batch execution as stateless ones.
     What a session adds is *continuity*: the sensed frames are ingested
     into the session's persistent :class:`~repro.radar.tracker
     .StreamingTracker`, so track identities survive across requests.
@@ -178,6 +178,13 @@ class TrackRequest:
         if not self.session_id:
             raise ConfigurationError("session_id must be non-empty")
         _validate_span(self)
+
+    def sense_request(self, start_time: float) -> SenseRequest:
+        """This request's sensing half, its first frame at ``start_time``."""
+        return SenseRequest(scene=self.scene, duration=self.duration,
+                            seed=self.seed, config=self.config,
+                            start_time=start_time, max_range=self.max_range,
+                            deadline_s=self.deadline_s)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,8 +23,8 @@ real compute:
   never gets resolved (its batch-mates are unaffected).
 - **Fault isolation** — execution is delegated to
   :func:`repro.serve.engine.execute_batch`, which retries each request
-  alone (a direct ``FmcwRadar.sense``, bitwise equal to its fused result)
-  if the fused batch raises, so one poisoned request fails with a typed
+  alone (a direct ``FmcwRadar.sense``: the same kernels on a batch of one)
+  if the batch raises, so one poisoned request fails with a typed
   error while its batch-mates get the bits a fault-free batch gives them;
   the retry is visible in the ``batches.fallback`` counter and each
   response's ``backend`` field.
@@ -55,6 +55,7 @@ from repro.errors import (
 )
 from repro.radar.config import RadarConfig
 from repro.radar.processing import ZERO_PAD_FACTOR, range_keep_mask
+from repro.radar.stages import frame_count
 from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.engine import ExecutionItem, ExecutionOutcome, execute_batch, radar_for
 from repro.serve.metrics import (
@@ -240,9 +241,15 @@ class SenseService:
     # -- admission ---------------------------------------------------------
 
     def batch_key_for(self, request: SenseRequest) -> BatchKey:
-        """The request's compatibility key; an empty range crop raises here."""
+        """The request's compatibility key.
+
+        An empty range crop or a sweep over the beat-cube budget
+        (:func:`~repro.radar.stages.frame_count`) raises
+        :class:`ConfigurationError` here, before the request is queued.
+        """
         config = (request.config if request.config is not None
                   else self.default_radar_config)
+        frame_count(config, request.duration)
         max_range = (request.max_range if request.max_range is not None
                      else radar_for(config).default_max_range(request.scene))
         range_keep_mask(range_axis(config.chirp,
@@ -256,7 +263,8 @@ class SenseService:
         Raises:
             ServiceClosedError: the service is not running.
             ServiceOverloadedError: the admission queue is full.
-            ConfigurationError: the request's range crop keeps no bin.
+            ConfigurationError: the request's range crop keeps no bin, or
+                its sweep exceeds the beat-cube budget.
             DeadlineExceededError: the deadline expired before execution.
             ServeError subclasses from execution failures.
         """
@@ -392,15 +400,7 @@ class SenseService:
                 last = tracker.last_frame_time
                 start_time = (0.0 if last is None
                               else last + config.frame_interval)
-            response = await self.submit(SenseRequest(
-                scene=request.scene,
-                duration=request.duration,
-                seed=request.seed,
-                config=request.config,
-                start_time=start_time,
-                max_range=request.max_range,
-                deadline_s=request.deadline_s,
-            ))
+            response = await self.submit(request.sense_request(start_time))
             sensed_at = loop.time()
             before = tracker.frames_ingested
             # The tracker locates the new frames with the sensing radar's

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SignalProcessingError, TrackingError
+from repro.errors import ConfigurationError, SignalProcessingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
 from repro.radar.emit import Emission
@@ -35,10 +35,11 @@ from repro.radar.scene import Scene
 from repro.radar.stages import (
     SENSE_PLAN,
     ExecutionContext,
+    SenseInput,
     Stage,
     StageBinding,
-    _crop_raw_profiles,
     execute,
+    frame_count,
 )
 from repro.signal.spectral import range_axis, range_fft
 
@@ -74,7 +75,7 @@ def synthesize_frame_naive(components: list[PathComponent], config: RadarConfig,
         )
         antenna_phases = array.arrival_phases(component.angle)
         frame += np.exp(1j * antenna_phases)[:, None] * tone[None, :]
-    SYNTH_STATS.record_frame(len(components), dropped, "naive")
+    SYNTH_STATS.record_frame(len(components), dropped)
 
     if rng is not None and config.noise_std > 0:
         frame += thermal_noise(config.noise_std, rng, np.empty_like(frame))
@@ -265,8 +266,11 @@ def _range_fft_naive(ctx: ExecutionContext) -> None:
 
 def _subtract_naive(ctx: ExecutionContext) -> None:
     """Reference frame-chained subtraction (one warmup frame of zeros)."""
-    kept = _crop_raw_profiles(ctx)
-    subtracted = ctx.buffer("subtracted", kept.shape, kept.dtype)
+    keep = range_keep_mask(ctx.workspace["ranges_full"],
+                           min_range=ctx.min_range, max_range=ctx.max_range)
+    ctx.workspace["ranges"] = ctx.workspace["ranges_full"][keep]
+    kept = ctx.workspace["raw_profiles"][:, :, keep]
+    subtracted = np.empty(kept.shape, dtype=kept.dtype)
     previous: np.ndarray | None = None
     for f in range(kept.shape[0]):
         subtracted[f] = background_subtract(kept[f], previous)
@@ -284,7 +288,8 @@ def _beamform_naive(ctx: ExecutionContext) -> None:
     ranges = ctx.workspace["ranges"]
     subtracted = ctx.workspace["subtracted"]
     profiles: list[RangeAngleProfile] = []
-    for f, t in enumerate(ctx.times):
+    [request] = ctx.requests
+    for f, t in enumerate(request.times):
         power = beamform(ctx.array, subtracted[f], angles)
         profiles.append(RangeAngleProfile(power=power.T, ranges=ranges.copy(),
                                           angles=angles.copy(),
@@ -294,15 +299,15 @@ def _beamform_naive(ctx: ExecutionContext) -> None:
 
 #: The per-frame receive sub-plan: a beat cube in ``workspace["frames"]``.
 RECEIVE_PLAN: tuple[StageBinding, ...] = (
-    StageBinding(Stage.RANGE_FFT, "naive", _range_fft_naive),
-    StageBinding(Stage.BACKGROUND_SUBTRACT, "naive", _subtract_naive),
-    StageBinding(Stage.BEAMFORM, "naive", _beamform_naive),
+    StageBinding(Stage.RANGE_FFT, _range_fft_naive),
+    StageBinding(Stage.BACKGROUND_SUBTRACT, _subtract_naive),
+    StageBinding(Stage.BEAMFORM, _beamform_naive),
 )
 
 #: Production Emit, then the per-frame synthesis and receive bodies.
 SENSE_PLAN_NAIVE: tuple[StageBinding, ...] = (
     SENSE_PLAN[0],
-    StageBinding(Stage.SYNTHESIZE, "naive", _synthesize_naive),
+    StageBinding(Stage.SYNTHESIZE, _synthesize_naive),
     *RECEIVE_PLAN,
 )
 
@@ -317,9 +322,9 @@ def process_sweep(radar: FmcwRadar, times: np.ndarray, frames: np.ndarray,
                   ) -> tuple[list[RangeAngleProfile], np.ndarray]:
     """The per-frame receive plan over a beat cube: (profiles, raw)."""
     ctx = ExecutionContext(
-        array=radar.array, times=np.asarray(times, dtype=float),
-        config=radar.config, max_range=max_range,
-        min_range=radar.config.min_range,
+        array=radar.array, config=radar.config,
+        requests=[SenseInput(None, np.asarray(times, dtype=float), None)],
+        max_range=max_range, min_range=radar.config.min_range,
     )
     ctx.workspace["frames"] = np.asarray(frames)
     execute(RECEIVE_PLAN, ctx)
@@ -336,8 +341,9 @@ def sense(radar: FmcwRadar, scene: Scene, duration: float, *,
         max_range = radar.default_max_range(scene)
     times = radar.frame_times(duration, start_time)
     ctx = ExecutionContext(
-        array=radar.array, times=times, config=radar.config, scene=scene,
-        rng=rng, max_range=max_range, min_range=radar.config.min_range,
+        array=radar.array, config=radar.config,
+        requests=[SenseInput(scene, times, rng)],
+        max_range=max_range, min_range=radar.config.min_range,
     )
     execute(SENSE_PLAN_NAIVE, ctx)
     return SensingResult(times=times, profiles=ctx.workspace["profiles"],
@@ -349,21 +355,20 @@ def sense_pulsed(radar: PulsedRadar, scene: Scene, duration: float, *,
                  rng: np.random.Generator | None = None,
                  start_time: float = 0.0) -> PulsedSensingResult:
     """``PulsedRadar.sense`` with the per-frame subtraction and Eq. 2."""
-    if duration <= 0:
-        raise TrackingError(f"duration must be positive, got {duration}")
     if rng is None:
         rng = np.random.default_rng(0)
     config = radar.config
-    num_frames = max(int(round(duration * config.frame_rate)), 2)
-    times = start_time + np.arange(num_frames) * config.frame_interval
+    times = (start_time + np.arange(frame_count(config, duration))
+             * config.frame_interval)
     ctx = ExecutionContext(
-        array=radar.array, times=times, config=config, scene=scene,
-        rng=rng, max_range=config.max_range, min_range=config.min_range,
+        array=radar.array, config=config,
+        requests=[SenseInput(scene, times, rng)],
+        max_range=config.max_range, min_range=config.min_range,
     )
     execute((
         SENSE_PLAN[0],
-        StageBinding(Stage.SYNTHESIZE, "pulsed", radar._synthesize_stage),
-        StageBinding(Stage.RANGE_FFT, "pulsed", radar._matched_filter_stage),
+        StageBinding(Stage.SYNTHESIZE, radar._synthesize_stage),
+        StageBinding(Stage.RANGE_FFT, radar._matched_filter_stage),
         *RECEIVE_PLAN[1:],
     ), ctx)
     return PulsedSensingResult(times=times, profiles=ctx.workspace["profiles"],

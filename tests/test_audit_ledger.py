@@ -4,16 +4,23 @@ The tamper-evidence claim is checked the blunt way: write a real ledger,
 flip one byte anywhere in it, and assert verification pinpoints a
 failure. Chain continuity across separate ``Ledger`` instances, the
 canonical serialization contract, and the signature layer (which must
-also reject truncation, not just mutation) get their own coverage.
+also reject truncation, not just mutation) get their own coverage. A
+fuzzer holds ``verify_chain`` to its contract on arbitrary bytes: it
+reports a failed verification and never raises.
 """
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit import canonical_json, digest
 from repro.audit.ledger import (
     GENESIS_HASH,
+    ChainVerification,
     Ledger,
     LedgerRecord,
     RECORD_KINDS,
@@ -145,6 +152,82 @@ class TestTamperEvidence:
         verification = verify_chain(ledger_path)
         assert not verification.ok
         assert "unknown kind" in verification.reason
+
+
+def _valid_ledger_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "ledger.jsonl")
+        ledger = Ledger(path)
+        ledger.append("experiment_run", {"experiment_id": "fig7", "seed": 0})
+        ledger.append("serve_metrics", {"counters": {"admitted": 3}})
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+VALID_LEDGER = _valid_ledger_bytes()
+
+#: Byte strings aimed at the decoder and parser edges: deep nesting, lone
+#: continuation and lead bytes, and a valid ledger with junk appended.
+sharp_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.builds(lambda unit, n: unit * n,
+              st.sampled_from([b"[", b'{"a":', b"\xff", b"\xc3", b"\n"]),
+              st.integers(0, 200_000)),
+    st.binary(max_size=40).map(lambda junk: VALID_LEDGER + junk),
+)
+
+
+def _verify_bytes(data: bytes) -> ChainVerification:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "ledger.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return verify_chain(path)
+
+
+class TestVerifyNeverRaises:
+    @given(data=sharp_bytes)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_arbitrary_bytes_return_a_verification(self, data):
+        verification = _verify_bytes(data)
+        assert isinstance(verification, ChainVerification)
+        assert verification.ok == (verification.first_bad_index is None)
+
+    @given(offset=st.integers(0, len(VALID_LEDGER) - 1),
+           value=st.integers(0, 255))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_single_byte_edits_return_a_verification(self, offset, value):
+        edited = bytearray(VALID_LEDGER)
+        edited[offset] = value
+        verification = _verify_bytes(bytes(edited))
+        assert isinstance(verification, ChainVerification)
+        if value & 0x80:
+            # Every byte of a valid ledger is ASCII, so bit 7 leaves
+            # invalid UTF-8, which must fail at the edited record.
+            assert not verification.ok
+            assert verification.first_bad_index == VALID_LEDGER[
+                :offset].count(b"\n")
+
+    def test_reproduced_inputs_fail_at_their_line(self):
+        middle = len(VALID_LEDGER) // 2
+        edited = bytearray(VALID_LEDGER)
+        edited[middle] |= 0x80
+        deep = VALID_LEDGER + b"[" * 100_000 + b"\n"
+        cases = ((bytes(edited), VALID_LEDGER[:middle].count(b"\n"), "UTF-8"),
+                 (deep, 2, "unparseable"))
+        for data, bad_index, reason in cases:
+            verification = _verify_bytes(data)
+            assert not verification.ok
+            assert verification.first_bad_index == bad_index
+            assert reason in verification.reason
+
+
+    def test_reading_a_non_utf8_ledger_raises_a_ledger_error(self,
+                                                              tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(VALID_LEDGER.replace(b"fig7", b"fig\xb7"))
+        with pytest.raises(LedgerError, match="not valid UTF-8"):
+            Ledger(str(path))
 
 
 class TestCanonicalForm:

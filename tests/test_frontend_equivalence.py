@@ -156,17 +156,20 @@ class TestNyquistDropParity:
 class TestBackendDispatch:
     def test_default_backend_is_vectorized(self, config, array):
         """A sense run synthesizes with the batched engine, bit for bit."""
-        binding = SENSE_PLAN[1]
-        assert (binding.stage, binding.label) == (Stage.SYNTHESIZE,
-                                                   "vectorized")
+        assert SENSE_PLAN[1].stage is Stage.SYNTHESIZE
         room = Rectangle(0.0, 0.0, 8.0, 6.0)
         scene = Scene(room)
         scene.add_static((2.0, 3.0))
         radar = FmcwRadar(RadarConfig(noise_std=0.0))
-        counter = "stages.synthesize.vectorized.runs"
-        before = stage_metrics().snapshot()["counters"].get(counter, 0)
+
+        def runs() -> int:
+            histograms = stage_metrics().snapshot()["histograms"]
+            return histograms.get("stages.synthesize.wall_s",
+                                  {"count": 0})["count"]
+
+        before = runs()
         result = radar.sense(scene, 0.3)
-        assert stage_metrics().snapshot()["counters"][counter] == before + 1
+        assert runs() == before + 1
         emission = emit_paths(scene.entities, scene.channel, radar.array,
                               [result.times], [np.random.default_rng(0)])[0]
         frames = synthesize_packed(emission.columns, emission.counts,

@@ -24,8 +24,9 @@ from repro.radar import (
     Scene,
     UniformLinearArray,
     batched_background_subtract,
-    batched_beamform_power,
+    batched_lag_vectors,
     batched_range_profiles,
+    beamform_from_lags_stacked,
     process_sweep,
     stage_metrics,
 )
@@ -98,8 +99,10 @@ class TestStageEquivalence:
         profiles = batched_range_profiles(random_cube(3, 6, config), config)
         subtracted = batched_background_subtract(profiles)
         angles = config.angle_grid()
-        power_cube = batched_beamform_power(subtracted, array, angles,
-                                            taper=taper)
+        lags = batched_lag_vectors(subtracted, array, taper=taper)
+        power_cube = beamform_from_lags_stacked(lags[None], array,
+                                                angles)[0].reshape(
+            6, profiles.shape[-1], angles.size)
         assert power_cube.shape == (6, profiles.shape[-1], angles.size)
         for frame, power in zip(subtracted, power_cube):
             reference = oracle.beamform(array, frame, angles, taper=taper)
@@ -139,8 +142,7 @@ class TestStageValidation:
 
     def test_beamform_rejects_wrong_antenna_count(self, config, array):
         with pytest.raises(SignalProcessingError, match="profile cube"):
-            batched_beamform_power(np.zeros((3, 2, 5), dtype=complex),
-                                   array, config.angle_grid())
+            batched_lag_vectors(np.zeros((3, 2, 5), dtype=complex), array)
 
     def test_process_sweep_rejects_time_mismatch(self, config, array):
         cube = random_cube(6, 4, config)
@@ -239,13 +241,14 @@ class TestZeroPadSingleSource:
 
 class TestBackendDispatch:
     def test_default_backend_is_vectorized(self, config):
-        """Every receive stage of a sense run is the batched kernel."""
-        assert [b.label for b in RECEIVE_PLAN] == ["vectorized"] * 3
-        counters = [f"stages.{b.stage.value}.vectorized.runs"
-                    for b in RECEIVE_PLAN]
-        before = stage_metrics().snapshot()["counters"]
-        before_runs = [before.get(name, 0) for name in counters]
+        """A sense run executes every receive stage of the plan once."""
+        histograms = [f"stages.{b.stage.value}.wall_s" for b in RECEIVE_PLAN]
+
+        def runs() -> list[int]:
+            snapshot = stage_metrics().snapshot()["histograms"]
+            return [snapshot.get(name, {"count": 0})["count"]
+                    for name in histograms]
+
+        before = runs()
         FmcwRadar(config).sense(walking_scene(), 0.3)
-        after = stage_metrics().snapshot()["counters"]
-        assert [after[name] for name in counters] == [
-            runs + 1 for runs in before_runs]
+        assert runs() == [count + 1 for count in before]

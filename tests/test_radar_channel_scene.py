@@ -12,6 +12,7 @@ from repro.radar import (
     Fan,
     HumanTarget,
     Scene,
+    SenseInput,
     StaticReflector,
     execute,
 )
@@ -106,8 +107,9 @@ class TestThermalNoise:
                              facing_angle=np.pi / 2, noise_std=0.0)
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        ctx = ExecutionContext(array=array, times=np.arange(4) * 0.1,
-                               config=config, scene=scene, rng=rng)
+        ctx = ExecutionContext(
+            array=array, config=config,
+            requests=[SenseInput(scene, np.arange(4) * 0.1, rng)])
         execute(SENSE_PLAN[:1], ctx)
         assert ctx.workspace["noise"] is None
         assert ctx.workspace["components"].counts.tolist() == [2] * 4

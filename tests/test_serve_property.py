@@ -14,20 +14,26 @@ prove the conservation laws the service relies on:
 - the same event sequence always produces the identical batch sequence
   (the scheduler itself is deterministic).
 
-Downstream of the scheduler, the fused engine must make grouping
-invisible: a request's result is bitwise the direct ``FmcwRadar.sense``
-result however the batch around it was cut — including batches that mix
-scenes, which the engine emits one scene at a time.
+Downstream of the scheduler, the engine must make grouping invisible: a
+request's result is bitwise the direct ``FmcwRadar.sense`` result however
+the batch around it was cut — including batches that mix scenes, which
+the engine emits one scene at a time.
+
+At admission, any request's fields either fail with a typed error or
+yield a batch key whose sweep fits the beat-cube budget, so no request
+reaches an unbounded allocation.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ReproError
 from repro.geometry import Rectangle
 from repro.radar import FmcwRadar, RadarConfig, Scene
 from repro.radar.channel import ChannelModel, MultipathSpec
@@ -35,8 +41,15 @@ from repro.radar.scene import Fan, OcclusionSpec
 from repro.reflector import ReflectorPanel, RfProtectTag
 from repro.reflector.controller import SpoofCommand, SpoofSchedule
 from repro.serve.batcher import Batch, MicroBatcher
-from repro.serve.engine import ExecutionItem, execute_batch
-from repro.serve.request import BACKEND_VECTORIZED, BatchKey, SenseRequest
+from repro.radar.stages import MAX_SWEEP_BYTES
+from repro.serve.engine import ExecutionItem, execute_batch, radar_for
+from repro.serve.request import (
+    BACKEND_VECTORIZED,
+    BatchKey,
+    SenseRequest,
+    TrackRequest,
+)
+from repro.serve.service import SenseService
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
 
@@ -244,3 +257,52 @@ def test_grouping_independence_with_mixed_scenes(plan, cuts):
                               direct.raw_profiles)
         for got, want in zip(outcome.result.profiles, direct.profiles):
             assert np.array_equal(got.power, want.power)
+
+
+# --------------------------------------------------------------------------
+# Admission: a request's sweep is bounded before anything is allocated
+# --------------------------------------------------------------------------
+
+#: The demo-sized default, the paper-sized default, and a chirp whose
+#: frames alone overrun the budget (7 x 1e8 samples).
+ADMISSION_CONFIGS = [
+    RADAR_CONFIG,
+    RadarConfig(),
+    RadarConfig(chirp=ChirpConfig(duration=0.05, sample_rate=2.0e9)),
+]
+SERVICE = SenseService(default_radar_config=RADAR_CONFIG)
+
+spans = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e-3, max_value=100.0),
+    st.floats(min_value=1e3, max_value=1e308),
+    st.sampled_from([1e9, 1e300, 3.7e4, 3.8e4, 2.4e3]),
+)
+optional_floats = st.none() | st.floats(min_value=0.5, max_value=50.0) | st.floats()
+
+
+@given(tracked=st.booleans(), duration=spans, start=st.floats(),
+       max_range=optional_floats, deadline=optional_floats,
+       config=st.sampled_from([None, *ADMISSION_CONFIGS]),
+       seed=st.integers(0, 2**63), session=st.text(max_size=4))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_admission_fails_typed_or_bounds_the_sweep(
+        tracked, duration, start, max_range, deadline, config, seed,
+        session):
+    fields = dict(scene=SCENES[0], duration=duration, seed=seed,
+                  config=config, max_range=max_range, deadline_s=deadline)
+    try:
+        if tracked:
+            request = TrackRequest(session_id=session, start_time=None,
+                                   **fields).sense_request(start)
+        else:
+            request = SenseRequest(start_time=start, **fields)
+        key = SERVICE.batch_key_for(request)
+    except ReproError:
+        return
+    frames = max(int(round(request.duration * key.config.frame_rate)), 2)
+    assert (frames * 16 * math.prod(key.config.frame_shape)
+            <= MAX_SWEEP_BYTES)
+    times = radar_for(key.config).frame_times(request.duration,
+                                              request.start_time)
+    assert times.shape == (frames,)

@@ -1,10 +1,10 @@
 """Tests for the stage-graph executor and its plans.
 
 Every plan binds exactly one kernel per stage; these tests pin the plan
-inventory, custom-kernel bindings and their run labels, per-stage
-instrumentation (direct sense and served batches), that sense calls take
-no backend arguments, and the pulsed production-vs-oracle receive
-equivalence that the shared Beamform stage makes possible.
+inventory, custom-kernel bindings, per-stage instrumentation (direct sense
+and served batches), that sense calls take no backend arguments, and the
+pulsed production-vs-oracle receive equivalence that the shared Beamform
+stage makes possible.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ from repro.radar import (
     PulsedRadarConfig,
     RadarConfig,
     Scene,
+    SenseInput,
     Stage,
     StageBinding,
     UniformLinearArray,
     execute,
     stage_metrics,
+    sweep_results,
 )
-from repro.radar.stages import DETECT, STREAMING_DETECT
+from repro.radar.stages import STREAMING_DETECT
 from repro.serve.engine import ExecutionItem, execute_batch
 from repro.serve.request import BatchKey, SenseRequest
 from repro.signal.chirp import ChirpConfig
@@ -60,66 +62,32 @@ def snapshot_counts() -> dict[str, int]:
 
 class TestRegistry:
     def test_backend_inventory(self):
-        """One kernel per stage: the plans bind them, labeled for metrics."""
-        assert [(b.stage, b.label) for b in SENSE_PLAN] == [
-            (Stage.EMIT, "shared"),
-            (Stage.SYNTHESIZE, "vectorized"),
-            (Stage.RANGE_FFT, "vectorized"),
-            (Stage.BACKGROUND_SUBTRACT, "vectorized"),
-            (Stage.BEAMFORM, "vectorized"),
+        """One kernel per stage: the plans bind them, Detect binds one more."""
+        assert [b.stage for b in SENSE_PLAN] == [
+            Stage.EMIT, Stage.SYNTHESIZE, Stage.RANGE_FFT,
+            Stage.BACKGROUND_SUBTRACT, Stage.BEAMFORM,
         ]
-        assert (DETECT.stage, DETECT.label) == (Stage.DETECT, "shared")
-        assert (STREAMING_DETECT.stage, STREAMING_DETECT.label) == (
-            Stage.DETECT, "streaming")
+        assert STREAMING_DETECT.stage is Stage.DETECT
         assert all(callable(b.kernel)
-                   for b in (*SENSE_PLAN, DETECT, STREAMING_DETECT))
-
-
-class TestExecutionContext:
-    def test_buffer_reused_when_compatible(self, config):
-        ctx = ExecutionContext(array=UniformLinearArray(config),
-                               times=np.zeros(1))
-        first = ctx.buffer("scratch", (4, 3), np.complex128)
-        second = ctx.buffer("scratch", (4, 3), np.complex128)
-        assert second is first
-
-    def test_buffer_reallocates_on_mismatch(self, config):
-        ctx = ExecutionContext(array=UniformLinearArray(config),
-                               times=np.zeros(1))
-        first = ctx.buffer("scratch", (4, 3), np.complex128)
-        assert ctx.buffer("scratch", (5, 3), np.complex128) is not first
-        assert ctx.buffer("scratch", (5, 3), np.float64).dtype == np.float64
-
-    def test_buffer_never_returns_readonly(self, config):
-        ctx = ExecutionContext(array=UniformLinearArray(config),
-                               times=np.zeros(1))
-        frozen = np.zeros((2, 2))
-        frozen.flags.writeable = False
-        ctx.workspace["scratch"] = frozen
-        fresh = ctx.buffer("scratch", (2, 2), np.float64)
-        assert fresh is not frozen
-        assert fresh.flags.writeable
+                   for b in (*SENSE_PLAN, STREAMING_DETECT))
 
 
 class TestExecutor:
-    def test_explicit_kernel_binding_runs_and_is_labeled(self, config):
+    def test_explicit_kernel_binding_runs_and_is_timed(self, config):
         calls = []
 
         def custom(ctx: ExecutionContext) -> None:
             calls.append(ctx)
             ctx.workspace["marker"] = 42
 
-        ctx = ExecutionContext(array=UniformLinearArray(config),
-                               times=np.zeros(1))
+        ctx = ExecutionContext(array=UniformLinearArray(config))
         before = snapshot_counts()
-        execute((StageBinding(Stage.BEAMFORM, "custom", custom),), ctx)
+        execute((StageBinding(Stage.BEAMFORM, custom),), ctx)
         after = snapshot_counts()
         assert calls == [ctx]
         assert ctx.workspace["marker"] == 42
         assert (after["stages.beamform.wall_s"]
                 == before.get("stages.beamform.wall_s", 0) + 1)
-        counters = stage_metrics().snapshot()["counters"]
-        assert counters["stages.beamform.custom.runs"] >= 1
 
     def test_sense_populates_every_stage_histogram(self, config, scene):
         radar = FmcwRadar(config)
@@ -167,14 +135,16 @@ class TestPerCallOverrides:
         for name, plan in (("naive", oracle.RECEIVE_PLAN),
                            ("vectorized", RECEIVE_PLAN)):
             ctx = ExecutionContext(
-                array=UniformLinearArray(config),
-                times=np.arange(4) / config.frame_rate, config=config,
+                array=UniformLinearArray(config), config=config,
+                requests=[SenseInput(None, np.arange(4) / config.frame_rate,
+                                     None)],
                 max_range=8.0, min_range=config.min_range,
             )
             ctx.workspace["frames"] = frames
-            execute(plan, ctx)
-            results[name] = ctx.workspace["profiles"]
-        for ref, fast in zip(results["naive"], results["vectorized"]):
+            results[name] = execute(plan, ctx)
+        [sweep] = sweep_results(results["vectorized"])
+        naive = results["naive"].workspace["profiles"]
+        for ref, fast in zip(naive, sweep.profiles()):
             np.testing.assert_allclose(fast.power, ref.power, atol=ATOL)
 
 
@@ -193,9 +163,9 @@ class TestServeInstrumentation:
                       Stage.BACKGROUND_SUBTRACT, Stage.BEAMFORM):
             name = f"stages.{stage.value}.wall_s"
             assert after.get(name, 0) > before.get(name, 0), name
-        counters = stage_metrics().snapshot()["counters"]
-        assert counters["stages.synthesize.fused.runs"] >= 1
-        assert counters["stages.beamform.fused.runs"] >= 1
+        # One plan run for the whole batch, not one per request.
+        assert (after["stages.beamform.wall_s"]
+                == before.get("stages.beamform.wall_s", 0) + 1)
 
     def test_plan_constants_cover_the_chain(self):
         assert [b.stage for b in SENSE_PLAN] == [
