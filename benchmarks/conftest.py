@@ -14,6 +14,8 @@ import os
 
 import pytest
 
+from repro.obs import process_metrics
+
 FULL_SCALE = os.environ.get("RFPROTECT_BENCH_FULL", "0") == "1"
 
 
@@ -37,12 +39,15 @@ def bench_scale() -> dict:
     }
 
 
-def write_timings(filename: str, payload: object) -> None:
-    """Dump a timing payload as ``filename`` in the working directory.
+def write_timings(filename: str, timings_s: dict[str, float]) -> None:
+    """Dump named timings, seconds, as ``filename`` in the working directory.
 
-    The benchmarks job uploads these ``*-timings.json`` files as build
-    artifacts.
+    Every ``*-timings.json`` the benchmarks job uploads as a build artifact
+    has one schema: ``{"timings_s": {<name>: seconds}, "metrics": <the
+    process registry snapshot>}``.
     """
+    payload = {"timings_s": timings_s,
+               "metrics": process_metrics().snapshot()}
     with open(filename, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     print(f"\nwrote {filename}")

@@ -18,9 +18,9 @@ median across rounds is asserted — on a shared core whose speed drifts,
 adjacent-in-time measurements see the same machine regime, which makes the
 ratio far more stable than comparing two independent minimums.
 
-The per-op wall-time snapshot (``repro.nn.metrics``) is dumped to
-``nn-timings.json`` and uploaded next to the stage/tracker timing
-artifacts.
+The step table is dumped to ``nn-timings.json``, with the process
+registry's ``nn.<op>.wall_s`` histograms, and uploaded next to the
+stage/tracker timing artifacts.
 """
 
 from __future__ import annotations
@@ -127,10 +127,7 @@ def test_combined_training_path_speedup():
 
 
 def test_zz_dump_nn_timings():
-    """Write the per-op metrics snapshot plus the step table (runs last)."""
-    snapshot = nn_metrics().snapshot()
-    histograms = snapshot["histograms"]
+    """Write the step table (runs last)."""
+    histograms = nn_metrics().snapshot()["histograms"]
     assert histograms.get("nn.lstm_sequence.wall_s", {}).get("count", 0) > 0
-    payload = {"paper_scale_step_s": dict(sorted(_RESULTS.items())),
-               "metrics": snapshot}
-    write_timings("nn-timings.json", payload)
+    write_timings("nn-timings.json", _RESULTS)

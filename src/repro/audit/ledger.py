@@ -59,6 +59,13 @@ RECORD_KINDS: tuple[str, ...] = (
 )
 
 
+#: Each record field and the one JSON type it may have (never a boolean).
+_FIELD_TYPES: dict[str, type] = {
+    "index": int, "kind": str, "payload": dict, "prev_hash": str,
+    "record_hash": str, "schema": int,
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class LedgerRecord:
     """One chained ledger entry."""
@@ -91,17 +98,21 @@ class LedgerRecord:
 
     @classmethod
     def from_dict(cls, record: dict[str, Any]) -> "LedgerRecord":
-        try:
-            return cls(
-                index=int(record["index"]),
-                kind=str(record["kind"]),
-                payload=dict(record["payload"]),
-                prev_hash=str(record["prev_hash"]),
-                record_hash=str(record["record_hash"]),
-                schema=int(record["schema"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as error:
-            raise LedgerError(f"malformed ledger record: {error}") from error
+        """The record a parsed ledger line holds, its JSON types checked.
+
+        The hash covers the field values, so a field rewritten to another
+        JSON type (``"index":"0"``, ``0.0`` or ``true``) must fail here
+        rather than be coerced back to the value it replaced.
+        """
+        for name, kind in _FIELD_TYPES.items():
+            if name not in record:
+                raise LedgerError(f"malformed ledger record: no {name!r}")
+            value = record[name]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise LedgerError(
+                    f"malformed ledger record: {name!r} is "
+                    f"{type(value).__name__}, expected {kind.__name__}")
+        return cls(**{name: record[name] for name in _FIELD_TYPES})
 
 
 class Ledger:

@@ -6,9 +6,10 @@ several experiment ids, one worker per usable CPU by default. Seeding is
 worker-count independent: when a base seed is given, each experiment's
 seed is spawned from one ``np.random.SeedSequence`` by *position in the
 id list*, so ``workers=1`` and ``workers=8`` produce bit-identical
-results. Workers ship back what their runs added to the process-wide
-instruments (stage and nn timings, synthesis counters), and the parent
-merges it, so the caller reads the same counts at any worker count.
+results. Workers ship back what their runs added to the process registry
+(:func:`repro.obs.process_metrics`: stage and nn timings, synthesis and
+tracker counts), and the parent merges it, so the caller reads the same
+counts at any worker count.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ from repro.experiments import (
     fig14,
     table1,
 )
-from repro.nn import nn_metrics
 from repro.nn.overlap import blas_threads, set_blas_threads, usable_cpus
-from repro.radar import SYNTH_STATS
-from repro.radar.stages import stage_metrics
+from repro.obs import process_metrics
 
 __all__ = [
     "EXPERIMENTS",
@@ -190,10 +189,10 @@ class ExperimentRun:
         options: the exact keyword overrides the run function received on
             top of any fast presets (including a spawned ``seed``, if any).
         stage_timings: per-stage wall-time deltas this run contributed to
-            the stage-graph histograms (:func:`repro.radar.stages.
-            stage_metrics`): ``{"stages.<stage>.wall_s": {"count": n,
-            "wall_s": seconds}}``. Empty when the run never entered the
-            sensing graph (fig7's closed-form sweep, say).
+            the ``stages.`` histograms of the process registry:
+            ``{"stages.<stage>.wall_s": {"count": n, "wall_s": seconds}}``.
+            Empty when the run never entered the sensing graph (fig7's
+            closed-form sweep, say).
     """
 
     experiment_id: str
@@ -276,46 +275,24 @@ def experiment_seeds(num_experiments: int, base_seed: int) -> list[int]:
             for child in children]
 
 
-#: The stage registry, the nn registry and the synthesis counters as plain
-#: data that pickles: a reading (:func:`_readings`) or what one run added
-#: (:func:`_growth_since`, built on
-#: :meth:`~repro.serve.metrics.MetricsRegistry.growth_since`).
-_Telemetry = tuple[dict[str, Any], dict[str, Any], dict[str, int]]
+def _timed_run(experiment_id: str, fast: bool, options: dict[str, Any],
+               ) -> tuple[ExperimentRun, dict[str, Any]]:
+    """Worker entry point (module-level so it pickles into a process pool).
 
-
-def _readings() -> _Telemetry:
-    return (stage_metrics().snapshot(), nn_metrics().snapshot(),
-            dataclasses.asdict(SYNTH_STATS))
-
-
-def _growth_since(before: _Telemetry) -> _Telemetry:
-    stages, nn, synthesis = before
-    return (stage_metrics().growth_since(stages),
-            nn_metrics().growth_since(nn),
-            {name: value - synthesis[name]
-             for name, value in dataclasses.asdict(SYNTH_STATS).items()})
-
-
-def _merge(growth: _Telemetry) -> None:
-    """Add what a worker's run added into this process's instruments."""
-    stages, nn, synthesis = growth
-    stage_metrics().merge(stages)
-    nn_metrics().merge(nn)
-    for name, amount in synthesis.items():
-        setattr(SYNTH_STATS, name, getattr(SYNTH_STATS, name) + amount)
-
-
-def _timed_run(experiment_id: str, fast: bool,
-               options: dict[str, Any]) -> tuple[ExperimentRun, _Telemetry]:
-    """Worker entry point (module-level so it pickles into a process pool)."""
-    before = _readings()
+    Returns the run and what it added to the process registry
+    (:meth:`~repro.obs.MetricsRegistry.growth_since`), plain data that
+    pickles back to the parent.
+    """
+    registry = process_metrics()
+    before = registry.snapshot()
     started = time.perf_counter()
     result = run_experiment(experiment_id, fast=fast, **options)
     elapsed_s = time.perf_counter() - started
-    growth = _growth_since(before)
+    growth = registry.growth_since(before)
     stage_timings = {name: {"count": sum(data["counts"]),
                             "wall_s": data["sum"]}
-                     for name, data in sorted(growth[0]["histograms"].items())}
+                     for name, data in sorted(growth["histograms"].items())
+                     if name.startswith("stages.")}
     return ExperimentRun(experiment_id=experiment_id, result=result,
                          elapsed_s=elapsed_s, options=dict(options),
                          stage_timings=stage_timings), growth
@@ -365,9 +342,9 @@ def run_experiments(experiment_ids: Sequence[str], *, fast: bool = False,
         **options: keyword overrides forwarded to every experiment.
 
     Returns:
-        One :class:`ExperimentRun` per id, in input order. Pooled runs'
-        stage and nn timings and synthesis counters are merged into this
-        process's instruments, as if the runs had been in-process.
+        One :class:`ExperimentRun` per id, in input order. What pooled
+        runs added to their process registries is merged into this
+        process's, as if the runs had been in-process.
     """
     experiment_ids = list(experiment_ids)
     unknown = [eid for eid in experiment_ids if eid not in EXPERIMENTS]
@@ -400,7 +377,7 @@ def run_experiments(experiment_ids: Sequence[str], *, fast: bool = False,
                        for eid, opts in jobs]
             results = [future.result() for future in futures]
         for _, growth in results:
-            _merge(growth)
+            process_metrics().merge(growth)
         runs = [run for run, _ in results]
 
     if record_dir is not None:

@@ -12,15 +12,16 @@ One runtime policy governs execution, env-configurable through
 :mod:`repro.config`: the leaf/parameter dtype
 (``RF_PROTECT_NN_DTYPE=float32|float64``, see
 :func:`~repro.nn.tensor.dtype_scope`). Every LSTM layer scans as one fused
-:func:`~repro.nn.functional.lstm_sequence` op. Per-op wall-time
-instrumentation lives in :mod:`repro.nn.metrics`. A large BiLSTM pass runs its two
-directions at once, forward and in BPTT, on one helper thread
-(:mod:`repro.nn.overlap`); no knob selects this, and no result changes.
+:func:`~repro.nn.functional.lstm_sequence` op. LSTM scans, their BPTT
+passes and the cGAN steps record their wall times into the process registry
+(:func:`nn_metrics`, which is :func:`repro.obs.process_metrics`) as
+``nn.<op>.wall_s``. A large BiLSTM pass runs its two directions at once,
+forward and in BPTT, on one helper thread (:mod:`repro.nn.overlap`); no
+knob selects this, and no result changes.
 """
 
 from repro.nn import functional
 from repro.nn.layers import Dropout, Embedding, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
-from repro.nn.metrics import nn_metrics
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.recurrent import BiLSTM, LSTM, LSTMCell
 from repro.nn.serialization import load_state, save_state
@@ -31,6 +32,7 @@ from repro.nn.tensor import (
     resolve_dtype,
     set_default_dtype,
 )
+from repro.obs import process_metrics as nn_metrics
 
 __all__ = [
     "Adam",

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import GradientError
 from repro.nn.tensor import Tensor, TensorLike, as_tensor
+from repro.obs import observe_wall
 
 __all__ = [
     "bce_with_logits",
@@ -283,8 +284,7 @@ def lstm_sequence(inputs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
         bias._accumulate(flat_gates.sum(axis=0))
         h0._accumulate(dh_next)
         c0._accumulate(dc_next)
-        from repro.nn.metrics import observe_op
-        observe_op("lstm_sequence_backward", time.perf_counter() - started)
+        observe_wall("nn.lstm_sequence_backward.wall_s", started)
 
     out._backward = backward
     return out

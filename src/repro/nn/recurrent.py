@@ -10,9 +10,10 @@ Each layer of a sequence runs as one
 in a single graph node with a hand-written BPTT backward. The per-timestep
 cell graph it replaced is a test oracle (``tests/lstm_oracle.py``) that the
 property suite and the ``naive.*`` GAN digests hold this op to. Each
-per-layer scan reports wall time into :mod:`repro.nn.metrics`. A large
-:class:`BiLSTM` pass scans its two directions at the same time, one on the
-helper thread of :mod:`repro.nn.overlap`.
+per-layer scan records its wall time as ``nn.lstm_sequence.wall_s`` in the
+process registry (:mod:`repro.obs`). A large :class:`BiLSTM` pass scans
+its two directions at the same time, one on the helper thread of
+:mod:`repro.nn.overlap`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from repro.nn.functional import (
     stack,
 )
 from repro.nn.layers import Module
-from repro.nn.metrics import observe_op
 from repro.nn.tensor import Tensor, as_tensor
+from repro.obs import observe_wall
 
 __all__ = ["BiLSTM", "LSTM", "LSTMCell"]
 
@@ -138,7 +139,7 @@ class LSTM(Module):
             started = time.perf_counter()
             sequence = lstm_sequence(sequence, cell.weight_ih, cell.weight_hh,
                                      cell.bias, h0, c0)
-            observe_op("lstm_sequence", time.perf_counter() - started)
+            observe_wall("nn.lstm_sequence.wall_s", started)
             if layer < self.num_layers - 1 and self.dropout_probability > 0:
                 sequence = dropout(sequence, self.dropout_probability,
                                    self._rng, training=self.training)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
-from repro.radar.frontend import SYNTH_STATS, PathComponent, thermal_noise
+from repro.radar.frontend import PathComponent, record_synthesis, thermal_noise
 from repro.signal.chirp import ChirpConfig
 
 __all__ = [
@@ -184,7 +184,7 @@ def synthesize_frame(
     if len(packed) == 0:
         frame = np.zeros((config.num_antennas, config.chirp.num_samples),
                          dtype=complex)
-        SYNTH_STATS.record_frame(0, 0)
+        record_synthesis(1, 0, 0)
     else:
         beat, carrier, keep = _beat_and_carrier(packed, config.chirp)
         steering = np.exp(
@@ -192,8 +192,8 @@ def synthesize_frame(
         )
         frame = _contract_frame(packed.amplitudes[keep], beat[keep],
                                 carrier[keep], steering, config.chirp)
-        SYNTH_STATS.record_frame(
-            len(packed), int(len(packed) - np.count_nonzero(keep)))
+        record_synthesis(1, len(packed),
+                         int(len(packed) - np.count_nonzero(keep)))
     if rng is not None and config.noise_std > 0:
         frame = frame + thermal_noise(config.noise_std, rng,
                                       np.empty_like(frame))
@@ -234,6 +234,7 @@ def synthesize_packed(columns: np.ndarray, counts: np.ndarray,
     in a fresh zero cube.
     """
     num_frames = counts.shape[0]
+    dropped = 0
     fresh = out is None
     if out is None:
         out = np.zeros((num_frames, config.num_antennas,
@@ -267,11 +268,6 @@ def synthesize_packed(columns: np.ndarray, counts: np.ndarray,
                 out[frame_ids] = tones
             else:
                 out[frame_ids] += tones
-        lost = np.concatenate(([0], np.cumsum(~keep)))
-        dropped = lost[starts[1:]] - lost[starts[:-1]]
-        for count, num_dropped in zip(counts.tolist(), dropped.tolist()):
-            SYNTH_STATS.record_frame(count, num_dropped)
-    else:
-        for _ in range(num_frames):
-            SYNTH_STATS.record_frame(0, 0)
+        dropped = int(np.count_nonzero(~keep))
+    record_synthesis(num_frames, int(counts.sum()), dropped)
     return out

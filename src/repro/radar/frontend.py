@@ -14,7 +14,7 @@ f_switch`` (Sec. 5.1), which is exactly how the tag spoofs distance.
 
 The synthesis kernel itself is the batched, broadcasted engine in
 :mod:`repro.radar.batch`; this module holds the path-component type, the
-synthesis counters and the shared thermal-noise draw. The reference
+synthesis counts and the shared thermal-noise draw. The reference
 per-component loop it replaced is a test oracle
 (``tests/receive_oracle.py``), and ``tests/test_frontend_equivalence.py``
 pins the engine to it.
@@ -28,47 +28,58 @@ import logging
 import numpy as np
 
 from repro.errors import SignalProcessingError
+from repro.obs import process_metrics
 
 __all__ = [
     "PathComponent",
     "SYNTH_STATS",
     "SynthesisStats",
+    "record_synthesis",
     "thermal_noise",
 ]
 
 logger = logging.getLogger(__name__)
 
 
-@dataclasses.dataclass
-class SynthesisStats:
-    """Process-wide counters for the synthesis kernels.
+def record_synthesis(frames: int, components: int, dropped: int) -> None:
+    """Count one synthesis call into the process registry.
 
     A super-Nyquist tone is silently invisible to the radar (a real ADC's
     anti-alias filter removes it), but silently *dropping* it in simulation
     made a whole class of bugs untestable. The synthesis kernel (and its
-    per-component test oracle) logs each drop at debug level and
-    accumulates counts here, so tests can assert both discard exactly the
+    per-component test oracle) logs drops at debug level and adds its
+    totals to ``synth.frames``, ``synth.components`` and
+    ``synth.dropped_tones``, so tests can assert both discard exactly the
     same tones.
     """
+    registry = process_metrics()
+    registry.inc("synth.frames", frames)
+    registry.inc("synth.components", components)
+    registry.inc("synth.dropped_tones", dropped)
+    if dropped:
+        logger.debug("synthesis dropped %d/%d super-Nyquist tone(s)",
+                     dropped, components)
 
-    frames_synthesized: int = 0
-    components_seen: int = 0
-    dropped_tones: int = 0
 
-    def reset(self) -> None:
-        self.frames_synthesized = 0
-        self.components_seen = 0
-        self.dropped_tones = 0
+class SynthesisStats:
+    """Read-only view of the ``synth.*`` counters (:func:`record_synthesis`)."""
 
-    def record_frame(self, num_components: int, num_dropped: int) -> None:
-        self.frames_synthesized += 1
-        self.components_seen += num_components
-        self.dropped_tones += num_dropped
-        if num_dropped:
-            logger.debug(
-                "synthesis dropped %d/%d super-Nyquist tone(s)",
-                num_dropped, num_components,
-            )
+    @staticmethod
+    def _count(name: str) -> int:
+        counters = process_metrics().snapshot()["counters"]
+        return int(counters.get(f"synth.{name}", 0))
+
+    @property
+    def frames_synthesized(self) -> int:
+        return self._count("frames")
+
+    @property
+    def components_seen(self) -> int:
+        return self._count("components")
+
+    @property
+    def dropped_tones(self) -> int:
+        return self._count("dropped_tones")
 
 
 SYNTH_STATS = SynthesisStats()

@@ -24,10 +24,9 @@ them:
   Eq. 2 GEMM has its own shape, so a request's bits do not depend on which
   batch it rode in. :func:`sweep_results` splits a finished context back
   into one :class:`~repro.radar.pipeline.SweepProcessingResult` per request.
-- Every stage run is timed into a per-stage wall-time histogram
-  (:func:`stage_metrics`, built on
-  :class:`repro.serve.metrics.MetricsRegistry`); the benchmarks job dumps
-  the snapshot as an artifact.
+- Every stage run is timed into a per-stage wall-time histogram,
+  ``stages.<stage>.wall_s``, of the process registry
+  (:func:`stage_metrics`, which is :func:`repro.obs.process_metrics`).
 
 Workspace slots (the inter-stage contract; ``F`` is the requests' summed
 frame count, request after request)::
@@ -57,7 +56,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import threading
 import time
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any, NamedTuple
@@ -65,6 +63,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 import numpy as np
 
 from repro.errors import ConfigurationError, TrackingError
+from repro.obs import observe_wall, process_metrics
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.batch import synthesize_packed
 from repro.radar.emit import Emission, emit_paths
@@ -87,14 +86,12 @@ from repro.types import Trajectory
 
 if TYPE_CHECKING:
     from repro.radar.scene import Scene
-    from repro.serve.metrics import MetricsRegistry
 
 __all__ = [
     "ExecutionContext",
     "MAX_SWEEP_BYTES",
     "RECEIVE_PLAN",
     "SENSE_PLAN",
-    "STAGE_TIME_BUCKETS",
     "STREAMING_DETECT",
     "SenseInput",
     "Stage",
@@ -105,15 +102,6 @@ __all__ = [
     "stage_metrics",
     "sweep_results",
 ]
-
-#: Wall-time histogram grid for stage instrumentation, seconds. Stages run
-#: from tens of microseconds (subtract on a cropped cube) to seconds (a
-#: long sweep's synthesis), so the grid is finer than the serving latency
-#: buckets.
-STAGE_TIME_BUCKETS: tuple[float, ...] = (
-    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
-    1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 #: Largest complex beat cube one request may capture, bytes (256 MiB).
 #: The largest request any experiment, example or benchmark makes is a
@@ -217,34 +205,9 @@ class ExecutionContext:
 StageFn = Callable[[ExecutionContext], None]
 
 
-# --------------------------------------------------------------------------
-# Instrumentation
-# --------------------------------------------------------------------------
-
-# Imported lazily: repro.serve.metrics is dependency-free, but importing it
-# initializes the repro.serve package, which imports the radar facade —
-# a cycle if it happened while this module (or repro.radar.radar) loads.
-# Created under a lock: serve's engine workers can race on the first
-# observation, and a registry that lost the race would drop its counts.
-_STAGE_METRICS: "MetricsRegistry | None" = None
-_STAGE_METRICS_LOCK = threading.Lock()
-
-
-def stage_metrics() -> "MetricsRegistry":
-    """The process-wide per-stage timing registry (lazily constructed).
-
-    One wall-time histogram per stage (``stages.<stage>.wall_s``), whose
-    count is the stage's run count — the same Prometheus-shaped
-    instruments the serving service exports, so a service snapshot, the
-    benchmarks artifact, and an experiment record all read identically.
-    """
-    global _STAGE_METRICS
-    if _STAGE_METRICS is None:
-        with _STAGE_METRICS_LOCK:
-            if _STAGE_METRICS is None:
-                from repro.serve.metrics import MetricsRegistry
-                _STAGE_METRICS = MetricsRegistry()
-    return _STAGE_METRICS
+#: The process registry, which holds one wall-time histogram per stage,
+#: ``stages.<stage>.wall_s``, whose count is the stage's run count.
+stage_metrics = process_metrics
 
 
 # --------------------------------------------------------------------------
@@ -273,12 +236,10 @@ def execute(plan: Sequence[StageBinding],
     time is observed into the per-stage histograms. Returns ``ctx`` for
     chaining.
     """
-    registry = stage_metrics()
     for binding in plan:
         started = time.perf_counter()
         binding.kernel(ctx)
-        registry.observe(f"stages.{binding.stage.value}.wall_s",
-                         time.perf_counter() - started, STAGE_TIME_BUCKETS)
+        observe_wall(f"stages.{binding.stage.value}.wall_s", started)
     return ctx
 
 

@@ -35,6 +35,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.errors import ConfigurationError, TrackingError
+from repro.obs import process_metrics
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.processing import RangeAngleProfile
 from repro.signal.detection import selection_median
@@ -500,7 +501,9 @@ class StreamingTracker:
         Frames must arrive in nondecreasing time order. Detections are
         clustered and canonically ordered before association, so the
         resulting tracks (IDs included) do not depend on the input order
-        of ``detections``.
+        of ``detections``. The frame's new and retired tracks are counted
+        as ``tracker.births`` and ``tracker.retirements`` in the process
+        registry.
         """
         if self._frame_times and time < self._frame_times[-1]:
             raise TrackingError(
@@ -538,6 +541,10 @@ class StreamingTracker:
                 still_active.append(track)
             elif len(track) >= self.config.min_track_points:
                 self._finished.append(track)
+        registry = process_metrics()
+        registry.inc("tracker.births", len(merged) - len(matched_detections))
+        registry.inc("tracker.retirements",
+                     len(self._active) - len(still_active))
         self._active = still_active
 
     # -- finalization ------------------------------------------------------

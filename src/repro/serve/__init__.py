@@ -14,7 +14,10 @@ one simulation host. This package turns the core into a *service*:
 - :class:`SenseService` — the asyncio scheduler: bounded admission,
   deadlines, worker pool, fault isolation.
 - :class:`InProcessClient` — a synchronous facade for non-async callers.
-- :class:`MetricsRegistry` — counters/gauges/histograms with JSON export.
+- ``SenseService.metrics`` — each service's own
+  :class:`~repro.obs.MetricsRegistry` of admission, batch and session
+  counts; the stages it runs record their wall times into the process
+  registry of :mod:`repro.obs`.
 - :class:`SessionStore` / :class:`TrackRequest` — long-lived tracking
   sessions: per-session incremental tracker state with idle eviction and
   exact checkpoint/restore (``repro.serve.session``).
@@ -26,14 +29,6 @@ with the same parameters, regardless of arrival order or batch grouping —
 
 from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.client import InProcessClient
-from repro.serve.metrics import (
-    BATCH_SIZE_BUCKETS,
-    LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.serve.request import (
     BACKEND_ISOLATED,
     BACKEND_VECTORIZED,
@@ -50,15 +45,9 @@ from repro.serve.session import SessionConfig, SessionStore, TrackingSession
 __all__ = [
     "BACKEND_ISOLATED",
     "BACKEND_VECTORIZED",
-    "BATCH_SIZE_BUCKETS",
     "Batch",
     "BatchKey",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "InProcessClient",
-    "LATENCY_BUCKETS_S",
-    "MetricsRegistry",
     "MicroBatcher",
     "SenseRequest",
     "SenseResponse",

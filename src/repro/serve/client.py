@@ -26,7 +26,6 @@ from typing import Any, Coroutine
 
 from repro.radar.config import RadarConfig
 from repro.radar.tracker import TrackerConfig
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.request import (
     SenseRequest,
     SenseResponse,
@@ -42,8 +41,7 @@ class InProcessClient:
     """A synchronous facade over :class:`SenseService` on a private loop."""
 
     def __init__(self, config: ServiceConfig | None = None, *,
-                 default_radar_config: RadarConfig | None = None,
-                 metrics: MetricsRegistry | None = None) -> None:
+                 default_radar_config: RadarConfig | None = None) -> None:
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever,
@@ -52,10 +50,7 @@ class InProcessClient:
         )
         self._thread.start()
         self._service = SenseService(
-            config,
-            default_radar_config=default_radar_config,
-            metrics=metrics,
-        )
+            config, default_radar_config=default_radar_config)
         self._closed = False
         self._call(self._service.start())
 

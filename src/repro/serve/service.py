@@ -26,16 +26,17 @@ real compute:
   alone (a direct ``FmcwRadar.sense``: the same kernels on a batch of one)
   if the batch raises, so one poisoned request fails with a typed
   error while its batch-mates get the bits a fault-free batch gives them;
-  the retry is visible in the ``batches.fallback`` counter and each
-  response's ``backend`` field.
+  the retry is visible in the ``batches.fallback`` and
+  ``requests.isolated`` counters and each response's ``backend`` field.
 - **Tracking sessions** — :meth:`SenseService.submit_tracked` senses
   through the same admission/batching path, then ingests the resulting
   frames into the request's session tracker
   (:class:`~repro.serve.session.SessionStore`); the flusher additionally
   runs the store's idle-eviction sweep on its own cadence.
 
-Everything the service does is observable through its
-:class:`~repro.serve.metrics.MetricsRegistry`.
+Everything the service does is observable through its own
+:class:`~repro.obs.MetricsRegistry` (:attr:`SenseService.metrics`); the
+stages it runs record their wall times into the process registry.
 """
 
 from __future__ import annotations
@@ -53,16 +54,12 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
+from repro.obs import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S, MetricsRegistry
 from repro.radar.config import RadarConfig
 from repro.radar.processing import ZERO_PAD_FACTOR, range_keep_mask
 from repro.radar.stages import frame_count
 from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.engine import ExecutionItem, ExecutionOutcome, execute_batch, radar_for
-from repro.serve.metrics import (
-    BATCH_SIZE_BUCKETS,
-    LATENCY_BUCKETS_S,
-    MetricsRegistry,
-)
 from repro.radar.tracker import TrackerConfig
 from repro.serve.request import (
     BACKEND_VECTORIZED,
@@ -161,8 +158,6 @@ class SenseService:
         config: scheduling knobs; ``None`` uses ``ServiceConfig()``.
         default_radar_config: radar configuration applied to requests that
             do not carry their own.
-        metrics: telemetry registry to record into; ``None`` creates a
-            private one (exposed as :attr:`metrics`).
         execute: batch-execution callable, overridable for tests; defaults
             to :func:`repro.serve.engine.execute_batch`.
         session_config: retention policy of the tracking-session store
@@ -172,7 +167,6 @@ class SenseService:
 
     def __init__(self, config: ServiceConfig | None = None, *,
                  default_radar_config: RadarConfig | None = None,
-                 metrics: MetricsRegistry | None = None,
                  execute: ExecuteFn | None = None,
                  session_config: SessionConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
@@ -180,7 +174,8 @@ class SenseService:
             default_radar_config if default_radar_config is not None
             else RadarConfig()
         )
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: This service's own counters, gauges and histograms.
+        self.metrics = MetricsRegistry()
         self._execute: ExecuteFn = execute if execute is not None else execute_batch
         self.sessions = SessionStore(session_config, metrics=self.metrics)
         self._batcher: MicroBatcher[BatchKey, _Pending] = MicroBatcher(
@@ -516,8 +511,11 @@ class SenseService:
 
         self.metrics.inc("batches.executed")
         by_id = {outcome.request_id: outcome for outcome in outcomes}
-        if any(outcome.backend != BACKEND_VECTORIZED for outcome in outcomes):
+        isolated = sum(outcome.backend != BACKEND_VECTORIZED
+                       for outcome in outcomes)
+        if isolated:
             self.metrics.inc("batches.fallback")
+            self.metrics.inc("requests.isolated", isolated)
         for pending in live:
             if pending.future.done():
                 continue

@@ -24,7 +24,7 @@ store is two-tiered:
 The store never reads a clock: every operation takes ``now`` from the
 caller (the service passes ``loop.time()``), which keeps the store
 deterministic and directly testable. All mutating operations record into a
-:class:`~repro.serve.metrics.MetricsRegistry` — ``sessions.live`` /
+:class:`~repro.obs.MetricsRegistry` — ``sessions.live`` /
 ``sessions.parked`` gauges plus created/parked/restored/dropped/frame
 counters.
 """
@@ -36,9 +36,9 @@ import dataclasses
 from typing import Any
 
 from repro.errors import ConfigurationError, SessionNotFoundError
+from repro.obs import MetricsRegistry
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.tracker import StreamingTracker, TrackerConfig
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.request import require_finite
 
 __all__ = ["SessionConfig", "SessionStore", "TrackingSession"]

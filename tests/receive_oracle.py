@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError, SignalProcessingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
 from repro.radar.emit import Emission
-from repro.radar.frontend import SYNTH_STATS, PathComponent, thermal_noise
+from repro.radar.frontend import PathComponent, record_synthesis, thermal_noise
 from repro.radar.processing import (
     ZERO_PAD_FACTOR,
     RangeAngleProfile,
@@ -75,7 +75,7 @@ def synthesize_frame_naive(components: list[PathComponent], config: RadarConfig,
         )
         antenna_phases = array.arrival_phases(component.angle)
         frame += np.exp(1j * antenna_phases)[:, None] * tone[None, :]
-    SYNTH_STATS.record_frame(len(components), dropped)
+    record_synthesis(1, len(components), dropped)
 
     if rng is not None and config.noise_std > 0:
         frame += thermal_noise(config.noise_std, rng, np.empty_like(frame))

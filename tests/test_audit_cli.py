@@ -17,7 +17,7 @@ from repro.audit.app import load_key_seed, main as audit_main, write_key_file
 from repro.audit.ledger import LEDGER_NAME, Ledger, verify_chain
 from repro.cli import main as cli_main
 from repro.experiments.runner import run_experiments
-from repro.serve.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry
 
 SEED_HEX = "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"
 

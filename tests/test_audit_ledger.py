@@ -221,6 +221,25 @@ class TestVerifyNeverRaises:
             assert verification.first_bad_index == bad_index
             assert reason in verification.reason
 
+    @pytest.mark.parametrize("line, old, new", [
+        (0, b'"index":0', b'"index":"0"'),
+        (0, b'"schema":1', b'"schema":"1"'),
+        (0, b'"index":0', b'"index":0.0'),
+        (1, b'"index":1', b'"index":true'),
+        (0, b'"payload":{"experiment_id":"fig7","seed":0}',
+         b'"payload":[["experiment_id","fig7"],["seed",0]]'),
+    ])
+    def test_a_field_of_another_json_type_fails_its_record(self, line, old,
+                                                            new):
+        # Each edit converts back to the hashed value, so only the field's
+        # JSON type shows the bytes changed.
+        lines = VALID_LEDGER.splitlines(keepends=True)
+        assert lines[line].count(old) == 1
+        lines[line] = lines[line].replace(old, new)
+        verification = _verify_bytes(b"".join(lines))
+        assert not verification.ok
+        assert verification.first_bad_index == line
+        assert "malformed ledger record" in verification.reason
 
     def test_reading_a_non_utf8_ledger_raises_a_ledger_error(self,
                                                               tmp_path):

@@ -132,16 +132,21 @@ class TestNyquistDropParity:
         components = self.super_nyquist_components(config)
         components += random_components(np.random.default_rng(3), 6, config)
 
-        SYNTH_STATS.reset()
+        def counts() -> tuple[int, int, int]:
+            return (SYNTH_STATS.dropped_tones, SYNTH_STATS.components_seen,
+                    SYNTH_STATS.frames_synthesized)
+
+        before = counts()
         synthesize_frame_naive(components, config, array, None)
-        naive_dropped = SYNTH_STATS.dropped_tones
+        naive_dropped = counts()[0] - before[0]
         assert naive_dropped == 5
 
-        SYNTH_STATS.reset()
+        before = counts()
         synthesize_frame(components, config, array, None)
-        assert SYNTH_STATS.dropped_tones == naive_dropped
-        assert SYNTH_STATS.components_seen == len(components)
-        assert SYNTH_STATS.frames_synthesized == 1
+        dropped, seen, frames = (b - a for a, b in zip(before, counts()))
+        assert dropped == naive_dropped
+        assert seen == len(components)
+        assert frames == 1
 
     def test_drop_emits_debug_log(self, config, array, caplog):
         far = PathComponent(config.chirp.max_unambiguous_range + 3.0, 1.0, 0.1)

@@ -15,7 +15,6 @@ collector and a second backward through a freed graph fails loudly.
 from __future__ import annotations
 
 import gc
-import importlib
 import json
 import os
 import signal
@@ -37,7 +36,7 @@ from repro.nn import BiLSTM, Tensor, dtype_scope
 from repro.nn import functional as F
 from repro.nn import overlap
 from repro.nn import tensor as tensor_module
-from repro.serve import metrics as serve_metrics
+from repro.obs import observe_wall, process_metrics
 from repro.trajectories import HumanMotionSimulator
 
 SMALL_GAN = GanConfig(noise_dim=6, hidden_size=10, embed_dim=4,
@@ -396,35 +395,27 @@ class TestGraphRelease:
 
 
 class TestMetricsRegistryCreation:
-    @pytest.mark.parametrize("module_name, attribute, accessor", [
-        ("repro.nn.metrics", "_NN_METRICS", "nn_metrics"),
-        ("repro.radar.stages", "_STAGE_METRICS", "stage_metrics"),
-    ])
-    def test_racing_first_observations_share_one_registry(
-            self, monkeypatch, module_name, attribute, accessor):
-        module = importlib.import_module(module_name)
-        created: list[serve_metrics.MetricsRegistry] = []
-
-        class SlowRegistry(serve_metrics.MetricsRegistry):
-            def __init__(self) -> None:
-                time.sleep(0.05)  # widen any check-then-set window
-                super().__init__()
-                created.append(self)
-
-        monkeypatch.setattr(serve_metrics, "MetricsRegistry", SlowRegistry)
-        monkeypatch.setattr(module, attribute, None)
+    def test_racing_first_observations_share_one_registry(self):
+        """Two threads create the same instruments at once; no count is lost."""
+        registry = process_metrics()
+        counter, histogram = "test.race.count", "test.race.wall_s"
+        before = registry.snapshot()
+        assert counter not in before["counters"]
+        assert histogram not in before["histograms"]
+        rounds = 500
         barrier = threading.Barrier(2)
 
-        def observe(name: str) -> None:
+        def observe() -> None:
             barrier.wait()
-            getattr(module, accessor)().inc(name)
+            for _ in range(rounds):
+                registry.inc(counter)
+                observe_wall(histogram, time.perf_counter())
 
-        threads = [threading.Thread(target=observe, args=(f"race.{i}",))
-                   for i in range(2)]
+        threads = [threading.Thread(target=observe) for _ in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        assert len(created) == 1
-        assert getattr(module, attribute) is created[0]
-        assert created[0].snapshot()["counters"] == {"race.0": 1, "race.1": 1}
+        after = registry.snapshot()
+        assert after["counters"][counter] == 2 * rounds
+        assert after["histograms"][histogram]["count"] == 2 * rounds

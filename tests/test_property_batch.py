@@ -10,7 +10,6 @@ caller's stage histograms and synthesis counters record.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 
@@ -199,12 +198,12 @@ def probes(monkeypatch):
 
 
 def _instrument_counts() -> dict[str, int]:
-    """Stage run counts and synthesis counters of this process."""
+    """Histogram counts and counters of this process's registry."""
     snapshot = stage_metrics().snapshot()
     counts = {name: data["count"]
               for name, data in snapshot["histograms"].items()}
     counts.update(snapshot["counters"])
-    counts.update(dataclasses.asdict(SYNTH_STATS))
+    counts["frames_synthesized"] = SYNTH_STATS.frames_synthesized
     return counts
 
 
@@ -226,6 +225,7 @@ class TestExperimentFanOut:
         assert growth[0] == growth[1]
         assert growth[0]["stages.detect.wall_s"] > 0
         assert growth[0]["frames_synthesized"] > 0
+        assert growth[0]["tracker.births"] > 0
 
     @needs_fork
     def test_forked_workers_run_on_the_blas_budget(self, probes,

@@ -20,6 +20,7 @@ Pins the subsystem's four contracts:
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import dataclasses
 import functools
 import itertools
@@ -40,6 +41,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.geometry import Rectangle
+from repro.obs import MetricsRegistry
 from repro.radar import FmcwRadar, RadarConfig, Scene
 from repro.serve import (
     BACKEND_ISOLATED,
@@ -266,8 +268,8 @@ class TestSaturationAndDeadlines:
                 await asyncio.sleep(0.01)
                 with pytest.raises(ServiceOverloadedError):
                     await service.submit(request)
-                rejected_count = service.metrics.counter(
-                    "requests.rejected").value
+                rejected_count = service.metrics.snapshot()["counters"][
+                    "requests.rejected"]
                 blocker.release.set()
                 responses = await asyncio.gather(first, second, third)
             return {"rejected": rejected_count, "responses": responses}
@@ -307,7 +309,8 @@ class TestSaturationAndDeadlines:
                 # The doomed request never reached the executor: only the
                 # holding request's batch was executed.
                 assert blocker.calls == calls_before_release == 1
-                return service.metrics.counter("requests.expired").value
+                return service.metrics.snapshot()["counters"][
+                    "requests.expired"]
 
         assert asyncio.run(run()) == 1
 
@@ -385,6 +388,28 @@ class TestFaultIsolation:
         assert "IndexError" in str(poisoned.error)
         assert isinstance(poisoned.error.__cause__, IndexError)
 
+    def test_isolated_retries_are_counted_per_request(self, scene,
+                                                       radar_config):
+        """One poisoned request fails its batch: every request retries."""
+        requests = [SenseRequest(scene=scene, duration=0.3, seed=seed)
+                    for seed in range(3)]
+        requests.append(SenseRequest(
+            scene=poisoned_scene(scene, IndexError("injected")),
+            duration=0.3, seed=3))
+        with InProcessClient(
+            quick_service_config(max_batch_size=len(requests),
+                                 batch_window_ms=1000.0),
+            default_radar_config=radar_config,
+        ) as client:
+            futures = [client.submit(request) for request in requests]
+            concurrent.futures.wait(futures)
+            counters = client.metrics_snapshot()["counters"]
+        assert [future.exception() is None for future in futures] == [
+            True, True, True, False]
+        assert counters["batches.executed"] == 1
+        assert counters["batches.fallback"] == 1
+        assert counters["requests.isolated"] == len(requests)
+
     def test_repro_error_passes_through_unchanged(self, scene, radar_config):
         error = SceneError("injected scene fault")
         key = BatchKey(config=radar_config, max_range=4.0)
@@ -437,7 +462,8 @@ class TestTelemetry:
                              default_radar_config=radar_config) as client:
             responses = client.sense_many(requests)
             snapshot = client.metrics_snapshot()
-            as_json = client.service.metrics.to_json()
+            as_json = json.dumps(client.service.metrics.snapshot(),
+                                 sort_keys=True)
 
         counters = snapshot["counters"]
         assert counters["requests.submitted"] == 6
@@ -463,8 +489,6 @@ class TestTelemetry:
         # The SessionStore now= convention: the registry never reads a
         # clock, so a snapshot stamped by the caller is byte-for-byte
         # reproducible — the property the audit ledger depends on.
-        from repro.serve.metrics import MetricsRegistry
-
         registry = MetricsRegistry()
         registry.inc("requests.submitted", 2)
         stamped = registry.snapshot(now=42.5, sequence=3)
@@ -472,15 +496,13 @@ class TestTelemetry:
         assert stamped["sequence"] == 3
         bare = registry.snapshot()
         assert "now" not in bare and "sequence" not in bare
-        assert (registry.to_json(now=42.5, sequence=3)
-                == registry.to_json(now=42.5, sequence=3))
+        assert (json.dumps(registry.snapshot(now=42.5, sequence=3))
+                == json.dumps(registry.snapshot(now=42.5, sequence=3)))
 
     def test_merged_growth_reads_as_if_observed_here(self):
         # The experiment runner's workers ship growth_since() back and the
         # parent merges it: the merged registry must read like one that
         # saw every observation itself.
-        from repro.serve.metrics import MetricsRegistry
-
         worker, direct, parent = (MetricsRegistry() for _ in range(3))
         for registry in (worker, direct):
             registry.inc("runs", 2)
@@ -500,8 +522,6 @@ class TestTelemetry:
         assert parent.snapshot() == direct.snapshot()
 
     def test_merge_rejects_other_bucket_bounds(self):
-        from repro.serve.metrics import MetricsRegistry
-
         source, target = MetricsRegistry(), MetricsRegistry()
         source.observe("wall_s", 0.1, (1.0, 2.0))
         target.observe("wall_s", 0.1, (1.0, 3.0))
@@ -548,7 +568,8 @@ class TestRangeCropAdmission:
                         scene=scene, duration=0.3, seed=0, max_range=0.5))
                 served = await service.submit(
                     SenseRequest(scene=scene, duration=0.3, seed=0))
-                counts = {name: service.metrics.counter(name).value
+                counters = service.metrics.snapshot()["counters"]
+                counts = {name: counters.get(name, 0)
                           for name in ("requests.submitted",
                                        "batches.executed")}
             return served, counts

@@ -34,9 +34,9 @@ from repro.errors import (
 )
 from repro.geometry import Rectangle
 from repro.radar import FmcwRadar, Scene, StreamingTracker, TrackerConfig
+from repro.obs import MetricsRegistry
 from repro.serve import (
     InProcessClient,
-    MetricsRegistry,
     SenseService,
     SessionConfig,
     SessionStore,
@@ -489,7 +489,8 @@ class TestServiceSessions:
                         break
                     await asyncio.sleep(0.02)
                 parked = not service.sessions.peek(session_id).live
-                evicted = service.metrics.counter("sessions.evicted").value
+                evicted = service.metrics.snapshot()["counters"].get(
+                    "sessions.evicted", 0)
 
                 # Touching the parked session restores it transparently.
                 response = await service.submit_tracked(TrackRequest(
@@ -499,8 +500,8 @@ class TestServiceSessions:
             return {"parked": parked, "evicted": evicted,
                     "frames_total": response.frames_total,
                     "frames_added": response.frames_added,
-                    "restored": service.metrics.counter(
-                        "sessions.restored").value}
+                    "restored": service.metrics.snapshot()["counters"].get(
+                        "sessions.restored", 0)}
 
         outcome = asyncio.run(run())
         assert outcome["parked"]
@@ -555,7 +556,8 @@ class TestTrackedArrays:
                                         response.frames_total,
                                         response.tracks,
                                         response.active_tracks))
-                restores = service.metrics.counter("sessions.restored").value
+                restores = service.metrics.snapshot()["counters"].get(
+                    "sessions.restored", 0)
             return answers, restores
 
         return asyncio.run(run())
@@ -610,7 +612,8 @@ class TestTrackedRangeCrop:
                         session_id=session_id, scene=scene, duration=0.3,
                         seed=0, max_range=0.5))
                 checkpoint = await service.session_checkpoint(session_id)
-                executed = service.metrics.counter("batches.executed").value
+                executed = service.metrics.snapshot()["counters"].get(
+                    "batches.executed", 0)
             return checkpoint, executed
 
         checkpoint, executed = asyncio.run(run())
