@@ -14,6 +14,7 @@ from repro.privacy import OccupancyModel
 from repro.reflector import ReflectorController, ReflectorPanel, RfProtectTag
 from repro.reflector.hardware import AntennaSwitchModel, SwitchModel
 from repro.types import Trajectory
+from tests.receive_oracle import emit_frame
 
 
 def _spoof_once(environment, panel, rng, *, switch=None, duration=8.0):
@@ -55,7 +56,7 @@ def test_ablation_square_wave_vs_ssb(benchmark):
             tag.deploy(schedule)
             array = environment.make_radar().array
             channel = environment.make_channel()
-            tag_components = tag.path_components(2.0, array, channel, rng)
+            tag_components = emit_frame([tag], 2.0, array, channel, rng)
             offsets = sorted({c.beat_offset_hz for c in tag_components})
             rows[name] = {
                 "num_lines": len(offsets),

@@ -13,12 +13,14 @@ import pytest
 from repro.experiments.environments import office_environment
 from repro.gan import GanConfig, GanTrainer
 from repro.nn import LSTM, Tensor
-from repro.radar import PathComponent, synthesize_frame, synthesize_frames
+from repro.radar import PathComponent, synthesize_packed
 from repro.trajectories import HumanMotionSimulator
 from repro.types import Trajectory
 from tests.receive_oracle import (
     compute_range_angle_map,
     frame_range_profiles,
+    noise_cube,
+    pack_frames,
     synthesize_frame_naive,
 )
 
@@ -42,13 +44,19 @@ def sweep_components(num_components: int) -> list[PathComponent]:
     ]
 
 
+def noisy_frame(components, config, array, rng):
+    """One noisy frame through ``synthesize_packed``, ``(K, N)``."""
+    return synthesize_packed(*pack_frames([components]), config, array,
+                             out=noise_cube(config, rng, 1))[0]
+
+
 @pytest.mark.benchmark(group="substrate-radar")
 def test_bench_frame_synthesis(benchmark, office):
     radar = office.make_radar()
     rng = np.random.default_rng(0)
     components = [PathComponent(2.0 + i, 0.5 + 0.2 * i, 0.05)
                   for i in range(8)]
-    frame = benchmark(synthesize_frame, components, office.radar_config,
+    frame = benchmark(noisy_frame, components, office.radar_config,
                       radar.array, rng)
     assert frame.shape == (7, office.radar_config.chirp.num_samples)
 
@@ -58,8 +66,12 @@ def test_bench_sweep_synthesis_vectorized(benchmark, office):
     """The batched engine on a 50-component, 128-chirp sweep."""
     radar = office.make_radar()
     per_frame = [sweep_components(50)] * 128
-    frames = benchmark(synthesize_frames, per_frame, office.radar_config,
-                       radar.array, None)
+
+    def sweep():
+        return synthesize_packed(*pack_frames(per_frame),
+                                 office.radar_config, radar.array)
+
+    frames = benchmark(sweep)
     assert frames.shape == (128, 7, office.radar_config.chirp.num_samples)
 
 
@@ -80,7 +92,8 @@ def test_bench_sweep_synthesis_speedup(office):
                 for c in per_frame]
 
     def vectorized_sweep():
-        return synthesize_frames(per_frame, config, radar.array, None)
+        return synthesize_packed(*pack_frames(per_frame), config,
+                                 radar.array)
 
     def best_of(fn, rounds=3):
         elapsed = []
@@ -107,7 +120,7 @@ def test_bench_range_angle_processing(benchmark, office):
     radar = office.make_radar()
     rng = np.random.default_rng(0)
     components = [PathComponent(4.0, 1.2, 0.05)]
-    frame = synthesize_frame(components, office.radar_config, radar.array, rng)
+    frame = noisy_frame(components, office.radar_config, radar.array, rng)
     profiles = frame_range_profiles(frame, office.radar_config)
 
     profile_map = benchmark(compute_range_angle_map, profiles,

@@ -90,28 +90,32 @@ def test_bench_streaming_ingestion(benchmark, detection_frames):
 def test_streaming_overhead_vs_batch_within_10pct(detection_frames):
     """Streaming may cost at most 10% over the batch driver.
 
-    Measured directly (best of 5 per side) rather than through
+    Measured directly (5 alternating rounds per side) rather than through
     pytest-benchmark so the ratio can be asserted as a regression guard.
     The two paths run the same code today; the margin absorbs timer noise,
     not architecture. The rounds alternate (streaming, batch, streaming,
-    ...), so a drift in host speed during the measurement lands on both
-    sides instead of on whichever side ran second.
+    ...), so a drift in host speed lands on both sides of a round, and the
+    guard reads the median of the per-round ratios (the estimator of
+    ``benchmarks/test_bench_nn.py``): the ratio of two independent
+    minimums swung from 0.83 to 1.30 on identical code.
     """
     run_streaming(detection_frames)  # warm allocator and caches
-    streaming_s = batch_s = float("inf")
+    streaming, batch = [], []
     for _ in range(5):
-        streaming_s = min(streaming_s, best_of(
+        streaming.append(best_of(
             lambda: run_streaming(detection_frames), rounds=1))
-        batch_s = min(batch_s, best_of(
+        batch.append(best_of(
             lambda: track_detections(detection_frames, CONFIG), rounds=1))
 
-    overhead = streaming_s / batch_s
+    overhead = float(np.median([s / b for s, b in zip(streaming, batch)]))
+    streaming_s, batch_s = min(streaming), min(batch)
     _RESULTS.update({
         "overhead.streaming_min_s": streaming_s,
         "overhead.batch_min_s": batch_s,
     })
     print(f"\nstreaming {streaming_s * 1e3:.1f} ms vs batch "
-          f"{batch_s * 1e3:.1f} ms: {overhead:.3f}x")
+          f"{batch_s * 1e3:.1f} ms (best of 5 each): median round "
+          f"ratio {overhead:.3f}x")
     assert overhead <= 1.10, (
         f"streaming ingestion costs {overhead:.2f}x the batch driver"
     )

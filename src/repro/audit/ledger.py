@@ -176,18 +176,19 @@ class Ledger:
 
 
 def _ledger_lines(path: str) -> Iterator[tuple[int, str]]:
-    """The non-blank lines of ``path``, stripped, with 1-based numbers.
+    """The non-blank lines of ``path``, newline removed, 1-based numbers.
 
-    A non-UTF-8 byte decodes to a lone surrogate, so it fails its own line
-    in :func:`_parse_line` instead of raising out of the decoder, which
-    reads ahead of the line being checked.
+    Only the newline goes: any other whitespace stays on the line, where
+    :func:`_parse_line` rejects it. A non-UTF-8 byte decodes to a lone
+    surrogate, so it fails its own line in :func:`_parse_line` instead of
+    raising out of the decoder, which reads ahead of the line being
+    checked.
     """
-    with open(path, "r", encoding="utf-8",
-              errors="surrogateescape") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="\n") as handle:
         for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
-                yield line_number, line
+            if line.strip():
+                yield line_number, line.removesuffix("\n")
 
 
 def _parse_line(line: str, path: str, line_number: int) -> LedgerRecord:
@@ -207,7 +208,15 @@ def _parse_line(line: str, path: str, line_number: int) -> LedgerRecord:
         raise LedgerError(
             f"{path}:{line_number}: ledger line is not a JSON object"
         )
-    return LedgerRecord.from_dict(raw)
+    record = LedgerRecord.from_dict(raw)
+    # The hash covers the record's fields, not the line's bytes: an added
+    # key, reordered keys or extra whitespace would still verify.
+    if line != canonical_json(record.to_dict()):
+        raise LedgerError(
+            f"{path}:{line_number}: ledger line is not the canonical JSON "
+            f"of its record"
+        )
+    return record
 
 
 @dataclasses.dataclass(frozen=True)

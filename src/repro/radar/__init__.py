@@ -4,29 +4,24 @@ The paper evaluates RF-Protect against a custom 6--7 GHz FMCW radar with a
 7-antenna array (Sec. 9.1). This package reproduces that radar in software:
 scene emission as packed path columns (`emit`), beat-signal synthesis
 (`frontend`, `batch`), the paper's range/angle processing pipeline with
-background subtraction (`processing`), and the trajectory extraction stage
-with Kalman tracking (`tracker`).
+background subtraction (`processing`, `pipeline`), and the trajectory
+extraction stage with Kalman tracking (`tracker`).
 
 Every sense path — FMCW, pulsed, the serving engine, the experiments
 runner — executes through the stage-graph executor in `stages`: a typed
-Emit → Synthesize → RangeFFT → BackgroundSubtract → Beamform → Detect
-plan that binds one kernel per stage, with per-stage wall-time
-instrumentation. The kernels run over a list of requests: a direct
+Emit → Synthesize → RangeFFT → BackgroundSubtract → Beamform plan that
+binds one kernel per stage, with per-stage wall-time instrumentation;
+Detect runs on demand on the finished result (``.tracks()``). Each stage
+has one way in: the kernels run over a list of requests, so a direct
 `FmcwRadar.sense` is a list of one, a served batch a longer list, and
-both take the same path.
+one frame is a sweep of one (`emit_paths`, `synthesize_packed`).
 """
 
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.channel import ChannelModel
 from repro.radar.config import RadarConfig
 from repro.radar.frontend import SYNTH_STATS, PathComponent, SynthesisStats
-from repro.radar.batch import (
-    PackedComponents,
-    pack_components,
-    synthesize_frame,
-    synthesize_frames,
-    synthesize_packed,
-)
+from repro.radar.batch import synthesize_packed
 from repro.radar.emit import Emission, emit_paths
 from repro.radar.pipeline import (
     SweepProcessingResult,
@@ -66,7 +61,6 @@ from repro.radar.tracker import (
     StreamingTracker,
     Track,
     TrackerConfig,
-    extract_tracks,
     track_detections,
 )
 
@@ -79,7 +73,6 @@ __all__ = [
     "HumanTarget",
     "KalmanTracker2D",
     "OcclusionSpec",
-    "PackedComponents",
     "PathComponent",
     "RECEIVE_PLAN",
     "SENSE_PLAN",
@@ -110,12 +103,8 @@ __all__ = [
     "batched_lag_vectors",
     "batched_range_profiles",
     "beamform_from_lags_stacked",
-    "extract_tracks",
-    "pack_components",
     "process_sweep",
     "range_keep_mask",
-    "synthesize_frame",
-    "synthesize_frames",
     "synthesize_packed",
     "track_detections",
 ]

@@ -20,8 +20,10 @@ yields the identical stream.
 
 Components come out as a packed ``(6, C)`` float64 array whose rows follow
 :class:`~repro.radar.frontend.PathComponent`'s fields (see the row
-constants below) plus per-frame counts, in the historical within-frame
-order: entities in scene order, each slot followed by its bounces.
+constants below, which every kernel reading the columns indexes them by)
+plus per-frame counts, in the historical within-frame order: entities in
+scene order, each slot followed by its bounces. :func:`emit_paths` is the
+only way in: one frame is a sweep of one.
 
 Row-wise 2-vector norms and dots go through stacked ``np.matmul``, which
 reproduces the BLAS dot behind ``np.linalg.norm`` and 1-D ``@`` bit for
@@ -33,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, Protocol, cast, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -55,7 +57,6 @@ __all__ = [
     "Failure",
     "MIN_ANGLE",
     "NUM_ROWS",
-    "OneFrameEmission",
     "PHASE_OFFSET",
     "Predraw",
     "SceneEntity",
@@ -141,23 +142,6 @@ class Emission:
 
     columns: np.ndarray
     counts: np.ndarray
-
-    def components(self) -> list[PathComponent]:
-        """The columns as :class:`PathComponent` objects, flat."""
-        return [PathComponent(*row) for row in self.columns.T.tolist()]
-
-
-class OneFrameEmission:
-    """Mixin: the public one-frame form of the Emit kernel for an entity."""
-
-    def path_components(self, t: float, array: UniformLinearArray,
-                        channel: ChannelModel,
-                        rng: np.random.Generator) -> list[PathComponent]:
-        """Paths this entity contributes to the frame captured at ``t``."""
-        entity = cast(SceneEntity, self)
-        times = np.array([t], dtype=float)
-        return emit_paths([entity], channel, array, [times],
-                          [rng])[0].components()
 
 
 # --------------------------------------------------------------------------

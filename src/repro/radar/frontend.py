@@ -12,12 +12,13 @@ offset* ``f_off``. Physical scatterers have ``f_off = 0``; the switched
 reflector's square-wave harmonics appear as components with ``f_off = ±n *
 f_switch`` (Sec. 5.1), which is exactly how the tag spoofs distance.
 
-The synthesis kernel itself is the batched, broadcasted engine in
-:mod:`repro.radar.batch`; this module holds the path-component type, the
-synthesis counts and the shared thermal-noise draw. The reference
-per-component loop it replaced is a test oracle
-(``tests/receive_oracle.py``), and ``tests/test_frontend_equivalence.py``
-pins the engine to it.
+The synthesis kernel itself is the batched, broadcasted
+:func:`~repro.radar.batch.synthesize_packed`, over Emit's packed columns;
+this module holds the path-component type (whose fields the packed rows
+follow, and the form the test oracles take), the synthesis counts and the
+shared thermal-noise draw. The reference per-component loop it replaced
+is a test oracle (``tests/receive_oracle.py``), and
+``tests/test_frontend_equivalence.py`` pins the engine to it.
 """
 
 from __future__ import annotations

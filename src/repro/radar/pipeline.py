@@ -6,8 +6,9 @@ frame's profile, then beamform (Eq. 2) across the angle grid. Looping that
 over a sweep pays the Python dispatch, the window/steering/range-axis
 recomputation, and many small BLAS calls once *per frame*.
 
-This module processes the whole ``(F, K, N)`` cube from
-``synthesize_frames`` in three cube-wide passes:
+This module processes the whole ``(F, K, N)`` beat cube that
+:func:`~repro.radar.batch.synthesize_packed` writes in three cube-wide
+passes:
 
 1. **Range FFT** — one windowed ``np.fft.fft`` over the full cube (in
    cache-sized frame blocks) yields every frame's complex range profiles
@@ -230,7 +231,8 @@ def process_sweep(frames: np.ndarray, config: RadarConfig,
     ``FmcwRadar.sense`` runs after synthesis.
 
     Args:
-        frames: raw beat cube ``(F, K, N)`` from ``synthesize_frames``.
+        frames: raw beat cube ``(F, K, N)``, as ``synthesize_packed``
+            writes it.
         config: radar configuration the cube was captured under.
         array: array geometry for Eq. 2.
         times: frame capture times, length ``F``.

@@ -31,9 +31,6 @@ __all__ = [
 #: grid and the reported range axis can never drift apart.
 ZERO_PAD_FACTOR = 2
 
-# Backwards-compatible private alias (pre-pipeline callers imported this).
-_ZERO_PAD_FACTOR = ZERO_PAD_FACTOR
-
 
 def range_keep_mask(ranges: np.ndarray, *, min_range: float,
                     max_range: float | None) -> np.ndarray:

@@ -9,7 +9,8 @@ provides the pulsed-radar substrate to test that claim:
   delayed echoes per antenna, matched-filters against the pulse, and reuses
   the *same* downstream pipeline as the FMCW radar (background subtraction,
   Eq. 2 beamforming, range-angle maps, Kalman tracking);
-- a :class:`~repro.radar.frontend.PathComponent`'s ``extra_delay_s`` delays
+- the echo model reads one frame of Emit's packed columns; a path's extra
+  delay (the ``EXTRA_DELAY`` row, ``PathComponent.extra_delay_s``) delays
   its echo — the delay-line spoofing mechanism;
 - a component's ``beat_offset_hz`` (the FMCW switching trick) does NOT move
   a pulsed echo: on/off switching at kHz rates only gates whole pulses, so
@@ -28,9 +29,15 @@ from repro import constants
 from repro.errors import ConfigurationError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
-from repro.radar.batch import PackedComponents, pack_components
-from repro.radar.emit import Emission
-from repro.radar.frontend import PathComponent, thermal_noise
+from repro.radar.emit import (
+    AMPLITUDE,
+    ANGLE,
+    BEAT_OFFSET,
+    DISTANCE,
+    EXTRA_DELAY,
+    PHASE_OFFSET,
+    Emission,
+)
 from repro.radar.processing import RangeAngleProfile
 from repro.radar.scene import Scene
 from repro.radar.stages import (
@@ -127,6 +134,11 @@ class PulsedRadarConfig:
     def angle_grid(self) -> np.ndarray:
         return np.linspace(0.0, np.pi, self.angle_grid_points + 2)[1:-1]
 
+    def range_bins(self) -> np.ndarray:
+        """Distance of each fast-time bin, meters."""
+        delays = np.arange(self.num_samples) / self.sample_rate
+        return constants.SPEED_OF_LIGHT * delays / 2.0
+
     def _geometry_config(self) -> RadarConfig:
         """A RadarConfig carrying just the fields the array geometry needs."""
         return RadarConfig(
@@ -159,8 +171,7 @@ class PulsedSensingResult(TrackedResultMixin):
 
     def range_bins(self) -> np.ndarray:
         """Distance of each raw-profile fast-time bin, meters."""
-        delays = np.arange(self.config.num_samples) / self.config.sample_rate
-        return constants.SPEED_OF_LIGHT * delays / 2.0
+        return self.config.range_bins()
 
 
 class PulsedRadar:
@@ -170,57 +181,44 @@ class PulsedRadar:
         self.config = config if config is not None else PulsedRadarConfig()
         self.array = UniformLinearArray(self.config._geometry_config())
 
-    def _range_axis(self) -> np.ndarray:
-        delays = np.arange(self.config.num_samples) / self.config.sample_rate
-        return constants.SPEED_OF_LIGHT * delays / 2.0
+    def _echo_profile(self, columns: np.ndarray) -> np.ndarray:
+        """Matched-filtered echoes of one frame, ``(K, num_samples)``.
 
-    def _echo_profile(self, components: list[PathComponent] | PackedComponents,
-                      rng: np.random.Generator | None) -> np.ndarray:
-        """Matched-filtered echoes per antenna, ``(K, num_samples)``.
-
-        Each component contributes a Gaussian pulse (the matched-filter
-        output of the real pulse) at its round-trip delay, carrying the
-        carrier phase ``2 pi f_c tau`` and the per-antenna array phase.
+        ``columns`` are the frame's packed ``(6, C)`` Emit columns. Each
+        component contributes a Gaussian pulse (the matched-filter output
+        of the real pulse) at its round-trip delay, carrying the carrier
+        phase ``2 pi f_c tau`` and the per-antenna array phase.
         """
         config = self.config
+        if not columns.shape[1]:
+            return np.zeros((config.num_antennas, config.num_samples),
+                            dtype=complex)
         delays = np.arange(config.num_samples) / config.sample_rate
         sigma = config.pulse_sigma()
-        packed = (components if isinstance(components, PackedComponents)
-                  else pack_components(components))
-        if len(packed):
-            # kHz on/off switching cannot shift a ~ns pulse in delay; it
-            # only gates pulses, scaling the echo by the duty cycle. The
-            # echo stays at the PHYSICAL distance — the FMCW distance
-            # trick is inert against pulsed radars.
-            amplitudes = np.where(packed.beat_offsets_hz != 0.0,
-                                  packed.amplitudes * 0.5, packed.amplitudes)
-            tau = (2.0 * packed.distances / constants.SPEED_OF_LIGHT
-                   + packed.extra_delays_s)
-            envelopes = np.exp(
-                -0.5 * ((delays[None, :] - tau[:, None]) / sigma) ** 2
-            )
-            phases = (2.0 * np.pi * config.center_frequency * tau
-                      + packed.phase_offsets)
-            echoes = (amplitudes * np.exp(1j * phases))[:, None] * envelopes
-            steering = np.exp(1j * self.array.arrival_phase_matrix(packed.angles))
-            profile = np.einsum("kc,cn->kn", steering, echoes)
-        else:
-            profile = np.zeros((config.num_antennas, config.num_samples),
-                               dtype=complex)
-        if rng is not None and config.noise_std > 0:
-            profile = profile + thermal_noise(config.noise_std, rng,
-                                              np.empty_like(profile))
+        # kHz on/off switching cannot shift a ~ns pulse in delay; it only
+        # gates pulses, scaling the echo by the duty cycle. The echo stays
+        # at the PHYSICAL distance — the FMCW distance trick is inert
+        # against pulsed radars.
+        amplitudes = np.where(columns[BEAT_OFFSET] != 0.0,
+                              columns[AMPLITUDE] * 0.5, columns[AMPLITUDE])
+        tau = (2.0 * columns[DISTANCE] / constants.SPEED_OF_LIGHT
+               + columns[EXTRA_DELAY])
+        envelopes = np.exp(
+            -0.5 * ((delays[None, :] - tau[:, None]) / sigma) ** 2
+        )
+        phases = (2.0 * np.pi * config.center_frequency * tau
+                  + columns[PHASE_OFFSET])
+        echoes = (amplitudes * np.exp(1j * phases))[:, None] * envelopes
+        steering = np.exp(1j * self.array.arrival_phase_matrix(columns[ANGLE]))
+        profile: np.ndarray = np.einsum("kc,cn->kn", steering, echoes)
         return profile
 
     def _synthesize_stage(self, ctx: ExecutionContext) -> None:
         """Synthesize kernel: deterministic echoes, then the noise stack."""
         emission: Emission = ctx.workspace["components"]
         bounds = np.concatenate(([0], np.cumsum(emission.counts))).tolist()
-        frames = np.stack([
-            self._echo_profile(PackedComponents(*emission.columns[:, a:b]),
-                               None)
-            for a, b in zip(bounds, bounds[1:])
-        ])
+        frames = np.stack([self._echo_profile(emission.columns[:, a:b])
+                           for a, b in zip(bounds, bounds[1:])])
         noise = ctx.workspace.get("noise")
         if noise is not None:
             frames = frames + noise
@@ -235,7 +233,7 @@ class PulsedRadar:
         the FMCW range FFT.
         """
         ctx.workspace["raw_profiles"] = ctx.workspace["frames"]
-        ctx.workspace["ranges_full"] = self._range_axis()
+        ctx.workspace["ranges_full"] = self.config.range_bins()
 
     def sense(self, scene: Scene, duration: float, *,
               rng: np.random.Generator | None = None,

@@ -2,10 +2,11 @@
 
 Every entity implements :class:`SceneEntity` — given the frame times of a
 sweep it plans the :class:`~repro.radar.frontend.PathComponent` tones it
-contributes to the dechirped signal (see :mod:`repro.radar.emit`). The
-RF-Protect tag (`repro.reflector.tag`) implements the same protocol, so the
-radar cannot tell humans and phantoms apart by construction, which is the
-point of the paper.
+contributes to the dechirped signal, which
+:func:`~repro.radar.emit.emit_paths` turns into packed columns for one
+frame or a whole sweep alike. The RF-Protect tag (`repro.reflector.tag`)
+implements the same protocol, so the radar cannot tell humans and
+phantoms apart by construction, which is the point of the paper.
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ from repro.radar.emit import (
     DISTANCE,
     MIN_ANGLE,
     NUM_ROWS,
-    OneFrameEmission,
     Predraw,
     SceneEntity,
     SlotPlan,
     center_failure,
-    emit_paths,
     polar_rows,
 )
-from repro.radar.frontend import PathComponent
 from repro.types import Trajectory
 
 __all__ = ["BreathingSpec", "Fan", "HumanTarget", "OcclusionSpec", "Scene",
@@ -102,7 +100,7 @@ class BreathingSpec:
         return moved
 
 
-class HumanTarget(OneFrameEmission):
+class HumanTarget:
     """A walking (or stationary) human reflector.
 
     The body is modelled as a dominant scatter point following ``trajectory``
@@ -158,7 +156,7 @@ class HumanTarget(OneFrameEmission):
                         failure=center_failure(array, body, at_center))
 
 
-class StaticReflector(OneFrameEmission):
+class StaticReflector:
     """Furniture, walls, appliances: constant reflections.
 
     These produce identical tones in every frame, so background subtraction
@@ -213,7 +211,7 @@ class StaticReflector(OneFrameEmission):
         return SlotPlan(counts=counts, columns=columns)
 
 
-class Fan(OneFrameEmission):
+class Fan:
     """A ceiling/desk fan: a small reflector in fast periodic motion.
 
     The threat model's canonical non-human mover (Sec. 2): blades sweep a
@@ -304,13 +302,3 @@ class Scene:
     def humans(self) -> list[HumanTarget]:
         """All human entities currently in the scene."""
         return [e for e in self.entities if isinstance(e, HumanTarget)]
-
-    def path_components(self, t: float, array: UniformLinearArray,
-                        rng: np.random.Generator) -> list[PathComponent]:
-        """All paths visible at frame time ``t``, occlusion applied.
-
-        The one-frame form of :func:`repro.radar.emit.emit_paths`.
-        """
-        times = np.array([t], dtype=float)
-        return emit_paths(self.entities, self.channel, array, [times], [rng],
-                          occlusion=self.occlusion)[0].components()

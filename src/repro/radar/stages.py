@@ -24,6 +24,10 @@ them:
   Eq. 2 GEMM has its own shape, so a request's bits do not depend on which
   batch it rode in. :func:`sweep_results` splits a finished context back
   into one :class:`~repro.radar.pipeline.SweepProcessingResult` per request.
+- Detect is not in a plan: it runs on demand on a finished result.
+  :class:`TrackedResultMixin` ingests the result's range-angle profiles
+  into a :class:`~repro.radar.tracker.StreamingTracker`, fresh or a
+  serving session's.
 - Every stage run is timed into a per-stage wall-time histogram,
   ``stages.<stage>.wall_s``, of the process registry
   (:func:`stage_metrics`, which is :func:`repro.obs.process_metrics`).
@@ -41,9 +45,6 @@ frame count, request after request)::
     subtracted   (F, K, B_kept) complex     BackgroundSubtract -> Beamform
     angles       (A,) float                 Beamform output
     power_cubes  list of (F_r, B_kept, A)   Beamform output, one per request
-    profiles     list[RangeAngleProfile]    Detect input
-    tracker      StreamingTracker           Detect carry-over state
-    tracks       list[Track]                Detect output
 
 The per-frame reference bodies these kernels replaced live on as test
 oracles (``tests/receive_oracle.py``); the equivalence suites
@@ -92,7 +93,6 @@ __all__ = [
     "MAX_SWEEP_BYTES",
     "RECEIVE_PLAN",
     "SENSE_PLAN",
-    "STREAMING_DETECT",
     "SenseInput",
     "Stage",
     "StageBinding",
@@ -391,7 +391,7 @@ def _beamform(ctx: ExecutionContext) -> None:
                                     for i in range(len(ctx.requests))]
 
 
-#: The full FMCW sense plan (Detect runs lazily via the result mixin).
+#: The full FMCW sense plan (Detect runs on demand via the result mixin).
 SENSE_PLAN: tuple[StageBinding, ...] = (
     StageBinding(Stage.EMIT, _emit),
     StageBinding(Stage.SYNTHESIZE, _synthesize),
@@ -427,32 +427,7 @@ def sweep_results(ctx: ExecutionContext) -> list[SweepProcessingResult]:
 # Detect
 # --------------------------------------------------------------------------
 
-
-def _detect_tracks(ctx: ExecutionContext) -> None:
-    """Frame-at-a-time Detect: drives the incremental tracker.
-
-    Ingests the workspace profiles one by one into a
-    :class:`StreamingTracker` — resuming the tracker already in
-    ``workspace["tracker"]`` when one is present, which is how a serving
-    session appends new frames to its long-lived tracker state through
-    the instrumented executor — then publishes its finalized tracks.
-    """
-    tracker = ctx.workspace.get("tracker")
-    if tracker is None:
-        tracker = StreamingTracker(ctx.array,
-                                   ctx.workspace.get("tracker_config"))
-        ctx.workspace["tracker"] = tracker
-    else:
-        # Locate these profiles with the array of the radar that sensed
-        # them, not whichever array the tracker was built or restored with.
-        tracker.array = ctx.array
-    for profile in ctx.workspace["profiles"]:
-        tracker.ingest(profile)
-    ctx.workspace["tracks"] = tracker.tracks()
-
-
-#: Detect into a fresh or resumed tracker (``.tracks()``, serve sessions).
-STREAMING_DETECT = StageBinding(Stage.DETECT, _detect_tracks)
+_DETECT_WALL = f"stages.{Stage.DETECT.value}.wall_s"
 
 
 class TrackedResultMixin:
@@ -460,9 +435,11 @@ class TrackedResultMixin:
 
     Subclasses provide ``times``, ``profiles``, ``array``, and (for phase
     analysis) ``raw_profiles`` + ``range_bins()``; this mixin runs the
-    Detect stage through the instrumented executor and derives
-    trajectories and per-bin phase series from it — one implementation for
-    both radar families.
+    Detect stage — the profiles ingested frame by frame into a
+    :class:`StreamingTracker` — and derives trajectories and per-bin phase
+    series from it, one implementation for both radar families. Each
+    ``tracks()`` or ``stream_tracks()`` call is one Detect run, timed
+    into ``stages.detect.wall_s``.
     """
 
     if TYPE_CHECKING:
@@ -473,37 +450,43 @@ class TrackedResultMixin:
 
         def range_bins(self) -> np.ndarray: ...
 
-    def _detect(self, tracker_config: TrackerConfig | None,
-                tracker: StreamingTracker | None) -> ExecutionContext:
-        ctx = ExecutionContext(array=self.array)
-        ctx.workspace["profiles"] = self.profiles
-        ctx.workspace["tracker_config"] = tracker_config
-        if tracker is not None:
-            ctx.workspace["tracker"] = tracker
-        return execute((STREAMING_DETECT,), ctx)
+    def _ingest(self, tracker_config: TrackerConfig | None,
+                tracker: StreamingTracker | None) -> StreamingTracker:
+        if tracker is None:
+            tracker = StreamingTracker(self.array, tracker_config)
+        else:
+            # Locate these profiles with the array of the radar that sensed
+            # them, not whichever array the tracker was built or restored
+            # with.
+            tracker.array = self.array
+        for profile in self.profiles:
+            tracker.ingest(profile)
+        return tracker
 
     def tracks(self, tracker_config: TrackerConfig | None = None,
                ) -> list[Track]:
         """Run trajectory extraction (the Detect stage) on the profiles."""
-        result: list[Track] = self._detect(tracker_config,
-                                           None).workspace["tracks"]
-        return result
+        started = time.perf_counter()
+        tracks = self._ingest(tracker_config, None).tracks()
+        observe_wall(_DETECT_WALL, started)
+        return tracks
 
     def stream_tracks(self, tracker_config: TrackerConfig | None = None,
                       tracker: StreamingTracker | None = None,
                       ) -> StreamingTracker:
         """Feed the profiles frame-by-frame into an incremental tracker.
 
-        Runs the Detect kernel through the instrumented executor and
-        returns the primed :class:`StreamingTracker` — read ``tracks()``
-        off it, keep ingesting later profiles, or checkpoint it. Pass
-        ``tracker`` to continue an existing session instead of starting
-        fresh; ``tracker_config`` is ignored in that case (the tracker
-        already owns its config), and the tracker adopts this result's
-        ``array``, which sensed the profiles it is about to locate.
+        Runs the Detect stage's ingestion and returns the primed
+        :class:`StreamingTracker` — read ``tracks()`` off it, keep
+        ingesting later profiles, or checkpoint it. Pass ``tracker`` to
+        continue an existing session instead of starting fresh;
+        ``tracker_config`` is ignored in that case (the tracker already
+        owns its config), and the tracker adopts this result's ``array``,
+        which sensed the profiles it is about to locate.
         """
-        primed: StreamingTracker = self._detect(
-            tracker_config, tracker).workspace["tracker"]
+        started = time.perf_counter()
+        primed = self._ingest(tracker_config, tracker)
+        observe_wall(_DETECT_WALL, started)
         return primed
 
     def trajectories(self, tracker_config: TrackerConfig | None = None,

@@ -12,11 +12,11 @@ pre-detected frame) at a time, maintains persistent track identities
 across frames, coasts through occlusions/missed frames on the Kalman
 prediction, and can checkpoint/restore its complete state as a
 JSON-serializable blob (the substrate of the serving layer's long-lived
-tracking sessions, :mod:`repro.serve.session`). The historical batch
-entry point :func:`extract_tracks` is a thin driver over the streaming
-core, so ``stream(frames)`` and ``batch(frames)`` are the same
-computation by construction — a property pinned track-for-track by
-``tests/test_property_tracker.py``.
+tracking sessions, :mod:`repro.serve.session`). The batch entry points —
+a sensing result's ``tracks()`` and :func:`track_detections` — are thin
+loops over the streaming core, so ``stream(frames)`` and
+``batch(frames)`` are the same computation by construction — a property
+pinned track-for-track by ``tests/test_property_tracker.py``.
 
 Detection-to-track association solves a gated minimum-cost assignment
 with `scipy.optimize.linear_sum_assignment`. All candidate orderings are
@@ -47,7 +47,6 @@ __all__ = [
     "StreamingTracker",
     "Track",
     "TrackerConfig",
-    "extract_tracks",
     "track_detections",
 ]
 
@@ -421,8 +420,8 @@ class StreamingTracker:
     frames — and read the current result at any point via :meth:`tracks`
     (finalized, quality-filtered) or :attr:`active_tracks` (everything
     still being followed). Streaming a sweep frame-by-frame produces
-    exactly the tracks of batch-processing it: :func:`extract_tracks` is
-    this class driven in a loop.
+    exactly the tracks of batch-processing it: a sensing result's
+    ``tracks()`` is this class driven in a loop.
 
     The complete tracker state round-trips through
     :meth:`checkpoint`/:meth:`from_checkpoint` as a JSON-serializable
@@ -648,28 +647,14 @@ class StreamingTracker:
 # --------------------------------------------------------------------------
 
 
-def extract_tracks(profiles: list[RangeAngleProfile],
-                   array: UniformLinearArray,
-                   config: TrackerConfig | None = None) -> list[Track]:
-    """Run the full association + filtering pipeline over a frame sequence.
-
-    A thin batch driver over :class:`StreamingTracker` — one ingest per
-    frame, then the finalized view. Returns all tracks with at least
-    ``min_track_points`` detections, strongest first.
-    """
-    tracker = StreamingTracker(array, config)
-    for profile in profiles:
-        tracker.ingest(profile)
-    return tracker.tracks()
-
-
 def track_detections(frames: list[tuple[float, list[Detection]]],
                      config: TrackerConfig | None = None) -> list[Track]:
     """Batch-track pre-detected frames of ``(time, detections)`` pairs.
 
-    The detection-level companion of :func:`extract_tracks`, for callers
-    (tests, benchmarks, external detectors) that bypass the range-angle
-    front end.
+    A thin batch driver over :class:`StreamingTracker` — one ingest per
+    frame, then the finalized view — for callers (tests, benchmarks,
+    external detectors) that bypass the range-angle front end. Returns all
+    tracks with at least ``min_track_points`` detections, strongest first.
     """
     tracker = StreamingTracker(config=config)
     for time, detections in frames:

@@ -31,7 +31,6 @@ from repro.radar.emit import (
     NUM_ROWS,
     PHASE_OFFSET,
     Failure,
-    OneFrameEmission,
     Predraw,
     SlotPlan,
     first_failure,
@@ -76,7 +75,7 @@ class DelayLineSchedule(CommandTimeline):
         return Trajectory(points, dt=self.command_interval)
 
 
-class DelayLineTag(OneFrameEmission):
+class DelayLineTag:
     """A switched-antenna, switched-delay-line reflector.
 
     Args:

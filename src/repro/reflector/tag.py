@@ -30,7 +30,6 @@ from repro.radar.emit import (
     NUM_ROWS,
     PHASE_OFFSET,
     Failure,
-    OneFrameEmission,
     SlotPlan,
     center_failure,
     first_failure,
@@ -65,7 +64,7 @@ class GhostReport:
     start_time: float
 
 
-class RfProtectTag(OneFrameEmission):
+class RfProtectTag:
     """The RF-Protect reflector deployed in a scene.
 
     Args:

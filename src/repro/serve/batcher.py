@@ -109,35 +109,9 @@ class MicroBatcher(Generic[K, T]):
         ]
         return [self._flush(key, now, "window") for key in expired]
 
-    def next_due_at(self) -> float | None:
-        """When the earliest open batch's window expires; ``None`` if idle."""
-        if not self._open:
-            return None
-        earliest = min(
-            open_batch.opened_at for open_batch in self._open.values()
-        )
-        return earliest + self.window_s
-
     def drain(self, now: float) -> list[Batch[K, T]]:
         """Flush everything immediately (shutdown path)."""
         return [self._flush(key, now, "drain") for key in list(self._open)]
-
-    def remove(self, key: K, predicate_item: T) -> bool:
-        """Drop one held item (deadline expiry while still unflushed).
-
-        Returns whether the item was found and removed; an emptied batch is
-        closed so it cannot flush as a zero-item group.
-        """
-        open_batch = self._open.get(key)
-        if open_batch is None:
-            return False
-        try:
-            open_batch.items.remove(predicate_item)
-        except ValueError:
-            return False
-        if not open_batch.items:
-            del self._open[key]
-        return True
 
     def _flush(self, key: K, now: float, reason: str) -> Batch[K, T]:
         open_batch = self._open.pop(key)

@@ -37,7 +37,6 @@ from typing import Any
 
 from repro.errors import ConfigurationError, SessionNotFoundError
 from repro.obs import MetricsRegistry
-from repro.radar.antenna import UniformLinearArray
 from repro.radar.tracker import StreamingTracker, TrackerConfig
 from repro.serve.request import require_finite
 
@@ -171,9 +170,11 @@ class SessionStore:
 
     def create(self, session_id: str | None = None, *, now: float,
                tracker_config: TrackerConfig | None = None,
-               array: UniformLinearArray | None = None) -> TrackingSession:
+               ) -> TrackingSession:
         """Open a new session with a fresh tracker; returns it live.
 
+        The tracker holds no array: each sensing result sets its own when
+        it streams into the tracker (``stream_tracks``), live or restored.
         ``session_id=None`` allocates ``s-<n>`` ids; explicit ids must be
         unused. Creating beyond ``max_sessions`` drops the
         least-recently-active session to make room; beyond ``max_live``,
@@ -192,7 +193,7 @@ class SessionStore:
             session_id=session_id,
             created_at=now,
             last_active=now,
-            tracker=StreamingTracker(array, config),
+            tracker=StreamingTracker(config=config),
         )
         self._sessions[session_id] = session
         self.metrics.inc("sessions.created")
@@ -200,8 +201,7 @@ class SessionStore:
         self._update_gauges()
         return session
 
-    def get(self, session_id: str, *, now: float,
-            array: UniformLinearArray | None = None) -> TrackingSession:
+    def get(self, session_id: str, *, now: float) -> TrackingSession:
         """The session, live — restoring its tracker from checkpoint if parked.
 
         Touches the session's activity clock, so getting a session also
@@ -217,13 +217,11 @@ class SessionStore:
         if session.tracker is None:
             assert session.checkpoint is not None
             session.tracker = StreamingTracker.from_checkpoint(
-                session.checkpoint, array
+                session.checkpoint
             )
             session.checkpoint = None
             self.metrics.inc("sessions.restored")
             self._enforce_bounds(exempt=session_id)
-        elif array is not None and session.tracker.array is None:
-            session.tracker.array = array
         self._update_gauges()
         return session
 

@@ -8,7 +8,10 @@ kernels replaced — one tone per path component, one windowed FFT per
 frame, the frame-chained subtraction, and ``|steering @ h|^2`` against a
 cached tapered steering matrix — so the equivalence suites, the golden
 digests' ``naive`` entries and the ratio benchmarks can hold production to
-it.
+it. :func:`pack_frames` and :func:`frame_components` convert between the
+oracle's per-frame :class:`PathComponent` lists and the packed columns the
+production kernels take; :func:`emit_frame` is production Emit of one
+frame as such a list, and :func:`noise_cube` Emit's noise draw.
 
 :func:`sense` and :func:`sense_pulsed` run whole sessions through the
 stage-graph executor: production Emit (FMCW) or the production echo model
@@ -17,12 +20,15 @@ stage-graph executor: production Emit (FMCW) or the production echo model
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import ConfigurationError, SignalProcessingError
 from repro.radar.antenna import UniformLinearArray
+from repro.radar.channel import ChannelModel
 from repro.radar.config import RadarConfig
-from repro.radar.emit import Emission
+from repro.radar.emit import NUM_ROWS, Emission, SceneEntity, emit_paths
 from repro.radar.frontend import PathComponent, record_synthesis, thermal_noise
 from repro.radar.processing import (
     ZERO_PAD_FACTOR,
@@ -31,7 +37,7 @@ from repro.radar.processing import (
 )
 from repro.radar.pulsed import PulsedRadar, PulsedSensingResult
 from repro.radar.radar import FmcwRadar, SensingResult
-from repro.radar.scene import Scene
+from repro.radar.scene import OcclusionSpec, Scene
 from repro.radar.stages import (
     SENSE_PLAN,
     ExecutionContext,
@@ -84,9 +90,45 @@ def synthesize_frame_naive(components: list[PathComponent], config: RadarConfig,
 
 def frame_components(emission: Emission) -> list[list[PathComponent]]:
     """The emitted columns as one :class:`PathComponent` list per frame."""
-    flat = emission.components()
+    flat = [PathComponent(*row) for row in emission.columns.T.tolist()]
     bounds = np.concatenate(([0], np.cumsum(emission.counts))).tolist()
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def pack_frames(per_frame: Sequence[Sequence[PathComponent]],
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame component lists as packed ``(6, C)`` columns and counts.
+
+    The reverse of :func:`frame_components`: the form Emit hands the
+    production kernels (``synthesize_packed``, the pulsed echo model).
+    """
+    rows = [(c.distance, c.angle, c.amplitude, c.beat_offset_hz,
+             c.phase_offset, c.extra_delay_s)
+            for frame in per_frame for c in frame]
+    columns = np.array(rows, dtype=float).reshape(-1, NUM_ROWS).T
+    counts = np.array([len(frame) for frame in per_frame], dtype=np.int64)
+    return columns, counts
+
+
+def noise_cube(config: RadarConfig, rng: np.random.Generator,
+               num_frames: int) -> np.ndarray:
+    """Thermal noise for ``num_frames`` frames, drawn frame by frame as
+    Emit draws it: the ``out`` cube synthesis adds the tones into."""
+    cube = np.empty((num_frames, *config.frame_shape), dtype=complex)
+    for frame in cube:
+        thermal_noise(config.noise_std, rng, frame)
+    return cube
+
+
+def emit_frame(entities: Sequence[SceneEntity], t: float,
+               array: UniformLinearArray, channel: ChannelModel,
+               rng: np.random.Generator,
+               occlusion: OcclusionSpec | None = None) -> list[PathComponent]:
+    """Production Emit of the one frame captured at ``t``, as a list."""
+    [emission] = emit_paths(entities, channel, array,
+                            [np.array([t], dtype=float)], [rng],
+                            occlusion=occlusion)
+    return frame_components(emission)[0]
 
 
 # --------------------------------------------------------------------------

@@ -173,6 +173,15 @@ class TestTamperDetection:
         report_path.write_text(json.dumps(document, sort_keys=True))
         assert audit_main(["verify", str(report_path)]) == 1
 
+    def test_non_canonical_ledger_line_fails_verify(self, signed_run,
+                                                     capsys):
+        # A space after the first colon keeps every hashed field value.
+        path = ledger_path(signed_run)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b":", b": ", 1))
+        assert audit_main(["verify", str(signed_run)]) == 1
+        assert "chain FAILED at record 0" in capsys.readouterr().out
+
     def test_appending_after_signing_fails_verify(self, signed_run):
         Ledger(str(ledger_path(signed_run))).append(
             "experiment_run", {"experiment_id": "late"}

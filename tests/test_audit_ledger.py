@@ -241,6 +241,32 @@ class TestVerifyNeverRaises:
         assert verification.first_bad_index == line
         assert "malformed ledger record" in verification.reason
 
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace(b'"index":0,', b'"index":0,"note":"edited",'),
+        lambda line: line.replace(b'"index":0,', b'"index": 0, '),
+        lambda line: json.dumps(
+            dict(reversed(json.loads(line).items())),
+            separators=(",", ":")).encode() + b"\n",
+        lambda line: line.replace(b"\n", b" \n"),
+    ], ids=["added-key", "spaces", "reversed-keys", "trailing-space"])
+    def test_a_line_that_is_not_canonical_json_fails_its_record(
+            self, edit, tmp_path):
+        # Each edit keeps the six hashed field values, so only the line's
+        # bytes show it.
+        lines = VALID_LEDGER.splitlines(keepends=True)
+        edited = edit(lines[0])
+        assert edited != lines[0]
+        assert json.loads(edited)["record_hash"] == json.loads(
+            lines[0])["record_hash"]
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(b"".join([edited, *lines[1:]]))
+        verification = verify_chain(str(path))
+        assert not verification.ok
+        assert verification.first_bad_index == 0
+        assert "canonical JSON" in verification.reason
+        with pytest.raises(LedgerError, match="canonical JSON"):
+            Ledger(str(path))
+
     def test_reading_a_non_utf8_ledger_raises_a_ledger_error(self,
                                                               tmp_path):
         path = tmp_path / "ledger.jsonl"

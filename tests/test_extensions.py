@@ -11,6 +11,7 @@ from repro.experiments.ext_floorplan import apartment_floor_plan
 from repro.reflector import ReflectorController, ReflectorPanel, RfProtectTag
 from repro.signal import ChirpConfig
 from repro.types import Trajectory
+from tests.receive_oracle import emit_frame
 
 
 class TestCrossViewDistance:
@@ -145,7 +146,7 @@ class TestRcsMimicry:
         tag.deploy(controller.plan_trajectory(ghost, rng=rng))
         channel = ChannelModel()
         amp_early = max(c.amplitude for c in
-                        tag.path_components(0.05, array, channel, rng))
+                        emit_frame([tag], 0.05, array, channel, rng))
         amp_late = max(c.amplitude for c in
-                       tag.path_components(5.0, array, channel, rng))
+                       emit_frame([tag], 5.0, array, channel, rng))
         assert amp_early != pytest.approx(amp_late, rel=1e-6)

@@ -4,7 +4,9 @@ The batched engine in `repro.radar.batch` is only trusted because these
 tests pin it to the reference per-component loop
 (``tests/receive_oracle.py``) at ``atol=1e-10`` across randomized
 component sets, every ``PathComponent`` field, the empty frame, noise
-streams, and the super-Nyquist drop rule.
+streams, and the super-Nyquist drop rule. Components reach
+``synthesize_packed`` — the kernel every sense path runs — through the
+oracle's packer, one frame or a whole sweep at a time.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ from repro.radar import (
     UniformLinearArray,
     batched_range_profiles,
     emit_paths,
-    pack_components,
     stage_metrics,
-    synthesize_frame,
-    synthesize_frames,
     synthesize_packed,
 )
 from repro.geometry import Rectangle
-from tests.receive_oracle import sense, synthesize_frame_naive
+from tests.receive_oracle import (
+    noise_cube,
+    pack_frames,
+    sense,
+    synthesize_frame_naive,
+)
 
 ATOL = 1e-10
 
@@ -61,6 +65,14 @@ def random_components(rng: np.random.Generator, count: int,
     return components
 
 
+def synthesize_one(components: list[PathComponent], config: RadarConfig,
+                   array: UniformLinearArray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """One frame through ``synthesize_packed``, ``(K, N)``."""
+    return synthesize_packed(*pack_frames([components]), config, array,
+                             out=out)[0]
+
+
 class TestFrameEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("count", [1, 3, 17, 50])
@@ -68,12 +80,12 @@ class TestFrameEquivalence:
         rng = np.random.default_rng(seed)
         components = random_components(rng, count, config)
         naive = synthesize_frame_naive(components, config, array, None)
-        vectorized = synthesize_frame(components, config, array, None)
+        vectorized = synthesize_one(components, config, array)
         np.testing.assert_allclose(vectorized, naive, atol=ATOL)
 
     def test_empty_component_list(self, config, array):
         naive = synthesize_frame_naive([], config, array, None)
-        vectorized = synthesize_frame([], config, array, None)
+        vectorized = synthesize_one([], config, array)
         assert naive.shape == vectorized.shape
         assert np.all(vectorized == 0)
         np.testing.assert_array_equal(vectorized, naive)
@@ -82,21 +94,18 @@ class TestFrameEquivalence:
         components = random_components(np.random.default_rng(1), 5, config)
         naive = synthesize_frame_naive(components, config, array,
                                        np.random.default_rng(99))
-        vectorized = synthesize_frame(components, config, array,
-                                      np.random.default_rng(99))
+        vectorized = synthesize_one(
+            components, config, array,
+            out=noise_cube(config, np.random.default_rng(99), 1))
         # Tones agree to ATOL; the noise added on top is bit-identical
         # because both kernels draw through the same helper.
         np.testing.assert_allclose(vectorized, naive, atol=ATOL)
 
-    def test_packed_input_accepted(self, config, array):
-        components = random_components(np.random.default_rng(4), 9, config)
-        from_list = synthesize_frame(components, config, array, None)
-        from_packed = synthesize_frame(
-            pack_components(components), config, array, None)
-        np.testing.assert_array_equal(from_list, from_packed)
-
 
 class TestNyquistDropParity:
+    """The oracle skips a super-Nyquist tone; production zeroes its
+    amplitude and keeps it in the GEMM. Both must drop the same tones."""
+
     def super_nyquist_components(self, config) -> list[PathComponent]:
         chirp = config.chirp
         return [
@@ -122,7 +131,7 @@ class TestNyquistDropParity:
         survivors = random_components(np.random.default_rng(2), 4, config)
         mixed = components + survivors
         naive = synthesize_frame_naive(mixed, config, array, None)
-        vectorized = synthesize_frame(mixed, config, array, None)
+        vectorized = synthesize_one(mixed, config, array)
         np.testing.assert_allclose(vectorized, naive, atol=ATOL)
         # The dropped tones contribute nothing at all.
         only_survivors = synthesize_frame_naive(survivors, config, array, None)
@@ -142,7 +151,7 @@ class TestNyquistDropParity:
         assert naive_dropped == 5
 
         before = counts()
-        synthesize_frame(components, config, array, None)
+        synthesize_one(components, config, array)
         dropped, seen, frames = (b - a for a, b in zip(before, counts()))
         assert dropped == naive_dropped
         assert seen == len(components)
@@ -152,7 +161,7 @@ class TestNyquistDropParity:
         far = PathComponent(config.chirp.max_unambiguous_range + 3.0, 1.0, 0.1)
         with caplog.at_level("DEBUG", logger="repro.radar.frontend"):
             synthesize_frame_naive([far], config, array, None)
-            synthesize_frame([far], config, array, None)
+            synthesize_one([far], config, array)
         drops = [r for r in caplog.records if "super-Nyquist" in r.message]
         assert len(drops) == 2
         assert all(r.levelname == "DEBUG" for r in drops)
@@ -188,21 +197,10 @@ class TestSweepEquivalence:
         rng = np.random.default_rng(11)
         per_frame = [random_components(rng, count, config)
                      for count in (4, 0, 12, 1, 27)]
-        sweep = synthesize_frames(per_frame, config, array, None)
+        sweep = synthesize_packed(*pack_frames(per_frame), config, array)
         for frame, components in zip(sweep, per_frame):
             reference = synthesize_frame_naive(components, config, array, None)
             np.testing.assert_allclose(frame, reference, atol=ATOL)
-
-    def test_sweep_noise_stream_matches_single_frames(self, config, array):
-        rng = np.random.default_rng(13)
-        per_frame = [random_components(rng, 5, config) for _ in range(4)]
-        sweep = synthesize_frames(per_frame, config, array,
-                                  np.random.default_rng(42))
-        single_rng = np.random.default_rng(42)
-        for frame, components in zip(sweep, per_frame):
-            reference = synthesize_frame(components, config, array,
-                                         single_rng)
-            np.testing.assert_array_equal(frame, reference)
 
     def test_sense_is_backend_independent(self):
         """A full sensing session matches the per-frame oracle session."""

@@ -14,6 +14,7 @@ from repro.metrics.alignment import spoofing_errors
 from repro.metrics.fid import trajectory_features
 from repro.trajectories import HumanMotionSimulator
 from repro.types import Trajectory
+from tests.receive_oracle import emit_frame
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +125,8 @@ class TestDefenseRobustness:
         schedule = controller.plan_trajectory(placed, start_time=100.0)
         tag = environment.make_tag()
         tag.deploy(schedule)
-        components = tag.path_components(
-            0.0, environment.make_radar().array,
+        components = emit_frame(
+            [tag], 0.0, environment.make_radar().array,
             environment.make_channel(), shared_rng,
         )
         assert components == []

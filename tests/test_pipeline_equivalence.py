@@ -228,10 +228,6 @@ class TestSensingResultInvariants:
 
 
 class TestZeroPadSingleSource:
-    def test_private_alias_is_the_public_constant(self):
-        from repro.radar.processing import _ZERO_PAD_FACTOR
-        assert _ZERO_PAD_FACTOR is ZERO_PAD_FACTOR
-
     def test_pipeline_grid_uses_the_constant(self, config):
         cube = random_cube(7, 3, config)
         profiles = batched_range_profiles(cube, config)

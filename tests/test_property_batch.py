@@ -31,10 +31,10 @@ from repro.radar import (
     PathComponent,
     RadarConfig,
     UniformLinearArray,
-    synthesize_frame,
-    synthesize_frames,
+    synthesize_packed,
 )
 from repro.radar.stages import stage_metrics
+from tests.receive_oracle import noise_cube, pack_frames
 
 CONFIG = RadarConfig()
 ARRAY = UniformLinearArray(CONFIG)
@@ -56,6 +56,13 @@ COMMON_SETTINGS = settings(
 )
 
 
+def synthesize(per_frame: list[list[PathComponent]],
+               rng: np.random.Generator | None = None) -> np.ndarray:
+    """Frames through ``synthesize_packed``, with noise when given ``rng``."""
+    out = None if rng is None else noise_cube(CONFIG, rng, len(per_frame))
+    return synthesize_packed(*pack_frames(per_frame), CONFIG, ARRAY, out=out)
+
+
 def scaled(component: PathComponent, factor: float) -> PathComponent:
     return PathComponent(
         component.distance, component.angle, component.amplitude * factor,
@@ -69,9 +76,8 @@ class TestSynthesisProperties:
     @given(components=components_strategy,
            factor=st.floats(0.0, 4.0))
     def test_linear_in_amplitude(self, components, factor):
-        base = synthesize_frame(components, CONFIG, ARRAY, None)
-        scaled_frame = synthesize_frame(
-            [scaled(c, factor) for c in components], CONFIG, ARRAY, None)
+        base = synthesize([components])[0]
+        scaled_frame = synthesize([[scaled(c, factor) for c in components]])[0]
         reference = factor * base
         np.testing.assert_allclose(scaled_frame, reference,
                                    atol=1e-9 * max(1.0, factor))
@@ -81,18 +87,15 @@ class TestSynthesisProperties:
     def test_permutation_invariant(self, components, seed):
         permuted = list(components)
         np.random.default_rng(seed).shuffle(permuted)
-        frame = synthesize_frame(components, CONFIG, ARRAY, None)
-        frame_permuted = synthesize_frame(permuted, CONFIG,
-                                          ARRAY, None)
+        frame = synthesize([components])[0]
+        frame_permuted = synthesize([permuted])[0]
         np.testing.assert_allclose(frame_permuted, frame, atol=1e-9)
 
     @COMMON_SETTINGS
     @given(components=components_strategy, seed=st.integers(0, 2**31 - 1))
     def test_deterministic_for_fixed_seed(self, components, seed):
-        first = synthesize_frame(components, CONFIG, ARRAY,
-                                 np.random.default_rng(seed))
-        second = synthesize_frame(components, CONFIG, ARRAY,
-                                  np.random.default_rng(seed))
+        first = synthesize([components], np.random.default_rng(seed))
+        second = synthesize([components], np.random.default_rng(seed))
         np.testing.assert_array_equal(first, second)
 
     @COMMON_SETTINGS
@@ -100,20 +103,17 @@ class TestSynthesisProperties:
     def test_superposition_of_sub_frames(self, components):
         """Splitting a component set in half and summing frames is exact."""
         half = len(components) // 2
-        whole = synthesize_frame(components, CONFIG, ARRAY, None)
-        parts = (synthesize_frame(components[:half], CONFIG,
-                                  ARRAY, None)
-                 + synthesize_frame(components[half:], CONFIG,
-                                    ARRAY, None))
+        whole = synthesize([components])[0]
+        parts = (synthesize([components[:half]])[0]
+                 + synthesize([components[half:]])[0])
         np.testing.assert_allclose(parts, whole, atol=1e-9)
 
     @COMMON_SETTINGS
     @given(per_frame=st.lists(components_strategy, min_size=1, max_size=4))
     def test_sweep_matches_per_frame(self, per_frame):
-        sweep = synthesize_frames(per_frame, CONFIG, ARRAY, None)
+        sweep = synthesize(per_frame)
         for frame, components in zip(sweep, per_frame):
-            single = synthesize_frame(components, CONFIG,
-                                      ARRAY, None)
+            single = synthesize([components])[0]
             np.testing.assert_allclose(frame, single, atol=1e-9)
 
 

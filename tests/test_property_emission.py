@@ -42,6 +42,7 @@ from repro.reflector.tag import RfProtectTag
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
 from tests import emission_oracle as oracle
+from tests.receive_oracle import emit_frame
 
 CONFIG = RadarConfig(chirp=ChirpConfig(duration=3.2e-5), num_antennas=3,
                      position=(4.0, 0.0), facing_angle=np.pi / 2.0)
@@ -216,11 +217,12 @@ def test_batched_emission_matches_per_frame_oracle(scene_list, requests,
 @given(scene=scenes(), t=st.floats(-1.0, 6.0), seed=st.integers(0, 2**31))
 def test_one_frame_forms_match_oracle(scene, t, seed):
     rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
-    assert (scene.path_components(t, ARRAY, rng)
+    assert (emit_frame(scene.entities, t, ARRAY, scene.channel, rng,
+                       scene.occlusion)
             == oracle.frame_components(scene, t, ARRAY, reference_rng))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
     for entity in scene.entities:
-        assert (entity.path_components(t, ARRAY, scene.channel, rng)
+        assert (emit_frame([entity], t, ARRAY, scene.channel, rng)
                 == oracle.entity_components(entity, t, ARRAY, scene.channel,
                                             reference_rng))
     assert rng.bit_generator.state == reference_rng.bit_generator.state

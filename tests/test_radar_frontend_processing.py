@@ -1,21 +1,25 @@
-"""Tests for one-frame synthesis and the per-frame receive reference.
+"""Tests for frame synthesis and the per-frame receive reference.
 
 These validate the core physics: a PathComponent at distance d produces a
 range-FFT peak at d; a beat offset moves the *apparent* distance exactly as
 Eq. 3 predicts; background subtraction kills statics and keeps movers. The
 per-frame receive steps are the oracle the batched pipeline is pinned to
 (``tests/receive_oracle.py``), so their physics is checked here directly.
+Frames come from ``synthesize_packed``, the kernel every sense path runs,
+through the oracle's packer.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import SignalProcessingError
-from repro.radar import PathComponent, RadarConfig, UniformLinearArray, synthesize_frame
+from repro.radar import PathComponent, RadarConfig, UniformLinearArray, synthesize_packed
 from tests.receive_oracle import (
     background_subtract,
     compute_range_angle_map,
     frame_range_profiles,
+    noise_cube,
+    pack_frames,
 )
 
 
@@ -30,6 +34,13 @@ def array(config):
     return UniformLinearArray(config)
 
 
+def synthesize(components, config, array, rng=None):
+    """One frame, ``(K, N)``, with noise when given ``rng``."""
+    out = None if rng is None else noise_cube(config, rng, 1)
+    return synthesize_packed(*pack_frames([components]), config, array,
+                             out=out)[0]
+
+
 def _peak_location(profile_map):
     index = np.unravel_index(np.argmax(profile_map.power), profile_map.power.shape)
     return (float(profile_map.ranges[index[0]]),
@@ -37,7 +48,7 @@ def _peak_location(profile_map):
 
 
 def _sense_one(components, config, array, max_range=20.0):
-    frame = synthesize_frame(components, config, array, None)
+    frame = synthesize(components, config, array)
     profiles = frame_range_profiles(frame, config)
     return compute_range_angle_map(profiles, config, array, 0.0,
                                    max_range=max_range)
@@ -55,31 +66,31 @@ class TestPathComponent:
 
 class TestSynthesizeFrame:
     def test_shape(self, config, array):
-        frame = synthesize_frame([PathComponent(3.0, 1.0, 0.1)], config, array)
+        frame = synthesize([PathComponent(3.0, 1.0, 0.1)], config, array)
         assert frame.shape == (7, config.chirp.num_samples)
 
     def test_empty_scene_without_noise_is_zero(self, config, array):
-        frame = synthesize_frame([], config, array, None)
+        frame = synthesize([], config, array)
         assert np.all(frame == 0)
 
     def test_noise_added_with_rng(self, config, array, rng):
         noisy_config = RadarConfig(position=(0.0, 0.0), facing_angle=np.pi / 2,
                                    noise_std=1e-3)
-        frame = synthesize_frame([], noisy_config, array, rng)
+        frame = synthesize([], noisy_config, array, rng)
         rms = np.sqrt(np.mean(np.abs(frame) ** 2))
         assert rms == pytest.approx(1e-3, rel=0.05)
 
     def test_amplitude_superposition(self, config, array):
         c1 = PathComponent(3.0, 1.0, 0.1)
         c2 = PathComponent(5.0, 2.0, 0.05)
-        both = synthesize_frame([c1, c2], config, array, None)
-        separate = (synthesize_frame([c1], config, array, None)
-                    + synthesize_frame([c2], config, array, None))
+        both = synthesize([c1, c2], config, array)
+        separate = (synthesize([c1], config, array)
+                    + synthesize([c2], config, array))
         assert both == pytest.approx(separate)
 
     def test_beyond_nyquist_tone_dropped(self, config, array):
         far = PathComponent(200.0, 1.0, 1.0)  # beat above fs/2
-        frame = synthesize_frame([far], config, array, None)
+        frame = synthesize([far], config, array)
         assert np.all(frame == 0)
 
 
@@ -121,29 +132,27 @@ class TestRangeAngleLocalization:
 
 class TestBackgroundSubtraction:
     def test_first_frame_returns_zeros(self, config, array):
-        frame = synthesize_frame([PathComponent(3.0, 1.0, 0.1)], config, array)
+        frame = synthesize([PathComponent(3.0, 1.0, 0.1)], config, array)
         profiles = frame_range_profiles(frame, config)
         assert np.all(background_subtract(profiles, None) == 0)
 
     def test_static_cancels_exactly(self, config, array):
         component = PathComponent(4.0, 1.2, 0.2)
-        frame = synthesize_frame([component], config, array, None)
+        frame = synthesize([component], config, array)
         profiles = frame_range_profiles(frame, config)
         subtracted = background_subtract(profiles, profiles)
         assert np.abs(subtracted).max() == pytest.approx(0.0, abs=1e-12)
 
     def test_mover_survives_subtraction(self, config, array):
         before = frame_range_profiles(
-            synthesize_frame([PathComponent(4.0, 1.2, 0.2)], config, array,
-                             None), config)
+            synthesize([PathComponent(4.0, 1.2, 0.2)], config, array), config)
         after = frame_range_profiles(
-            synthesize_frame([PathComponent(4.08, 1.2, 0.2)], config, array,
-                             None), config)
+            synthesize([PathComponent(4.08, 1.2, 0.2)], config, array), config)
         residual = background_subtract(after, before)
         assert np.abs(residual).max() > 0.01
 
     def test_shape_change_rejected(self, config, array):
-        frame = synthesize_frame([], config, array, None)
+        frame = synthesize([], config, array)
         profiles = frame_range_profiles(frame, config)
         with pytest.raises(SignalProcessingError):
             background_subtract(profiles, profiles[:, :-10])

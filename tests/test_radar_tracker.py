@@ -217,7 +217,7 @@ class TestTrackLifecycle:
 
 
 class TestEndToEndTracking:
-    """Full radar.sense -> extract_tracks on simple scenes."""
+    """Full radar.sense -> .tracks() on simple scenes."""
 
     def _run(self, scene_builder, duration=8.0, seed=4):
         config = RadarConfig(position=(5.0, 0.1), axis_angle=0.0,

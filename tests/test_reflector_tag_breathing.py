@@ -14,6 +14,7 @@ from repro.reflector import (
 from repro.reflector.hardware import AntennaSwitchModel, SwitchModel
 from repro.signal import ChirpConfig
 from repro.types import Trajectory
+from tests.receive_oracle import emit_frame
 
 
 @pytest.fixture()
@@ -100,16 +101,16 @@ class TestTagConstruction:
 class TestTagPathComponents:
     def test_idle_tag_is_silent(self, panel, array, rng):
         tag = RfProtectTag(panel)
-        assert tag.path_components(0.0, array, ChannelModel(), rng) == []
+        assert emit_frame([tag], 0.0, array, ChannelModel(), rng) == []
 
     def test_outside_schedule_is_silent(self, deployed_tag, array, rng):
-        components = deployed_tag.path_components(100.0, array,
-                                                  ChannelModel(), rng)
+        components = emit_frame([deployed_tag], 100.0, array,
+                                ChannelModel(), rng)
         assert components == []
 
     def test_emits_harmonic_lines(self, deployed_tag, array, rng):
-        components = deployed_tag.path_components(1.0, array,
-                                                  ChannelModel(), rng)
+        components = emit_frame([deployed_tag], 1.0, array,
+                                ChannelModel(), rng)
         offsets = sorted({c.beat_offset_hz for c in components})
         assert 0.0 in offsets                       # static DC line
         positive = [o for o in offsets if o > 0]
@@ -123,15 +124,15 @@ class TestTagPathComponents:
             )
 
     def test_all_lines_from_physical_antenna(self, deployed_tag, array, rng):
-        components = deployed_tag.path_components(1.0, array,
-                                                  ChannelModel(), rng)
+        components = emit_frame([deployed_tag], 1.0, array,
+                                ChannelModel(), rng)
         distances = {round(c.distance, 6) for c in components}
         # Without multipath, every line shares the physical antenna path.
         assert len(distances) == 1
 
     def test_fundamental_stronger_than_harmonics(self, deployed_tag, array, rng):
-        components = deployed_tag.path_components(1.0, array,
-                                                  ChannelModel(), rng)
+        components = emit_frame([deployed_tag], 1.0, array,
+                                ChannelModel(), rng)
         by_offset = {c.beat_offset_hz: c.amplitude for c in components}
         fundamental = min(o for o in by_offset if o > 0)
         third = 3 * fundamental
@@ -141,14 +142,14 @@ class TestTagPathComponents:
     def test_multipath_dresses_main_lines(self, deployed_tag, array, rng):
         from repro.radar.channel import MultipathSpec
         channel = ChannelModel(multipath=MultipathSpec(mean_paths=3.0))
-        components = deployed_tag.path_components(1.0, array, channel, rng)
-        no_multipath = deployed_tag.path_components(1.0, array,
-                                                    ChannelModel(), rng)
+        components = emit_frame([deployed_tag], 1.0, array, channel, rng)
+        no_multipath = emit_frame([deployed_tag], 1.0, array,
+                                  ChannelModel(), rng)
         assert len(components) > len(no_multipath)
 
     def test_clear_stops_all_ghosts(self, deployed_tag, array, rng):
         deployed_tag.clear()
-        assert deployed_tag.path_components(1.0, array, ChannelModel(), rng) == []
+        assert emit_frame([deployed_tag], 1.0, array, ChannelModel(), rng) == []
 
 
 class TestGhostReports:
@@ -184,5 +185,5 @@ class TestSingleSidebandAblation:
                                 dt=0.5)
         tag = RfProtectTag(panel, switch=SwitchModel(include_negative=False))
         tag.deploy(controller.plan_trajectory(trajectory))
-        components = tag.path_components(1.0, array, ChannelModel(), rng)
+        components = emit_frame([tag], 1.0, array, ChannelModel(), rng)
         assert all(c.beat_offset_hz >= 0 for c in components)

@@ -45,6 +45,7 @@ from repro.scenarios import (
 )
 from repro.serve.app import build_demo_scene
 from repro.trajectories import ActivityProgram
+from tests.receive_oracle import emit_frame
 
 OFFICE_LIKE = FloorplanSpec(size=(8.0, 6.0))
 
@@ -225,7 +226,8 @@ def _direct_amplitudes(scene: Scene, array: UniformLinearArray) -> list[float]:
     A human's direct path carries no phase offset; its multipath bounces
     carry a uniform random one.
     """
-    components = scene.path_components(0.0, array, np.random.default_rng(0))
+    components = emit_frame(scene.entities, 0.0, array, scene.channel,
+                            np.random.default_rng(0), scene.occlusion)
     return [c.amplitude for c in components if c.phase_offset == 0.0]
 
 

@@ -5,8 +5,7 @@ asyncio), so hypothesis can drive it through arbitrary arrival patterns and
 prove the conservation laws the service relies on:
 
 - nothing is lost and nothing is duplicated: every admitted item appears in
-  exactly one flushed batch (unless explicitly removed, in which case it
-  appears in none);
+  exactly one flushed batch;
 - no batch ever exceeds ``max_batch_size``, and every batch is
   key-homogeneous;
 - a ``"size"``-flushed batch is exactly full; a ``"window"``-flushed batch
@@ -134,58 +133,6 @@ def test_schedule_is_deterministic(params, events):
     first = run_schedule(max_batch_size, window_s, events)
     second = run_schedule(max_batch_size, window_s, events)
     assert first == second
-
-
-@given(
-    params=batcher_params,
-    events=arrivals,
-    removal_mask=st.lists(st.booleans(), max_size=60),
-)
-@settings(max_examples=100, deadline=None)
-def test_removed_items_are_never_flushed(params, events, removal_mask):
-    max_batch_size, window_s = params
-    batcher: MicroBatcher[str, int] = MicroBatcher(
-        max_batch_size=max_batch_size, window_s=window_s
-    )
-    flushed: list[Batch[str, int]] = []
-    removed: set[int] = set()
-    now = 0.0
-    for item_id, event in enumerate(events):
-        now += event.gap_s
-        full = batcher.add(event.key, item_id, now)
-        if full is not None:
-            flushed.append(full)
-        elif item_id < len(removal_mask) and removal_mask[item_id]:
-            # Still held: cancel it (the service's deadline-expiry path).
-            assert batcher.remove(event.key, item_id)
-            removed.add(item_id)
-    flushed.extend(batcher.drain(now + 1.0))
-    delivered = [item for batch in flushed for item in batch.items]
-    assert sorted(delivered) == sorted(set(range(len(events))) - removed)
-    assert not removed & set(delivered)
-    for batch in flushed:
-        assert len(batch) >= 1
-
-
-def test_remove_unknown_item_is_a_noop():
-    batcher: MicroBatcher[str, int] = MicroBatcher(max_batch_size=4,
-                                                   window_s=1.0)
-    assert not batcher.remove("alpha", 0)
-    batcher.add("alpha", 1, 0.0)
-    assert not batcher.remove("alpha", 2)
-    assert not batcher.remove("beta", 1)
-    assert batcher.pending_count() == 1
-
-
-def test_next_due_at_tracks_earliest_open_batch():
-    batcher: MicroBatcher[str, int] = MicroBatcher(max_batch_size=4,
-                                                   window_s=0.5)
-    assert batcher.next_due_at() is None
-    batcher.add("alpha", 0, 1.0)
-    batcher.add("beta", 1, 1.2)
-    assert batcher.next_due_at() == 1.5
-    assert [b.key for b in batcher.due(1.5)] == ["alpha"]
-    assert batcher.next_due_at() == 1.7
 
 
 # --------------------------------------------------------------------------

@@ -332,6 +332,28 @@ class TestServiceSessions:
         walker = survivors[best_first.track_id]
         assert walker.num_points > best_first.num_points
 
+    def test_a_tracked_request_finalizes_its_tracker_once(
+            self, tracked_scene, monkeypatch):
+        finalized = []
+        tracks = StreamingTracker.tracks
+
+        def counted(tracker: StreamingTracker) -> list:
+            finalized.append(tracker)
+            return tracks(tracker)
+
+        with InProcessClient(quick_service_config(),
+                             default_radar_config=fast_radar_config(),
+                             ) as client:
+            session_id = client.create_session(
+                tracker_config=TRACKER_CONFIG)
+            monkeypatch.setattr(StreamingTracker, "tracks", counted)
+            response = client.track(TrackRequest(
+                session_id=session_id, scene=tracked_scene, duration=0.5,
+                seed=3,
+            ))
+        assert response.frames_added > 0
+        assert len(finalized) == 1
+
     def test_unknown_session_rejected_before_sensing(self, tracked_scene):
         config = fast_radar_config()
         with InProcessClient(quick_service_config(),

@@ -30,7 +30,6 @@ from repro.radar import (
     stage_metrics,
     sweep_results,
 )
-from repro.radar.stages import STREAMING_DETECT
 from repro.serve.engine import ExecutionItem, execute_batch
 from repro.serve.request import BatchKey, SenseRequest
 from repro.signal.chirp import ChirpConfig
@@ -62,14 +61,12 @@ def snapshot_counts() -> dict[str, int]:
 
 class TestRegistry:
     def test_backend_inventory(self):
-        """One kernel per stage: the plans bind them, Detect binds one more."""
+        """One kernel per stage: the sense plan binds all but Detect."""
         assert [b.stage for b in SENSE_PLAN] == [
             Stage.EMIT, Stage.SYNTHESIZE, Stage.RANGE_FFT,
             Stage.BACKGROUND_SUBTRACT, Stage.BEAMFORM,
         ]
-        assert STREAMING_DETECT.stage is Stage.DETECT
-        assert all(callable(b.kernel)
-                   for b in (*SENSE_PLAN, STREAMING_DETECT))
+        assert all(callable(b.kernel) for b in SENSE_PLAN)
 
 
 class TestExecutor:
@@ -97,7 +94,14 @@ class TestExecutor:
         after = snapshot_counts()
         for stage in Stage:
             name = f"stages.{stage.value}.wall_s"
-            assert after.get(name, 0) > before.get(name, 0), name
+            assert after.get(name, 0) == before.get(name, 0) + 1, name
+        # One Detect observation per call, fresh or resumed tracker.
+        later = radar.sense(scene, 0.5, rng=np.random.default_rng(4),
+                            start_time=0.5)
+        detects = snapshot_counts()["stages.detect.wall_s"]
+        later.stream_tracks(tracker=result.stream_tracks())
+        later.tracks()
+        assert snapshot_counts()["stages.detect.wall_s"] == detects + 3
 
 
 class TestPerCallOverrides:
