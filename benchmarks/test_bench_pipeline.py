@@ -126,7 +126,7 @@ def test_bench_sweep_processing_speedup(sweep_setup):
     ref_profiles, ref_raw = reference_sweep()
     sweep = batched_sweep()
     np.testing.assert_allclose(sweep.raw_profiles, ref_raw, atol=1e-10)
-    for ours, reference in zip(sweep.profiles(), ref_profiles):
+    for ours, reference in zip(sweep.profiles, ref_profiles):
         np.testing.assert_allclose(ours.power, reference.power, atol=1e-10)
     assert speedup >= 5.0
 

@@ -158,7 +158,7 @@ def test_bench_motion_simulation(benchmark):
 def test_bench_lstm_forward_backward(benchmark):
     rng = np.random.default_rng(0)
     lstm = LSTM(16, 32, rng, num_layers=2)
-    inputs = [Tensor(rng.standard_normal((32, 16))) for _ in range(49)]
+    inputs = Tensor(rng.standard_normal((49, 32, 16)))
 
     def step():
         outputs = lstm(inputs)

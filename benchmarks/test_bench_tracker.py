@@ -74,11 +74,18 @@ def run_streaming(frames):
 
 @pytest.mark.benchmark(group="tracker")
 def test_bench_streaming_ingestion(benchmark, detection_frames):
-    """Frame-at-a-time ingestion throughput across the full sweep."""
+    """Frame-at-a-time ingestion throughput across the full sweep.
+
+    Under ``--benchmark-disable`` the fixture runs once, untimed, and the
+    rate comes from this file's own best-of timing instead.
+    """
     tracks = benchmark(run_streaming, detection_frames)
     assert tracks, "workload produced no tracks"
 
-    per_run_s = benchmark.stats.stats.min
+    if benchmark.enabled:
+        per_run_s = benchmark.stats.stats.min
+    else:
+        per_run_s = best_of(lambda: run_streaming(detection_frames))
     frames_per_s = NUM_FRAMES / per_run_s
     detections = sum(len(d) for _t, d in detection_frames)
     _RESULTS["streaming_min_s"] = per_run_s

@@ -26,13 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn import init, overlap
-from repro.nn.functional import (
-    concat,
-    dropout,
-    flip_sequence,
-    lstm_sequence,
-    stack,
-)
+from repro.nn.functional import concat, dropout, flip_sequence, lstm_sequence
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, as_tensor
 from repro.obs import observe_wall
@@ -145,26 +139,11 @@ class LSTM(Module):
                                    self._rng, training=self.training)
         return sequence
 
-    def forward(self, inputs: list[Tensor],
-                initial_states: list[tuple[Tensor, Tensor]] | None = None,
-                ) -> list[Tensor]:
-        """Run the stack over a per-timestep list of ``(B, D)`` tensors.
-
-        Compatibility wrapper over :meth:`forward_sequence`; returns
-        top-layer hidden states, one ``(B, H)`` tensor per timestep.
-        """
-        if not inputs:
-            raise ConfigurationError("LSTM needs at least one timestep")
-        stacked = self.forward_sequence(stack(inputs, axis=0), initial_states)
-        return [stacked[t] for t in range(len(inputs))]
-
-    def forward_stacked(self, inputs: list[Tensor],
-                        initial_states: list[tuple[Tensor, Tensor]] | None = None
-                        ) -> Tensor:
-        """Like :meth:`forward` but stacked into one ``(T, B, H)`` tensor."""
-        if not inputs:
-            raise ConfigurationError("LSTM needs at least one timestep")
-        return self.forward_sequence(stack(inputs, axis=0), initial_states)
+    def forward(self, inputs: Tensor,
+                initial_states: Sequence[tuple[Tensor, Tensor]] | None = None,
+                ) -> Tensor:
+        """``module(inputs)``: :meth:`forward_sequence` on ``(T, B, D)``."""
+        return self.forward_sequence(inputs, initial_states)
 
 
 class BiLSTM(Module):
@@ -205,20 +184,16 @@ class BiLSTM(Module):
         forward_out, backward_out = self._directions(as_tensor(inputs))
         return concat([forward_out, flip_sequence(backward_out)], axis=2)
 
-    def forward(self, inputs: list[Tensor]) -> list[Tensor]:
-        """Per-timestep ``(B, 2H)`` outputs (forward ++ backward)."""
-        stacked = self.forward_sequence(stack(inputs, axis=0))
-        return [stacked[t] for t in range(len(inputs))]
+    def forward(self, inputs: Tensor) -> Tensor:
+        """``module(inputs)``: :meth:`forward_sequence` on ``(T, B, D)``."""
+        return self.forward_sequence(inputs)
 
-    def final_summary(self, inputs: list[Tensor] | Tensor) -> Tensor:
+    def final_summary(self, inputs: Tensor) -> Tensor:
         """Sequence summary: last forward state ++ first backward state.
 
         This is the standard BiLSTM readout for whole-sequence
-        classification — each direction's state after reading everything.
-        Accepts either the per-timestep list form or a stacked
-        ``(T, B, D)`` tensor.
+        classification — each direction's state after reading everything
+        of the stacked ``(T, B, D)`` input.
         """
-        stacked = (inputs if isinstance(inputs, Tensor)
-                   else stack(inputs, axis=0))
-        forward_out, backward_out = self._directions(stacked)
+        forward_out, backward_out = self._directions(inputs)
         return concat([forward_out[-1], backward_out[-1]], axis=1)

@@ -8,10 +8,11 @@ background subtraction (`processing`, `pipeline`), and the trajectory
 extraction stage with Kalman tracking (`tracker`).
 
 Every sense path — FMCW, pulsed, the serving engine, the experiments
-runner — executes through the stage-graph executor in `stages`: a typed
-Emit → Synthesize → RangeFFT → BackgroundSubtract → Beamform plan that
-binds one kernel per stage, with per-stage wall-time instrumentation;
-Detect runs on demand on the finished result (``.tracks()``). Each stage
+runner, `process_sweep` on a beat cube — executes through the stage-graph
+executor in `stages`: a typed Emit → Synthesize → RangeFFT →
+BackgroundSubtract → Beamform plan that binds one kernel per stage, with
+per-stage wall-time instrumentation, and returns one `SensingResult` per
+request; Detect runs on demand on that result (``.tracks()``). Each stage
 has one way in: the kernels run over a list of requests, so a direct
 `FmcwRadar.sense` is a list of one, a served batch a longer list, and
 one frame is a sweep of one (`emit_paths`, `synthesize_packed`).
@@ -24,19 +25,17 @@ from repro.radar.frontend import SYNTH_STATS, PathComponent, SynthesisStats
 from repro.radar.batch import synthesize_packed
 from repro.radar.emit import Emission, emit_paths
 from repro.radar.pipeline import (
-    SweepProcessingResult,
     batched_background_subtract,
     batched_lag_vectors,
     batched_range_profiles,
     beamform_from_lags_stacked,
-    process_sweep,
 )
 from repro.radar.processing import (
     ZERO_PAD_FACTOR,
     RangeAngleProfile,
     range_keep_mask,
 )
-from repro.radar.pulsed import PulsedRadar, PulsedRadarConfig, PulsedSensingResult
+from repro.radar.pulsed import PulsedRadar, PulsedRadarConfig
 from repro.radar.radar import FmcwRadar, SensingResult
 from repro.radar.scene import (
     Fan,
@@ -53,6 +52,7 @@ from repro.radar.stages import (
     Stage,
     StageBinding,
     execute,
+    process_sweep,
     stage_metrics,
     sweep_results,
 )
@@ -80,7 +80,6 @@ __all__ = [
     "SynthesisStats",
     "PulsedRadar",
     "PulsedRadarConfig",
-    "PulsedSensingResult",
     "RadarConfig",
     "RangeAngleProfile",
     "Scene",
@@ -90,7 +89,6 @@ __all__ = [
     "StageBinding",
     "StaticReflector",
     "StreamingTracker",
-    "SweepProcessingResult",
     "Track",
     "TrackerConfig",
     "UniformLinearArray",

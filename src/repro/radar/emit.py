@@ -7,6 +7,10 @@ is computed once per call as arrays over the concatenated frame times of
 every request sharing the scene. Each entity describes its paths on that
 grid as a :class:`SlotPlan`: one *slot* per direct path (a human's body
 echo, one tag harmonic line, ...) plus which random draws the slot takes.
+An entity raises its typed error from its plan, at the array check that
+finds a bad input (a point at the array centre, a port or delay line the
+hardware lacks), so the first invalid entity in scene order fails the
+sweep before any draw.
 
 The random part is replayed on a **draw tape**: for each request, frame by
 frame in time order, the request's own generator makes exactly the scalar
@@ -54,20 +58,15 @@ __all__ = [
     "DISTANCE",
     "EXTRA_DELAY",
     "Emission",
-    "Failure",
     "MIN_ANGLE",
     "NUM_ROWS",
     "PHASE_OFFSET",
     "Predraw",
     "SceneEntity",
     "SlotPlan",
-    "center_failure",
     "emit_paths",
-    "failure",
-    "first_failure",
     "merge_runs",
     "polar_rows",
-    "row_failure",
 ]
 
 #: Rows of the packed component array, in ``PathComponent`` field order.
@@ -79,10 +78,6 @@ _CHECKED_ROWS = [DISTANCE, AMPLITUDE, EXTRA_DELAY]
 
 MIN_ANGLE = 1e-3
 TWO_PI = 2.0 * np.pi
-
-#: ``(sort key, error)``: where in the historical per-frame order a check
-#: fails — frame index first, then entity-local tie-breakers.
-Failure = tuple[tuple[int, ...], BaseException]
 
 
 class Predraw(enum.IntEnum):
@@ -110,7 +105,6 @@ class SlotPlan:
         finish: fills ``columns`` in place from the ``(S,)`` predraw values.
         body: ``(F, 2)`` positions of a body that shadows and is shadowed
             by other bodies under the scene's occlusion model.
-        failure: the first check the per-frame path would fail, if any.
     """
 
     counts: np.ndarray
@@ -119,7 +113,6 @@ class SlotPlan:
     multipath: np.ndarray | None = None
     finish: Callable[[np.ndarray, np.ndarray], None] | None = None
     body: np.ndarray | None = None
-    failure: Failure | None = None
 
 
 @runtime_checkable
@@ -132,7 +125,10 @@ class SceneEntity(Protocol):
 
     def emission_plan(self, times: np.ndarray, array: UniformLinearArray,
                       channel: ChannelModel) -> SlotPlan:
-        """This entity's :class:`SlotPlan` over frame ``times``."""
+        """This entity's :class:`SlotPlan` over frame ``times``.
+
+        Raises the entity's typed error if any frame's input is invalid.
+        """
         ...
 
 
@@ -168,68 +164,23 @@ def _clip_angle(angle: np.ndarray) -> np.ndarray:
 
 
 def polar_rows(array: UniformLinearArray, points: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :meth:`UniformLinearArray.polar_of` with the angle clipped.
 
-    Returns ``(distance, angle, at_center)``: the clipped angle is what
-    every entity emits, and ``at_center`` flags the rows where
-    :meth:`~UniformLinearArray.angle_to` raises (their angle is NaN).
+    Returns ``(distance, angle)``; the clipped angle is what every entity
+    emits.
+
+    Raises:
+        ConfigurationError: a point sits at the array centre, as
+            :meth:`~UniformLinearArray.angle_to` raises.
     """
     rel = points - array.position
     distance = _row_norms(rel)
-    at_center = distance == 0
-    along = _row_dots(rel, array.axis)
-    if at_center.any():
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosine = along / distance
-    else:
-        cosine = along / distance
+    if (distance == 0).any():
+        raise ConfigurationError("point coincides with the array center")
+    cosine = _row_dots(rel, array.axis) / distance
     return distance, _clip_angle(np.arccos(np.minimum(np.maximum(
-        cosine, -1.0), 1.0))), at_center
-
-
-def row_failure(bad: np.ndarray, frames: np.ndarray | None,
-                key: Sequence[int], check: Callable[..., object],
-                values: np.ndarray) -> Failure | None:
-    """The error ``check`` raises on the first flagged row, if any.
-
-    ``frames`` maps rows to frame indices (rows are frames when ``None``);
-    ``key`` appends entity-local tie-breakers after the frame index.
-    """
-    if not bad.any():
-        return None
-    row = int(np.argmax(bad))
-    frame = row if frames is None else int(frames[row])
-    return failure((frame, *key), check, values[row])
-
-
-def center_failure(array: UniformLinearArray, points: np.ndarray,
-                   at_center: np.ndarray, frames: np.ndarray | None = None,
-                   key: Sequence[int] = ()) -> Failure | None:
-    """:meth:`~UniformLinearArray.angle_to`'s error for the first centred row."""
-    return row_failure(at_center, frames, key, array.angle_to, points)
-
-
-def failure(key: Sequence[int], check: Callable[..., object],
-            *args: object) -> Failure:
-    """The error ``check(*args)`` raises, tagged with its sort ``key``.
-
-    Entity plans rebuild the exact exception the per-frame path raised by
-    re-running the same validation on the first offending value.
-    """
-    try:
-        check(*args)
-    except Exception as error:  # the check's own typed error
-        return tuple(key), error
-    raise AssertionError(f"{check!r} accepted {args!r}")
-
-
-def first_failure(candidates: Sequence[Failure | None]) -> Failure | None:
-    """The earliest of ``candidates`` (ties keep the first listed)."""
-    found = [c for c in candidates if c is not None]
-    if not found:
-        return None
-    return min(found, key=lambda c: c[0])
+        cosine, -1.0), 1.0)))
 
 
 def merge_runs(counts: Sequence[np.ndarray],
@@ -316,14 +267,16 @@ def emit_paths(entities: Sequence[SceneEntity], channel: ChannelModel,
         One :class:`Emission` per request (views into shared arrays).
 
     Raises:
-        The first error the per-frame path would raise, of the same type.
+        The typed error of the first entity, in scene order, whose plan
+        finds an invalid input, before any draw; ``SignalProcessingError``
+        (``PathComponent``'s check) for an emitted path with a negative
+        distance, amplitude or delay.
     """
     frames_per_request = [int(np.shape(t)[0]) for t in times]
     grid = np.concatenate([np.asarray(t, dtype=float) for t in times])
     num_frames = grid.shape[0]
     plans = [entity.emission_plan(grid, array, channel)
              for entity in entities]
-    _raise_first_failure(plans)
 
     multipath = (channel.multipath is not None
                  and channel.multipath.mean_paths != 0)
@@ -394,32 +347,6 @@ def emit_paths(entities: Sequence[SceneEntity], channel: ChannelModel,
         emissions.append(Emission(packed[:, lo:hi], counts[start:start + size]))
         start += size
     return emissions
-
-
-def _raise_first_failure(plans: Sequence[SlotPlan]) -> None:
-    """Raise what the per-frame path would have raised first, if anything.
-
-    Besides each plan's own checks, a direct path with a negative
-    distance, amplitude or delay fails ``PathComponent`` validation at its
-    frame (predraw-dependent amplitudes are filled later and are never
-    negative for the built-in entities).
-    """
-    candidates: list[tuple[tuple[int, ...], BaseException]] = []
-    for index, plan in enumerate(plans):
-        found = plan.failure
-        negative = (plan.columns[_CHECKED_ROWS] < 0).any(axis=0)
-        if negative.any():
-            slot = int(np.argmax(negative))
-            frame = int(np.searchsorted(np.cumsum(plan.counts), slot,
-                                        side="right"))
-            found = first_failure([found, failure(
-                (frame, 1 << 30), PathComponent,
-                *plan.columns[:, slot].tolist())])
-        if found is not None:
-            key, error = found
-            candidates.append(((key[0], index, *key[1:]), error))
-    if candidates:
-        raise min(candidates, key=lambda c: c[0])[1]
 
 
 def _check_components(packed: np.ndarray) -> None:

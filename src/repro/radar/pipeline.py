@@ -20,8 +20,11 @@ passes:
    per-bin spatial autocorrelation lags, then one thin real GEMM per
    request against the lag basis fetched from the process-wide memo
    (:mod:`repro.radar.antenna`), writing a contiguous ``(F, B, A)`` power
-   cube whose per-frame slices back the
+   cube whose per-frame slices back a result's
    :class:`~repro.radar.processing.RangeAngleProfile` views.
+
+The stage kernels that run these passes, and the result they fill, live
+in :mod:`repro.radar.stages`.
 
 Stage by stage, the arithmetic is either identical to the reference
 loop's (FFT, subtraction) or an exact algebraic regrouping of it
@@ -31,23 +34,19 @@ loop's (FFT, subtraction) or an exact algebraic regrouping of it
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.errors import SignalProcessingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
-from repro.radar.processing import ZERO_PAD_FACTOR, RangeAngleProfile
+from repro.radar.processing import ZERO_PAD_FACTOR
 from repro.signal.spectral import range_fft
 
 __all__ = [
-    "SweepProcessingResult",
     "batched_background_subtract",
     "batched_lag_vectors",
     "batched_range_profiles",
     "beamform_from_lags_stacked",
-    "process_sweep",
 ]
 
 #: Working-set ceiling (bytes) for the blocked cube passes. Blocks of this
@@ -185,81 +184,3 @@ def beamform_from_lags_stacked(lag_stack: np.ndarray,
                      dtype=np.float64)
     np.matmul(lags, basis, out=power)
     return power
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepProcessingResult:
-    """Everything the batched engine produced for one sweep.
-
-    Attributes:
-        raw_profiles: pre-subtraction complex profiles, ``(F, K, B)``.
-        power_cube: contiguous range-angle power stack, ``(F, B_kept, A)``,
-            frozen read-only because every profile view shares it.
-        ranges: cropped range axis shared by every frame (read-only).
-        angles: beamforming grid shared by every frame (read-only).
-        times: frame capture times, seconds.
-    """
-
-    raw_profiles: np.ndarray
-    power_cube: np.ndarray
-    ranges: np.ndarray
-    angles: np.ndarray
-    times: np.ndarray
-
-    def profiles(self) -> list[RangeAngleProfile]:
-        """Per-frame :class:`RangeAngleProfile`\\ s as cheap views.
-
-        Each profile's ``power`` is a zero-copy slice of :attr:`power_cube`
-        and its axes are the shared read-only sweep axes — building the
-        list allocates no new numeric data.
-        """
-        return [
-            RangeAngleProfile(power=self.power_cube[f], ranges=self.ranges,
-                              angles=self.angles, time=float(t))
-            for f, t in enumerate(self.times)
-        ]
-
-
-def process_sweep(frames: np.ndarray, config: RadarConfig,
-                  array: UniformLinearArray, times: np.ndarray, *,
-                  max_range: float | None = None,
-                  min_range: float | None = None) -> SweepProcessingResult:
-    """Run the receive stages on a beat cube in three batched passes.
-
-    The library entry point for a beat cube captured elsewhere: it runs
-    :data:`~repro.radar.stages.RECEIVE_PLAN`, the same kernels
-    ``FmcwRadar.sense`` runs after synthesis.
-
-    Args:
-        frames: raw beat cube ``(F, K, N)``, as ``synthesize_packed``
-            writes it.
-        config: radar configuration the cube was captured under.
-        array: array geometry for Eq. 2.
-        times: frame capture times, length ``F``.
-        max_range: optional far crop of the range axis, meters.
-        min_range: near-field blanking (defaults to ``config.min_range``).
-    """
-    times = np.asarray(times, dtype=float)
-    if times.shape[0] != np.asarray(frames).shape[0]:
-        raise SignalProcessingError(
-            f"got {times.shape[0]} frame times for "
-            f"{np.asarray(frames).shape[0]} frames"
-        )
-    # Imported lazily: repro.radar.stages builds its kernels from this
-    # module's batch passes, so it imports us at module load.
-    from repro.radar.stages import (
-        RECEIVE_PLAN,
-        ExecutionContext,
-        SenseInput,
-        execute,
-        sweep_results,
-    )
-
-    ctx = ExecutionContext(
-        array=array, config=config,
-        requests=[SenseInput(scene=None, times=times, rng=None)],
-        max_range=max_range,
-        min_range=config.min_range if min_range is None else min_range,
-    )
-    ctx.workspace["frames"] = np.asarray(frames)
-    return sweep_results(execute(RECEIVE_PLAN, ctx))[0]

@@ -26,9 +26,10 @@ __all__ = [
 ]
 
 #: Range-FFT length multiplier used by the *entire* receive chain — the
-#: batched engine in :mod:`repro.radar.pipeline`, the serving engine and
-#: ``SensingResult.range_bins()`` all read this one constant, so the FFT
-#: grid and the reported range axis can never drift apart.
+#: batched engine in :mod:`repro.radar.pipeline` and the RangeFFT stage,
+#: whose range axis every ``SensingResult`` keeps as ``range_bins``, read
+#: this one constant, so the FFT grid and the reported range axis can
+#: never drift apart.
 ZERO_PAD_FACTOR = 2
 
 

@@ -8,7 +8,8 @@ provides the pulsed-radar substrate to test that claim:
 - the radar transmits a short Gaussian pulse, receives the superposition of
   delayed echoes per antenna, matched-filters against the pulse, and reuses
   the *same* downstream pipeline as the FMCW radar (background subtraction,
-  Eq. 2 beamforming, range-angle maps, Kalman tracking);
+  Eq. 2 beamforming, range-angle maps, Kalman tracking), returning the same
+  :class:`~repro.radar.stages.SensingResult`;
 - the echo model reads one frame of Emit's packed columns; a path's extra
   delay (the ``EXTRA_DELAY`` row, ``PathComponent.extra_delay_s``) delays
   its echo — the delay-line spoofing mechanism;
@@ -38,22 +39,21 @@ from repro.radar.emit import (
     PHASE_OFFSET,
     Emission,
 )
-from repro.radar.processing import RangeAngleProfile
 from repro.radar.scene import Scene
 from repro.radar.stages import (
     RECEIVE_PLAN,
     SENSE_PLAN,
     ExecutionContext,
     SenseInput,
+    SensingResult,
     Stage,
     StageBinding,
-    TrackedResultMixin,
     execute,
     frame_count,
     sweep_results,
 )
 
-__all__ = ["PulsedRadar", "PulsedRadarConfig", "PulsedSensingResult"]
+__all__ = ["PulsedRadar", "PulsedRadarConfig"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,26 +154,6 @@ class PulsedRadarConfig:
         )
 
 
-@dataclasses.dataclass
-class PulsedSensingResult(TrackedResultMixin):
-    """Frames captured by a pulsed radar (same downstream API as FMCW).
-
-    Tracking, trajectory extraction, and phase analysis come from
-    :class:`~repro.radar.stages.TrackedResultMixin`, shared with
-    :class:`~repro.radar.radar.SensingResult`.
-    """
-
-    times: np.ndarray
-    profiles: list[RangeAngleProfile]
-    config: PulsedRadarConfig
-    array: UniformLinearArray
-    raw_profiles: np.ndarray | None = None
-
-    def range_bins(self) -> np.ndarray:
-        """Distance of each raw-profile fast-time bin, meters."""
-        return self.config.range_bins()
-
-
 class PulsedRadar:
     """A pulsed radar sharing the scene/entity/tracking machinery."""
 
@@ -237,7 +217,7 @@ class PulsedRadar:
 
     def sense(self, scene: Scene, duration: float, *,
               rng: np.random.Generator | None = None,
-              start_time: float = 0.0) -> PulsedSensingResult:
+              start_time: float = 0.0) -> SensingResult:
         """Capture ``duration`` seconds of pulsed frames from ``scene``.
 
         Emit is the FMCW radar's kernel and the echo/matched-filter kernels
@@ -254,13 +234,9 @@ class PulsedRadar:
             requests=[SenseInput(scene, times, rng)],
             max_range=config.max_range, min_range=config.min_range,
         )
-        execute((
+        return sweep_results(execute((
             SENSE_PLAN[0],
             StageBinding(Stage.SYNTHESIZE, self._synthesize_stage),
             StageBinding(Stage.RANGE_FFT, self._matched_filter_stage),
             *RECEIVE_PLAN[1:],
-        ), ctx)
-        [sweep] = sweep_results(ctx)
-        return PulsedSensingResult(times=times, profiles=sweep.profiles(),
-                                   config=config, array=self.array,
-                                   raw_profiles=sweep.raw_profiles)
+        ), ctx))[0]

@@ -1,8 +1,9 @@
 """`FmcwRadar`: the end-to-end sensing facade.
 
 Ties together frontend synthesis, the processing pipeline, and the tracker:
-point it at a :class:`~repro.radar.scene.Scene`, get back range-angle
-profiles, extracted trajectories, and per-bin phase series (for breathing).
+point it at a :class:`~repro.radar.scene.Scene`, get back a
+:class:`~repro.radar.stages.SensingResult` — range-angle profiles,
+extracted trajectories, and per-bin phase series (for breathing).
 This is both the eavesdropper and the legitimate sensor of the paper — the
 difference between them is purely whether they receive the tag's
 side-channel report (Sec. 11.3).
@@ -10,64 +11,24 @@ side-channel report (Sec. 11.3).
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
-from repro.radar.processing import ZERO_PAD_FACTOR, RangeAngleProfile
 from repro.radar.scene import Scene
 from repro.radar.stages import (
     SENSE_PLAN,
     ExecutionContext,
     SenseInput,
-    TrackedResultMixin,
+    SensingResult,
     execute,
     frame_count,
     sweep_results,
 )
-from repro.signal.spectral import range_axis
 
 __all__ = ["FmcwRadar", "SensingResult"]
-
-
-@dataclasses.dataclass
-class SensingResult(TrackedResultMixin):
-    """Everything a radar captured over one sensing session.
-
-    Tracking, trajectory extraction, and phase analysis come from
-    :class:`~repro.radar.stages.TrackedResultMixin`, shared with the
-    pulsed radar's result type.
-
-    Attributes:
-        times: frame capture times, seconds.
-        profiles: background-subtracted range-angle maps, one per frame.
-        raw_profiles: complex per-antenna range profiles *before*
-            subtraction, shape ``(num_frames, K, num_bins)`` — needed for
-            phase/breathing analysis where static targets matter.
-        config: radar configuration used.
-        array: array geometry used.
-    """
-
-    times: np.ndarray
-    profiles: list[RangeAngleProfile]
-    raw_profiles: np.ndarray
-    config: RadarConfig
-    array: UniformLinearArray
-
-    @property
-    def frame_dt(self) -> float:
-        return self.config.frame_interval
-
-    def range_bins(self) -> np.ndarray:
-        """Distance of each raw-profile range bin, meters.
-
-        Uses the pipeline-wide ``ZERO_PAD_FACTOR`` so the reported axis can
-        never drift from the FFT grid that produced ``raw_profiles``.
-        """
-        return range_axis(self.config.chirp, zero_pad_factor=ZERO_PAD_FACTOR)
 
 
 class FmcwRadar:
@@ -144,9 +105,4 @@ class FmcwRadar:
             array=self.array, config=self.config, requests=requests,
             max_range=max_range, min_range=self.config.min_range,
         )
-        return [
-            SensingResult(times=sweep.times, profiles=sweep.profiles(),
-                          raw_profiles=sweep.raw_profiles,
-                          config=self.config, array=self.array)
-            for sweep in sweep_results(execute(SENSE_PLAN, ctx))
-        ]
+        return sweep_results(execute(SENSE_PLAN, ctx))

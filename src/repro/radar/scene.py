@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SceneError
+from repro.errors import SceneError
 from repro.geometry import Rectangle
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.channel import ChannelModel
@@ -29,7 +29,6 @@ from repro.radar.emit import (
     Predraw,
     SceneEntity,
     SlotPlan,
-    center_failure,
     polar_rows,
 )
 from repro.types import Trajectory
@@ -138,7 +137,7 @@ class HumanTarget:
                       channel: ChannelModel) -> SlotPlan:
         """One body echo per frame; its RCS draw sets the amplitude."""
         body = self.positions_at(times)
-        distance, angle, at_center = polar_rows(array, body)
+        distance, angle = polar_rows(array, body)
         columns = np.zeros((NUM_ROWS, times.shape[0]), dtype=float)
         columns[DISTANCE] = distance + self.breathing.displacements(times)
         columns[ANGLE] = angle
@@ -152,8 +151,7 @@ class HumanTarget:
         return SlotPlan(counts=every_frame, columns=columns,
                         predraw=Predraw.NORMAL,
                         multipath=every_frame.astype(bool), finish=finish,
-                        body=body,
-                        failure=center_failure(array, body, at_center))
+                        body=body)
 
 
 class StaticReflector:
@@ -195,20 +193,14 @@ class StaticReflector:
 
     def emission_plan(self, times: np.ndarray, array: UniformLinearArray,
                       channel: ChannelModel) -> SlotPlan:
-        """The same echo in every frame."""
+        """The same echo in every frame (an empty grid raises nothing)."""
         num_frames = times.shape[0]
         columns = np.zeros((NUM_ROWS, num_frames), dtype=float)
-        counts = np.ones(num_frames, dtype=np.int64)
-        if not num_frames:
-            return SlotPlan(counts=counts, columns=columns)
-        try:
-            echo = self._echo(array, channel)
-        except ConfigurationError as error:  # at the array centre
-            return SlotPlan(counts=counts, columns=columns,
-                            failure=((0,), error))
-        columns[[DISTANCE, ANGLE, AMPLITUDE]] = np.array(echo,
-                                                         dtype=float)[:, None]
-        return SlotPlan(counts=counts, columns=columns)
+        if num_frames:
+            columns[[DISTANCE, ANGLE, AMPLITUDE]] = np.array(
+                self._echo(array, channel), dtype=float)[:, None]
+        return SlotPlan(counts=np.ones(num_frames, dtype=np.int64),
+                        columns=columns)
 
 
 class Fan:
@@ -253,14 +245,13 @@ class Fan:
                       channel: ChannelModel) -> SlotPlan:
         """One blade echo per frame."""
         blade = self.blade_positions(times)
-        distance, angle, at_center = polar_rows(array, blade)
+        distance, angle = polar_rows(array, blade)
         columns = np.zeros((NUM_ROWS, times.shape[0]), dtype=float)
         columns[DISTANCE] = distance
         columns[ANGLE] = angle
         columns[AMPLITUDE] = channel.path_amplitude(distance, self.rcs)
         return SlotPlan(counts=np.ones(times.shape[0], dtype=np.int64),
-                        columns=columns,
-                        failure=center_failure(array, blade, at_center))
+                        columns=columns)
 
 
 class Scene:

@@ -23,11 +23,14 @@ them:
   from its own generator in the order of a lone sense, and each request's
   Eq. 2 GEMM has its own shape, so a request's bits do not depend on which
   batch it rode in. :func:`sweep_results` splits a finished context back
-  into one :class:`~repro.radar.pipeline.SweepProcessingResult` per request.
+  into one :class:`SensingResult` per request; every sense path (FMCW,
+  pulsed, a served batch, :func:`process_sweep` on a beat cube) returns
+  those.
 - Detect is not in a plan: it runs on demand on a finished result.
-  :class:`TrackedResultMixin` ingests the result's range-angle profiles
-  into a :class:`~repro.radar.tracker.StreamingTracker`, fresh or a
-  serving session's.
+  :meth:`SensingResult.tracks` and :meth:`SensingResult.stream_tracks`
+  ingest the result's range-angle profiles into a
+  :class:`~repro.radar.tracker.StreamingTracker`, fresh or a serving
+  session's.
 - Every stage run is timed into a per-stage wall-time histogram,
   ``stages.<stage>.wall_s``, of the process registry
   (:func:`stage_metrics`, which is :func:`repro.obs.process_metrics`).
@@ -39,8 +42,10 @@ frame count, request after request)::
                  ((6, C) packed paths + (F,) per-frame counts)
     noise        (F, K, N) complex | None   Emit -> Synthesize
     frames       (F, K, N) complex          Synthesize -> RangeFFT
-    raw_profiles (F, K, B) complex          RangeFFT -> BackgroundSubtract
-    ranges_full  (B,) float                 RangeFFT -> BackgroundSubtract
+    raw_profiles (F, K, B) complex          RangeFFT -> BackgroundSubtract,
+                                            result
+    ranges_full  (B,) float                 RangeFFT -> BackgroundSubtract,
+                                            result (``range_bins``)
     ranges       (B_kept,) float            BackgroundSubtract -> Beamform
     subtracted   (F, K, B_kept) complex     BackgroundSubtract -> Beamform
     angles       (A,) float                 Beamform output
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import time
 from collections.abc import Callable, Sequence
@@ -63,13 +69,13 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, TrackingError
+from repro.errors import ConfigurationError, SignalProcessingError, TrackingError
 from repro.obs import observe_wall, process_metrics
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.batch import synthesize_packed
+from repro.radar.config import RadarConfig
 from repro.radar.emit import Emission, emit_paths
 from repro.radar.pipeline import (
-    SweepProcessingResult,
     batched_background_subtract,
     batched_lag_vectors,
     batched_range_profiles,
@@ -95,10 +101,11 @@ __all__ = [
     "SENSE_PLAN",
     "SenseInput",
     "Stage",
+    "SensingResult",
     "StageBinding",
-    "TrackedResultMixin",
     "execute",
     "frame_count",
+    "process_sweep",
     "stage_metrics",
     "sweep_results",
 ]
@@ -391,7 +398,7 @@ def _beamform(ctx: ExecutionContext) -> None:
                                     for i in range(len(ctx.requests))]
 
 
-#: The full FMCW sense plan (Detect runs on demand via the result mixin).
+#: The full FMCW sense plan (Detect runs on demand on the result).
 SENSE_PLAN: tuple[StageBinding, ...] = (
     StageBinding(Stage.EMIT, _emit),
     StageBinding(Stage.SYNTHESIZE, _synthesize),
@@ -404,51 +411,63 @@ SENSE_PLAN: tuple[StageBinding, ...] = (
 RECEIVE_PLAN: tuple[StageBinding, ...] = SENSE_PLAN[2:]
 
 
-def sweep_results(ctx: ExecutionContext) -> list[SweepProcessingResult]:
-    """Split a finished sense context into one result per request.
-
-    Each result's raw profiles are a view of the request's frames in the
-    stacked raw cube; its power cube and the read-only range/angle axes
-    are the Beamform outputs.
-    """
-    raw_profiles = ctx.workspace["raw_profiles"]
-    offsets = ctx.frame_offsets()
-    return [
-        SweepProcessingResult(
-            raw_profiles=raw_profiles[offsets[i]:offsets[i + 1]],
-            power_cube=power_cube, ranges=ctx.workspace["ranges"],
-            angles=ctx.workspace["angles"], times=request.times)
-        for i, (request, power_cube) in enumerate(
-            zip(ctx.requests, ctx.workspace["power_cubes"]))
-    ]
-
-
 # --------------------------------------------------------------------------
-# Detect
+# Results and Detect
 # --------------------------------------------------------------------------
 
 _DETECT_WALL = f"stages.{Stage.DETECT.value}.wall_s"
 
 
-class TrackedResultMixin:
-    """Shared post-processing for sensing results (FMCW and pulsed).
+@dataclasses.dataclass(frozen=True)
+class SensingResult:
+    """Everything one request's sweep produced, whichever radar sensed it.
 
-    Subclasses provide ``times``, ``profiles``, ``array``, and (for phase
-    analysis) ``raw_profiles`` + ``range_bins()``; this mixin runs the
-    Detect stage — the profiles ingested frame by frame into a
-    :class:`StreamingTracker` — and derives trajectories and per-bin phase
-    series from it, one implementation for both radar families. Each
-    ``tracks()`` or ``stream_tracks()`` call is one Detect run, timed
-    into ``stages.detect.wall_s``.
+    Detect runs on demand: each :meth:`tracks` or :meth:`stream_tracks`
+    call ingests :attr:`profiles` frame by frame into a
+    :class:`StreamingTracker` and is timed into ``stages.detect.wall_s``.
+
+    Attributes:
+        times: frame capture times, seconds.
+        raw_profiles: complex per-antenna range profiles *before*
+            subtraction, ``(F, K, B)``: what phase/breathing analysis
+            reads, since static targets matter there.
+        power_cube: range-angle power, ``(F, B_kept, A)``, read-only
+            (every profile view shares it).
+        ranges: the cropped range axis of every map (read-only).
+        angles: the beamforming grid of every map (read-only).
+        range_bins: distance of each raw-profile bin, ``(B,)``, the
+            RangeFFT stage's axis (read-only).
+        config: radar configuration (``RadarConfig`` or
+            ``PulsedRadarConfig``).
+        array: array geometry the profiles were beamformed with.
     """
 
-    if TYPE_CHECKING:
-        times: np.ndarray
-        profiles: list[RangeAngleProfile]
-        array: UniformLinearArray
-        raw_profiles: np.ndarray | None
+    times: np.ndarray
+    raw_profiles: np.ndarray
+    power_cube: np.ndarray
+    ranges: np.ndarray
+    angles: np.ndarray
+    range_bins: np.ndarray
+    config: Any
+    array: UniformLinearArray
 
-        def range_bins(self) -> np.ndarray: ...
+    @property
+    def frame_dt(self) -> float:
+        return float(self.config.frame_interval)
+
+    @functools.cached_property
+    def profiles(self) -> list[RangeAngleProfile]:
+        """Background-subtracted range-angle maps, one per frame.
+
+        Built once, on first use: each map's ``power`` is a zero-copy
+        slice of :attr:`power_cube` and its axes are the shared sweep
+        axes, so the list allocates no numeric data.
+        """
+        return [
+            RangeAngleProfile(power=self.power_cube[f], ranges=self.ranges,
+                              angles=self.angles, time=float(t))
+            for f, t in enumerate(self.times)
+        ]
 
     def _ingest(self, tracker_config: TrackerConfig | None,
                 tracker: StreamingTracker | None) -> StreamingTracker:
@@ -509,10 +528,63 @@ class TrackedResultMixin:
 
         This is the observable that carries breathing (Sec. 11.4).
         """
-        if self.raw_profiles is None:
-            raise TrackingError(
-                "this sensing session did not retain raw profiles"
-            )
-        bins = self.range_bins()
-        bin_index = int(np.argmin(np.abs(bins - distance)))
+        bin_index = int(np.argmin(np.abs(self.range_bins - distance)))
         return extract_phase(self.raw_profiles[:, antenna, :], bin_index)
+
+
+def sweep_results(ctx: ExecutionContext) -> list[SensingResult]:
+    """Split a finished sense context into one result per request.
+
+    Each result's raw profiles are a view of the request's frames in the
+    stacked raw cube; its power cube and the read-only range/angle axes
+    are the Beamform outputs, and its ``range_bins`` the RangeFFT axis.
+    """
+    raw_profiles = ctx.workspace["raw_profiles"]
+    range_bins = ctx.workspace["ranges_full"]
+    range_bins.flags.writeable = False
+    offsets = ctx.frame_offsets()
+    return [
+        SensingResult(
+            times=request.times,
+            raw_profiles=raw_profiles[offsets[i]:offsets[i + 1]],
+            power_cube=power_cube, ranges=ctx.workspace["ranges"],
+            angles=ctx.workspace["angles"], range_bins=range_bins,
+            config=ctx.config, array=ctx.array)
+        for i, (request, power_cube) in enumerate(
+            zip(ctx.requests, ctx.workspace["power_cubes"]))
+    ]
+
+
+def process_sweep(frames: np.ndarray, config: RadarConfig,
+                  array: UniformLinearArray, times: np.ndarray, *,
+                  max_range: float | None = None,
+                  min_range: float | None = None) -> SensingResult:
+    """Run the receive stages on a beat cube captured elsewhere.
+
+    The library entry point for a beat cube: :data:`RECEIVE_PLAN`, the
+    kernels ``FmcwRadar.sense`` runs after synthesis, on a request of
+    one. The result tracks and reads phase like any sensed one.
+
+    Args:
+        frames: raw beat cube ``(F, K, N)``, as ``synthesize_packed``
+            writes it.
+        config: radar configuration the cube was captured under.
+        array: array geometry for Eq. 2.
+        times: frame capture times, length ``F``.
+        max_range: optional far crop of the range axis, meters.
+        min_range: near-field blanking (defaults to ``config.min_range``).
+    """
+    times = np.asarray(times, dtype=float)
+    frames = np.asarray(frames)
+    if times.shape[0] != frames.shape[0]:
+        raise SignalProcessingError(
+            f"got {times.shape[0]} frame times for {frames.shape[0]} frames"
+        )
+    ctx = ExecutionContext(
+        array=array, config=config,
+        requests=[SenseInput(scene=None, times=times, rng=None)],
+        max_range=max_range,
+        min_range=config.min_range if min_range is None else min_range,
+    )
+    ctx.workspace["frames"] = frames
+    return sweep_results(execute(RECEIVE_PLAN, ctx))[0]

@@ -30,11 +30,8 @@ from repro.radar.emit import (
     EXTRA_DELAY,
     NUM_ROWS,
     PHASE_OFFSET,
-    Failure,
     Predraw,
     SlotPlan,
-    first_failure,
-    row_failure,
 )
 from repro.reflector.controller import CommandTimeline
 from repro.reflector.hardware import AntennaSwitchModel, LnaModel
@@ -187,19 +184,20 @@ class DelayLineTag:
         """Scene-entity protocol: delayed echoes from the panel antennas.
 
         One echo per active schedule per frame; with ``phase_dither`` each
-        echo's carrier phase is a fresh uniform draw.
+        echo's carrier phase is a fresh uniform draw. Schedules are checked
+        in deploy order: :func:`~repro.reflector.tag.panel_paths`'s errors,
+        then :meth:`line_delay`'s ``ReflectorError`` for the first line
+        outside the bank.
         """
         rcs = self.effective_rcs
         runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        failures: list[Failure | None] = []
-        for index, schedule in enumerate(self.schedules):
-            frames, command, distance, angle, found = panel_paths(
-                schedule, index, times, array, self.panel,
-                self.antenna_switch)
+        for schedule in self.schedules:
+            frames, command, distance, angle = panel_paths(
+                schedule, times, array, self.panel, self.antenna_switch)
             lines = schedule.command_field("line_index")[command]
             bad_line = (lines < 0) | (lines >= self.num_lines)
-            failures.append(first_failure([found, row_failure(
-                bad_line, frames, (index, 3), self.line_delay, lines)]))
+            if bad_line.any():
+                self.line_delay(int(lines[np.argmax(bad_line)]))
             echoes = np.zeros((NUM_ROWS, frames.shape[0]), dtype=float)
             echoes[DISTANCE] = distance
             echoes[ANGLE] = angle
@@ -210,7 +208,7 @@ class DelayLineTag:
             counts[frames] = 1
             runs.append((counts, echoes,
                          np.zeros(frames.shape[0], dtype=bool)))
-        plan = merged_plan(runs, times.shape[0], first_failure(failures))
+        plan = merged_plan(runs, times.shape[0])
         if self.phase_dither:
             plan.predraw = Predraw.UNIFORM
             plan.finish = _set_dither

@@ -10,6 +10,10 @@ square-wave harmonics whose ``+1`` line is the moving ghost (Sec. 5.1).
 Because the tag re-radiates the *radar's own* signal, it transmits nothing
 when the radar is silent — the property that defeats the turn-the-radar-off
 detection of prior spoofing attacks (Sec. 12).
+
+A command the hardware cannot execute (a port past the switch or the
+panel) raises from the tag's emission plan, schedule by schedule in deploy
+order, so the sweep fails before the radar draws anything.
 """
 
 from __future__ import annotations
@@ -29,13 +33,9 @@ from repro.radar.emit import (
     EXTRA_DELAY,
     NUM_ROWS,
     PHASE_OFFSET,
-    Failure,
     SlotPlan,
-    center_failure,
-    first_failure,
     merge_runs,
     polar_rows,
-    row_failure,
 )
 from repro.reflector.controller import CommandTimeline, SpoofSchedule
 from repro.reflector.hardware import (
@@ -140,6 +140,12 @@ class RfProtectTag:
         (the ghost and its mirror) are dressed by the environment's dynamic
         multipath like any other reflection — Fig. 10b notes these
         "secondary reflections around the phantom".
+
+        Raises :class:`~repro.errors.ReflectorError` for a commanded port
+        the switch or panel lacks and
+        :class:`~repro.errors.ConfigurationError` for an antenna at the
+        array centre, checking schedules in deploy order
+        (:func:`panel_paths`).
         """
         harmonics = self.switch.harmonics()
         orders = np.array([h.order for h in harmonics], dtype=float)
@@ -148,12 +154,9 @@ class RfProtectTag:
         dressed = np.abs(orders) == 1
         rcs = self.effective_rcs
         runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        failures: list[Failure | None] = []
-        for index, schedule in enumerate(self.schedules):
-            frames, command, distance, angle, found = panel_paths(
-                schedule, index, times, array, self.panel,
-                self.antenna_switch)
-            failures.append(found)
+        for schedule in self.schedules:
+            frames, command, distance, angle = panel_paths(
+                schedule, times, array, self.panel, self.antenna_switch)
             amplitude = (channel.path_amplitude(distance, rcs)
                          * schedule.command_field("amplitude_scale")[command])
             commanded = self.phase_shifter.quantize(
@@ -177,58 +180,51 @@ class RfProtectTag:
             counts[frames] = orders.shape[0]
             runs.append((counts, lines.reshape(NUM_ROWS, -1),
                          np.tile(dressed, frames.shape[0])))
-        return merged_plan(runs, times.shape[0], first_failure(failures))
+        return merged_plan(runs, times.shape[0])
 
 
-def panel_paths(schedule: CommandTimeline, index: int, times: np.ndarray,
+def panel_paths(schedule: CommandTimeline, times: np.ndarray,
                 array: UniformLinearArray, panel: ReflectorPanel,
                 antenna_switch: AntennaSwitchModel,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                           Failure | None]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where a schedule's selected panel antenna sits, frame by frame.
 
     Returns the frames with an active command, those commands' indices,
-    the radar→antenna distance and clipped angle per active frame, and the
-    first error the per-frame path raised (bad switch port, antenna off
-    the panel, antenna at the array centre), keyed ``(frame, index, check)``.
+    and the radar→antenna distance and clipped angle per active frame.
+
+    Raises, in this order: the switch's ``ReflectorError`` for the first
+    port outside it, the panel's for the first port outside the panel,
+    then (:func:`~repro.radar.emit.polar_rows`) ``ConfigurationError`` for
+    an antenna at the array centre.
     """
     active = schedule.command_indices(times)
     frames = np.flatnonzero(active >= 0)
     command = active[frames]
     ports = schedule.command_field("antenna_index")[command]
     bad_port = (ports < 0) | (ports >= antenna_switch.num_ports)
-    bad_panel = ~bad_port & (ports >= panel.num_antennas)
-    positions = panel.antenna_positions()[
-        np.clip(ports, 0, panel.num_antennas - 1)]
-    distance, angle, at_center = polar_rows(array, positions)
-    at_center &= ~(bad_port | bad_panel)
-    found = first_failure([
-        row_failure(bad_port, frames, (index, 0), antenna_switch.check_port,
-                    ports),
-        row_failure(bad_panel, frames, (index, 1), panel.antenna_position,
-                    ports),
-        center_failure(array, positions, at_center, frames, (index, 2)),
-    ])
-    return frames, command, distance, angle, found
+    if bad_port.any():
+        antenna_switch.check_port(int(ports[np.argmax(bad_port)]))
+    off_panel = ports >= panel.num_antennas
+    if off_panel.any():
+        panel.antenna_position(int(ports[np.argmax(off_panel)]))
+    distance, angle = polar_rows(array, panel.antenna_positions()[ports])
+    return frames, command, distance, angle
 
 
 def merged_plan(runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                num_frames: int, found: Failure | None) -> SlotPlan:
+                num_frames: int) -> SlotPlan:
     """One entity plan from per-schedule ``(counts, columns, multipath)``
     runs, schedules in order within each frame."""
     if not runs:
         return SlotPlan(counts=np.zeros(num_frames, dtype=np.int64),
-                        columns=np.zeros((NUM_ROWS, 0), dtype=float),
-                        failure=found)
+                        columns=np.zeros((NUM_ROWS, 0), dtype=float))
     if len(runs) == 1:
         counts, columns, multipath = runs[0]
-        return SlotPlan(counts=counts, columns=columns, multipath=multipath,
-                        failure=found)
+        return SlotPlan(counts=counts, columns=columns, multipath=multipath)
     counts, positions = merge_runs([run[0] for run in runs])
     columns = np.empty((NUM_ROWS, int(counts.sum())), dtype=float)
     multipath = np.zeros(columns.shape[1], dtype=bool)
     for (_, run_columns, run_multipath), pos in zip(runs, positions):
         columns[:, pos] = run_columns
         multipath[pos] = run_multipath
-    return SlotPlan(counts=counts, columns=columns, multipath=multipath,
-                    failure=found)
+    return SlotPlan(counts=counts, columns=columns, multipath=multipath)

@@ -16,6 +16,10 @@ frame as such a list, and :func:`noise_cube` Emit's noise draw.
 :func:`sense` and :func:`sense_pulsed` run whole sessions through the
 stage-graph executor: production Emit (FMCW) or the production echo model
 (pulsed), then the per-frame bodies bound as stage kernels.
+:func:`process_sweep` runs those receive bodies on a beat cube. All three
+return through production :func:`~repro.radar.stages.sweep_results`, so
+the oracle's power cube and raw profiles meet the production ones in the
+same :class:`~repro.radar.stages.SensingResult`.
 """
 
 from __future__ import annotations
@@ -35,17 +39,19 @@ from repro.radar.processing import (
     RangeAngleProfile,
     range_keep_mask,
 )
-from repro.radar.pulsed import PulsedRadar, PulsedSensingResult
-from repro.radar.radar import FmcwRadar, SensingResult
+from repro.radar.pulsed import PulsedRadar
+from repro.radar.radar import FmcwRadar
 from repro.radar.scene import OcclusionSpec, Scene
 from repro.radar.stages import (
     SENSE_PLAN,
     ExecutionContext,
     SenseInput,
+    SensingResult,
     Stage,
     StageBinding,
     execute,
     frame_count,
+    sweep_results,
 )
 from repro.signal.spectral import range_axis, range_fft
 
@@ -321,22 +327,15 @@ def _subtract_naive(ctx: ExecutionContext) -> None:
 
 
 def _beamform_naive(ctx: ExecutionContext) -> None:
-    """Reference per-frame Eq. 2 beamforming.
-
-    Each frame gets fresh, writable axis arrays — deliberately unlike the
-    production kernel's frozen shared planes.
-    """
+    """Reference per-frame Eq. 2 beamforming of the one request's frames,
+    stacked into its power cube."""
     angles = ctx.config.angle_grid()
-    ranges = ctx.workspace["ranges"]
-    subtracted = ctx.workspace["subtracted"]
-    profiles: list[RangeAngleProfile] = []
-    [request] = ctx.requests
-    for f, t in enumerate(request.times):
-        power = beamform(ctx.array, subtracted[f], angles)
-        profiles.append(RangeAngleProfile(power=power.T, ranges=ranges.copy(),
-                                          angles=angles.copy(),
-                                          time=float(t)))
-    ctx.workspace["profiles"] = profiles
+    [_request] = ctx.requests
+    ctx.workspace["angles"] = angles
+    ctx.workspace["power_cubes"] = [np.stack([
+        beamform(ctx.array, frame, angles).T
+        for frame in ctx.workspace["subtracted"]
+    ])]
 
 
 #: The per-frame receive sub-plan: a beat cube in ``workspace["frames"]``.
@@ -360,17 +359,15 @@ SENSE_PLAN_NAIVE: tuple[StageBinding, ...] = (
 
 
 def process_sweep(radar: FmcwRadar, times: np.ndarray, frames: np.ndarray,
-                  max_range: float,
-                  ) -> tuple[list[RangeAngleProfile], np.ndarray]:
-    """The per-frame receive plan over a beat cube: (profiles, raw)."""
+                  max_range: float) -> SensingResult:
+    """The per-frame receive plan over a beat cube."""
     ctx = ExecutionContext(
         array=radar.array, config=radar.config,
         requests=[SenseInput(None, np.asarray(times, dtype=float), None)],
         max_range=max_range, min_range=radar.config.min_range,
     )
     ctx.workspace["frames"] = np.asarray(frames)
-    execute(RECEIVE_PLAN, ctx)
-    return ctx.workspace["profiles"], ctx.workspace["raw_profiles"]
+    return sweep_results(execute(RECEIVE_PLAN, ctx))[0]
 
 
 def sense(radar: FmcwRadar, scene: Scene, duration: float, *,
@@ -387,15 +384,12 @@ def sense(radar: FmcwRadar, scene: Scene, duration: float, *,
         requests=[SenseInput(scene, times, rng)],
         max_range=max_range, min_range=radar.config.min_range,
     )
-    execute(SENSE_PLAN_NAIVE, ctx)
-    return SensingResult(times=times, profiles=ctx.workspace["profiles"],
-                         raw_profiles=ctx.workspace["raw_profiles"],
-                         config=radar.config, array=radar.array)
+    return sweep_results(execute(SENSE_PLAN_NAIVE, ctx))[0]
 
 
 def sense_pulsed(radar: PulsedRadar, scene: Scene, duration: float, *,
                  rng: np.random.Generator | None = None,
-                 start_time: float = 0.0) -> PulsedSensingResult:
+                 start_time: float = 0.0) -> SensingResult:
     """``PulsedRadar.sense`` with the per-frame subtraction and Eq. 2."""
     if rng is None:
         rng = np.random.default_rng(0)
@@ -407,12 +401,9 @@ def sense_pulsed(radar: PulsedRadar, scene: Scene, duration: float, *,
         requests=[SenseInput(scene, times, rng)],
         max_range=config.max_range, min_range=config.min_range,
     )
-    execute((
+    return sweep_results(execute((
         SENSE_PLAN[0],
         StageBinding(Stage.SYNTHESIZE, radar._synthesize_stage),
         StageBinding(Stage.RANGE_FFT, radar._matched_filter_stage),
         *RECEIVE_PLAN[1:],
-    ), ctx)
-    return PulsedSensingResult(times=times, profiles=ctx.workspace["profiles"],
-                               config=config, array=radar.array,
-                               raw_profiles=ctx.workspace["raw_profiles"])
+    ), ctx))[0]

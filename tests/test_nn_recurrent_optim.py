@@ -62,77 +62,66 @@ class TestLSTMCell:
 class TestLSTM:
     def test_sequence_output(self, rng):
         lstm = LSTM(3, 5, rng, num_layers=2)
-        inputs = [Tensor(rng.standard_normal((4, 3))) for _ in range(6)]
-        outputs = lstm(inputs)
-        assert len(outputs) == 6
-        assert all(o.shape == (4, 5) for o in outputs)
-
-    def test_forward_stacked(self, rng):
-        lstm = LSTM(3, 5, rng)
-        inputs = [Tensor(rng.standard_normal((4, 3))) for _ in range(6)]
-        stacked = lstm.forward_stacked(inputs)
-        assert stacked.shape == (6, 4, 5)
+        outputs = lstm(Tensor(rng.standard_normal((6, 4, 3))))
+        assert outputs.shape == (6, 4, 5)
 
     def test_state_carries_information(self, rng):
         # The same input at t=1 must produce different output depending on
         # what was seen at t=0 — i.e. the LSTM actually has memory.
         lstm = LSTM(2, 4, rng)
-        shared = Tensor(rng.standard_normal((1, 2)))
-        run_a = lstm([Tensor(np.ones((1, 2))), shared])
-        run_b = lstm([Tensor(-np.ones((1, 2))), shared])
-        assert not np.allclose(run_a[1].data, run_b[1].data)
+        shared = rng.standard_normal((1, 2))
+        run_a = lstm(Tensor(np.stack([np.ones((1, 2)), shared])))
+        run_b = lstm(Tensor(np.stack([-np.ones((1, 2)), shared])))
+        assert not np.allclose(run_a.data[1], run_b.data[1])
 
     def test_initial_state_override(self, rng):
         lstm = LSTM(2, 3, rng, num_layers=2)
-        inputs = [Tensor(rng.standard_normal((2, 2)))]
+        inputs = Tensor(rng.standard_normal((1, 2, 2)))
         states = [(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
                   for _ in range(2)]
         custom = lstm(inputs, states)
         default = lstm(inputs)
-        assert not np.allclose(custom[0].data, default[0].data)
+        assert not np.allclose(custom.data[0], default.data[0])
 
     def test_wrong_state_count_rejected(self, rng):
         lstm = LSTM(2, 3, rng, num_layers=2)
         with pytest.raises(ConfigurationError):
-            lstm([Tensor(np.zeros((1, 2)))],
+            lstm(Tensor(np.zeros((1, 1, 2))),
                  [(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))])
 
     def test_gradients_flow_through_time(self, rng):
         lstm = LSTM(2, 3, rng)
-        first = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-        rest = [Tensor(rng.standard_normal((2, 2))) for _ in range(5)]
-        outputs = lstm([first] + rest)
+        inputs = Tensor(rng.standard_normal((6, 2, 2)), requires_grad=True)
+        outputs = lstm(inputs)
         (outputs[-1] ** 2.0).sum().backward()  # loss only at the last step
-        assert first.grad is not None
-        assert np.abs(first.grad).max() > 0
+        assert inputs.grad is not None
+        assert np.abs(inputs.grad[0]).max() > 0
 
     def test_empty_sequence_rejected(self, rng):
         with pytest.raises(ConfigurationError):
-            LSTM(2, 3, rng)([])
+            LSTM(2, 3, rng)(Tensor(np.zeros((0, 1, 2))))
 
 
 class TestBiLSTM:
     def test_per_step_output_width(self, rng):
         bilstm = BiLSTM(3, 4, rng)
-        inputs = [Tensor(rng.standard_normal((2, 3))) for _ in range(5)]
-        outputs = bilstm(inputs)
-        assert len(outputs) == 5
-        assert all(o.shape == (2, 8) for o in outputs)
+        outputs = bilstm(Tensor(rng.standard_normal((5, 2, 3))))
+        assert outputs.shape == (5, 2, 8)
 
     def test_final_summary_shape(self, rng):
         bilstm = BiLSTM(3, 4, rng)
-        inputs = [Tensor(rng.standard_normal((2, 3))) for _ in range(5)]
+        inputs = Tensor(rng.standard_normal((5, 2, 3)))
         assert bilstm.final_summary(inputs).shape == (2, 8)
 
     def test_backward_direction_sees_future(self, rng):
         # Changing the LAST input must change the FIRST output's backward
         # half — the defining property of bidirectionality.
         bilstm = BiLSTM(2, 3, rng)
-        base = [Tensor(np.zeros((1, 2))) for _ in range(4)]
-        changed = list(base)
-        changed[-1] = Tensor(np.ones((1, 2)))
-        out_base = bilstm(base)[0].data
-        out_changed = bilstm(changed)[0].data
+        base = np.zeros((4, 1, 2))
+        changed = base.copy()
+        changed[-1] = 1.0
+        out_base = bilstm(Tensor(base)).data[0]
+        out_changed = bilstm(Tensor(changed)).data[0]
         assert not np.allclose(out_base[:, 3:], out_changed[:, 3:])
         # The forward half of the first step cannot see the future.
         assert np.allclose(out_base[:, :3], out_changed[:, :3])

@@ -17,16 +17,20 @@ from repro.errors import SignalProcessingError
 from repro.geometry import Rectangle
 from repro.radar import (
     RECEIVE_PLAN,
+    SENSE_PLAN,
     ZERO_PAD_FACTOR,
+    ExecutionContext,
     FmcwRadar,
     PulsedRadar,
     RadarConfig,
     Scene,
+    SenseInput,
     UniformLinearArray,
     batched_background_subtract,
     batched_lag_vectors,
     batched_range_profiles,
     beamform_from_lags_stacked,
+    execute,
     process_sweep,
     stage_metrics,
 )
@@ -112,11 +116,11 @@ class TestStageEquivalence:
         radar = FmcwRadar(config)
         cube = random_cube(5, 8, config)
         times = np.arange(8) / config.frame_rate
-        naive_profiles, naive_raw = oracle.process_sweep(radar, times, cube,
-                                                         6.0)
+        naive = oracle.process_sweep(radar, times, cube, 6.0)
         sweep = process_sweep(cube, config, radar.array, times, max_range=6.0)
-        np.testing.assert_allclose(sweep.raw_profiles, naive_raw, atol=ATOL)
-        for ours, reference in zip(sweep.profiles(), naive_profiles):
+        np.testing.assert_allclose(sweep.raw_profiles, naive.raw_profiles,
+                                   atol=ATOL)
+        for ours, reference in zip(sweep.profiles, naive.profiles):
             np.testing.assert_allclose(ours.power, reference.power, atol=ATOL)
             np.testing.assert_array_equal(ours.ranges, reference.ranges)
             np.testing.assert_array_equal(ours.angles, reference.angles)
@@ -178,6 +182,30 @@ class TestSenseEquivalence:
             assert p_vec.time == p_naive.time
 
 
+class TestProcessSweepIsSense:
+    def test_synthesized_cube_gives_the_sensed_result(self):
+        """``process_sweep`` on the beat cube ``SENSE_PLAN[:2]`` synthesizes
+        (same seed, same crop) is ``sense``: the power cube and raw profiles
+        bit for bit, and the same tracks."""
+        radar = FmcwRadar()
+        scene = walking_scene()
+        times = radar.frame_times(3.0)
+        max_range = radar.default_max_range(scene)
+        ctx = execute(SENSE_PLAN[:2], ExecutionContext(
+            array=radar.array, config=radar.config,
+            requests=[SenseInput(scene, times, np.random.default_rng(31))],
+            max_range=max_range, min_range=radar.config.min_range))
+        sweep = process_sweep(ctx.workspace["frames"], radar.config,
+                              radar.array, times, max_range=max_range)
+        sensed = radar.sense(scene, 3.0, rng=np.random.default_rng(31))
+        assert sweep.power_cube.tobytes() == sensed.power_cube.tobytes()
+        assert sweep.raw_profiles.tobytes() == sensed.raw_profiles.tobytes()
+        tracks = sensed.tracks()
+        assert tracks
+        assert ([(t.track_id, t.times) for t in sweep.tracks()]
+                == [(t.track_id, t.times) for t in tracks])
+
+
 class TestSensingResultInvariants:
     @pytest.fixture(scope="class")
     def both_results(self):
@@ -221,7 +249,7 @@ class TestSensingResultInvariants:
 
     def test_range_bins_match_raw_profile_grid(self, both_results):
         for result in both_results.values():
-            bins = result.range_bins()
+            bins = result.range_bins
             assert bins.shape[0] == result.raw_profiles.shape[-1]
             assert (bins.shape[0]
                     == result.config.chirp.num_samples * ZERO_PAD_FACTOR // 2)

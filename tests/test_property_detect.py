@@ -29,7 +29,7 @@ from hypothesis.extra import numpy as hnp
 from repro.errors import SignalProcessingError
 from repro.experiments import fig9
 from repro.radar import FmcwRadar, StreamingTracker, TrackerConfig
-from repro.radar.stages import TrackedResultMixin
+from repro.radar.stages import SensingResult
 from repro.scenarios import build, scenario_names
 from repro.signal.chirp import ChirpConfig
 from repro.signal.detection import selection_median
@@ -141,14 +141,14 @@ def sensed_scenario(name: str):
 def fig9_sweeps():
     """The (profiles, array) of each Fig. 9 path, as its fast run senses them."""
     captured = []
-    original = TrackedResultMixin.tracks
+    original = SensingResult.tracks
 
     def spy(self, tracker_config=None):
         captured.append((self.profiles, self.array))
         return original(self, tracker_config)
 
     with pytest.MonkeyPatch.context() as patcher:
-        patcher.setattr(TrackedResultMixin, "tracks", spy)
+        patcher.setattr(SensingResult, "tracks", spy)
         fig9.run(duration=6.0)
     assert len(captured) == 2
     return captured

@@ -10,7 +10,8 @@ must match the per-frame oracle exactly: the six component columns and
 the noise cube compared as uint64 bit patterns, the per-frame counts, and
 every generator's final ``bit_generator.state``. Inputs the per-frame path
 rejects (a bad antenna port, a delay line off the bank, a point at the
-array centre) must raise the same error type.
+array centre) must raise the error type of the first invalid entity in
+scene order, before any draw.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError, ReflectorError
 from repro.geometry import Rectangle
 from repro.radar import FmcwRadar, RadarConfig, Scene
 from repro.radar.channel import ChannelModel, MultipathSpec
@@ -254,29 +256,52 @@ bad_entities = st.one_of(
 @given(scene=scenes(st.one_of(humans(), statics(), fans(), tags(),
                               delay_tags(), bad_entities)),
        times=sweeps(), seed=st.integers(0, 2**31))
-def test_rejected_inputs_raise_the_same_error_type(scene, times, seed):
+def test_rejected_inputs_raise_the_first_entitys_error_type(scene, times,
+                                                            seed):
     def kernel():
         emit_paths(scene.entities, scene.channel, ARRAY, [times],
                    [np.random.default_rng(seed)], occlusion=scene.occlusion)
 
-    def per_frame():
-        oracle.emit_sweep(scene, times, ARRAY, np.random.default_rng(seed),
-                          0.0, FRAME_SHAPE)
+    def first_entity_error() -> type[BaseException] | None:
+        """The per-frame oracle's error for the first entity, in scene
+        order, whose sweep raises when emitted alone."""
+        for entity in scene.entities:
+            alone = Scene(scene.room, channel=scene.channel)
+            alone.add(entity)
+            error = _error_type(lambda: oracle.emit_sweep(
+                alone, times, ARRAY, np.random.default_rng(seed), 0.0,
+                FRAME_SHAPE))
+            if error is not None:
+                return error
+        return None
 
-    assert _error_type(kernel) == _error_type(per_frame)
+    assert _error_type(kernel) == first_entity_error()
+
+
+def _port_nine_tag(start: float) -> RfProtectTag:
+    """A tag commanding SP8T port 9 from ``start`` on."""
+    tag = RfProtectTag(PANEL)
+    tag.deploy(SpoofSchedule([SpoofCommand(start, 9, 1e4, 0.0, (0.0, 0.0))],
+                             command_interval=1.0))
+    return tag
 
 
 def test_array_centre_and_port_errors_are_typed():
-    from repro.errors import ConfigurationError, ReflectorError
-
     scene = Scene(Rectangle.from_size(8.0, 8.0))
     scene.add(StaticReflector(CONFIG.position))
     with pytest.raises(ConfigurationError):
         RADAR.sense(scene, 0.2)
-    tag = RfProtectTag(PANEL)
-    tag.deploy(SpoofSchedule([SpoofCommand(0.0, 9, 1e4, 0.0, (0.0, 0.0))],
-                             command_interval=1.0))
     scene = Scene(Rectangle.from_size(8.0, 8.0))
-    scene.add(tag)
+    scene.add(_port_nine_tag(0.0))
     with pytest.raises(ReflectorError):
         RADAR.sense(scene, 0.2)
+
+
+def test_first_invalid_entity_in_scene_order_wins():
+    """The tag's bad port fails the sweep although the centred static
+    fails at an earlier frame: scene order decides, not frame order."""
+    scene = Scene(Rectangle.from_size(8.0, 8.0))
+    scene.add(_port_nine_tag(0.15))
+    scene.add(StaticReflector(CONFIG.position))
+    with pytest.raises(ReflectorError):
+        RADAR.sense(scene, 0.5)

@@ -48,7 +48,7 @@ class TestSensingResult:
 
     def test_raw_profiles_shape(self, breathing_session):
         radar, result, _position = breathing_session
-        num_bins = result.range_bins().shape[0]
+        num_bins = result.range_bins.shape[0]
         assert result.raw_profiles.shape == (200, 7, num_bins)
 
     def test_frame_dt(self, breathing_session):

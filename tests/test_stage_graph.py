@@ -147,8 +147,8 @@ class TestPerCallOverrides:
             ctx.workspace["frames"] = frames
             results[name] = execute(plan, ctx)
         [sweep] = sweep_results(results["vectorized"])
-        naive = results["naive"].workspace["profiles"]
-        for ref, fast in zip(naive, sweep.profiles()):
+        [naive] = sweep_results(results["naive"])
+        for ref, fast in zip(naive.profiles, sweep.profiles):
             np.testing.assert_allclose(fast.power, ref.power, atol=ATOL)
 
 
