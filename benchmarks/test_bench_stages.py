@@ -1,4 +1,4 @@
-"""Per-stage timing benches for the stage-graph executor.
+"""Per-stage timing benches for the stage functions and their timer.
 
 Every sense path runs through ``repro.radar.stages``; this bench exercises
 the FMCW and pulsed radars, checks that every stage's wall-time histogram

@@ -2,10 +2,9 @@
 
 Besides the single-experiment entry point (:func:`run_experiment`), this
 module provides :func:`run_experiments`, a process-parallel fan-out over
-several experiment ids, one worker per usable CPU by default. Seeding is
-worker-count independent: when a base seed is given, each experiment's
-seed is spawned from one ``np.random.SeedSequence`` by *position in the
-id list*, so ``workers=1`` and ``workers=8`` produce bit-identical
+several experiment ids, one worker per usable CPU by default. Every
+experiment receives the same options (a ``seed`` among them) whichever
+worker runs it, so ``workers=1`` and ``workers=8`` produce bit-identical
 results. Workers ship back what their runs added to the process registry
 (:func:`repro.obs.process_metrics`: stage and nn timings, synthesis and
 tracker counts), and the parent merges it, so the caller reads the same
@@ -48,7 +47,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentRun",
     "ExperimentSpec",
-    "experiment_seeds",
     "run_experiment",
     "run_experiments",
 ]
@@ -187,11 +185,11 @@ class ExperimentRun:
         result: the experiment's result object (``Fig9Result`` etc.).
         elapsed_s: wall-clock runtime of the run function.
         options: the exact keyword overrides the run function received on
-            top of any fast presets (including a spawned ``seed``, if any).
+            top of any fast presets.
         stage_timings: per-stage wall-time deltas this run contributed to
             the ``stages.`` histograms of the process registry:
             ``{"stages.<stage>.wall_s": {"count": n, "wall_s": seconds}}``.
-            Empty when the run never entered the sensing graph (fig7's
+            Empty when the run ran no sensing stage (fig7's
             closed-form sweep, say).
     """
 
@@ -263,18 +261,6 @@ def _result_summary(result: Any, *, max_list_items: int = 32) -> dict[str, Any]:
     return summary
 
 
-def experiment_seeds(num_experiments: int, base_seed: int) -> list[int]:
-    """Per-experiment seeds spawned from one ``SeedSequence``.
-
-    Seeds depend only on the base seed and the experiment's *position*,
-    never on which worker process picks the job up, so a parallel run is
-    bit-reproducible regardless of worker count.
-    """
-    children = np.random.SeedSequence(base_seed).spawn(num_experiments)
-    return [int(child.generate_state(1, dtype=np.uint32)[0])
-            for child in children]
-
-
 def _timed_run(experiment_id: str, fast: bool, options: dict[str, Any],
                ) -> tuple[ExperimentRun, dict[str, Any]]:
     """Worker entry point (module-level so it pickles into a process pool).
@@ -323,7 +309,7 @@ def _pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
 
 
 def run_experiments(experiment_ids: Sequence[str], *, fast: bool = False,
-                    workers: int | None = None, base_seed: int | None = None,
+                    workers: int | None = None,
                     record_dir: str | None = None,
                     **options: Any) -> list[ExperimentRun]:
     """Run several experiments, fanned out over processes.
@@ -334,9 +320,6 @@ def run_experiments(experiment_ids: Sequence[str], *, fast: bool = False,
             :func:`run_experiment`; explicit ``options`` still win).
         workers: worker processes; ``None`` means one per usable CPU.
             Never more workers than ids; one runs in-process, no pool.
-        base_seed: when given, spawn a per-experiment ``seed`` option via
-            :func:`experiment_seeds` (an explicit ``seed`` in ``options``
-            takes precedence, matching the fast-preset precedence rule).
         record_dir: when given, write ``<id>.json`` timing/result records
             into this directory (created if missing).
         **options: keyword overrides forwarded to every experiment.
@@ -359,22 +342,12 @@ def run_experiments(experiment_ids: Sequence[str], *, fast: bool = False,
     workers = min(usable_cpus() if workers is None else workers,
                   len(experiment_ids))
 
-    per_run_options: list[dict[str, Any]] = []
-    seeds = (experiment_seeds(len(experiment_ids), base_seed)
-             if base_seed is not None else None)
-    for index in range(len(experiment_ids)):
-        run_options = dict(options)
-        if seeds is not None:
-            run_options.setdefault("seed", seeds[index])
-        per_run_options.append(run_options)
-
-    jobs = list(zip(experiment_ids, per_run_options))
     if workers <= 1:
-        runs = [_timed_run(eid, fast, opts)[0] for eid, opts in jobs]
+        runs = [_timed_run(eid, fast, options)[0] for eid in experiment_ids]
     else:
         with _pool(workers) as pool:
-            futures = [pool.submit(_timed_run, eid, fast, opts)
-                       for eid, opts in jobs]
+            futures = [pool.submit(_timed_run, eid, fast, options)
+                       for eid in experiment_ids]
             results = [future.result() for future in futures]
         for _, growth in results:
             process_metrics().merge(growth)

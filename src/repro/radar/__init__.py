@@ -8,14 +8,14 @@ background subtraction (`processing`, `pipeline`), and the trajectory
 extraction stage with Kalman tracking (`tracker`).
 
 Every sense path — FMCW, pulsed, the serving engine, the experiments
-runner, `process_sweep` on a beat cube — executes through the stage-graph
-executor in `stages`: a typed Emit → Synthesize → RangeFFT →
-BackgroundSubtract → Beamform plan that binds one kernel per stage, with
-per-stage wall-time instrumentation, and returns one `SensingResult` per
-request; Detect runs on demand on that result (``.tracks()``). Each stage
-has one way in: the kernels run over a list of requests, so a direct
-`FmcwRadar.sense` is a list of one, a served batch a longer list, and
-one frame is a sweep of one (`emit_paths`, `synthesize_packed`).
+runner, `process_sweep` on a beat cube — calls the stage functions of
+`stages` in the order Emit → Synthesize → RangeFFT → BackgroundSubtract →
+Beamform, each timed into its per-stage wall-time histogram, and returns
+one `SensingResult` per request; Detect runs on demand on that result
+(``.tracks()``). Each stage has one way in: the kernels run over a list
+of requests, so a direct `FmcwRadar.sense` is a list of one, a served
+batch a longer list, and one frame is a sweep of one (`emit_paths`,
+`synthesize_packed`).
 """
 
 from repro.radar.antenna import UniformLinearArray
@@ -45,16 +45,10 @@ from repro.radar.scene import (
     StaticReflector,
 )
 from repro.radar.stages import (
-    RECEIVE_PLAN,
-    SENSE_PLAN,
-    ExecutionContext,
     SenseInput,
     Stage,
-    StageBinding,
-    execute,
     process_sweep,
     stage_metrics,
-    sweep_results,
 )
 from repro.radar.tracker import (
     KalmanTracker2D,
@@ -67,15 +61,12 @@ from repro.radar.tracker import (
 __all__ = [
     "ChannelModel",
     "Emission",
-    "ExecutionContext",
     "Fan",
     "FmcwRadar",
     "HumanTarget",
     "KalmanTracker2D",
     "OcclusionSpec",
     "PathComponent",
-    "RECEIVE_PLAN",
-    "SENSE_PLAN",
     "SYNTH_STATS",
     "SynthesisStats",
     "PulsedRadar",
@@ -86,7 +77,6 @@ __all__ = [
     "SenseInput",
     "SensingResult",
     "Stage",
-    "StageBinding",
     "StaticReflector",
     "StreamingTracker",
     "Track",
@@ -94,9 +84,7 @@ __all__ = [
     "UniformLinearArray",
     "ZERO_PAD_FACTOR",
     "emit_paths",
-    "execute",
     "stage_metrics",
-    "sweep_results",
     "batched_background_subtract",
     "batched_lag_vectors",
     "batched_range_profiles",

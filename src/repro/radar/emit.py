@@ -9,8 +9,10 @@ grid as a :class:`SlotPlan`: one *slot* per direct path (a human's body
 echo, one tag harmonic line, ...) plus which random draws the slot takes.
 An entity raises its typed error from its plan, at the array check that
 finds a bad input (a point at the array centre, a port or delay line the
-hardware lacks), so the first invalid entity in scene order fails the
-sweep before any draw.
+hardware lacks), and a plan holding a direct path with a negative
+distance, amplitude or delay fails ``PathComponent``'s check as soon as it
+is built, so the first invalid entity in scene order fails the sweep
+before any draw.
 
 The random part is replayed on a **draw tape**: for each request, frame by
 frame in time order, the request's own generator makes exactly the scalar
@@ -102,7 +104,9 @@ class SlotPlan:
         predraw: the draw every slot of this entity takes first.
         multipath: ``(S,)`` slots the channel dresses with bounces (only
             honoured when the channel has multipath).
-        finish: fills ``columns`` in place from the ``(S,)`` predraw values.
+        finish: fills ``columns`` in place from the ``(S,)`` predraw values;
+            ``columns`` is checked before the draws, so it must keep
+            distance, amplitude and delay non-negative.
         body: ``(F, 2)`` positions of a body that shadows and is shadowed
             by other bodies under the scene's occlusion model.
     """
@@ -268,15 +272,21 @@ def emit_paths(entities: Sequence[SceneEntity], channel: ChannelModel,
 
     Raises:
         The typed error of the first entity, in scene order, whose plan
-        finds an invalid input, before any draw; ``SignalProcessingError``
-        (``PathComponent``'s check) for an emitted path with a negative
-        distance, amplitude or delay.
+        finds an invalid input, before any draw: the entity's own check,
+        or ``SignalProcessingError`` (``PathComponent``'s check) for a
+        direct path with a negative distance, amplitude or delay. Bounces
+        need no check of their own: they add a non-negative excess to
+        their parent's distance, scale its amplitude by a non-negative
+        factor and copy its delay.
     """
     frames_per_request = [int(np.shape(t)[0]) for t in times]
     grid = np.concatenate([np.asarray(t, dtype=float) for t in times])
     num_frames = grid.shape[0]
-    plans = [entity.emission_plan(grid, array, channel)
-             for entity in entities]
+    plans = []
+    for entity in entities:
+        plan = entity.emission_plan(grid, array, channel)
+        _check_components(plan.columns)
+        plans.append(plan)
 
     multipath = (channel.multipath is not None
                  and channel.multipath.mean_paths != 0)
@@ -335,7 +345,6 @@ def emit_paths(entities: Sequence[SceneEntity], channel: ChannelModel,
     packed[:, np.repeat(main_at[bounce_slots] + 1 - first_bounce,
                         bounce_counts)
            + np.arange(parents.shape[0])] = bounces
-    _check_components(packed)
 
     frame_end = np.concatenate(([0], np.cumsum(per_frame)))
     component_end = np.concatenate(([0], slot_end))[frame_end]
@@ -349,11 +358,11 @@ def emit_paths(entities: Sequence[SceneEntity], channel: ChannelModel,
     return emissions
 
 
-def _check_components(packed: np.ndarray) -> None:
-    """``PathComponent``'s invariants over every emitted path."""
-    negative = (packed[_CHECKED_ROWS] < 0).any(axis=0)
+def _check_components(columns: np.ndarray) -> None:
+    """``PathComponent``'s invariants over an entity's direct paths."""
+    negative = (columns[_CHECKED_ROWS] < 0).any(axis=0)
     if negative.any():
-        PathComponent(*packed[:, int(np.argmax(negative))].tolist())
+        PathComponent(*columns[:, int(np.argmax(negative))].tolist())
 
 
 @dataclasses.dataclass

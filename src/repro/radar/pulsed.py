@@ -6,10 +6,12 @@ by adding a set of delay lines and switching between them)". This module
 provides the pulsed-radar substrate to test that claim:
 
 - the radar transmits a short Gaussian pulse, receives the superposition of
-  delayed echoes per antenna, matched-filters against the pulse, and reuses
-  the *same* downstream pipeline as the FMCW radar (background subtraction,
-  Eq. 2 beamforming, range-angle maps, Kalman tracking), returning the same
-  :class:`~repro.radar.stages.SensingResult`;
+  delayed echoes per antenna and matched-filters against the pulse. Emit
+  and the receive stages are the FMCW radar's own functions
+  (:func:`~repro.radar.stages.emit_requests`,
+  :func:`~repro.radar.stages.receive`: background subtraction, Eq. 2
+  beamforming), so it returns the same
+  :class:`~repro.radar.stages.SensingResult` and tracks like it;
 - the echo model reads one frame of Emit's packed columns; a path's extra
   delay (the ``EXTRA_DELAY`` row, ``PathComponent.extra_delay_s``) delays
   its echo — the delay-line spoofing mechanism;
@@ -41,16 +43,13 @@ from repro.radar.emit import (
 )
 from repro.radar.scene import Scene
 from repro.radar.stages import (
-    RECEIVE_PLAN,
-    SENSE_PLAN,
-    ExecutionContext,
     SenseInput,
     SensingResult,
     Stage,
-    StageBinding,
-    execute,
+    emit_requests,
     frame_count,
-    sweep_results,
+    receive,
+    timed,
 )
 
 __all__ = ["PulsedRadar", "PulsedRadarConfig"]
@@ -193,50 +192,43 @@ class PulsedRadar:
         profile: np.ndarray = np.einsum("kc,cn->kn", steering, echoes)
         return profile
 
-    def _synthesize_stage(self, ctx: ExecutionContext) -> None:
-        """Synthesize kernel: deterministic echoes, then the noise stack."""
-        emission: Emission = ctx.workspace["components"]
+    def _synthesize(self, emission: Emission,
+                    noise: np.ndarray | None) -> np.ndarray:
+        """The echo model: deterministic echoes of every frame, plus noise.
+
+        Matched filtering happens inside the echo model (the Gaussian
+        envelope IS the filter output), so the frames are already range
+        profiles over :meth:`PulsedRadarConfig.range_bins`.
+        """
         bounds = np.concatenate(([0], np.cumsum(emission.counts))).tolist()
         frames = np.stack([self._echo_profile(emission.columns[:, a:b])
                            for a, b in zip(bounds, bounds[1:])])
-        noise = ctx.workspace.get("noise")
         if noise is not None:
             frames = frames + noise
-        ctx.workspace["frames"] = frames
-
-    def _matched_filter_stage(self, ctx: ExecutionContext) -> None:
-        """Range-transform kernel: pulsed echoes are already range profiles.
-
-        Matched filtering happened inside the echo model (the Gaussian
-        envelope IS the filter output), so this stage only publishes the
-        profile cube and its fast-time range axis — the pulsed analogue of
-        the FMCW range FFT.
-        """
-        ctx.workspace["raw_profiles"] = ctx.workspace["frames"]
-        ctx.workspace["ranges_full"] = self.config.range_bins()
+        return frames
 
     def sense(self, scene: Scene, duration: float, *,
               rng: np.random.Generator | None = None,
               start_time: float = 0.0) -> SensingResult:
         """Capture ``duration`` seconds of pulsed frames from ``scene``.
 
-        Emit is the FMCW radar's kernel and the echo/matched-filter kernels
-        are pulsed-specific; background subtraction and Eq. 2 beamforming
-        are the FMCW radar's receive kernels.
+        Emit is the FMCW radar's stage and Synthesize the pulsed echo
+        model. RangeFFT only publishes the fast-time range axis, the
+        pulsed analogue of the FMCW range FFT. Background subtraction and
+        Eq. 2 beamforming are the FMCW radar's :func:`receive`.
         """
         if rng is None:
             rng = np.random.default_rng(0)
         config = self.config
         times = (start_time + np.arange(frame_count(config, duration))
                  * config.frame_interval)
-        ctx = ExecutionContext(
-            array=self.array, config=config,
-            requests=[SenseInput(scene, times, rng)],
-            max_range=config.max_range, min_range=config.min_range,
-        )
-        return sweep_results(execute((
-            SENSE_PLAN[0],
-            StageBinding(Stage.SYNTHESIZE, self._synthesize_stage),
-            StageBinding(Stage.RANGE_FFT, self._matched_filter_stage),
-            *RECEIVE_PLAN[1:],
-        ), ctx))[0]
+        emission, noise = emit_requests([SenseInput(scene, times, rng)],
+                                        config, self.array)
+        with timed(Stage.SYNTHESIZE):
+            raw_profiles = self._synthesize(emission, noise)
+        with timed(Stage.RANGE_FFT):
+            range_bins = config.range_bins()
+        [result] = receive(raw_profiles, range_bins, [times], config,
+                           self.array, max_range=config.max_range,
+                           min_range=config.min_range)
+        return result

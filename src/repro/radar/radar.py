@@ -19,13 +19,10 @@ from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
 from repro.radar.scene import Scene
 from repro.radar.stages import (
-    SENSE_PLAN,
-    ExecutionContext,
     SenseInput,
     SensingResult,
-    execute,
     frame_count,
-    sweep_results,
+    sense_requests,
 )
 
 __all__ = ["FmcwRadar", "SensingResult"]
@@ -94,15 +91,13 @@ class FmcwRadar:
 
     def sense_batch(self, requests: Sequence[SenseInput], *,
                     max_range: float) -> list[SensingResult]:
-        """Run :data:`~repro.radar.stages.SENSE_PLAN` over several requests.
+        """Sense several requests in one pass of the stage functions.
 
-        Every request shares this radar and the ``max_range`` crop; each
-        result is bitwise the :meth:`sense` result of its request alone.
-        This is the serving engine's batch path; :meth:`sense` is a batch
-        of one.
+        Every request shares this radar and the ``max_range`` crop
+        (:func:`~repro.radar.stages.sense_requests`); each result is
+        bitwise the :meth:`sense` result of its request alone. This is the
+        serving engine's batch path; :meth:`sense` is a batch of one.
         """
-        ctx = ExecutionContext(
-            array=self.array, config=self.config, requests=requests,
-            max_range=max_range, min_range=self.config.min_range,
-        )
-        return sweep_results(execute(SENSE_PLAN, ctx))
+        return sense_requests(requests, self.config, self.array,
+                              max_range=max_range,
+                              min_range=self.config.min_range)

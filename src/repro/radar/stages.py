@@ -1,55 +1,35 @@
-"""Stage-graph execution: one sense path for one request or a batch.
+"""The receive chain: one sense path for one request or a batch.
 
 The paper's processing chain (Sec. 9.1) is a fixed sequence of stages:
 
     Emit -> Synthesize -> RangeFFT -> BackgroundSubtract -> Beamform -> Detect
 
-This module holds the one kernel of each stage and the executor that runs
-them:
+Each stage has one kernel, a function over arrays, and each run of a
+stage happens inside :func:`timed`, which observes its wall time into the
+stage's histogram, ``stages.<stage>.wall_s``, of the process registry
+(:func:`stage_metrics`, which is :func:`repro.obs.process_metrics`):
 
-- :class:`Stage` names the stages; a *plan* is a tuple of
-  :class:`StageBinding`\\ s, each binding one stage to the kernel that runs
-  it, executed in order by :func:`execute`. :data:`SENSE_PLAN` is the FMCW
-  chain and :data:`RECEIVE_PLAN` its receive half; the pulsed radar binds
-  its own Synthesize and RangeFFT kernels around the shared Emit and
-  receive kernels.
-- :class:`ExecutionContext` carries what kernels share: the array, the
-  radar configuration, the crop bounds, the requests being sensed (one
-  :class:`SenseInput` each) and a workspace whose named slots are the
-  inter-stage contract (see the table below).
-- Every kernel runs over a *list* of requests with equal configuration and
-  crop. ``FmcwRadar.sense`` runs :data:`SENSE_PLAN` on a list of one, the
-  serving engine on its key-homogeneous batch. Each request's draws come
-  from its own generator in the order of a lone sense, and each request's
-  Eq. 2 GEMM has its own shape, so a request's bits do not depend on which
-  batch it rode in. :func:`sweep_results` splits a finished context back
-  into one :class:`SensingResult` per request; every sense path (FMCW,
-  pulsed, a served batch, :func:`process_sweep` on a beat cube) returns
-  those.
-- Detect is not in a plan: it runs on demand on a finished result.
+- :func:`emit_requests` is Emit over a list of requests with equal
+  configuration (one :class:`SenseInput` each): their packed paths, and
+  their thermal noise cube when the configuration has a noise floor.
+- Synthesize is :func:`~repro.radar.batch.synthesize_packed` and RangeFFT
+  :func:`~repro.radar.pipeline.batched_range_profiles`, each over the
+  requests' stacked ``(F, K, N)`` beat cube (``F`` is their summed frame
+  count, request after request).
+- :func:`receive` is BackgroundSubtract and Beamform over the stacked
+  range profiles, split back into one :class:`SensingResult` per request.
+  Every sense path (FMCW, pulsed, a served batch, :func:`process_sweep`
+  on a beat cube) returns those.
+- :func:`sense_requests` composes the FMCW chain. ``FmcwRadar.sense``
+  runs it on a list of one, the serving engine on its key-homogeneous
+  batch. Each request's draws come from its own generator in the order
+  of a lone sense, and each request's Eq. 2 GEMM has its own shape, so a
+  request's bits do not depend on which batch it rode in.
+- Detect runs on demand on a finished result:
   :meth:`SensingResult.tracks` and :meth:`SensingResult.stream_tracks`
   ingest the result's range-angle profiles into a
   :class:`~repro.radar.tracker.StreamingTracker`, fresh or a serving
   session's.
-- Every stage run is timed into a per-stage wall-time histogram,
-  ``stages.<stage>.wall_s``, of the process registry
-  (:func:`stage_metrics`, which is :func:`repro.obs.process_metrics`).
-
-Workspace slots (the inter-stage contract; ``F`` is the requests' summed
-frame count, request after request)::
-
-    components   Emission                   Emit -> Synthesize
-                 ((6, C) packed paths + (F,) per-frame counts)
-    noise        (F, K, N) complex | None   Emit -> Synthesize
-    frames       (F, K, N) complex          Synthesize -> RangeFFT
-    raw_profiles (F, K, B) complex          RangeFFT -> BackgroundSubtract,
-                                            result
-    ranges_full  (B,) float                 RangeFFT -> BackgroundSubtract,
-                                            result (``range_bins``)
-    ranges       (B_kept,) float            BackgroundSubtract -> Beamform
-    subtracted   (F, K, B_kept) complex     BackgroundSubtract -> Beamform
-    angles       (A,) float                 Beamform output
-    power_cubes  list of (F_r, B_kept, A)   Beamform output, one per request
 
 The per-frame reference bodies these kernels replaced live on as test
 oracles (``tests/receive_oracle.py``); the equivalence suites
@@ -59,12 +39,14 @@ oracles (``tests/receive_oracle.py``); the equivalence suites
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import functools
+import itertools
 import math
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
@@ -95,19 +77,17 @@ if TYPE_CHECKING:
     from repro.radar.scene import Scene
 
 __all__ = [
-    "ExecutionContext",
     "MAX_SWEEP_BYTES",
-    "RECEIVE_PLAN",
-    "SENSE_PLAN",
     "SenseInput",
     "Stage",
     "SensingResult",
-    "StageBinding",
-    "execute",
+    "emit_requests",
     "frame_count",
     "process_sweep",
+    "receive",
+    "sense_requests",
     "stage_metrics",
-    "sweep_results",
+    "timed",
 ]
 
 #: Largest complex beat cube one request may capture, bytes (256 MiB).
@@ -158,264 +138,41 @@ class Stage(enum.Enum):
     DETECT = "detect"
 
 
-# --------------------------------------------------------------------------
-# Execution context
-# --------------------------------------------------------------------------
+#: The process registry, which holds one wall-time histogram per stage,
+#: ``stages.<stage>.wall_s``, whose count is the stage's run count.
+stage_metrics = process_metrics
+
+
+@contextlib.contextmanager
+def timed(stage: Stage) -> Iterator[None]:
+    """Observe the block's wall time into ``stages.<stage>.wall_s``.
+
+    A block that completes is one observation; a block that raises is
+    none.
+    """
+    started = time.perf_counter()
+    yield
+    observe_wall(f"stages.{stage.value}.wall_s", started)
 
 
 class SenseInput(NamedTuple):
     """One request of a sense run: what to sense, when, and its draws.
 
     Attributes:
-        scene: the scene being sensed (``None`` for receive-only plans).
+        scene: the scene being sensed.
         times: the request's frame capture times, seconds.
         rng: the request's own generator; ``None`` for scenes that draw
             nothing under a noiseless configuration.
     """
 
-    scene: "Scene | None"
+    scene: "Scene"
     times: np.ndarray
     rng: np.random.Generator | None
 
 
-@dataclasses.dataclass
-class ExecutionContext:
-    """Shared state a plan's kernels execute against.
-
-    Attributes:
-        array: array geometry (taper/lag-basis memos live here).
-        config: radar configuration (``RadarConfig`` for FMCW,
-            ``PulsedRadarConfig`` for pulsed — kernels only touch the
-            fields their radar family defines, so the slot is untyped).
-        requests: the requests being sensed, in result order; every one
-            shares ``config`` and the crop.
-        max_range: far crop of the range axis, meters (``None`` = no crop).
-        min_range: near-field blanking, meters.
-        workspace: named inter-stage slots (see the module docstring).
-    """
-
-    array: UniformLinearArray
-    config: Any = None
-    requests: Sequence[SenseInput] = ()
-    max_range: float | None = None
-    min_range: float = 0.0
-    workspace: dict[str, Any] = dataclasses.field(default_factory=dict)
-
-    def frame_offsets(self) -> list[int]:
-        """Where each request's frames start in the stacked cubes, plus F."""
-        offsets = [0]
-        for request in self.requests:
-            offsets.append(offsets[-1] + int(request.times.shape[0]))
-        return offsets
-
-
-StageFn = Callable[[ExecutionContext], None]
-
-
-#: The process registry, which holds one wall-time histogram per stage,
-#: ``stages.<stage>.wall_s``, whose count is the stage's run count.
-stage_metrics = process_metrics
-
-
-# --------------------------------------------------------------------------
-# Executor
-# --------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class StageBinding:
-    """One plan entry: a stage and the kernel that runs it.
-
-    Attributes:
-        stage: which stage this entry runs.
-        kernel: the stage function; it reads and writes ``ctx.workspace``.
-    """
-
-    stage: Stage
-    kernel: StageFn
-
-
-def execute(plan: Sequence[StageBinding],
-            ctx: ExecutionContext) -> ExecutionContext:
-    """Run ``plan`` in order against ``ctx``, timing every stage.
-
-    Each binding's kernel runs against the shared context and its wall
-    time is observed into the per-stage histograms. Returns ``ctx`` for
-    chaining.
-    """
-    for binding in plan:
-        started = time.perf_counter()
-        binding.kernel(ctx)
-        observe_wall(f"stages.{binding.stage.value}.wall_s", started)
-    return ctx
-
-
-# --------------------------------------------------------------------------
-# Emit
-# --------------------------------------------------------------------------
-
-
-def _emit(ctx: ExecutionContext) -> None:
-    """Emit every request, one :func:`~repro.radar.emit.emit_paths` per scene.
-
-    Geometry is shared by the requests of a scene; draws are not — each
-    request replays its own generator in the order of a lone sense call.
-    With a positive noise floor, each request's thermal noise is drawn
-    frame by frame (after each frame's paths) into its slice of one
-    ``(F, K, N)`` cube in ``workspace["noise"]``.
-    """
-    requests = ctx.requests
-    config = ctx.config
-    offsets = ctx.frame_offsets()
-    noise: np.ndarray | None = None
-    if config.noise_std > 0:
-        noise = np.empty((offsets[-1], *config.frame_shape), dtype=complex)
-    by_scene: dict[int, list[int]] = {}
-    for i, request in enumerate(requests):
-        by_scene.setdefault(id(request.scene), []).append(i)
-    emissions: dict[int, Emission] = {}
-    for members in by_scene.values():
-        scene = requests[members[0]].scene
-        assert scene is not None
-        emitted = emit_paths(
-            scene.entities, scene.channel, ctx.array,
-            [requests[i].times for i in members],
-            [requests[i].rng for i in members],
-            occlusion=scene.occlusion,
-            noise=(None if noise is None else
-                   [noise[offsets[i]:offsets[i + 1]] for i in members]),
-            noise_std=config.noise_std)
-        emissions.update(zip(members, emitted))
-    if len(requests) == 1:
-        ctx.workspace["components"] = emissions[0]
-    else:
-        ordered = [emissions[i] for i in range(len(requests))]
-        ctx.workspace["components"] = Emission(
-            np.concatenate([e.columns for e in ordered], axis=1),
-            np.concatenate([e.counts for e in ordered]))
-    ctx.workspace["noise"] = noise
-
-
-# --------------------------------------------------------------------------
-# Synthesize
-# --------------------------------------------------------------------------
-
-
-def _synthesize(ctx: ExecutionContext) -> None:
-    """One packed synthesis pass over every request's paths.
-
-    The tones are added into the emitted noise cube when there is one
-    (the sum is the same either way round).
-    """
-    emission: Emission = ctx.workspace["components"]
-    ctx.workspace["frames"] = synthesize_packed(
-        emission.columns, emission.counts, ctx.config, ctx.array,
-        out=ctx.workspace.get("noise"))
-
-
-# --------------------------------------------------------------------------
-# RangeFFT
-# --------------------------------------------------------------------------
-
-
-def _range_fft(ctx: ExecutionContext) -> None:
-    """One blocked range FFT over the stacked beat cube.
-
-    The beat cube (the emitted noise cube with the tones added in) is
-    dropped from the workspace here: nothing downstream reads it, and a
-    serving worker holding it through Beamform raises peak memory.
-    """
-    frames = ctx.workspace.pop("frames")
-    ctx.workspace.pop("noise", None)
-    ctx.workspace["raw_profiles"] = batched_range_profiles(frames,
-                                                           ctx.config)
-    ctx.workspace["ranges_full"] = range_axis(
-        ctx.config.chirp, zero_pad_factor=ZERO_PAD_FACTOR
-    )
-
-
-# --------------------------------------------------------------------------
-# BackgroundSubtract
-# --------------------------------------------------------------------------
-
-
-def _subtract(ctx: ExecutionContext) -> None:
-    """Shared crop, then one shifted difference with request starts re-zeroed.
-
-    Cropping commutes exactly with the elementwise successive-frame
-    subtraction, so the cube is cut down *before* differencing and the
-    difference pass touches only the in-room slice. A request's first
-    frame has no predecessor inside its own sweep, so the stacked
-    difference must not leak the previous request's last frame into it.
-    """
-    keep = range_keep_mask(ctx.workspace["ranges_full"],
-                           min_range=ctx.min_range, max_range=ctx.max_range)
-    ranges = ctx.workspace["ranges_full"][keep]
-    ranges.flags.writeable = False
-    ctx.workspace["ranges"] = ranges
-    subtracted = batched_background_subtract(
-        np.ascontiguousarray(ctx.workspace["raw_profiles"][:, :, keep])
-    )
-    subtracted[ctx.frame_offsets()[:-1]] = 0.0
-    ctx.workspace["subtracted"] = subtracted
-
-
-# --------------------------------------------------------------------------
-# Beamform
-# --------------------------------------------------------------------------
-
-
-def _beamform(ctx: ExecutionContext) -> None:
-    """Cube-wide lag vectors, then one Eq. 2 GEMM shape per request.
-
-    Each request's power cube comes from a GEMM whose shape depends only
-    on the request itself, so results are bitwise independent of the
-    batch around it. Requests with equal frame counts share one stacked
-    matmul whose slices are exactly those per-request GEMMs; a request
-    alone in its group runs on a ``[None]`` view of its lag block.
-    """
-    angles = ctx.config.angle_grid()
-    angles.flags.writeable = False
-    num_bins = int(ctx.workspace["ranges"].shape[0])
-    num_angles = int(angles.shape[0])
-    lag_vectors = batched_lag_vectors(ctx.workspace["subtracted"], ctx.array)
-    offsets = ctx.frame_offsets()
-    by_frame_count: dict[int, list[int]] = {}
-    for i in range(len(ctx.requests)):
-        by_frame_count.setdefault(offsets[i + 1] - offsets[i], []).append(i)
-    power_cubes: dict[int, np.ndarray] = {}
-    for num_frames, group in by_frame_count.items():
-        blocks = [lag_vectors[offsets[i] * num_bins:
-                              offsets[i + 1] * num_bins] for i in group]
-        stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
-        power = beamform_from_lags_stacked(stack, ctx.array, angles)
-        for slot, i in enumerate(group):
-            cube = power[slot].reshape(num_frames, num_bins, num_angles)
-            cube.flags.writeable = False
-            power_cubes[i] = cube
-    ctx.workspace["angles"] = angles
-    ctx.workspace["power_cubes"] = [power_cubes[i]
-                                    for i in range(len(ctx.requests))]
-
-
-#: The full FMCW sense plan (Detect runs on demand on the result).
-SENSE_PLAN: tuple[StageBinding, ...] = (
-    StageBinding(Stage.EMIT, _emit),
-    StageBinding(Stage.SYNTHESIZE, _synthesize),
-    StageBinding(Stage.RANGE_FFT, _range_fft),
-    StageBinding(Stage.BACKGROUND_SUBTRACT, _subtract),
-    StageBinding(Stage.BEAMFORM, _beamform),
-)
-
-#: The receive-only sub-plan: a beat cube already in ``workspace["frames"]``.
-RECEIVE_PLAN: tuple[StageBinding, ...] = SENSE_PLAN[2:]
-
-
-# --------------------------------------------------------------------------
-# Results and Detect
-# --------------------------------------------------------------------------
-
-_DETECT_WALL = f"stages.{Stage.DETECT.value}.wall_s"
+def _frame_offsets(times: Sequence[np.ndarray]) -> list[int]:
+    """Where each request's frames start in the stacked cubes, plus ``F``."""
+    return [0, *itertools.accumulate(int(t.shape[0]) for t in times)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -485,10 +242,8 @@ class SensingResult:
     def tracks(self, tracker_config: TrackerConfig | None = None,
                ) -> list[Track]:
         """Run trajectory extraction (the Detect stage) on the profiles."""
-        started = time.perf_counter()
-        tracks = self._ingest(tracker_config, None).tracks()
-        observe_wall(_DETECT_WALL, started)
-        return tracks
+        with timed(Stage.DETECT):
+            return self._ingest(tracker_config, None).tracks()
 
     def stream_tracks(self, tracker_config: TrackerConfig | None = None,
                       tracker: StreamingTracker | None = None,
@@ -503,10 +258,8 @@ class SensingResult:
         owns its config), and the tracker adopts this result's ``array``,
         which sensed the profiles it is about to locate.
         """
-        started = time.perf_counter()
-        primed = self._ingest(tracker_config, tracker)
-        observe_wall(_DETECT_WALL, started)
-        return primed
+        with timed(Stage.DETECT):
+            return self._ingest(tracker_config, tracker)
 
     def trajectories(self, tracker_config: TrackerConfig | None = None,
                      *, smooth: bool = True) -> list[Trajectory]:
@@ -532,27 +285,143 @@ class SensingResult:
         return extract_phase(self.raw_profiles[:, antenna, :], bin_index)
 
 
-def sweep_results(ctx: ExecutionContext) -> list[SensingResult]:
-    """Split a finished sense context into one result per request.
+# --------------------------------------------------------------------------
+# The stages
+# --------------------------------------------------------------------------
 
-    Each result's raw profiles are a view of the request's frames in the
-    stacked raw cube; its power cube and the read-only range/angle axes
-    are the Beamform outputs, and its ``range_bins`` the RangeFFT axis.
+
+def emit_requests(requests: Sequence[SenseInput], config: Any,
+                  array: UniformLinearArray,
+                  ) -> tuple[Emission, np.ndarray | None]:
+    """Emit every request, one :func:`~repro.radar.emit.emit_paths` per scene.
+
+    Geometry is shared by the requests of a scene; draws are not — each
+    request replays its own generator in the order of a lone sense call.
+    ``config`` is a ``RadarConfig`` or a ``PulsedRadarConfig``.
+
+    Returns:
+        The requests' packed paths, request after request, and, with a
+        positive noise floor, the ``(F, K, N)`` cube of their thermal
+        noise, drawn frame by frame after each frame's paths (``None``
+        without one).
     """
-    raw_profiles = ctx.workspace["raw_profiles"]
-    range_bins = ctx.workspace["ranges_full"]
+    with timed(Stage.EMIT):
+        offsets = _frame_offsets([request.times for request in requests])
+        noise = (np.empty((offsets[-1], *config.frame_shape), dtype=complex)
+                 if config.noise_std > 0 else None)
+        by_scene: dict[int, list[int]] = {}
+        for i, request in enumerate(requests):
+            by_scene.setdefault(id(request.scene), []).append(i)
+        emissions: dict[int, Emission] = {}
+        for members in by_scene.values():
+            scene = requests[members[0]].scene
+            emitted = emit_paths(
+                scene.entities, scene.channel, array,
+                [requests[i].times for i in members],
+                [requests[i].rng for i in members],
+                occlusion=scene.occlusion,
+                noise=(None if noise is None else
+                       [noise[offsets[i]:offsets[i + 1]] for i in members]),
+                noise_std=config.noise_std)
+            emissions.update(zip(members, emitted))
+        if len(requests) == 1:
+            return emissions[0], noise
+        ordered = [emissions[i] for i in range(len(requests))]
+        return Emission(np.concatenate([e.columns for e in ordered], axis=1),
+                        np.concatenate([e.counts for e in ordered])), noise
+
+
+def _range_fft(frames: np.ndarray,
+               config: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One blocked range FFT over a stacked beat cube, and its range axis."""
+    with timed(Stage.RANGE_FFT):
+        return (batched_range_profiles(frames, config),
+                range_axis(config.chirp, zero_pad_factor=ZERO_PAD_FACTOR))
+
+
+def receive(raw_profiles: np.ndarray, range_bins: np.ndarray,
+            times: Sequence[np.ndarray], config: Any,
+            array: UniformLinearArray, *, max_range: float | None,
+            min_range: float) -> list[SensingResult]:
+    """BackgroundSubtract and Beamform, then one result per request.
+
+    ``raw_profiles`` is the requests' stacked ``(F, K, B)`` cube over the
+    ``range_bins`` axis and ``times`` their frame times in stacking order;
+    each result's raw profiles are a view of its request's frames.
+
+    BackgroundSubtract crops the range axis to ``[min_range, max_range]``
+    first (cropping commutes exactly with the elementwise difference),
+    then takes one shifted difference over the stacked cube with each
+    request's first frame re-zeroed, so no request sees the previous
+    one's last frame. Beamform computes cube-wide lag vectors, then one
+    Eq. 2 GEMM per request whose shape depends only on the request, so
+    its bits do not depend on the batch around it: requests with equal
+    frame counts share one stacked matmul whose slices are exactly those
+    GEMMs, and a request alone runs on a ``[None]`` view of its lag block.
+    """
+    offsets = _frame_offsets(times)
+    with timed(Stage.BACKGROUND_SUBTRACT):
+        keep = range_keep_mask(range_bins, min_range=min_range,
+                               max_range=max_range)
+        ranges = range_bins[keep]
+        ranges.flags.writeable = False
+        subtracted = batched_background_subtract(
+            np.ascontiguousarray(raw_profiles[:, :, keep]))
+        subtracted[offsets[:-1]] = 0.0
+    with timed(Stage.BEAMFORM):
+        angles = config.angle_grid()
+        angles.flags.writeable = False
+        num_bins = int(ranges.shape[0])
+        num_angles = int(angles.shape[0])
+        lag_vectors = batched_lag_vectors(subtracted, array)
+        by_frame_count: dict[int, list[int]] = {}
+        for i in range(len(times)):
+            by_frame_count.setdefault(offsets[i + 1] - offsets[i],
+                                      []).append(i)
+        power_cubes: dict[int, np.ndarray] = {}
+        for num_frames, group in by_frame_count.items():
+            blocks = [lag_vectors[offsets[i] * num_bins:
+                                  offsets[i + 1] * num_bins] for i in group]
+            stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+            power = beamform_from_lags_stacked(stack, array, angles)
+            for slot, i in enumerate(group):
+                cube = power[slot].reshape(num_frames, num_bins, num_angles)
+                cube.flags.writeable = False
+                power_cubes[i] = cube
     range_bins.flags.writeable = False
-    offsets = ctx.frame_offsets()
     return [
         SensingResult(
-            times=request.times,
+            times=request_times,
             raw_profiles=raw_profiles[offsets[i]:offsets[i + 1]],
-            power_cube=power_cube, ranges=ctx.workspace["ranges"],
-            angles=ctx.workspace["angles"], range_bins=range_bins,
-            config=ctx.config, array=ctx.array)
-        for i, (request, power_cube) in enumerate(
-            zip(ctx.requests, ctx.workspace["power_cubes"]))
+            power_cube=power_cubes[i], ranges=ranges, angles=angles,
+            range_bins=range_bins, config=config, array=array)
+        for i, request_times in enumerate(times)
     ]
+
+
+def sense_requests(requests: Sequence[SenseInput], config: RadarConfig,
+                   array: UniformLinearArray, *, max_range: float | None,
+                   min_range: float) -> list[SensingResult]:
+    """The FMCW chain over requests sharing ``config`` and the crop.
+
+    Emit, one packed synthesis pass over every request's paths (the tones
+    are added into the emitted noise cube when there is one; the sum is
+    the same either way round), one blocked range FFT, then
+    :func:`receive`.
+    """
+    emission, noise = emit_requests(requests, config, array)
+    with timed(Stage.SYNTHESIZE):
+        frames = synthesize_packed(emission.columns, emission.counts, config,
+                                   array, out=noise)
+    # With a noise floor, ``frames`` is the noise cube. Nothing downstream
+    # reads the beat cube, and a serving worker holding it through
+    # Beamform raises peak memory, so neither name outlives the range FFT.
+    del noise
+    raw_profiles, range_bins = _range_fft(frames, config)
+    del frames
+    return receive(raw_profiles, range_bins,
+                   [request.times for request in requests], config, array,
+                   max_range=max_range, min_range=min_range)
 
 
 def process_sweep(frames: np.ndarray, config: RadarConfig,
@@ -561,9 +430,10 @@ def process_sweep(frames: np.ndarray, config: RadarConfig,
                   min_range: float | None = None) -> SensingResult:
     """Run the receive stages on a beat cube captured elsewhere.
 
-    The library entry point for a beat cube: :data:`RECEIVE_PLAN`, the
-    kernels ``FmcwRadar.sense`` runs after synthesis, on a request of
-    one. The result tracks and reads phase like any sensed one.
+    The library entry point for a beat cube: the range FFT and
+    :func:`receive`, the kernels ``FmcwRadar.sense`` runs after synthesis,
+    on a request of one. The result tracks and reads phase like any
+    sensed one.
 
     Args:
         frames: raw beat cube ``(F, K, N)``, as ``synthesize_packed``
@@ -580,11 +450,9 @@ def process_sweep(frames: np.ndarray, config: RadarConfig,
         raise SignalProcessingError(
             f"got {times.shape[0]} frame times for {frames.shape[0]} frames"
         )
-    ctx = ExecutionContext(
-        array=array, config=config,
-        requests=[SenseInput(scene=None, times=times, rng=None)],
+    raw_profiles, range_bins = _range_fft(frames, config)
+    [result] = receive(
+        raw_profiles, range_bins, [times], config, array,
         max_range=max_range,
-        min_range=config.min_range if min_range is None else min_range,
-    )
-    ctx.workspace["frames"] = frames
-    return sweep_results(execute(RECEIVE_PLAN, ctx))[0]
+        min_range=config.min_range if min_range is None else min_range)
+    return result

@@ -8,9 +8,9 @@ one simulation host. This package turns the core into a *service*:
 - :class:`SenseRequest` / :class:`SenseResponse` — the request/response
   shapes (scene + radar config + seed in; result + serving telemetry out).
 - :class:`MicroBatcher` — the pure flush-on-size-or-window batching policy.
-- :mod:`repro.serve.engine` — a batch of requests through one run of the
-  radar's sense plan, with a per-request isolated retry when the batch
-  fails.
+- :mod:`repro.serve.engine` — a batch of requests through one pass of the
+  radar's stage functions, with a per-request isolated retry when the
+  batch fails.
 - :class:`SenseService` — the asyncio scheduler: bounded admission,
   deadlines, worker pool, fault isolation.
 - :class:`InProcessClient` — a synchronous facade for non-async callers.

@@ -5,8 +5,8 @@ lives in :mod:`repro.serve.service`); workers call :func:`execute_batch`
 from the executor thread pool.
 
 A batch runs the one sense path of the radar package:
-:meth:`~repro.radar.radar.FmcwRadar.sense_batch` executes
-:data:`~repro.radar.stages.SENSE_PLAN` over the whole group, the same
+:meth:`~repro.radar.radar.FmcwRadar.sense_batch` calls
+:func:`~repro.radar.stages.sense_requests` on the whole group, the same
 kernels a direct ``FmcwRadar.sense`` runs on a batch of one. Emit shares a
 scene's geometry across its requests while each request draws from its
 *own* seeded generator; Synthesize, RangeFFT and BackgroundSubtract run
@@ -86,7 +86,7 @@ def radar_for(config: RadarConfig) -> FmcwRadar:
 def _run_group_vectorized(key: BatchKey,
                           items: Sequence[ExecutionItem],
                           ) -> list[SensingResult]:
-    """The whole key-homogeneous group through one sense plan run."""
+    """The whole key-homogeneous group through one sense pass."""
     radar = radar_for(key.config)
     return radar.sense_batch([
         SenseInput(item.request.scene,
@@ -100,7 +100,7 @@ def _run_group_vectorized(key: BatchKey,
 def execute_batch(items: Sequence[ExecutionItem]) -> list[ExecutionOutcome]:
     """Execute one flushed batch; never raises, reports per-item outcomes.
 
-    Runs the whole group through one sense plan first; on any failure,
+    Runs the whole group through one sense pass first; on any failure,
     retries each request alone (:func:`_sense_alone`) so a single
     poisoned request cannot take its batch-mates down with it.
     """

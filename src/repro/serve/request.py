@@ -58,7 +58,7 @@ class BatchKey:
 
     Two requests with equal keys produce beat cubes on the same sample grid
     with the same antenna count and crop to the same range bins, so their
-    frames can be stacked through one run of the sense plan.
+    frames can be stacked through one sense pass.
     ``RadarConfig`` is a frozen dataclass of floats/tuples, so value
     equality (not object identity) defines the grouping.
     """

@@ -13,13 +13,13 @@ oracle's per-frame :class:`PathComponent` lists and the packed columns the
 production kernels take; :func:`emit_frame` is production Emit of one
 frame as such a list, and :func:`noise_cube` Emit's noise draw.
 
-:func:`sense` and :func:`sense_pulsed` run whole sessions through the
-stage-graph executor: production Emit (FMCW) or the production echo model
-(pulsed), then the per-frame bodies bound as stage kernels.
-:func:`process_sweep` runs those receive bodies on a beat cube. All three
-return through production :func:`~repro.radar.stages.sweep_results`, so
-the oracle's power cube and raw profiles meet the production ones in the
-same :class:`~repro.radar.stages.SensingResult`.
+:func:`sense` and :func:`sense_pulsed` run whole sessions: production
+Emit (:func:`~repro.radar.stages.emit_requests`), then the per-frame
+synthesis body (FMCW) or the production echo model (pulsed), then the
+per-frame receive bodies. :func:`process_sweep` runs those receive bodies
+on a beat cube. All three build the production
+:class:`~repro.radar.stages.SensingResult`, so the oracle's power cube and
+raw profiles meet the production ones in the same result type.
 """
 
 from __future__ import annotations
@@ -39,19 +39,14 @@ from repro.radar.processing import (
     RangeAngleProfile,
     range_keep_mask,
 )
-from repro.radar.pulsed import PulsedRadar
+from repro.radar.pulsed import PulsedRadar, PulsedRadarConfig
 from repro.radar.radar import FmcwRadar
 from repro.radar.scene import OcclusionSpec, Scene
 from repro.radar.stages import (
-    SENSE_PLAN,
-    ExecutionContext,
     SenseInput,
     SensingResult,
-    Stage,
-    StageBinding,
-    execute,
+    emit_requests,
     frame_count,
-    sweep_results,
 )
 from repro.signal.spectral import range_axis, range_fft
 
@@ -284,73 +279,50 @@ def compute_range_angle_map(subtracted_profiles: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# Per-frame stage kernels
+# Per-frame stage bodies
 # --------------------------------------------------------------------------
 
 
-def _synthesize_naive(ctx: ExecutionContext) -> None:
-    """Reference per-frame synthesis loop over the emitted components."""
-    emission: Emission = ctx.workspace["components"]
+def synthesize_naive(emission: Emission, noise: np.ndarray | None,
+                     config: RadarConfig,
+                     array: UniformLinearArray) -> np.ndarray:
+    """Reference per-frame synthesis loop over the emitted components,
+    plus Emit's noise cube."""
     frames = np.stack([
-        synthesize_frame_naive(components, ctx.config, ctx.array, None)
+        synthesize_frame_naive(components, config, array, None)
         for components in frame_components(emission)
     ])
-    noise = ctx.workspace.get("noise")
     if noise is not None:
         frames += noise
-    ctx.workspace["frames"] = frames
+    return frames
 
 
-def _range_fft_naive(ctx: ExecutionContext) -> None:
+def range_fft_naive(frames: np.ndarray, config: RadarConfig) -> np.ndarray:
     """Per-frame windowed range FFT (the reference loop)."""
-    ctx.workspace["raw_profiles"] = np.stack([
-        frame_range_profiles(frame, ctx.config)
-        for frame in ctx.workspace["frames"]
-    ])
-    ctx.workspace["ranges_full"] = range_axis(
-        ctx.config.chirp, zero_pad_factor=ZERO_PAD_FACTOR
-    )
+    return np.stack([frame_range_profiles(frame, config) for frame in frames])
 
 
-def _subtract_naive(ctx: ExecutionContext) -> None:
-    """Reference frame-chained subtraction (one warmup frame of zeros)."""
-    keep = range_keep_mask(ctx.workspace["ranges_full"],
-                           min_range=ctx.min_range, max_range=ctx.max_range)
-    ctx.workspace["ranges"] = ctx.workspace["ranges_full"][keep]
-    kept = ctx.workspace["raw_profiles"][:, :, keep]
+def receive_naive(raw_profiles: np.ndarray, range_bins: np.ndarray,
+                  times: np.ndarray, config: RadarConfig | PulsedRadarConfig,
+                  array: UniformLinearArray, *, max_range: float | None,
+                  min_range: float) -> SensingResult:
+    """Reference frame-chained subtraction (one warmup frame of zeros) and
+    per-frame Eq. 2 beamforming of one request's frames."""
+    keep = range_keep_mask(range_bins, min_range=min_range,
+                           max_range=max_range)
+    kept = raw_profiles[:, :, keep]
     subtracted = np.empty(kept.shape, dtype=kept.dtype)
     previous: np.ndarray | None = None
     for f in range(kept.shape[0]):
         subtracted[f] = background_subtract(kept[f], previous)
         previous = kept[f]
-    ctx.workspace["subtracted"] = subtracted
-
-
-def _beamform_naive(ctx: ExecutionContext) -> None:
-    """Reference per-frame Eq. 2 beamforming of the one request's frames,
-    stacked into its power cube."""
-    angles = ctx.config.angle_grid()
-    [_request] = ctx.requests
-    ctx.workspace["angles"] = angles
-    ctx.workspace["power_cubes"] = [np.stack([
-        beamform(ctx.array, frame, angles).T
-        for frame in ctx.workspace["subtracted"]
-    ])]
-
-
-#: The per-frame receive sub-plan: a beat cube in ``workspace["frames"]``.
-RECEIVE_PLAN: tuple[StageBinding, ...] = (
-    StageBinding(Stage.RANGE_FFT, _range_fft_naive),
-    StageBinding(Stage.BACKGROUND_SUBTRACT, _subtract_naive),
-    StageBinding(Stage.BEAMFORM, _beamform_naive),
-)
-
-#: Production Emit, then the per-frame synthesis and receive bodies.
-SENSE_PLAN_NAIVE: tuple[StageBinding, ...] = (
-    SENSE_PLAN[0],
-    StageBinding(Stage.SYNTHESIZE, _synthesize_naive),
-    *RECEIVE_PLAN,
-)
+    angles = config.angle_grid()
+    power_cube = np.stack([beamform(array, frame, angles).T
+                           for frame in subtracted])
+    return SensingResult(
+        times=times, raw_profiles=raw_profiles, power_cube=power_cube,
+        ranges=range_bins[keep], angles=angles, range_bins=range_bins,
+        config=config, array=array)
 
 
 # --------------------------------------------------------------------------
@@ -360,14 +332,13 @@ SENSE_PLAN_NAIVE: tuple[StageBinding, ...] = (
 
 def process_sweep(radar: FmcwRadar, times: np.ndarray, frames: np.ndarray,
                   max_range: float) -> SensingResult:
-    """The per-frame receive plan over a beat cube."""
-    ctx = ExecutionContext(
-        array=radar.array, config=radar.config,
-        requests=[SenseInput(None, np.asarray(times, dtype=float), None)],
-        max_range=max_range, min_range=radar.config.min_range,
-    )
-    ctx.workspace["frames"] = np.asarray(frames)
-    return sweep_results(execute(RECEIVE_PLAN, ctx))[0]
+    """The per-frame receive bodies over a beat cube."""
+    config = radar.config
+    return receive_naive(
+        range_fft_naive(np.asarray(frames), config),
+        range_axis(config.chirp, zero_pad_factor=ZERO_PAD_FACTOR),
+        np.asarray(times, dtype=float), config, radar.array,
+        max_range=max_range, min_range=config.min_range)
 
 
 def sense(radar: FmcwRadar, scene: Scene, duration: float, *,
@@ -379,12 +350,10 @@ def sense(radar: FmcwRadar, scene: Scene, duration: float, *,
     if max_range is None:
         max_range = radar.default_max_range(scene)
     times = radar.frame_times(duration, start_time)
-    ctx = ExecutionContext(
-        array=radar.array, config=radar.config,
-        requests=[SenseInput(scene, times, rng)],
-        max_range=max_range, min_range=radar.config.min_range,
-    )
-    return sweep_results(execute(SENSE_PLAN_NAIVE, ctx))[0]
+    emission, noise = emit_requests([SenseInput(scene, times, rng)],
+                                    radar.config, radar.array)
+    frames = synthesize_naive(emission, noise, radar.config, radar.array)
+    return process_sweep(radar, times, frames, max_range)
 
 
 def sense_pulsed(radar: PulsedRadar, scene: Scene, duration: float, *,
@@ -396,14 +365,9 @@ def sense_pulsed(radar: PulsedRadar, scene: Scene, duration: float, *,
     config = radar.config
     times = (start_time + np.arange(frame_count(config, duration))
              * config.frame_interval)
-    ctx = ExecutionContext(
-        array=radar.array, config=config,
-        requests=[SenseInput(scene, times, rng)],
-        max_range=config.max_range, min_range=config.min_range,
-    )
-    return sweep_results(execute((
-        SENSE_PLAN[0],
-        StageBinding(Stage.SYNTHESIZE, radar._synthesize_stage),
-        StageBinding(Stage.RANGE_FFT, radar._matched_filter_stage),
-        *RECEIVE_PLAN[1:],
-    ), ctx))[0]
+    emission, noise = emit_requests([SenseInput(scene, times, rng)],
+                                    config, radar.array)
+    return receive_naive(
+        radar._synthesize(emission, noise), config.range_bins(), times,
+        config, radar.array, max_range=config.max_range,
+        min_range=config.min_range)

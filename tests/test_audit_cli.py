@@ -26,7 +26,7 @@ SEED_HEX = "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"
 def run_dir(tmp_path):
     """A record dir produced by a real (fast) experiment run."""
     target = tmp_path / "run"
-    run_experiments(["fig9"], fast=True, workers=1, base_seed=3,
+    run_experiments(["fig9"], fast=True, workers=1, seed=3,
                     duration=3.0, record_dir=str(target))
     return target
 
@@ -68,7 +68,7 @@ class TestRunnerWiring:
         assert ledger_record.payload == json_record
 
     def test_reruns_extend_the_same_chain(self, run_dir):
-        run_experiments(["fig9"], fast=True, workers=1, base_seed=4,
+        run_experiments(["fig9"], fast=True, workers=1, seed=4,
                         duration=3.0, record_dir=str(run_dir))
         verification = verify_chain(str(ledger_path(run_dir)))
         assert verification.ok

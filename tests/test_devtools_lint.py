@@ -206,7 +206,7 @@ class TestEngine:
 class TestCli:
     def test_repo_lints_clean(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["src", "tests"]) == 0
+        assert lint_main(["src", "tests", "benchmarks", "examples"]) == 0
 
     def test_rfprotect_lint_subcommand(self, capsys):
         assert cli_main(["lint", str(FIXTURES / "rfp006_bad.py")]) == 1

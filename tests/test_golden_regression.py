@@ -6,7 +6,7 @@ sensed by production (``vectorized``) and by the oracle
 (``naive``, :mod:`tests.receive_oracle`) and summarized into a small
 digest (shapes, cube statistics, probe cells, raw-profile mass) that is
 compared against the checked-in fixture at tight relative tolerance. Any
-numerical drift in the stage-graph kernels — a reordered reduction, a
+numerical drift in the stage kernels — a reordered reduction, a
 changed crop, a new window — shows up here even if both drift together.
 
 Regenerate after an *intentional* change with::

@@ -16,10 +16,7 @@ import pytest
 from repro.errors import SignalProcessingError
 from repro.geometry import Rectangle
 from repro.radar import (
-    RECEIVE_PLAN,
-    SENSE_PLAN,
     ZERO_PAD_FACTOR,
-    ExecutionContext,
     FmcwRadar,
     PulsedRadar,
     RadarConfig,
@@ -30,10 +27,11 @@ from repro.radar import (
     batched_lag_vectors,
     batched_range_profiles,
     beamform_from_lags_stacked,
-    execute,
     process_sweep,
     stage_metrics,
+    synthesize_packed,
 )
+from repro.radar.stages import emit_requests
 from repro.radar import pipeline as pipeline_module
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
@@ -184,19 +182,20 @@ class TestSenseEquivalence:
 
 class TestProcessSweepIsSense:
     def test_synthesized_cube_gives_the_sensed_result(self):
-        """``process_sweep`` on the beat cube ``SENSE_PLAN[:2]`` synthesizes
+        """``process_sweep`` on the beat cube Emit and Synthesize make
         (same seed, same crop) is ``sense``: the power cube and raw profiles
         bit for bit, and the same tracks."""
         radar = FmcwRadar()
         scene = walking_scene()
         times = radar.frame_times(3.0)
         max_range = radar.default_max_range(scene)
-        ctx = execute(SENSE_PLAN[:2], ExecutionContext(
-            array=radar.array, config=radar.config,
-            requests=[SenseInput(scene, times, np.random.default_rng(31))],
-            max_range=max_range, min_range=radar.config.min_range))
-        sweep = process_sweep(ctx.workspace["frames"], radar.config,
-                              radar.array, times, max_range=max_range)
+        emission, noise = emit_requests(
+            [SenseInput(scene, times, np.random.default_rng(31))],
+            radar.config, radar.array)
+        frames = synthesize_packed(emission.columns, emission.counts,
+                                   radar.config, radar.array, out=noise)
+        sweep = process_sweep(frames, radar.config, radar.array, times,
+                              max_range=max_range)
         sensed = radar.sense(scene, 3.0, rng=np.random.default_rng(31))
         assert sweep.power_cube.tobytes() == sensed.power_cube.tobytes()
         assert sweep.raw_profiles.tobytes() == sensed.raw_profiles.tobytes()
@@ -266,7 +265,8 @@ class TestZeroPadSingleSource:
 class TestBackendDispatch:
     def test_default_backend_is_vectorized(self, config):
         """A sense run executes every receive stage of the plan once."""
-        histograms = [f"stages.{b.stage.value}.wall_s" for b in RECEIVE_PLAN]
+        histograms = [f"stages.{stage}.wall_s" for stage in (
+            "range_fft", "background_subtract", "beamform")]
 
         def runs() -> list[int]:
             snapshot = stage_metrics().snapshot()["histograms"]

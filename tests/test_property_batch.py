@@ -22,7 +22,6 @@ from repro.experiments import runner
 from repro.experiments.runner import (
     EXPERIMENTS,
     ExperimentSpec,
-    experiment_seeds,
     run_experiments,
 )
 from repro.nn import overlap
@@ -136,10 +135,10 @@ class TestParallelRunnerReproducibility:
     def test_worker_count_does_not_change_results(self, parallel_workers):
         ids = ["fig9", "ext-pulsed"]
         options = {"duration": 3.0}
-        serial = run_experiments(ids, fast=True, workers=1, base_seed=7,
+        serial = run_experiments(ids, fast=True, workers=1, seed=7,
                                  **options)
         parallel = run_experiments(ids, fast=True, workers=parallel_workers,
-                                   base_seed=7, **options)
+                                   seed=7, **options)
         assert [r.experiment_id for r in serial] == ids
         assert [r.experiment_id for r in parallel] == ids
         for run_serial, run_parallel in zip(serial, parallel):
@@ -152,8 +151,8 @@ class TestParallelRunnerReproducibility:
         so on a multi-CPU host a worker trains its own copy rather than
         inheriting the caller's, and the tables must still match."""
         ids = ["fig9", "table1"]
-        pooled = run_experiments(ids, fast=True, base_seed=11)
-        serial = run_experiments(ids, fast=True, workers=1, base_seed=11)
+        pooled = run_experiments(ids, fast=True, seed=11)
+        serial = run_experiments(ids, fast=True, workers=1, seed=11)
         for run_pooled, run_serial in zip(pooled, serial):
             assert run_pooled.options == run_serial.options
             assert (_comparable(run_pooled.result)
@@ -161,15 +160,8 @@ class TestParallelRunnerReproducibility:
             assert (run_pooled.result.format_table()
                     == run_serial.result.format_table())
 
-    def test_seed_spawning_is_position_stable(self):
-        assert experiment_seeds(4, 0) == experiment_seeds(4, 0)
-        assert experiment_seeds(4, 0)[:2] != experiment_seeds(4, 1)[:2]
-        # Seeds depend on list position, not on worker scheduling.
-        many = experiment_seeds(8, 123)
-        assert len(set(many)) == len(many)
-
     def test_records_written(self, tmp_path):
-        runs = run_experiments(["fig9"], fast=True, workers=1, base_seed=3,
+        runs = run_experiments(["fig9"], fast=True, workers=1, seed=3,
                                duration=3.0, record_dir=str(tmp_path))
         record_file = tmp_path / "fig9.json"
         assert record_file.exists()
@@ -218,7 +210,7 @@ class TestExperimentFanOut:
         for workers in (1, 2):
             before = _instrument_counts()
             run_experiments(["fig9", "ext-pulsed"], fast=True,
-                            workers=workers, base_seed=5, duration=3.0)
+                            workers=workers, seed=5, duration=3.0)
             after = _instrument_counts()
             growth.append({name: value - before.get(name, 0)
                            for name, value in after.items()})

@@ -21,7 +21,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ReflectorError
+from repro.errors import (
+    ConfigurationError,
+    ReflectorError,
+    SignalProcessingError,
+)
 from repro.geometry import Rectangle
 from repro.radar import FmcwRadar, RadarConfig, Scene
 from repro.radar.channel import ChannelModel, MultipathSpec
@@ -238,6 +242,15 @@ def _error_type(call) -> type[BaseException] | None:
     return None
 
 
+def _breathing_into_the_array() -> HumanTarget:
+    """A still human 3 mm in front of the array centre whose 5-mm breath
+    carries its body echo to a negative distance from t = 0.4 s on."""
+    spot = (CONFIG.position[0], CONFIG.position[1] + 0.003)
+    return HumanTarget(Trajectory(np.array([spot, spot]), dt=1.0),
+                       breathing=BreathingSpec(amplitude=0.005,
+                                               phase=np.pi))
+
+
 bad_entities = st.one_of(
     # Ports past the SP8T switch, or past the 6-antenna panel.
     tags(ports=10), delay_tags(ports=10),
@@ -248,6 +261,8 @@ bad_entities = st.one_of(
     st.builds(lambda dt: HumanTarget(Trajectory(
         np.array([[4.0, 2.0], CONFIG.position, [4.0, 3.0]]), dt=dt)),
         st.sampled_from([0.1, 0.2, 0.4])),
+    # A path at a negative distance.
+    st.builds(_breathing_into_the_array),
 )
 
 
@@ -305,3 +320,14 @@ def test_first_invalid_entity_in_scene_order_wins():
     scene.add(StaticReflector(CONFIG.position))
     with pytest.raises(ReflectorError):
         RADAR.sense(scene, 0.5)
+
+
+def test_negative_path_is_checked_in_scene_order():
+    """A human whose breath reaches a negative distance fails the sweep
+    before the centred static after it, although its path is only
+    negative from t = 0.4 s on and the static fails at every frame."""
+    scene = Scene(Rectangle.from_size(8.0, 8.0))
+    scene.add(_breathing_into_the_array())
+    scene.add(StaticReflector(CONFIG.position))
+    with pytest.raises(SignalProcessingError, match="distance"):
+        RADAR.sense(scene, 1.0)

@@ -6,21 +6,19 @@ import pytest
 from repro.errors import ConfigurationError, SceneError
 from repro.geometry import Rectangle
 from repro.radar import (
-    SENSE_PLAN,
     ChannelModel,
-    ExecutionContext,
     Fan,
     HumanTarget,
     Scene,
     SenseInput,
     StaticReflector,
-    execute,
 )
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.channel import MultipathSpec
 from repro.radar.config import RadarConfig
 from repro.radar.frontend import thermal_noise
 from repro.radar.scene import BreathingSpec
+from repro.radar.stages import emit_requests
 from repro.types import Trajectory
 from tests.receive_oracle import emit_frame
 
@@ -108,12 +106,10 @@ class TestThermalNoise:
                              facing_angle=np.pi / 2, noise_std=0.0)
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        ctx = ExecutionContext(
-            array=array, config=config,
-            requests=[SenseInput(scene, np.arange(4) * 0.1, rng)])
-        execute(SENSE_PLAN[:1], ctx)
-        assert ctx.workspace["noise"] is None
-        assert ctx.workspace["components"].counts.tolist() == [2] * 4
+        emission, noise = emit_requests(
+            [SenseInput(scene, np.arange(4) * 0.1, rng)], config, array)
+        assert noise is None
+        assert emission.counts.tolist() == [2] * 4
         assert rng.bit_generator.state == before
 
 

@@ -52,10 +52,6 @@ class TestOptionPrecedence:
         run_experiments(["spy"], fast=True, workers=1, duration=4.0)
         assert spy_experiment[-1] == {"duration": 4.0, "quality": "tiny"}
 
-    def test_explicit_seed_beats_spawned_seed(self, spy_experiment):
-        run_experiments(["spy"], fast=False, workers=1, base_seed=11, seed=5)
-        assert spy_experiment[-1] == {"seed": 5}
-
     def test_broadcast_seed_dropped_for_seedless_experiments(self, monkeypatch):
         """``run all --seed N`` must not crash deterministic experiments."""
         calls: list[dict] = []
@@ -69,7 +65,7 @@ class TestOptionPrecedence:
         monkeypatch.setitem(EXPERIMENTS, "seedless", spec)
         run_experiment("seedless", fast=True, seed=3, duration=2.0)
         assert calls[-1] == {"duration": 2.0}
-        run_experiments(["seedless"], fast=True, workers=1, base_seed=11)
+        run_experiments(["seedless"], fast=True, workers=1, seed=11)
         assert calls[-1] == {"duration": 1.0}
 
 

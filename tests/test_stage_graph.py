@@ -1,35 +1,31 @@
-"""Tests for the stage-graph executor and its plans.
+"""Tests for the stage functions and their per-stage timer.
 
-Every plan binds exactly one kernel per stage; these tests pin the plan
-inventory, custom-kernel bindings, per-stage instrumentation (direct sense
-and served batches), that sense calls take no backend arguments, and the
-pulsed production-vs-oracle receive equivalence that the shared Beamform
-stage makes possible.
+Every stage has one kernel, called directly; these tests pin the timer's
+observation rule, per-stage instrumentation (direct sense and served
+batches), that sense calls take no backend arguments, that the beat cube
+is freed before BackgroundSubtract, and the production-vs-oracle receive
+equivalence (pulsed sense, and ``process_sweep`` on a bare beat cube).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.geometry import Rectangle
 from repro.radar import (
-    RECEIVE_PLAN,
-    SENSE_PLAN,
-    ExecutionContext,
     FmcwRadar,
     PulsedRadar,
     PulsedRadarConfig,
     RadarConfig,
     Scene,
-    SenseInput,
     Stage,
-    StageBinding,
-    UniformLinearArray,
-    execute,
+    process_sweep,
     stage_metrics,
-    sweep_results,
 )
+from repro.radar import stages
 from repro.serve.engine import ExecutionItem, execute_batch
 from repro.serve.request import BatchKey, SenseRequest
 from repro.signal.chirp import ChirpConfig
@@ -59,32 +55,18 @@ def snapshot_counts() -> dict[str, int]:
     return {name: data["count"] for name, data in histograms.items()}
 
 
-class TestRegistry:
-    def test_backend_inventory(self):
-        """One kernel per stage: the sense plan binds all but Detect."""
-        assert [b.stage for b in SENSE_PLAN] == [
-            Stage.EMIT, Stage.SYNTHESIZE, Stage.RANGE_FFT,
-            Stage.BACKGROUND_SUBTRACT, Stage.BEAMFORM,
-        ]
-        assert all(callable(b.kernel) for b in SENSE_PLAN)
-
-
 class TestExecutor:
-    def test_explicit_kernel_binding_runs_and_is_timed(self, config):
-        calls = []
-
-        def custom(ctx: ExecutionContext) -> None:
-            calls.append(ctx)
-            ctx.workspace["marker"] = 42
-
-        ctx = ExecutionContext(array=UniformLinearArray(config))
-        before = snapshot_counts()
-        execute((StageBinding(Stage.BEAMFORM, custom),), ctx)
-        after = snapshot_counts()
-        assert calls == [ctx]
-        assert ctx.workspace["marker"] == 42
-        assert (after["stages.beamform.wall_s"]
-                == before.get("stages.beamform.wall_s", 0) + 1)
+    def test_timed_observes_completed_blocks_only(self):
+        """A completed block is one observation, a raising block none."""
+        name = "stages.beamform.wall_s"
+        before = snapshot_counts().get(name, 0)
+        with stages.timed(Stage.BEAMFORM):
+            pass
+        assert snapshot_counts()[name] == before + 1
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            with stages.timed(Stage.BEAMFORM):
+                raise RuntimeError("kernel failed")
+        assert snapshot_counts()[name] == before + 1
 
     def test_sense_populates_every_stage_histogram(self, config, scene):
         radar = FmcwRadar(config)
@@ -131,25 +113,52 @@ class TestPerCallOverrides:
             np.testing.assert_allclose(fast.ranges, ref.ranges, atol=ATOL)
 
     def test_receive_plan_reusable_standalone(self, config):
-        """RECEIVE_PLAN processes a raw beat cube without a scene."""
+        """The receive stages run on a bare beat cube, without a scene:
+        ``process_sweep`` is the per-frame oracle's."""
         rng = np.random.default_rng(9)
         shape = (4, config.num_antennas, config.chirp.num_samples)
         frames = 0.05 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        results = {}
-        for name, plan in (("naive", oracle.RECEIVE_PLAN),
-                           ("vectorized", RECEIVE_PLAN)):
-            ctx = ExecutionContext(
-                array=UniformLinearArray(config), config=config,
-                requests=[SenseInput(None, np.arange(4) / config.frame_rate,
-                                     None)],
-                max_range=8.0, min_range=config.min_range,
-            )
-            ctx.workspace["frames"] = frames
-            results[name] = execute(plan, ctx)
-        [sweep] = sweep_results(results["vectorized"])
-        [naive] = sweep_results(results["naive"])
+        times = np.arange(4) / config.frame_rate
+        radar = FmcwRadar(config)
+        sweep = process_sweep(frames, config, radar.array, times,
+                              max_range=8.0)
+        naive = oracle.process_sweep(radar, times, frames, 8.0)
+        assert len(sweep.profiles) == len(naive.profiles) == 4
         for ref, fast in zip(naive.profiles, sweep.profiles):
             np.testing.assert_allclose(fast.power, ref.power, atol=ATOL)
+            np.testing.assert_array_equal(fast.ranges, ref.ranges)
+
+
+class TestBeatCubeLifetime:
+    @pytest.mark.parametrize("noise_std", [0.0, 5e-4])
+    def test_beat_cube_freed_before_background_subtract(
+            self, monkeypatch, scene, noise_std):
+        """Nothing holds the beat cube past the range FFT.
+
+        With a noise floor, synthesis writes the tones into Emit's noise
+        cube, so two names point to the one array.
+        """
+        cubes: list[weakref.ref] = []
+        alive: list[bool] = []
+        range_profiles = stages.batched_range_profiles
+        subtract = stages.batched_background_subtract
+
+        def spy_range_profiles(frames, config):
+            cubes.append(weakref.ref(frames))
+            return range_profiles(frames, config)
+
+        def spy_subtract(profiles):
+            alive.extend(ref() is not None for ref in cubes)
+            return subtract(profiles)
+
+        monkeypatch.setattr(stages, "batched_range_profiles",
+                            spy_range_profiles)
+        monkeypatch.setattr(stages, "batched_background_subtract",
+                            spy_subtract)
+        radar = FmcwRadar(RadarConfig(chirp=ChirpConfig(duration=6.4e-5),
+                                      noise_std=noise_std))
+        radar.sense(scene, 0.5, rng=np.random.default_rng(3))
+        assert alive == [False]
 
 
 class TestServeInstrumentation:
@@ -167,13 +176,6 @@ class TestServeInstrumentation:
                       Stage.BACKGROUND_SUBTRACT, Stage.BEAMFORM):
             name = f"stages.{stage.value}.wall_s"
             assert after.get(name, 0) > before.get(name, 0), name
-        # One plan run for the whole batch, not one per request.
+        # One stage run for the whole batch, not one per request.
         assert (after["stages.beamform.wall_s"]
                 == before.get("stages.beamform.wall_s", 0) + 1)
-
-    def test_plan_constants_cover_the_chain(self):
-        assert [b.stage for b in SENSE_PLAN] == [
-            Stage.EMIT, Stage.SYNTHESIZE, Stage.RANGE_FFT,
-            Stage.BACKGROUND_SUBTRACT, Stage.BEAMFORM,
-        ]
-        assert RECEIVE_PLAN == SENSE_PLAN[2:]
