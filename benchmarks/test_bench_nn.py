@@ -18,24 +18,38 @@ median across rounds is asserted — on a shared core whose speed drifts,
 adjacent-in-time measurements see the same machine regime, which makes the
 ratio far more stable than comparing two independent minimums.
 
+The naive rounds must run no fused scan: a broken oracle seam would let
+them take the fused stack and leave the golden digests green.
+
 The step table is dumped to ``nn-timings.json``, with the process
 registry's ``nn.<op>.wall_s`` histograms, and uploaded next to the
-stage/tracker timing artifacts.
+stage/tracker timing artifacts. It also records the float32 step with the
+two layers' wavefront (:mod:`repro.nn.overlap`) forced on and off, BLAS on
+one thread; no ratio guard reads those two, because a wall-time ratio
+between threaded runs follows the host's load.
 """
 
 from __future__ import annotations
 
 import contextlib
 import time
+from collections.abc import Iterator
+from unittest import mock
 
 import numpy as np
 
 from benchmarks.conftest import write_timings
-from repro.nn import LSTM, Tensor, dtype_scope, nn_metrics
+from repro.nn import LSTM, Tensor, dtype_scope, nn_metrics, overlap
 from tests.lstm_oracle import naive_scan
 
 SEQ_LEN, BATCH, IN_DIM, HIDDEN, LAYERS = 64, 32, 64, 512, 2
 ROUNDS = 5
+
+
+def fused_scans() -> int:
+    """Layer scans the fused op has recorded in this process."""
+    histograms = nn_metrics().snapshot()["histograms"]
+    return int(histograms.get("nn.lstm_sequence.wall_s", {}).get("count", 0))
 
 
 def paper_scale_case(dtype: str) -> tuple[LSTM, Tensor]:
@@ -53,11 +67,47 @@ def one_step(lstm: LSTM, inputs: Tensor, backend: str) -> float:
     """Time one forward+backward over the paper-scale sequence."""
     lstm.zero_grad()
     inputs.zero_grad()
+    scans = fused_scans()
     started = time.perf_counter()
     with naive_scan() if backend == "naive" else contextlib.nullcontext():
         out = lstm.forward_sequence(inputs)
     out.mean().backward()
-    return time.perf_counter() - started
+    elapsed = time.perf_counter() - started
+    if backend == "naive":
+        _NAIVE_FUSED_SCANS.append(fused_scans() - scans)
+    return elapsed
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """BLAS on one thread, as the overlap guard wants; restored after."""
+    previous = overlap.blas_threads()
+    overlap.set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            overlap.set_blas_threads(previous)
+
+
+def wavefront_step(lstm: LSTM, inputs: Tensor, on: bool) -> float:
+    """One fused step with the stack's wavefront forced on or off."""
+    with mock.patch.object(overlap, "usable_cpus", lambda: 2 if on else 1):
+        return one_step(lstm, inputs, "fused")
+
+
+def measure_wavefront() -> dict[str, float]:
+    """Min of interleaved float32 rounds, wavefront on and off."""
+    lstm, inputs = paper_scale_case("float32")
+    series: dict[str, list[float]] = {"wavefront.float32": [],
+                                      "inline.float32": []}
+    with one_blas_thread():
+        for _ in range(ROUNDS):
+            series["wavefront.float32"].append(
+                wavefront_step(lstm, inputs, True))
+            series["inline.float32"].append(
+                wavefront_step(lstm, inputs, False))
+    return {name: min(values) for name, values in series.items()}
 
 
 def measure_all() -> tuple[dict[str, float], dict[str, list[float]]]:
@@ -83,6 +133,7 @@ def measure_all() -> tuple[dict[str, float], dict[str, list[float]]]:
 
 _RESULTS: dict[str, float] = {}
 _SERIES: dict[str, list[float]] = {}
+_NAIVE_FUSED_SCANS: list[int] = []
 
 
 def median_ratio(slow: str, fast: str) -> float:
@@ -99,6 +150,20 @@ def test_aa_measure_paper_scale_step():
     for name, value in sorted(_RESULTS.items()):
         print(f"\n{name}: {value:.3f}s")
     assert all(np.isfinite(v) for v in _RESULTS.values())
+
+
+def test_naive_rounds_run_no_fused_scan():
+    assert len(_NAIVE_FUSED_SCANS) == 2 * ROUNDS
+    assert _NAIVE_FUSED_SCANS == [0] * len(_NAIVE_FUSED_SCANS)
+
+
+def test_ab_measure_wavefront():
+    """The paper-scale float32 step, wavefront on and off."""
+    wavefront = measure_wavefront()
+    _RESULTS.update(wavefront)
+    for name, value in sorted(wavefront.items()):
+        print(f"\n{name}: {value:.3f}s")
+    assert all(np.isfinite(v) for v in wavefront.values())
 
 
 def test_fused_float64_beats_naive():

@@ -11,13 +11,14 @@ validated against numerical gradients in the test suite.
 One runtime policy governs execution, env-configurable through
 :mod:`repro.config`: the leaf/parameter dtype
 (``RF_PROTECT_NN_DTYPE=float32|float64``, see
-:func:`~repro.nn.tensor.dtype_scope`). Every LSTM layer scans as one fused
-:func:`~repro.nn.functional.lstm_sequence` op. LSTM scans, their BPTT
+:func:`~repro.nn.tensor.dtype_scope`). Every LSTM stack scans as one fused
+:func:`~repro.nn.functional.lstm_sequence` op. LSTM layer scans, their BPTT
 passes and the cGAN steps record their wall times into the process registry
 (:func:`nn_metrics`, which is :func:`repro.obs.process_metrics`) as
 ``nn.<op>.wall_s``. A large BiLSTM pass runs its two directions at once,
-forward and in BPTT, on one helper thread (:mod:`repro.nn.overlap`); no
-knob selects this, and no result changes.
+and a large stacked LSTM its layers side by side, forward and in BPTT, on
+one helper thread (:mod:`repro.nn.overlap`); no knob selects this, and no
+result changes.
 """
 
 from repro.nn import functional

@@ -6,27 +6,32 @@ the cGAN (binary cross-entropy in the numerically-stable logits form,
 Eq. 4 of the paper).
 
 The recurrent op deserves a note on granularity. :func:`lstm_sequence` is
-the *per-layer* fusion: the whole ``(T, B, D)`` scan — input projection
-batched as a single ``(T·B, D) @ (D, 4H)`` GEMM up front, per-step
-recurrence over preallocated gate/state buffers, and one hand-written BPTT
-backward — collapsed into a single graph node. The per-step cell graph it
-replaced is the pinned equivalence reference, kept as a test oracle
-(``tests/lstm_oracle.py``); the property suite holds the two within
-dtype-matched tolerances.
+the *per-stack* fusion: every layer's whole ``(T, B, D)`` scan — input
+projection batched into ``(k·B, D) @ (D, 4H)`` GEMMs over chunks of ``k``
+timesteps, per-step recurrence over preallocated gate/state buffers, and
+a hand-written BPTT backward — collapsed into a single graph node, whose
+layers a large stack scans side by side (:func:`repro.nn.overlap.wavefront`).
+The per-step cell graph it replaced is the pinned equivalence reference,
+kept as a test oracle (``tests/lstm_oracle.py``); the property suite holds
+the two within dtype-matched tolerances.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import GradientError
+from repro.nn import overlap
 from repro.nn.tensor import Tensor, TensorLike, as_tensor
 from repro.obs import observe_wall
 
 __all__ = [
+    "CHUNK_STEPS",
+    "LstmLayer",
     "bce_with_logits",
     "concat",
     "dropout",
@@ -151,8 +156,7 @@ def dropout(x: Tensor, probability: float, rng: np.random.Generator, *,
     x = as_tensor(x)
     if not training or probability == 0.0:
         return x
-    keep = 1.0 - probability
-    mask = ((rng.random(x.shape) < keep) / keep).astype(x.data.dtype)
+    mask = _dropout_mask(x.shape, probability, rng, x.data.dtype)
     out = Tensor._result(x.data * mask, (x,), "dropout")
 
     def backward(grad: np.ndarray) -> None:
@@ -162,129 +166,302 @@ def dropout(x: Tensor, probability: float, rng: np.random.Generator, *,
     return out
 
 
+def _dropout_mask(shape: tuple[int, ...], probability: float,
+                  rng: np.random.Generator, dtype: np.dtype) -> np.ndarray:
+    """An inverted-dropout mask: 0 with ``probability``, else ``1 / keep``."""
+    keep = 1.0 - probability
+    return ((rng.random(shape) < keep) / keep).astype(dtype)
+
+
 def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
     """The numerically stable logistic used by every gate nonlinearity."""
     return 0.5 * (np.tanh(0.5 * values) + 1.0)
 
 
-def lstm_sequence(inputs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-                  h0: Tensor, c0: Tensor) -> Tensor:
-    """One LSTM layer over a whole ``(T, B, D)`` sequence as a single op.
+#: Timesteps per chunk of a stack's wavefront (:func:`lstm_sequence`),
+#: picked by interleaved measurement at paper scale (DESIGN.md, "Both
+#: layers of a stack at once").
+CHUNK_STEPS = 8
 
-    Forward: the input projection for every timestep is batched into one
-    ``(T·B, D) @ (D, 4H)`` GEMM (plus bias), then the recurrence runs
-    per-step with preallocated gate/state buffers — the only sequential
-    work left is the unavoidable ``h @ W_hh`` chain. Backward is one
-    hand-written BPTT pass: a descending scan fills a ``(T, B, 4H)``
-    pre-activation-gradient buffer, and all weight/input gradients fall
-    out as three whole-sequence GEMMs.
+#: One layer's operands: ``(w_ih, w_hh, bias, h0, c0)``.
+LstmLayer = tuple[Tensor, Tensor, Tensor, Tensor, Tensor]
 
-    Args:
-        inputs: ``(T, B, D)`` sequence tensor.
-        w_ih: ``(D, 4H)`` input projection, gates ordered ``[i, f, g, o]``.
-        w_hh: ``(H, 4H)`` recurrent projection.
-        bias: ``(4H,)`` gate bias.
-        h0: ``(B, H)`` initial hidden state.
-        c0: ``(B, H)`` initial cell state.
 
-    Returns:
-        ``(T, B, H)`` tensor of per-timestep hidden states.
+class _Layer:
+    """One layer of a stacked scan: operands, saved buffers, BPTT carry.
+
+    :meth:`forward` fills the buffers a chunk of timesteps at a time and
+    :meth:`backward` drains them a chunk at a time, last chunk first;
+    :meth:`input_weight_grad` and :meth:`finish` run the whole-sequence
+    gradient GEMMs. Each step lets go of the buffers no later step reads,
+    so a layer's BPTT has freed them all when it ends. The layer
+    reads its input from ``source`` (the stack's input or the hidden
+    states of the layer below) through the dropout ``mask`` between
+    them, if any.
     """
-    inputs = as_tensor(inputs)
-    w_ih, w_hh, bias = as_tensor(w_ih), as_tensor(w_hh), as_tensor(bias)
-    h0, c0 = as_tensor(h0), as_tensor(c0)
-    if inputs.ndim != 3:
-        raise GradientError(f"inputs must be (T, B, D), got {inputs.shape}")
-    seq_len, batch, in_dim = inputs.shape
-    if w_hh.ndim != 2 or w_hh.shape[1] != 4 * w_hh.shape[0]:
-        raise GradientError(f"w_hh must be (H, 4H), got {w_hh.shape}")
-    hidden = w_hh.shape[0]
-    if w_ih.shape != (in_dim, 4 * hidden):
-        raise GradientError(
-            f"w_ih must be ({in_dim}, {4 * hidden}), got {w_ih.shape}"
-        )
-    if bias.shape != (4 * hidden,):
-        raise GradientError(f"bias must be ({4 * hidden},), got {bias.shape}")
-    for name, state in (("h0", h0), ("c0", c0)):
-        if state.shape != (batch, hidden):
-            raise GradientError(
-                f"{name} must be ({batch}, {hidden}), got {state.shape}"
-            )
 
-    dtype = np.result_type(inputs.data, w_ih.data, w_hh.data, bias.data,
-                           h0.data, c0.data)
-    # Batched input projection: one GEMM covers every timestep.
-    x_proj = (inputs.data.reshape(seq_len * batch, in_dim) @ w_ih.data
-              + bias.data).reshape(seq_len, batch, 4 * hidden)
-    gates = np.empty((seq_len, batch, 4 * hidden), dtype=dtype)
-    c_all = np.empty((seq_len, batch, hidden), dtype=dtype)
-    tanh_c = np.empty((seq_len, batch, hidden), dtype=dtype)
-    h_all = np.empty((seq_len, batch, hidden), dtype=dtype)
-    h = np.asarray(h0.data, dtype=dtype)
-    c = np.asarray(c0.data, dtype=dtype)
-    for t in range(seq_len):
-        a = x_proj[t] + h @ w_hh.data
-        i = _stable_sigmoid(a[:, :hidden])
-        f = _stable_sigmoid(a[:, hidden: 2 * hidden])
-        g = np.tanh(a[:, 2 * hidden: 3 * hidden])
-        o = _stable_sigmoid(a[:, 3 * hidden:])
-        c = f * c + i * g
-        gates[t, :, :hidden] = i
-        gates[t, :, hidden: 2 * hidden] = f
-        gates[t, :, 2 * hidden: 3 * hidden] = g
-        gates[t, :, 3 * hidden:] = o
-        c_all[t] = c
-        np.tanh(c, out=tanh_c[t])
-        h = o * tanh_c[t]
-        h_all[t] = h
+    def __init__(self, operands: tuple[Tensor, ...], source: np.ndarray,
+                 mask: np.ndarray | None, dtype: np.dtype) -> None:
+        self.w_ih, self.w_hh, self.bias, self.h0, self.c0 = operands
+        seq_len, batch = source.shape[:2]
+        hidden = self.w_hh.shape[0]
+        self.hidden, self.dtype = hidden, dtype
+        self.source, self.mask = source, mask
+        self.inputs = source if mask is None else np.empty_like(source)
+        self.gates = np.empty((seq_len, batch, 4 * hidden), dtype=dtype)
+        self.c_all = np.empty((seq_len, batch, hidden), dtype=dtype)
+        self.tanh_c = np.empty((seq_len, batch, hidden), dtype=dtype)
+        self.h_all = np.empty((seq_len, batch, hidden), dtype=dtype)
+        self.h = np.asarray(self.h0.data, dtype=dtype)
+        self.c = np.asarray(self.c0.data, dtype=dtype)
+        self.started = 0.0
+        # Set by the stack's backward: the gradient of h_all, and where the
+        # input gradient goes (the layer below's grad_out, or None).
+        self.grad_out: np.ndarray | None = None
+        self.grad_in: np.ndarray | None = None
 
-    out = Tensor._result(h_all, (inputs, w_ih, w_hh, bias, h0, c0),
-                         "lstm_sequence")
+    def forward(self, start: int, stop: int) -> None:
+        """Project and scan timesteps ``[start, stop)``."""
+        if start == 0:
+            self.started = time.perf_counter()
+        x = self.source[start:stop]
+        if self.mask is not None:
+            x = np.multiply(x, self.mask[start:stop],
+                            out=self.inputs[start:stop])
+        steps, batch, in_dim = x.shape
+        hidden = self.hidden
+        x_proj = (x.reshape(steps * batch, in_dim) @ self.w_ih.data
+                  + self.bias.data).reshape(steps, batch, 4 * hidden)
+        w_hh = self.w_hh.data
+        gates, c_all, tanh_c, h_all = (self.gates, self.c_all, self.tanh_c,
+                                       self.h_all)
+        h, c = self.h, self.c
+        for t in range(start, stop):
+            a = x_proj[t - start] + h @ w_hh
+            i = _stable_sigmoid(a[:, :hidden])
+            f = _stable_sigmoid(a[:, hidden: 2 * hidden])
+            g = np.tanh(a[:, 2 * hidden: 3 * hidden])
+            o = _stable_sigmoid(a[:, 3 * hidden:])
+            c = f * c + i * g
+            gates[t, :, :hidden] = i
+            gates[t, :, hidden: 2 * hidden] = f
+            gates[t, :, 2 * hidden: 3 * hidden] = g
+            gates[t, :, 3 * hidden:] = o
+            c_all[t] = c
+            np.tanh(c, out=tanh_c[t])
+            h = o * tanh_c[t]
+            h_all[t] = h
+        self.h, self.c = h, c
+        if stop == len(h_all):
+            observe_wall("nn.lstm_sequence.wall_s", self.started)
 
-    def backward(grad_out: np.ndarray) -> None:
-        started = time.perf_counter()
-        d_gates = np.empty((seq_len, batch, 4 * hidden), dtype=dtype)
-        dh_next = np.zeros((batch, hidden), dtype=dtype)
-        dc_next = np.zeros((batch, hidden), dtype=dtype)
-        w_hh_t = w_hh.data.T
-        for t in range(seq_len - 1, -1, -1):
-            i = gates[t, :, :hidden]
-            f = gates[t, :, hidden: 2 * hidden]
-            g = gates[t, :, 2 * hidden: 3 * hidden]
-            o = gates[t, :, 3 * hidden:]
-            c_prev = c_all[t - 1] if t > 0 else np.asarray(c0.data,
-                                                          dtype=dtype)
+    def backward(self, start: int, stop: int) -> None:
+        """BPTT over timesteps ``[start, stop)``, then their input gradient.
+
+        A step's pre-activation gradients overwrite its gates, which no
+        later step reads, so the gate buffer becomes ``d_gates`` in place.
+        """
+        hidden = self.hidden
+        c_all, tanh_c = self.c_all, self.tanh_c
+        if stop == len(c_all):  # the first chunk BPTT reaches
+            self.started = time.perf_counter()
+            self.d_gates = self.gates
+            self.dh = np.zeros(self.h.shape, dtype=self.dtype)
+            self.dc = np.zeros(self.c.shape, dtype=self.dtype)
+        grad_out, d_gates = self.grad_out, self.d_gates
+        assert grad_out is not None
+        w_hh_t = self.w_hh.data.T
+        dh_next, dc_next = self.dh, self.dc
+        for t in range(stop - 1, start - 1, -1):
+            i = d_gates[t, :, :hidden]
+            f = d_gates[t, :, hidden: 2 * hidden]
+            g = d_gates[t, :, 2 * hidden: 3 * hidden]
+            o = d_gates[t, :, 3 * hidden:]
+            c_prev = (c_all[t - 1] if t > 0
+                      else np.asarray(self.c0.data, dtype=self.dtype))
             dh = grad_out[t] + dh_next
             dc = dc_next + dh * o * (1.0 - tanh_c[t] ** 2)
-            d_gates[t, :, :hidden] = dc * g * i * (1.0 - i)
-            d_gates[t, :, hidden: 2 * hidden] = dc * c_prev * f * (1.0 - f)
-            d_gates[t, :, 2 * hidden: 3 * hidden] = dc * i * (1.0 - g ** 2)
-            d_gates[t, :, 3 * hidden:] = dh * tanh_c[t] * o * (1.0 - o)
+            d_i = dc * g * i * (1.0 - i)
+            d_f = dc * c_prev * f * (1.0 - f)
+            d_g = dc * i * (1.0 - g ** 2)
+            d_o = dh * tanh_c[t] * o * (1.0 - o)
             dc_next = dc * f
+            d_gates[t, :, :hidden] = d_i
+            d_gates[t, :, hidden: 2 * hidden] = d_f
+            d_gates[t, :, 2 * hidden: 3 * hidden] = d_g
+            d_gates[t, :, 3 * hidden:] = d_o
             dh_next = d_gates[t] @ w_hh_t
-        # The three whole-sequence GEMMs run only for operands that take a
-        # gradient: a frozen layer (weights constant) back-propagates into
-        # its inputs alone.
-        flat_gates = d_gates.reshape(seq_len * batch, 4 * hidden)
-        if inputs.requires_grad:
-            inputs._accumulate(
-                (flat_gates @ w_ih.data.T).reshape(seq_len, batch, in_dim)
-            )
-        if w_ih.requires_grad:
-            flat_inputs = inputs.data.reshape(seq_len * batch, in_dim)
-            w_ih._accumulate(flat_inputs.T @ flat_gates)
-        if w_hh.requires_grad:
+        self.dh, self.dc = dh_next, dc_next
+        if self.grad_in is not None:
+            steps, batch = stop - start, d_gates.shape[1]
+            target = self.grad_in[start:stop]
+            target[...] = (d_gates[start:stop].reshape(steps * batch,
+                                                       4 * hidden)
+                           @ self.w_ih.data.T).reshape(target.shape)
+            if self.mask is not None:
+                target *= self.mask[start:stop]
+        if start == 0:  # the last chunk: what only the scan reads can go
+            del (self.gates, self.c_all, self.tanh_c, self.grad_out,
+                 self.grad_in, self.mask, self.source)
+
+    def input_weight_grad(self) -> None:
+        """The whole-sequence ``w_ih`` gradient, a step of its own.
+
+        The whole-sequence GEMMs run only for operands that take a
+        gradient: a frozen layer back-propagates into its inputs alone.
+        Two steps, this and :meth:`finish`, let a wavefront run the top
+        layer's two GEMMs beside the next layer's last chunk and its
+        first GEMM.
+        """
+        if self.w_ih.requires_grad:
+            seq_len, batch, hidden = self.h_all.shape
+            flat_inputs = self.inputs.reshape(seq_len * batch, -1)
+            self.w_ih._accumulate(flat_inputs.T @ self.d_gates.reshape(
+                seq_len * batch, 4 * hidden))
+        del self.inputs
+
+    def finish(self) -> None:
+        """The ``w_hh``, bias and initial-state gradients; frees the rest."""
+        seq_len, batch, hidden = self.h_all.shape
+        flat_gates = self.d_gates.reshape(seq_len * batch, 4 * hidden)
+        if self.w_hh.requires_grad:
             # h_prev over the sequence is h_all shifted right by one, h0
             # first.
             h_prev = np.concatenate(
-                [np.asarray(h0.data, dtype=dtype)[None], h_all[:-1]], axis=0
+                [np.asarray(self.h0.data, dtype=self.dtype)[None],
+                 self.h_all[:-1]], axis=0)
+            self.w_hh._accumulate(h_prev.reshape(seq_len * batch, hidden).T
+                                  @ flat_gates)
+        self.bias._accumulate(flat_gates.sum(axis=0))
+        self.h0._accumulate(self.dh)
+        self.c0._accumulate(self.dc)
+        observe_wall("nn.lstm_sequence_backward.wall_s", self.started)
+        del self.d_gates, self.h_all
+
+
+def lstm_sequence(inputs: Tensor, layers: Sequence[LstmLayer], *,
+                  dropout_probability: float = 0.0,
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """A stack of LSTM layers over a whole ``(T, B, D)`` sequence as one op.
+
+    Forward, per layer: the input projection is batched into
+    ``(k·B, D) @ (D, 4H)`` GEMMs (plus bias) over chunks of ``k``
+    timesteps, and the recurrence runs per step over preallocated
+    gate/state buffers — the only sequential work left is the unavoidable
+    ``h @ W_hh`` chain. Backward is one hand-written BPTT pass per layer:
+    a descending scan overwrites the ``(T, B, 4H)`` gate buffer with the
+    pre-activation gradients, each chunk's input gradient is one GEMM,
+    and the weight and bias gradients fall out as whole-sequence GEMMs.
+
+    Chunk ``c`` of a layer needs only chunk ``c`` of the layer below and
+    its own chunk ``c - 1``, so :func:`repro.nn.overlap.wavefront` can
+    scan layer ``l`` over one chunk while layer ``l + 1`` scans the chunk
+    before it, and in BPTT the other way round. A stack of two or more
+    layers at batch × hidden ≥ :data:`~repro.nn.overlap.MIN_STACK_SIZE`
+    uses chunks of :data:`CHUNK_STEPS`, overlapped or not, so its bits do
+    not depend on where it runs. Anything else scans as one chunk, the
+    whole-sequence arithmetic: it never overlaps, and small GEMMs are not
+    row-invariant on every BLAS (DESIGN.md), so chunking would move bits
+    for nothing.
+
+    Args:
+        inputs: ``(T, B, D)`` sequence tensor.
+        layers: per layer, bottom first, ``(w_ih, w_hh, bias, h0, c0)``:
+            ``(D, 4H)`` input projection with gates ordered
+            ``[i, f, g, o]``, ``(H, 4H)`` recurrent projection, ``(4H,)``
+            bias and ``(B, H)`` initial hidden and cell states. Each
+            layer's ``D`` is the ``H`` of the layer below.
+        dropout_probability: inverted dropout between layers, drawn from
+            ``rng`` as one ``(T, B, H)`` mask per layer boundary, bottom
+            first, before any scan.
+        rng: the generator the dropout masks come from.
+
+    Returns:
+        ``(T, B, H)`` tensor of the top layer's per-timestep hidden states,
+        one graph node (op ``lstm_sequence`` for one layer, ``lstm_stack``
+        for more).
+    """
+    inputs = as_tensor(inputs)
+    if inputs.ndim != 3:
+        raise GradientError(f"inputs must be (T, B, D), got {inputs.shape}")
+    if not layers:
+        raise GradientError("lstm_sequence needs at least one layer")
+    if not 0.0 <= dropout_probability < 1.0:
+        raise GradientError("dropout probability must be in [0, 1), got "
+                            f"{dropout_probability}")
+    if dropout_probability > 0 and rng is None:
+        raise GradientError("dropout between layers needs a generator")
+    seq_len, batch, in_dim = inputs.shape
+    operands = [tuple(as_tensor(t) for t in layer) for layer in layers]
+    dtypes: list[np.dtype] = []
+    dtype = inputs.data.dtype
+    for w_ih, w_hh, bias, h0, c0 in operands:
+        if w_hh.ndim != 2 or w_hh.shape[1] != 4 * w_hh.shape[0]:
+            raise GradientError(f"w_hh must be (H, 4H), got {w_hh.shape}")
+        hidden = w_hh.shape[0]
+        if w_ih.shape != (in_dim, 4 * hidden):
+            raise GradientError(
+                f"w_ih must be ({in_dim}, {4 * hidden}), got {w_ih.shape}"
             )
-            w_hh._accumulate(h_prev.reshape(seq_len * batch, hidden).T
-                             @ flat_gates)
-        bias._accumulate(flat_gates.sum(axis=0))
-        h0._accumulate(dh_next)
-        c0._accumulate(dc_next)
-        observe_wall("nn.lstm_sequence_backward.wall_s", started)
+        if bias.shape != (4 * hidden,):
+            raise GradientError(
+                f"bias must be ({4 * hidden},), got {bias.shape}")
+        for name, state in (("h0", h0), ("c0", c0)):
+            if state.shape != (batch, hidden):
+                raise GradientError(
+                    f"{name} must be ({batch}, {hidden}), got {state.shape}"
+                )
+        dtype = np.result_type(dtype, w_ih.data, w_hh.data, bias.data,
+                               h0.data, c0.data)
+        dtypes.append(dtype)
+        in_dim = hidden
+
+    # Every mask is drawn before any scan. The scans draw nothing, so the
+    # generator ends where drawing each mask after the layer below would
+    # leave it.
+    stack: list[_Layer] = []
+    source = inputs.data
+    for layer_operands, layer_dtype in zip(operands, dtypes):
+        mask = None
+        if stack and dropout_probability > 0:
+            assert rng is not None
+            mask = _dropout_mask(source.shape, dropout_probability, rng,
+                                 source.dtype)
+        stack.append(_Layer(layer_operands, source, mask, layer_dtype))
+        source = stack[-1].h_all
+    size = batch * stack[-1].hidden
+    step = (CHUNK_STEPS if len(stack) > 1 and size >= overlap.MIN_STACK_SIZE
+            else seq_len)
+    chunks = [(start, min(start + step, seq_len))
+              for start in range(0, seq_len, step)]
+    overlap.wavefront([[functools.partial(layer.forward, start, stop)
+                        for start, stop in chunks] for layer in stack], size)
+
+    parents = (inputs,) + tuple(t for layer in operands for t in layer)
+    out = Tensor._result(stack[-1].h_all, parents,
+                         "lstm_sequence" if len(stack) == 1 else "lstm_stack")
+
+    def backward(grad_out: np.ndarray) -> None:
+        # Layers under the lowest one with an operand at or below it that
+        # takes a gradient have nothing to backpropagate.
+        first = 0
+        if not inputs.requires_grad:
+            while first < len(stack) and not any(
+                    t.requires_grad for t in operands[first]):
+                first += 1
+        stack[-1].grad_out = grad_out
+        for below, above in zip(stack[first:], stack[first + 1:]):
+            below.grad_out = above.grad_in = np.empty_like(below.h_all)
+        if inputs.requires_grad:
+            stack[0].grad_in = np.empty(inputs.shape, dtype=stack[0].dtype)
+        input_grad = stack[0].grad_in
+        overlap.wavefront(
+            [[functools.partial(layer.backward, start, stop)
+              for start, stop in reversed(chunks)]
+             + [layer.input_weight_grad, layer.finish]
+             for layer in reversed(stack[first:])], size)
+        if input_grad is not None:
+            inputs._accumulate(input_grad)
 
     out._backward = backward
     return out

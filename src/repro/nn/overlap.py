@@ -1,13 +1,18 @@
-"""One helper thread that overlaps the two directions of a large BiLSTM pass.
+"""One helper thread that overlaps the scans of a large LSTM pass.
 
 A bidirectional LSTM's directions share no data, so the backward one can
 scan on a helper thread while the caller scans the forward one, in the
 forward pass (:class:`~repro.nn.recurrent.BiLSTM`) and again in BPTT
-(:meth:`~repro.nn.tensor.Tensor.backward`). numpy's GEMMs and ufuncs
-release the GIL, so the two scans really run in parallel, and neither
-scan's arithmetic changes, so every result is bit-identical to running
-them one after the other. :func:`should_overlap` decides when, with no
-knob.
+(:meth:`~repro.nn.tensor.Tensor.backward`). The layers of a stacked LSTM
+do share data, but only chunk by chunk: layer ``l + 1`` needs just the
+chunk of timesteps layer ``l`` has finished, so :func:`wavefront` scans
+layer ``l`` over one chunk on the helper while the caller scans layer
+``l + 1`` over the chunk before, and BPTT runs the same wave top down
+(:func:`~repro.nn.functional.lstm_sequence`). numpy's GEMMs and ufuncs
+release the GIL, so the two threads really run in parallel, and no
+scan's arithmetic depends on the thread that runs it, so every result is
+bit-identical to running the scans one after the other.
+:func:`should_overlap` decides when, with no knob.
 
 Code already running on the helper never submits to it and runs inline
 instead, so a nested pass cannot deadlock the one-thread pool. A forked
@@ -24,12 +29,14 @@ import ctypes
 import functools
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from concurrent import futures
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, TypeVar
 
-__all__ = ["MIN_OVERLAP_SIZE", "blas_threads", "set_blas_threads",
-           "should_overlap", "submit", "usable_cpus"]
+__all__ = ["MIN_OVERLAP_SIZE", "MIN_STACK_SIZE", "blas_threads",
+           "set_blas_threads", "should_overlap", "submit", "usable_cpus",
+           "wavefront"]
 
 _T = TypeVar("_T")
 
@@ -38,6 +45,14 @@ _T = TypeVar("_T")
 #: slower up to 2,048, mixed at 4,096 (slower for H <= 32) and faster for
 #: every measured shape from 6,144 up.
 MIN_OVERLAP_SIZE = 6144
+
+#: Smallest batch × hidden size of a stacked LSTM that scans in chunks,
+#: which is what lets :func:`wavefront` overlap its layers. The measured
+#: crossover of a two-layer stack (same section): the wavefront is slower
+#: up to 4,096, mixed at 6,144 (as slow as 0.83x at H = 32) and faster
+#: for every measured shape from 8,192 up. A stack hands a chunk over per
+#: wave, so its floor sits above a BiLSTM's one handoff per pass.
+MIN_STACK_SIZE = 8192
 
 #: Thread-count functions of the OpenBLAS builds numpy links against,
 #: ``{action}`` being ``get`` or ``set``: numpy 2 wheels bundle
@@ -129,6 +144,48 @@ def submit(fn: Callable[[], _T]) -> Future[_T]:
                 max_workers=1, thread_name_prefix="repro-nn-overlap",
                 initializer=_mark_helper)
         return _executor.submit(fn)
+
+
+def wavefront(lanes: Sequence[Sequence[Callable[[], None]]],
+              size: int) -> None:
+    """Run each lane's steps in order, each after that of the lane before.
+
+    The lanes are the layers of a stacked LSTM scan and the steps its
+    chunks (:func:`repro.nn.functional.lstm_sequence`): step ``c`` of a
+    lane reads what step ``c`` of the lane before it wrote. Inline, the
+    lanes run one after another. When :func:`should_overlap` holds for
+    ``size``, they run as a wavefront: wave ``w`` runs step ``w - j`` of
+    each lane ``j``, even lanes on the helper and odd lanes on this
+    thread, and ends when both threads have run their share, so no step
+    waits on another mid-wave. A wave whose steps all fall to one thread
+    runs here. An exception in either share is raised once the other
+    share has finished, and leaves the helper free.
+    """
+    if len(lanes) < 2 or not should_overlap(size):
+        for lane in lanes:
+            _run_steps(lane)
+        return
+    for wave in range(max(j + len(lane) for j, lane in enumerate(lanes))):
+        helper_share: list[Callable[[], None]] = []
+        own_share: list[Callable[[], None]] = []
+        for j, lane in enumerate(lanes):
+            if 0 <= wave - j < len(lane):
+                (own_share if j % 2 else helper_share).append(lane[wave - j])
+        if not helper_share or not own_share:
+            _run_steps(helper_share + own_share)
+            continue
+        job = submit(functools.partial(_run_steps, helper_share))
+        try:
+            _run_steps(own_share)
+        except BaseException:
+            futures.wait([job])
+            raise
+        job.result()
+
+
+def _run_steps(steps: Sequence[Callable[[], None]]) -> None:
+    for step in steps:
+        step()
 
 
 def _forget_helper() -> None:

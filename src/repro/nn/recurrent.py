@@ -5,20 +5,21 @@ bidirectional LSTM, both with hidden size 512 and dropout 0.5 (Sec. 6).
 These implementations follow the standard gate equations (Hochreiter &
 Schmidhuber) with a forget-gate bias of 1 for stable early training.
 
-Each layer of a sequence runs as one
-:func:`~repro.nn.functional.lstm_sequence` op: the whole ``(T, B, D)`` scan
-in a single graph node with a hand-written BPTT backward. The per-timestep
-cell graph it replaced is a test oracle (``tests/lstm_oracle.py``) that the
-property suite and the ``naive.*`` GAN digests hold this op to. Each
-per-layer scan records its wall time as ``nn.lstm_sequence.wall_s`` in the
-process registry (:mod:`repro.obs`). A large :class:`BiLSTM` pass scans
-its two directions at the same time, one on the helper thread of
-:mod:`repro.nn.overlap`.
+A whole stack runs as one :func:`~repro.nn.functional.lstm_sequence` op:
+every layer's ``(T, B, D)`` scan in a single graph node with a hand-written
+BPTT backward. The per-timestep cell graph it replaced is a test oracle
+(``tests/lstm_oracle.py``) that the property suite and the ``naive.*`` GAN
+digests hold this op to. Each layer's scan records its wall time as
+``nn.lstm_sequence.wall_s`` in the process registry (:mod:`repro.obs`),
+and its BPTT as ``nn.lstm_sequence_backward.wall_s``. Two threads of
+:mod:`repro.nn.overlap` share a large pass: a :class:`BiLSTM` scans its
+two directions at the same time, and a stacked :class:`LSTM` scans layer
+``l + 1`` over one chunk of timesteps while layer ``l`` scans the next,
+forward and in BPTT.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from concurrent.futures import Future
 
@@ -26,10 +27,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn import init, overlap
-from repro.nn.functional import concat, dropout, flip_sequence, lstm_sequence
+from repro.nn.functional import concat, flip_sequence, lstm_sequence
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, as_tensor
-from repro.obs import observe_wall
 
 __all__ = ["BiLSTM", "LSTM", "LSTMCell"]
 
@@ -106,11 +106,11 @@ class LSTM(Module):
                          ) -> Tensor:
         """Run the stack over a stacked ``(T, B, D)`` sequence tensor.
 
-        This is the primary entry point: the whole scan stays in stacked
-        form, inter-layer dropout draws one ``(T, B, H)`` mask per layer
-        boundary (bit-identical to the historical per-timestep draws —
-        the RNG stream consumes identically), and each layer runs as one
-        :func:`~repro.nn.functional.lstm_sequence` op.
+        This is the primary entry point: the whole stack runs as one
+        :func:`~repro.nn.functional.lstm_sequence` op, which draws the
+        inter-layer dropout masks (one ``(T, B, H)`` mask per layer
+        boundary, in training mode) from this module's generator before
+        any scan — bit-identical to the historical per-timestep draws.
 
         Args:
             inputs: ``(T, B, D)`` tensor.
@@ -127,17 +127,12 @@ class LSTM(Module):
         if inputs.shape[0] < 1:
             raise ConfigurationError("LSTM needs at least one timestep")
         states = self._resolve_states(inputs.shape[1], initial_states)
-        sequence = inputs
-        for layer, cell in enumerate(self.cells):
-            h0, c0 = states[layer]
-            started = time.perf_counter()
-            sequence = lstm_sequence(sequence, cell.weight_ih, cell.weight_hh,
-                                     cell.bias, h0, c0)
-            observe_wall("nn.lstm_sequence.wall_s", started)
-            if layer < self.num_layers - 1 and self.dropout_probability > 0:
-                sequence = dropout(sequence, self.dropout_probability,
-                                   self._rng, training=self.training)
-        return sequence
+        layers = [(cell.weight_ih, cell.weight_hh, cell.bias, h0, c0)
+                  for cell, (h0, c0) in zip(self.cells, states)]
+        return lstm_sequence(
+            inputs, layers, rng=self._rng,
+            dropout_probability=self.dropout_probability if self.training
+            else 0.0)
 
     def forward(self, inputs: Tensor,
                 initial_states: Sequence[tuple[Tensor, Tensor]] | None = None,

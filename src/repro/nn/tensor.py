@@ -144,8 +144,10 @@ def _released(grad: np.ndarray) -> None:
 def _offloads(node: "Tensor") -> bool:
     """Whether :meth:`Tensor.backward` runs ``node``'s step on the helper.
 
-    Only a large fused LSTM scan is worth a thread handoff: the two
-    directions of a BiLSTM are the BPTT scans that can overlap.
+    Only a large one-layer fused LSTM scan is worth a thread handoff: the
+    two directions of a BiLSTM are the BPTT scans that can overlap. A
+    stack node (``lstm_stack``) is never handed over: its step runs its
+    own wavefront across both threads.
     """
     return (node._op == "lstm_sequence"
             and overlap.should_overlap(node.shape[1] * node.shape[2]))
@@ -347,7 +349,8 @@ class Tensor:
         # At most one step runs on the overlap helper at a time. A node
         # waits for it if that step accumulates into the node or into one
         # of the node's parents, so every gradient sum keeps the serial
-        # order and no buffer is written by two threads.
+        # order and no buffer is written by two threads. A stack node
+        # waits for it too: its step uses the helper itself.
         pending: Future[None] | None = None
         pending_targets: set[int] = set()
         try:
@@ -357,7 +360,8 @@ class Tensor:
                     continue  # a leaf or a constant: nothing runs
                 parents = node._parents
                 if pending is not None and (
-                        id(node) in pending_targets
+                        node._op == "lstm_stack"
+                        or id(node) in pending_targets
                         or not pending_targets.isdisjoint(map(id, parents))):
                     pending.result()
                     pending = None

@@ -158,13 +158,11 @@ class SessionStore:
     def live_count(self) -> int:
         return sum(1 for s in self._sessions.values() if s.live)
 
-    @property
-    def parked_count(self) -> int:
-        return sum(1 for s in self._sessions.values() if not s.live)
-
     def _update_gauges(self) -> None:
-        self.metrics.set_gauge("sessions.live", float(self.live_count))
-        self.metrics.set_gauge("sessions.parked", float(self.parked_count))
+        live = self.live_count
+        self.metrics.set_gauge("sessions.live", float(live))
+        self.metrics.set_gauge("sessions.parked",
+                               float(len(self._sessions) - live))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -304,13 +302,19 @@ class SessionStore:
         dropped — bounds are enforced against everything else. Parking
         runs first, so a session it parks can be dropped in the same pass;
         otherwise a store with ``max_live == max_sessions`` and every
-        session live would keep one session too many.
+        session live would keep one session too many. Every tracked
+        request ends here (:meth:`rebalance`), so a store within both
+        bounds returns at once: it sorts nothing, and its gauges are
+        current, since every mutation updates them.
         """
+        live_overflow = self.live_count - self.config.max_live
+        if (live_overflow <= 0
+                and len(self._sessions) <= self.config.max_sessions):
+            return
         by_idle = sorted(
             (s for s in self._sessions.values() if s.session_id != exempt),
             key=lambda s: s.last_active,
         )
-        live_overflow = self.live_count - self.config.max_live
         if live_overflow > 0:
             for session in [s for s in by_idle
                             if s.live and not s.lock.locked()][:live_overflow]:

@@ -1,13 +1,15 @@
 """Per-step LSTM oracle: the cell graph the fused sequence op replaced.
 
-Production runs every LSTM layer as one
+Production runs every LSTM stack as one
 :func:`repro.nn.functional.lstm_sequence` node with a hand-written BPTT
 backward. This module keeps the scan it replaced — one fused
 :func:`lstm_cell` graph node per timestep, fed by ``x @ W_ih + h @ W_hh +
 b`` — plus the composed-op cell that pins :func:`lstm_cell` itself.
 :func:`lstm_sequence` takes the production op's signature and does the
-historical Tensor ops in the historical order, so a model scanned through
-it (:func:`naive_scan`) reproduces the per-step path bit for bit: the GAN
+historical Tensor ops in the historical order, layer after layer with a
+dropout op between layers, so a model scanned through it
+(:func:`naive_scan`) reproduces the per-step path bit for bit and records
+no fused scan (``nn.lstm_sequence.wall_s``): the GAN
 digests' ``naive.*`` entries, the fused-vs-naive property suite and the
 ``benchmarks/test_bench_nn.py`` ratio guards all run on it.
 """
@@ -15,14 +17,14 @@ digests' ``naive.*`` entries, the fused-vs-naive property suite and the
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from unittest import mock
 
 import numpy as np
 
 from repro.errors import GradientError
 from repro.nn import recurrent
-from repro.nn.functional import _stable_sigmoid, stack
+from repro.nn.functional import LstmLayer, _stable_sigmoid, dropout, stack
 from repro.nn.recurrent import LSTMCell
 from repro.nn.tensor import Tensor, as_tensor
 
@@ -104,19 +106,30 @@ def cell_step_composed(cell: LSTMCell, x: Tensor,
     return h, c
 
 
-def lstm_sequence(inputs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-                  h0: Tensor, c0: Tensor) -> Tensor:
-    """Reference scan: one :func:`lstm_cell` graph node per timestep."""
-    h, c = h0, c0
-    outputs: list[Tensor] = []
-    for t in range(inputs.shape[0]):
-        h, c = lstm_cell(inputs[t] @ w_ih + h @ w_hh + bias, c)
-        outputs.append(h)
-    return stack(outputs, axis=0)
+def lstm_sequence(inputs: Tensor, layers: Sequence[LstmLayer], *,
+                  dropout_probability: float = 0.0,
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """Reference stack: one :func:`lstm_cell` graph node per timestep.
+
+    Layer after layer, with the historical :func:`dropout` op between
+    layers, so the generator draws each mask after the layer below it.
+    """
+    sequence = inputs
+    for index, (w_ih, w_hh, bias, h0, c0) in enumerate(layers):
+        if index and dropout_probability > 0:
+            assert rng is not None
+            sequence = dropout(sequence, dropout_probability, rng)
+        h, c = h0, c0
+        outputs: list[Tensor] = []
+        for t in range(sequence.shape[0]):
+            h, c = lstm_cell(sequence[t] @ w_ih + h @ w_hh + bias, c)
+            outputs.append(h)
+        sequence = stack(outputs, axis=0)
+    return sequence
 
 
 @contextlib.contextmanager
 def naive_scan() -> Iterator[None]:
-    """Scan every LSTM layer through :func:`lstm_sequence` in this block."""
+    """Scan every layer of every LSTM through :func:`lstm_sequence`."""
     with mock.patch.object(recurrent, "lstm_sequence", lstm_sequence):
         yield

@@ -1,11 +1,13 @@
 """Overlapped BiLSTM directions and graph release in the autograd engine.
 
 :mod:`repro.nn.overlap` runs a large BiLSTM pass's backward direction on a
-helper thread, in the forward scan and again in BPTT. Tier-1 runs with a
+helper thread, in the forward scan and again in BPTT, and the layers of a
+large LSTM stack side by side, chunk by chunk. Tier-1 runs with a
 multithreaded BLAS, where the overlap guard keeps every pass inline, so
 these tests force overlap on: the size floor drops to zero and the probes
 report two CPUs and one BLAS thread. Overlap must change no bit of any
-result, survive a fork, and never deadlock on a nested pass.
+result, raise a failure from either thread, survive a fork, and never
+deadlock on a nested pass.
 
 :meth:`Tensor.backward` frees each node once its step has run, and no step
 refers to its own node, so training leaves nothing for the cycle
@@ -32,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GradientError
 from repro.gan.trainer import GanConfig, GanTrainer
-from repro.nn import BiLSTM, Tensor, dtype_scope
+from repro.nn import LSTM, BiLSTM, Tensor, dtype_scope
 from repro.nn import functional as F
 from repro.nn import overlap
 from repro.nn import tensor as tensor_module
@@ -55,7 +57,9 @@ def same_bits(actual: list[np.ndarray], expected: list[np.ndarray]) -> bool:
 def switch(monkeypatch: pytest.MonkeyPatch) -> Callable[[bool], list[Any]]:
     """``switch(on)`` forces overlap on or off and returns the job log.
 
-    The log records every job handed to the helper since the switch.
+    The size floors stay at zero either way, so a stack scans in the same
+    chunks on and off; off, the probes report one CPU. The log records
+    every job handed to the helper since the switch.
     """
     jobs: list[Any] = []
     real_submit = overlap.submit
@@ -64,17 +68,23 @@ def switch(monkeypatch: pytest.MonkeyPatch) -> Callable[[bool], list[Any]]:
         jobs.append(fn)
         return real_submit(fn)
 
-    monkeypatch.setattr(overlap, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(overlap, "MIN_OVERLAP_SIZE", 0)
+    monkeypatch.setattr(overlap, "MIN_STACK_SIZE", 0)
     monkeypatch.setattr(overlap, "blas_threads", lambda: 1)
     monkeypatch.setattr(overlap, "submit", logged_submit)
 
     def set_overlap(on: bool) -> list[Any]:
-        monkeypatch.setattr(overlap, "MIN_OVERLAP_SIZE",
-                            0 if on else sys.maxsize)
+        monkeypatch.setattr(overlap, "usable_cpus", lambda: 2 if on else 1)
         jobs.clear()
         return jobs
 
     return set_overlap
+
+
+def wave_jobs(jobs: list[Any]) -> list[Any]:
+    """The logged jobs that are a stack wavefront's share of a wave."""
+    return [job for job in jobs
+            if getattr(job, "func", None) is overlap._run_steps]
 
 
 def bilstm_pass(dtype: str, *, summary: bool) -> list[np.ndarray]:
@@ -123,8 +133,155 @@ class TestOverlapIsBitIdentical:
         inline = gan_run(dtype)
         jobs = switch(True)
         overlapped = gan_run(dtype)
-        assert jobs
+        assert wave_jobs(jobs)  # the generator's two layers
+        assert len(wave_jobs(jobs)) < len(jobs)  # the discriminator's BiLSTM
         assert same_bits(overlapped, inline)
+
+
+def stack_pass(dtype: str, num_layers: int, seq_len: int,
+               dropout: float) -> list[Any]:
+    """Output, every gradient and the end generator state of one stack pass.
+
+    Every layer starts from an explicit ``(h0, c0)`` that takes a gradient.
+    """
+    with dtype_scope(dtype):
+        rng = np.random.default_rng(11)
+        model = LSTM(3, 4, rng, num_layers=num_layers,
+                     dropout_probability=dropout)
+        x = Tensor(rng.standard_normal((seq_len, 2, 3)), requires_grad=True)
+        states = [(Tensor(rng.standard_normal((2, 4)), requires_grad=True),
+                   Tensor(rng.standard_normal((2, 4)), requires_grad=True))
+                  for _ in range(num_layers)]
+        out = model.forward_sequence(x, states)
+        weights = Tensor(rng.standard_normal(out.shape), dtype=out.dtype)
+        (out * weights).sum().backward()
+    return ([out.data, x.grad] + [p.grad for p in model.parameters()]
+            + [state.grad for pair in states for state in pair]
+            + [model._rng.bit_generator.state])
+
+
+def same_pass(actual: list[Any], expected: list[Any]) -> bool:
+    return (same_bits(actual[:-1], expected[:-1])
+            and actual[-1] == expected[-1])
+
+
+K = F.CHUNK_STEPS
+
+
+class TestStackWavefront:
+    """A stack's layers scan side by side, forward and in BPTT, bitwise."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("seq_len", [1, K - 1, K, 3 * K + 1])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_inline_bitwise(self, switch, dtype, num_layers, seq_len,
+                                    dropout):
+        switch(False)
+        inline = stack_pass(dtype, num_layers, seq_len, dropout)
+        jobs = switch(True)
+        overlapped = stack_pass(dtype, num_layers, seq_len, dropout)
+        assert same_pass(overlapped, inline)
+        assert bool(wave_jobs(jobs)) == (num_layers > 1)
+        if num_layers == 2:
+            # Every wave but the first and the last overlaps: chunks - 1
+            # forward, and chunks + 1 in BPTT, whose lanes end in two GEMM
+            # steps.
+            assert len(wave_jobs(jobs)) == 2 * -(-seq_len // K)
+
+    def test_threads_switching_often_change_no_bit(self, switch):
+        switch(False)
+        inline = stack_pass("float32", 3, 3 * K + 1, 0.5)
+        switch(True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            overlapped = [stack_pass("float32", 3, 3 * K + 1, 0.5)
+                          for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(same_pass(run, inline) for run in overlapped)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_frozen_forward_overlaps_and_matches_inline(self, switch, dtype):
+        def frozen_pass() -> list[Any]:
+            with dtype_scope(dtype):
+                rng = np.random.default_rng(12)
+                model = LSTM(3, 4, rng, num_layers=2,
+                             dropout_probability=0.5)
+                x = Tensor(rng.standard_normal((3 * K + 1, 2, 3)))
+                with model.frozen():
+                    out = model.forward_sequence(x)
+            assert not out.requires_grad and out._parents == ()
+            return [out.data, model._rng.bit_generator.state]
+
+        switch(False)
+        inline = frozen_pass()
+        jobs = switch(True)
+        overlapped = frozen_pass()
+        assert len(wave_jobs(jobs)) == len(jobs) == 3
+        assert same_pass(overlapped, inline)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("thread", ["helper", "caller"])
+    def test_chunk_failure_is_raised_and_the_next_pass_works(
+            self, switch, monkeypatch, thread, direction):
+        switch(False)
+        expected = stack_pass("float64", 2, 3 * K + 1, 0.5)
+        switch(True)
+        real_step = getattr(F._Layer, direction)
+        calls: list[int] = []
+
+        def failing_step(layer: Any, start: int, stop: int) -> None:
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == (thread == "caller"):
+                calls.append(start)
+                # The caller's first chunk runs alone; its second runs
+                # beside the helper's first.
+                if len(calls) == (1 if thread == "helper" else 2):
+                    raise FloatingPointError(f"{direction} chunk failed")
+            real_step(layer, start, stop)
+
+        monkeypatch.setattr(F._Layer, direction, failing_step)
+        with pytest.raises(FloatingPointError, match=f"{direction} chunk"):
+            stack_pass("float64", 2, 3 * K + 1, 0.5)
+        monkeypatch.setattr(F._Layer, direction, real_step)
+        assert overlap.submit(lambda: 1).result(timeout=30) == 1
+        assert same_pass(stack_pass("float64", 2, 3 * K + 1, 0.5), expected)
+
+    def test_stack_waits_for_a_pending_helper_step(self, switch, monkeypatch):
+        """No wave is handed to the helper while another job is on it."""
+        switch(True)
+        real_submit = overlap.submit
+        busy: list[bool] = []
+        futures: list[Any] = []
+        kinds: list[bool] = []
+
+        def late_submit(fn: Callable[[], Any]) -> Any:
+            busy.append(any(not future.done() for future in futures))
+            kinds.append(bool(wave_jobs([fn])))
+
+            def late() -> Any:
+                time.sleep(0.01)
+                return fn()
+            futures.append(real_submit(late))
+            return futures[-1]
+
+        with dtype_scope("float64"):
+            rng = np.random.default_rng(13)
+            model = LSTM(3, 4, rng, num_layers=2)
+            x = Tensor(rng.standard_normal((3 * K + 1, 2, 3)),
+                       requires_grad=True)
+            other = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+            # The tanh step is reached first and sleeps on the helper.
+            loss = other.tanh().sum() + model.forward_sequence(x).sum()
+            monkeypatch.setattr(overlap, "submit", late_submit)
+            monkeypatch.setattr(
+                tensor_module, "_offloads",
+                lambda node: node._op == "tanh")
+            loss.backward()
+        assert kinds[0] is False and all(kinds[1:]) and len(kinds) > 1
+        assert not any(busy)
 
 
 class TestOverlapGuard:
@@ -294,6 +451,18 @@ class TestHelperThread:
             got = overlap.submit(
                 lambda: bilstm_pass("float64", summary=True)).result()
             return len(jobs) == 1 and same_bits(got, expected)
+
+        assert exit_code_in_child(nested) == 0
+
+    def test_stack_pass_on_the_helper_runs_inline(self, switch):
+        switch(False)
+        expected = stack_pass("float64", 2, 3 * K + 1, 0.5)
+        jobs = switch(True)
+
+        def nested() -> bool:
+            got = overlap.submit(
+                lambda: stack_pass("float64", 2, 3 * K + 1, 0.5)).result()
+            return len(jobs) == 1 and same_pass(got, expected)
 
         assert exit_code_in_child(nested) == 0
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import LSTM, Tensor, dtype_scope
+from repro.nn import LSTM, Tensor, dtype_scope, nn_metrics
 from repro.nn.functional import flip_sequence, lstm_sequence, repeat_sequence
 from repro.nn.recurrent import LSTMCell
 from tests.lstm_oracle import naive_scan
@@ -132,13 +132,15 @@ def test_lstm_sequence_gradients_match_finite_differences():
     }
 
     def loss_value() -> float:
-        out = lstm_sequence(*(Tensor(arrays[k]) for k in
-                              ("inputs", "w_ih", "w_hh", "bias", "h0", "c0")))
+        inputs, *layer = (Tensor(arrays[k]) for k in
+                          ("inputs", "w_ih", "w_hh", "bias", "h0", "c0"))
+        out = lstm_sequence(inputs, [tuple(layer)])
         return float(out.pow(2.0).mean().data)
 
     tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    out = lstm_sequence(tensors["inputs"], tensors["w_ih"], tensors["w_hh"],
-                        tensors["bias"], tensors["h0"], tensors["c0"])
+    out = lstm_sequence(tensors["inputs"], [(
+        tensors["w_ih"], tensors["w_hh"], tensors["bias"], tensors["h0"],
+        tensors["c0"])])
     out.pow(2.0).mean().backward()
     for name, array in arrays.items():
         numeric = numerical_gradient(loss_value, array)
@@ -166,7 +168,8 @@ def test_guarded_backward_matches_unguarded(requiring):
     def grads(names):
         tensors = {k: Tensor(v, requires_grad=k in names)
                    for k, v in arrays.items()}
-        out = lstm_sequence(*tensors.values())
+        inputs, *layer = tensors.values()
+        out = lstm_sequence(inputs, [tuple(layer)])
         out.pow(2.0).mean().backward()
         return {k: t.grad for k, t in tensors.items()}
 
@@ -177,6 +180,34 @@ def test_guarded_backward_matches_unguarded(requiring):
             assert np.array_equal(guarded[name], full[name]), name
         else:
             assert guarded[name] is None, name
+
+
+def test_layers_under_every_gradient_run_no_bptt():
+    """A stack backpropagates only from the lowest layer that needs it.
+
+    Frozen weights and a constant input leave only the top layer's
+    initial state taking a gradient: that layer runs its BPTT, the one
+    below runs none, and the state's gradient matches the oracle's.
+    """
+    rng = np.random.default_rng(6)
+    lstm = LSTM(3, 4, rng, num_layers=2)
+    inputs = Tensor(rng.standard_normal((5, 2, 3)))
+    bottom = (Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+    h1, c1 = rng.standard_normal((2, 2, 4))
+    grads = {}
+    for backend in ("naive", "fused"):
+        top = (Tensor(h1, requires_grad=True), Tensor(c1, requires_grad=True))
+        scans = nn_metrics().snapshot()["histograms"].get(
+            "nn.lstm_sequence_backward.wall_s", {"count": 0})["count"]
+        with lstm.frozen(), _scan(backend):
+            lstm.forward_sequence(inputs, [bottom, top]).pow(2.0).sum(
+            ).backward()
+        grads[backend] = (top[0].grad, top[1].grad)
+        ran = nn_metrics().snapshot()["histograms"].get(
+            "nn.lstm_sequence_backward.wall_s", {"count": 0})["count"] - scans
+        assert ran == (1 if backend == "fused" else 0)
+    for fused, naive in zip(grads["fused"], grads["naive"]):
+        np.testing.assert_allclose(fused, naive, atol=1e-9, rtol=1e-9)
 
 
 def test_repeat_sequence_matches_stack_and_sums_gradient():
