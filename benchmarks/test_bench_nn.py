@@ -26,13 +26,17 @@ registry's ``nn.<op>.wall_s`` histograms, and uploaded next to the
 stage/tracker timing artifacts. It also records the float32 step with the
 two layers' wavefront (:mod:`repro.nn.overlap`) forced on and off, BLAS on
 one thread; no ratio guard reads those two, because a wall-time ratio
-between threaded runs follows the host's load.
+between threaded runs follows the host's load. Its metrics carry the
+gauge ``bench.lstm_scan_peak_mb``: the tracemalloc peak, in MB, of one
+paper-scale discriminator direction's scan (one layer, B=96), forward
+plus BPTT. No guard reads it either.
 """
 
 from __future__ import annotations
 
 import contextlib
 import time
+import tracemalloc
 from collections.abc import Iterator
 from unittest import mock
 
@@ -44,6 +48,9 @@ from tests.lstm_oracle import naive_scan
 
 SEQ_LEN, BATCH, IN_DIM, HIDDEN, LAYERS = 64, 32, 64, 512, 2
 ROUNDS = 5
+#: A discriminator step's scan: 49 steps of a 50-point trace, and the real,
+#: fake and mislabelled-real batches of 32 in one pass.
+D_SEQ_LEN, D_BATCH = 49, 96
 
 
 def fused_scans() -> int:
@@ -131,6 +138,21 @@ def measure_all() -> tuple[dict[str, float], dict[str, list[float]]]:
     return {name: min(values) for name, values in series.items()}, series
 
 
+def scan_peak_mb() -> float:
+    """tracemalloc peak, MB, of one float32 B=96 scan's forward + BPTT."""
+    with dtype_scope("float32"):
+        lstm = LSTM(IN_DIM, HIDDEN, np.random.default_rng(2))
+        inputs = Tensor(np.random.default_rng(3).standard_normal(
+            (D_SEQ_LEN, D_BATCH, IN_DIM)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        started = tracemalloc.get_traced_memory()[0]
+        lstm.forward_sequence(inputs).mean().backward()
+        return (tracemalloc.get_traced_memory()[1] - started) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 _RESULTS: dict[str, float] = {}
 _SERIES: dict[str, list[float]] = {}
 _NAIVE_FUSED_SCANS: list[int] = []
@@ -164,6 +186,14 @@ def test_ab_measure_wavefront():
     for name, value in sorted(wavefront.items()):
         print(f"\n{name}: {value:.3f}s")
     assert all(np.isfinite(v) for v in wavefront.values())
+
+
+def test_ac_measure_scan_memory():
+    """The paper-scale B=96 scan's peak, recorded as a gauge."""
+    peak = scan_peak_mb()
+    print(f"\nB={D_BATCH} one-layer scan, forward + BPTT: peak {peak:.1f} MB")
+    nn_metrics().set_gauge("bench.lstm_scan_peak_mb", peak)
+    assert peak > 0
 
 
 def test_fused_float64_beats_naive():

@@ -89,6 +89,25 @@ def best_of(fn, rounds=5):
     return min(elapsed)
 
 
+def paired_ratio(slow, fast, rounds=6):
+    """Median over rounds of ``slow``'s wall time over ``fast``'s.
+
+    Each round times both arms back to back, alternating which goes
+    first, so a round's ratio sees one speed of the host whichever phase
+    it is in; the median drops a round that a neighbour disturbed.
+    Returns the ratio and each arm's median time.
+    """
+    timings = {slow: [], fast: []}
+    for round_ in range(rounds):
+        for fn in ((slow, fast) if round_ % 2 == 0 else (fast, slow)):
+            started = time.perf_counter()
+            fn()
+            timings[fn].append(time.perf_counter() - started)
+    ratios = [s / f for s, f in zip(timings[slow], timings[fast])]
+    return (float(np.median(ratios)), float(np.median(timings[slow])),
+            float(np.median(timings[fast])))
+
+
 @pytest.mark.benchmark(group="substrate-pipeline")
 def test_bench_sweep_processing_vectorized(benchmark, sweep_setup):
     """The batched engine on the full 256-frame sweep."""
@@ -102,8 +121,9 @@ def test_bench_sweep_processing_vectorized(benchmark, sweep_setup):
 def test_bench_sweep_processing_speedup(sweep_setup):
     """Batched engine vs the pre-batching per-frame pipeline: >= 5x.
 
-    Measured directly (best of 5) rather than through pytest-benchmark so
-    the ratio can be asserted as a regression guard.
+    Measured directly (the median of per-round ratios, both arms timed in
+    each round) rather than through pytest-benchmark so the ratio can be
+    asserted as a regression guard.
     """
     config, radar, frames, times = sweep_setup
 
@@ -116,12 +136,12 @@ def test_bench_sweep_processing_speedup(sweep_setup):
                              max_range=MAX_RANGE)
 
     batched_sweep()  # warm the plane memos / BLAS threads before timing
-    reference_s = best_of(reference_sweep)
-    batched_s = best_of(batched_sweep)
-    speedup = reference_s / batched_s
+    speedup, reference_s, batched_s = paired_ratio(reference_sweep,
+                                                   batched_sweep)
     print(f"\nsweep {NUM_FRAMES} frames x {config.num_antennas} antennas: "
           f"per-frame {reference_s * 1e3:.1f} ms, "
-          f"batched {batched_s * 1e3:.1f} ms, speedup {speedup:.1f}x")
+          f"batched {batched_s * 1e3:.1f} ms (medians), "
+          f"median paired speedup {speedup:.1f}x")
 
     ref_profiles, ref_raw = reference_sweep()
     sweep = batched_sweep()

@@ -22,7 +22,7 @@ result changes.
 """
 
 from repro.nn import functional
-from repro.nn.layers import Dropout, Embedding, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
+from repro.nn.layers import Dropout, Embedding, Linear, Module, Sequential, Tanh
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.recurrent import BiLSTM, LSTM, LSTMCell
 from repro.nn.serialization import load_state, save_state
@@ -45,10 +45,8 @@ __all__ = [
     "Linear",
     "Module",
     "Optimizer",
-    "ReLU",
     "SGD",
     "Sequential",
-    "Sigmoid",
     "Tanh",
     "Tensor",
     "default_dtype",

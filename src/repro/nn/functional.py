@@ -8,9 +8,10 @@ Eq. 4 of the paper).
 The recurrent op deserves a note on granularity. :func:`lstm_sequence` is
 the *per-stack* fusion: every layer's whole ``(T, B, D)`` scan — input
 projection batched into ``(k·B, D) @ (D, 4H)`` GEMMs over chunks of ``k``
-timesteps, per-step recurrence over preallocated gate/state buffers, and
-a hand-written BPTT backward — collapsed into a single graph node, whose
-layers a large stack scans side by side (:func:`repro.nn.overlap.wavefront`).
+timesteps, per-step recurrence in place over preallocated gate/state
+buffers, and a hand-written BPTT backward — collapsed into a single graph
+node, whose layers a large stack scans side by side
+(:func:`repro.nn.overlap.wavefront`).
 The per-step cell graph it replaced is the pinned equivalence reference,
 kept as a test oracle (``tests/lstm_oracle.py``); the property suite holds
 the two within dtype-matched tolerances.
@@ -178,6 +179,14 @@ def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * values) + 1.0)
 
 
+def _sigmoid_in_place(values: np.ndarray) -> None:
+    """:func:`_stable_sigmoid` written over ``values``, op for op."""
+    np.multiply(0.5, values, out=values)
+    np.tanh(values, out=values)
+    np.add(values, 1.0, out=values)
+    np.multiply(0.5, values, out=values)
+
+
 #: Timesteps per chunk of a stack's wavefront (:func:`lstm_sequence`),
 #: picked by interleaved measurement at paper scale (DESIGN.md, "Both
 #: layers of a stack at once").
@@ -198,22 +207,43 @@ class _Layer:
     reads its input from ``source`` (the stack's input or the hidden
     states of the layer below) through the dropout ``mask`` between
     them, if any.
+
+    Per timestep and batch row a layer keeps only what BPTT reads: the
+    four activated gates, the cell state and the hidden state, after one
+    row of ``h0``. The input projection is written into the gate buffer
+    and the gates activate there, so no step allocates an array. A pass
+    that builds no graph node (``chunk`` given) keeps one chunk of gates
+    and masked inputs and a running cell instead; only its hidden states,
+    which the layer above and the op's output read, span the sequence.
     """
 
     def __init__(self, operands: tuple[Tensor, ...], source: np.ndarray,
-                 mask: np.ndarray | None, dtype: np.dtype) -> None:
+                 mask: np.ndarray | None, dtype: np.dtype,
+                 chunk: int | None) -> None:
         self.w_ih, self.w_hh, self.bias, self.h0, self.c0 = operands
         seq_len, batch = source.shape[:2]
         hidden = self.w_hh.shape[0]
         self.hidden, self.dtype = hidden, dtype
         self.source, self.mask = source, mask
-        self.inputs = source if mask is None else np.empty_like(source)
-        self.gates = np.empty((seq_len, batch, 4 * hidden), dtype=dtype)
-        self.c_all = np.empty((seq_len, batch, hidden), dtype=dtype)
-        self.tanh_c = np.empty((seq_len, batch, hidden), dtype=dtype)
-        self.h_all = np.empty((seq_len, batch, hidden), dtype=dtype)
-        self.h = np.asarray(self.h0.data, dtype=dtype)
-        self.c = np.asarray(self.c0.data, dtype=dtype)
+        # Buffers indexed by timestep modulo their length: the whole
+        # sequence for BPTT, or one chunk (the cell: one step) otherwise.
+        steps = seq_len if chunk is None else chunk
+        self.inputs = (source if mask is None
+                       else np.empty((steps,) + source.shape[1:],
+                                     dtype=source.dtype))
+        self.gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
+        # A reshape of a fresh buffer is a view: the projection's GEMM
+        # writes straight into the gates.
+        self.gate_rows = self.gates.reshape(steps * batch, 4 * hidden)
+        self.c_all = np.empty((seq_len if chunk is None else 1, batch,
+                               hidden), dtype=dtype)
+        self.c_first = np.asarray(self.c0.data, dtype=dtype)
+        # h0, then the hidden state after each step.
+        self.states = np.empty((seq_len + 1, batch, hidden), dtype=dtype)
+        self.states[0] = self.h0.data
+        self.h_all = self.states[1:]
+        self.recurrent = np.empty((batch, 4 * hidden), dtype=dtype)
+        self.scratch = np.empty((batch, hidden), dtype=dtype)
         self.started = 0.0
         # Set by the stack's backward: the gradient of h_all, and where the
         # input gradient goes (the layer below's grad_out, or None).
@@ -221,38 +251,41 @@ class _Layer:
         self.grad_in: np.ndarray | None = None
 
     def forward(self, start: int, stop: int) -> None:
-        """Project and scan timesteps ``[start, stop)``."""
+        """Project and scan timesteps ``[start, stop)``.
+
+        The operations are those of ``x @ w_ih + bias + h @ w_hh``, the
+        gate nonlinearities, ``c = f·c + i·g`` and ``h = o·tanh(c)`` on
+        fresh arrays, with the same operands in the same order, so the
+        bits are the same; only where the results land differs.
+        """
         if start == 0:
             self.started = time.perf_counter()
+        gates, c_all, states = self.gates, self.c_all, self.states
+        first = start % len(gates)
         x = self.source[start:stop]
         if self.mask is not None:
             x = np.multiply(x, self.mask[start:stop],
-                            out=self.inputs[start:stop])
+                            out=self.inputs[first: first + stop - start])
         steps, batch, in_dim = x.shape
         hidden = self.hidden
-        x_proj = (x.reshape(steps * batch, in_dim) @ self.w_ih.data
-                  + self.bias.data).reshape(steps, batch, 4 * hidden)
-        w_hh = self.w_hh.data
-        gates, c_all, tanh_c, h_all = (self.gates, self.c_all, self.tanh_c,
-                                       self.h_all)
-        h, c = self.h, self.c
+        rows = self.gate_rows[first * batch: (first + steps) * batch]
+        np.matmul(x.reshape(steps * batch, in_dim), self.w_ih.data, out=rows)
+        rows += self.bias.data
+        w_hh, recurrent, scratch = self.w_hh.data, self.recurrent, self.scratch
         for t in range(start, stop):
-            a = x_proj[t - start] + h @ w_hh
-            i = _stable_sigmoid(a[:, :hidden])
-            f = _stable_sigmoid(a[:, hidden: 2 * hidden])
-            g = np.tanh(a[:, 2 * hidden: 3 * hidden])
-            o = _stable_sigmoid(a[:, 3 * hidden:])
-            c = f * c + i * g
-            gates[t, :, :hidden] = i
-            gates[t, :, hidden: 2 * hidden] = f
-            gates[t, :, 2 * hidden: 3 * hidden] = g
-            gates[t, :, 3 * hidden:] = o
-            c_all[t] = c
-            np.tanh(c, out=tanh_c[t])
-            h = o * tanh_c[t]
-            h_all[t] = h
-        self.h, self.c = h, c
-        if stop == len(h_all):
+            a = gates[t % len(gates)]
+            a += np.matmul(states[t], w_hh, out=recurrent)
+            _sigmoid_in_place(a[:, :2 * hidden])  # i and f at once
+            i, f = a[:, :hidden], a[:, hidden: 2 * hidden]
+            g, o = a[:, 2 * hidden: 3 * hidden], a[:, 3 * hidden:]
+            np.tanh(g, out=g)
+            _sigmoid_in_place(o)
+            c_prev = self.c_first if t == 0 else c_all[(t - 1) % len(c_all)]
+            c = c_all[t % len(c_all)]
+            np.multiply(f, c_prev, out=c)
+            c += np.multiply(i, g, out=scratch)
+            np.multiply(o, np.tanh(c, out=scratch), out=states[t + 1])
+        if stop == len(self.h_all):
             observe_wall("nn.lstm_sequence.wall_s", self.started)
 
     def backward(self, start: int, stop: int) -> None:
@@ -260,14 +293,16 @@ class _Layer:
 
         A step's pre-activation gradients overwrite its gates, which no
         later step reads, so the gate buffer becomes ``d_gates`` in place.
+        ``tanh(c)`` is recomputed from the saved cell state, the ufunc the
+        forward scan ran on the same values.
         """
         hidden = self.hidden
-        c_all, tanh_c = self.c_all, self.tanh_c
+        c_all = self.c_all
         if stop == len(c_all):  # the first chunk BPTT reaches
             self.started = time.perf_counter()
             self.d_gates = self.gates
-            self.dh = np.zeros(self.h.shape, dtype=self.dtype)
-            self.dc = np.zeros(self.c.shape, dtype=self.dtype)
+            self.dh = np.zeros(self.scratch.shape, dtype=self.dtype)
+            self.dc = np.zeros(self.scratch.shape, dtype=self.dtype)
         grad_out, d_gates = self.grad_out, self.d_gates
         assert grad_out is not None
         w_hh_t = self.w_hh.data.T
@@ -277,14 +312,14 @@ class _Layer:
             f = d_gates[t, :, hidden: 2 * hidden]
             g = d_gates[t, :, 2 * hidden: 3 * hidden]
             o = d_gates[t, :, 3 * hidden:]
-            c_prev = (c_all[t - 1] if t > 0
-                      else np.asarray(self.c0.data, dtype=self.dtype))
+            c_prev = c_all[t - 1] if t > 0 else self.c_first
+            tanh_c = np.tanh(c_all[t])
             dh = grad_out[t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c[t] ** 2)
+            dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
             d_i = dc * g * i * (1.0 - i)
             d_f = dc * c_prev * f * (1.0 - f)
             d_g = dc * i * (1.0 - g ** 2)
-            d_o = dh * tanh_c[t] * o * (1.0 - o)
+            d_o = dh * tanh_c * o * (1.0 - o)
             dc_next = dc * f
             d_gates[t, :, :hidden] = d_i
             d_gates[t, :, hidden: 2 * hidden] = d_f
@@ -301,7 +336,7 @@ class _Layer:
             if self.mask is not None:
                 target *= self.mask[start:stop]
         if start == 0:  # the last chunk: what only the scan reads can go
-            del (self.gates, self.c_all, self.tanh_c, self.grad_out,
+            del (self.gates, self.gate_rows, self.c_all, self.grad_out,
                  self.grad_in, self.mask, self.source)
 
     def input_weight_grad(self) -> None:
@@ -325,18 +360,15 @@ class _Layer:
         seq_len, batch, hidden = self.h_all.shape
         flat_gates = self.d_gates.reshape(seq_len * batch, 4 * hidden)
         if self.w_hh.requires_grad:
-            # h_prev over the sequence is h_all shifted right by one, h0
-            # first.
-            h_prev = np.concatenate(
-                [np.asarray(self.h0.data, dtype=self.dtype)[None],
-                 self.h_all[:-1]], axis=0)
-            self.w_hh._accumulate(h_prev.reshape(seq_len * batch, hidden).T
-                                  @ flat_gates)
+            # h_prev over the sequence is every state but the last, h0
+            # first: a view of the state buffer.
+            h_prev = self.states[:-1].reshape(seq_len * batch, hidden)
+            self.w_hh._accumulate(h_prev.T @ flat_gates)
         self.bias._accumulate(flat_gates.sum(axis=0))
         self.h0._accumulate(self.dh)
         self.c0._accumulate(self.dc)
         observe_wall("nn.lstm_sequence_backward.wall_s", self.started)
-        del self.d_gates, self.h_all
+        del self.d_gates, self.states, self.h_all
 
 
 def lstm_sequence(inputs: Tensor, layers: Sequence[LstmLayer], *,
@@ -346,12 +378,15 @@ def lstm_sequence(inputs: Tensor, layers: Sequence[LstmLayer], *,
 
     Forward, per layer: the input projection is batched into
     ``(k·B, D) @ (D, 4H)`` GEMMs (plus bias) over chunks of ``k``
-    timesteps, and the recurrence runs per step over preallocated
-    gate/state buffers — the only sequential work left is the unavoidable
-    ``h @ W_hh`` chain. Backward is one hand-written BPTT pass per layer:
-    a descending scan overwrites the ``(T, B, 4H)`` gate buffer with the
-    pre-activation gradients, each chunk's input gradient is one GEMM,
-    and the weight and bias gradients fall out as whole-sequence GEMMs.
+    timesteps, written straight into the gate buffer, and the recurrence
+    runs per step in place over preallocated gate/state buffers — the
+    only sequential work left is the unavoidable ``h @ W_hh`` chain.
+    Backward is one hand-written BPTT pass per layer: a descending scan
+    overwrites the ``(T, B, 4H)`` gate buffer with the pre-activation
+    gradients, each chunk's input gradient is one GEMM, and the weight
+    and bias gradients fall out as whole-sequence GEMMs. A pass that
+    builds no graph node (no operand takes a gradient) saves nothing for
+    BPTT: each layer keeps one chunk of gates and a running cell.
 
     Chunk ``c`` of a layer needs only chunk ``c`` of the layer below and
     its own chunk ``c - 1``, so :func:`repro.nn.overlap.wavefront` can
@@ -416,6 +451,16 @@ def lstm_sequence(inputs: Tensor, layers: Sequence[LstmLayer], *,
         dtypes.append(dtype)
         in_dim = hidden
 
+    size = batch * in_dim  # in_dim is now the top layer's hidden size
+    step = (CHUNK_STEPS if len(operands) > 1 and size >= overlap.MIN_STACK_SIZE
+            else seq_len)
+    chunks = [(start, min(start + step, seq_len))
+              for start in range(0, seq_len, step)]
+    parents = (inputs,) + tuple(t for layer in operands for t in layer)
+    # A pass that builds no node has no BPTT to save buffers for.
+    chunk = (None if any(t.requires_grad for t in parents)
+             else chunks[0][1] - chunks[0][0])
+
     # Every mask is drawn before any scan. The scans draw nothing, so the
     # generator ends where drawing each mask after the layer below would
     # leave it.
@@ -427,17 +472,11 @@ def lstm_sequence(inputs: Tensor, layers: Sequence[LstmLayer], *,
             assert rng is not None
             mask = _dropout_mask(source.shape, dropout_probability, rng,
                                  source.dtype)
-        stack.append(_Layer(layer_operands, source, mask, layer_dtype))
+        stack.append(_Layer(layer_operands, source, mask, layer_dtype, chunk))
         source = stack[-1].h_all
-    size = batch * stack[-1].hidden
-    step = (CHUNK_STEPS if len(stack) > 1 and size >= overlap.MIN_STACK_SIZE
-            else seq_len)
-    chunks = [(start, min(start + step, seq_len))
-              for start in range(0, seq_len, step)]
     overlap.wavefront([[functools.partial(layer.forward, start, stop)
                         for start, stop in chunks] for layer in stack], size)
 
-    parents = (inputs,) + tuple(t for layer in operands for t in layer)
     out = Tensor._result(stack[-1].h_all, parents,
                          "lstm_sequence" if len(stack) == 1 else "lstm_stack")
 

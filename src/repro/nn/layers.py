@@ -20,8 +20,7 @@ from repro.nn import init
 from repro.nn.functional import dropout, embedding
 from repro.nn.tensor import Tensor
 
-__all__ = ["Dropout", "Embedding", "Linear", "Module", "ReLU", "Sequential",
-           "Sigmoid", "Tanh"]
+__all__ = ["Dropout", "Embedding", "Linear", "Module", "Sequential", "Tanh"]
 
 
 class Module:
@@ -195,16 +194,6 @@ class Dropout(Module):
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
 
 
 class Sequential(Module):

@@ -95,6 +95,13 @@ class Adam(Optimizer):
         self._second_moment = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
+        """One update per parameter, in place.
+
+        Two scratch arrays per parameter hold every intermediate of
+        ``lr·m̂ / (sqrt(v̂) + ε)``, each the operation the written-out
+        formula runs, on the same operands in the same order, so the bits
+        are the formula's.
+        """
         self._step_count += 1
         correction1 = 1.0 - self.beta1 ** self._step_count
         correction2 = 1.0 - self.beta2 ** self._step_count
@@ -103,10 +110,15 @@ class Adam(Optimizer):
             if parameter.grad is None:
                 continue
             grad = parameter.grad
+            update, denominator = np.empty_like(m), np.empty_like(v)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(1.0 - self.beta1, grad, out=update)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            m_hat = m / correction1
-            v_hat = v / correction2
-            parameter.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.square(grad, out=update)
+            v += np.multiply(1.0 - self.beta2, update, out=update)
+            np.divide(m, correction1, out=update)
+            np.divide(v, correction2, out=denominator)
+            np.sqrt(denominator, out=denominator)
+            denominator += self.epsilon
+            np.multiply(self.learning_rate, update, out=update)
+            parameter.data -= np.divide(update, denominator, out=update)

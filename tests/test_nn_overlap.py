@@ -24,6 +24,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from collections.abc import Callable
 from typing import Any
@@ -465,6 +466,134 @@ class TestHelperThread:
             return len(jobs) == 1 and same_pass(got, expected)
 
         assert exit_code_in_child(nested) == 0
+
+
+def traced_peak(fn: Callable[[], Any]) -> tuple[int, Any]:
+    """Bytes ``fn`` allocates at its peak over what it starts with."""
+    tracemalloc.start()
+    try:
+        started = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - started, result
+    finally:
+        tracemalloc.stop()
+
+
+def layer_operands(in_dim: int, hidden: int, batch: int,
+                   rng: np.random.Generator) -> tuple[Tensor, ...]:
+    """One float32 layer's ``(w_ih, w_hh, bias, h0, c0)``, all trainable."""
+    shapes = [(in_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,),
+              (batch, hidden), (batch, hidden)]
+    return tuple(Tensor(0.3 * rng.standard_normal(shape), dtype="float32",
+                        requires_grad=True) for shape in shapes)
+
+
+#: What a float32 pass allocates besides its buffers: its Python objects
+#: (tensors, closures, layer state) and numpy's iterator buffers, at most
+#: two of 8,192 elements, for ufuncs over the strided gate blocks. Small
+#: beside every buffer these tests look for.
+SLACK = 32 * 1024 + 2 * 8192 * 4
+
+
+class TestScanMemory:
+    """A scan keeps, per timestep and batch row, only what BPTT reads.
+
+    tracemalloc counts numpy's buffers. A pass that builds a node saves
+    its activated gates, cell states and hidden states (after one ``h0``
+    row) and allocates no other ``(T, ...)`` buffer; a pass that builds
+    none keeps one chunk of gates.
+    """
+
+    def test_forward_allocates_only_the_saved_buffers(self):
+        seq_len, batch, in_dim, hidden = 64, 4, 8, 32
+        rng = np.random.default_rng(20)
+        layer = layer_operands(in_dim, hidden, batch, rng)
+        inputs = Tensor(rng.standard_normal((seq_len, batch, in_dim)),
+                        dtype="float32", requires_grad=True)
+        F.lstm_sequence(inputs, [layer])  # first observations, imports
+        peak, out = traced_peak(lambda: F.lstm_sequence(inputs, [layer]))
+        assert out.requires_grad
+        row = batch * 4 * hidden * 4  # one timestep of gates, in bytes
+        saved = seq_len * row + (2 * seq_len + 1) * batch * hidden * 4
+        assert peak <= saved + 4 * row + SLACK, (peak, saved)
+
+    def test_finish_takes_h_prev_as_a_view(self, monkeypatch):
+        seq_len, batch, in_dim, hidden = 512, 4, 4, 8
+        rng = np.random.default_rng(21)
+        layer = layer_operands(in_dim, hidden, batch, rng)
+        inputs = Tensor(rng.standard_normal((seq_len, batch, in_dim)),
+                        dtype="float32")
+        peaks: list[int] = []
+        real_finish = F._Layer.finish
+
+        def traced_finish(scan: Any) -> None:
+            peaks.append(traced_peak(lambda: real_finish(scan))[0])
+
+        monkeypatch.setattr(F._Layer, "finish", traced_finish)
+        F.lstm_sequence(inputs, [layer]).sum().backward()
+        states = seq_len * batch * hidden * 4
+        # The w_hh gradient and its accumulator are 2 KiB here; a copy of
+        # the hidden states would be 64 KiB.
+        assert len(peaks) == 1 and peaks[0] < states // 4, peaks
+
+    def test_frozen_stack_keeps_one_chunk_of_gates(self):
+        seq_len, batch, in_dim, hidden = 2 * K + 1, 16, 8, 512
+        assert batch * hidden >= overlap.MIN_STACK_SIZE  # scans in chunks
+        with dtype_scope("float32"):
+            model = LSTM(in_dim, hidden, np.random.default_rng(22),
+                         num_layers=2)
+            inputs = Tensor(np.random.default_rng(23).standard_normal(
+                (seq_len, batch, in_dim)))
+        with model.frozen():
+            model.forward_sequence(inputs)
+            peak, out = traced_peak(lambda: model.forward_sequence(inputs))
+        assert not out.requires_grad
+        row = batch * 4 * hidden * 4
+        per_layer = (K * row + (seq_len + 1) * batch * hidden * 4  # states
+                     + 2 * row)  # h0, c0, a cell and the step scratch
+        assert peak <= 2 * per_layer + SLACK, (peak, per_layer)
+        assert 2 * per_layer < 2 * seq_len * row  # the whole-sequence gates
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_sigmoid_is_the_stable_sigmoid_bitwise(self, dtype):
+        info = np.finfo(dtype)
+        special = np.array(
+            [0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal,
+             -info.smallest_subnormal, 3 * info.smallest_subnormal,
+             info.tiny, -info.tiny, 20.5, -20.5, 45.0, -45.0, 1e3, -1e3,
+             info.max, -info.max], dtype=dtype)
+        values = np.concatenate([special, 12.0 * np.random.default_rng(
+            24).standard_normal(480 - special.size).astype(dtype)])
+        # Rows of a gate buffer: the [i, f] block is a strided view.
+        gates = np.zeros((8, 4 * 30), dtype=dtype)
+        gates[:, :60] = values.reshape(8, 60)
+        expected = F._stable_sigmoid(gates[:, :60])
+        F._sigmoid_in_place(gates[:, :60])
+        assert gates[:, :60].tobytes() == expected.tobytes()
+        flat = values.copy()
+        F._sigmoid_in_place(flat)
+        assert flat.tobytes() == F._stable_sigmoid(values).tobytes()
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_projection_lands_in_the_gate_buffer(self, monkeypatch, frozen):
+        layers: list[Any] = []
+        real_forward = F._Layer.forward
+
+        def spy(scan: Any, start: int, stop: int) -> None:
+            layers.append(scan)
+            assert np.shares_memory(scan.gate_rows, scan.gates)
+            assert scan.gate_rows.nbytes == scan.gates.nbytes
+            real_forward(scan, start, stop)
+
+        monkeypatch.setattr(F._Layer, "forward", spy)
+        rng = np.random.default_rng(25)
+        layer = layer_operands(3, 5, 2, rng)
+        if frozen:
+            for operand in layer:
+                operand.requires_grad = False
+        F.lstm_sequence(Tensor(rng.standard_normal((6, 2, 3))), [layer])
+        assert len(layers) == 1
 
 
 #: Five one-step epochs of the default GAN config (H=64, batch 32) with

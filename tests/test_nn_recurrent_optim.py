@@ -179,6 +179,39 @@ class TestOptimizers:
             optimizer.step()
         assert parameter.data == pytest.approx(target, abs=1e-3)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_step_is_the_written_out_formula_bitwise(self, dtype):
+        rng = np.random.default_rng(9)
+        shapes = [(7, 12), (12,), (3, 5, 4)]
+        parameters = [Tensor(rng.standard_normal(shape), dtype=dtype,
+                             requires_grad=True) for shape in shapes]
+        expected = [p.data.copy() for p in parameters]
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in expected]
+        lr, beta1, beta2, eps = 2e-3, 0.5, 0.9, 1e-8
+        optimizer = Adam(parameters, lr, beta1=beta1, beta2=beta2,
+                         epsilon=eps)
+        for step in range(1, 6):
+            grads = [rng.standard_normal(p.shape).astype(dtype)
+                     for p in parameters]
+            for parameter, grad in zip(parameters, grads):
+                parameter.grad = grad.copy()
+            optimizer.step()
+            for data, (m, v), grad in zip(expected, moments, grads):
+                m *= beta1
+                m += (1.0 - beta1) * grad
+                v *= beta2
+                v += (1.0 - beta2) * grad ** 2
+                m_hat = m / (1.0 - beta1 ** step)
+                v_hat = v / (1.0 - beta2 ** step)
+                data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for parameter, data in zip(parameters, expected):
+            assert parameter.data.dtype == dtype
+            assert parameter.data.tobytes() == data.tobytes()
+        for (m, v), got_m, got_v in zip(moments, optimizer._first_moment,
+                                        optimizer._second_moment):
+            assert got_m.tobytes() == m.tobytes()
+            assert got_v.tobytes() == v.tobytes()
+
     def test_clip_gradients(self):
         parameter = Tensor(np.zeros(3), requires_grad=True)
         parameter.grad = np.array([3.0, 4.0, 0.0])
